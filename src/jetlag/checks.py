@@ -11,6 +11,7 @@ honest end-to-end exercise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,21 @@ class CheckResult:
 
     @property
     def ratio(self) -> float:
-        return self.worst / self.tol if self.tol > 0 else float("inf")
+        """worst / tol; a NaN residual ranks as infinitely bad."""
+        if self.tol > 0 and not math.isnan(self.worst):
+            return self.worst / self.tol
+        return float("inf")
+
+
+def _worst(residuals) -> float:
+    """Largest |entry| over an iterable of residual arrays and scalars.
+
+    np.max propagates NaN where the builtin max drops it, so one NaN
+    residual makes the result NaN, and NaN fails every `worst < tol`
+    gate.  The leading zero keeps an empty sweep at 0.
+    """
+    flat = [np.zeros(1)] + [np.ravel(r) for r in residuals]
+    return float(np.max(np.abs(np.concatenate(flat))))
 
 
 def default_tolerances(family: str) -> dict:
@@ -159,32 +174,27 @@ def random_affine_chart(sp: LagrangeSpace, seed: int):
 
 def metric_time_invariant(sp: LagrangeSpace, points) -> bool:
     """True when dg/dt stays at round-off level over the sample."""
-    worst = 0.0
-    for z in points:
-        worst = max(worst, float(np.max(np.abs(sp.geometry_at(z).dg_t))))
-    return worst < TIME_INDEPENDENT_CUTOFF
+    return _worst(sp.geometry_at(z).dg_t for z in points) \
+        < TIME_INDEPENDENT_CUTOFF
 
 
 def conservation_applicable(sp: LagrangeSpace, points) -> tuple:
     """(gate, note): the divergence identities of the field equations
     close only for metrics g(x); explicit t or y dependence each adds a
     structural remainder, so those spaces get report-only treatment."""
-    worst_t = worst_y = 0.0
-    for z in points:
-        geo = sp.geometry_at(z)
-        worst_t = max(worst_t, float(np.max(np.abs(geo.dg_t))))
-        worst_y = max(worst_y, float(np.max(np.abs(geo.dg_y))))
-    deps = [v for v, bad in (("t", worst_t >= TIME_INDEPENDENT_CUTOFF),
-                             ("y", worst_y >= TIME_INDEPENDENT_CUTOFF)) if bad]
+    geos = [sp.geometry_at(z) for z in points]
+    deps = [v for v in ("t", "y")
+            if not _worst(getattr(geo, f"dg_{v}") for geo in geos)
+            < TIME_INDEPENDENT_CUTOFF]
     if not deps:
         return True, ""
     return False, f"metric depends on {' and '.join(deps)}; reported only"
 
 
-# -- individual suites -------------------------------------------------------
+# -- individual suites: each returns the worst residual over its points -------
 
 def _metricity_worst(sp, points, corrupt):
-    worst = 0.0
+    res = []
     for z in points:
         geo = sp.geometry_at(z)
         g, cart = geo.g, geo.cartan
@@ -198,10 +208,8 @@ def _metricity_worst(sp, points, corrupt):
                  - np.einsum("mjk,im->ijk", cart.C, g))
         del_t_g = geo.dg_t - np.einsum("ijm,m->ij", geo.dg_y, geo.M)
         cov_t = del_t_g - cart.Gt.T @ g - g @ cart.Gt
-        worst = max(worst, float(np.max(np.abs(cov_s))),
-                    float(np.max(np.abs(cov_v))),
-                    float(np.max(np.abs(cov_t))))
-    return worst
+        res += [cov_s, cov_v, cov_t]
+    return _worst(res)
 
 
 def _h_metricity_worst(sp, points):
@@ -209,91 +217,63 @@ def _h_metricity_worst(sp, points):
     # identically zero; only the time direction carries a residual
     idx = (1,) + (0,) * (2 * sp.n)
     hdot = sp.h11.differentiate(idx)
-    worst = 0.0
+    res = []
     for z in points:
         geo = sp.geometry_at(z)
-        worst = max(worst, abs(hdot.evaluate(z) - 2.0 * geo.H * geo.h11))
-    return worst
+        res.append(hdot.evaluate(z) - 2.0 * geo.H * geo.h11)
+    return _worst(res)
 
 
 def _el_spray_worst(sp, points):
-    worst = 0.0
-    for z in points:
-        diff = el_acceleration(sp, z) - harmonic_rhs(sp, z)
-        worst = max(worst, float(np.max(np.abs(diff))))
-    return worst
+    return _worst(el_acceleration(sp, z) - harmonic_rhs(sp, z) for z in points)
 
 
 def _antisymmetry_worst(sp, points):
-    worst = 0.0
+    res = []
     for z in points:
         g = sp.geometry_at(z).g
         cur = curvature(sp, z)
         low1 = np.einsum("ip,pjk->ijk", g, cur.R_i1k)
-        worst = max(worst, float(np.max(np.abs(low1 + low1.transpose(1, 0, 2)))))
+        res.append(low1 + low1.transpose(1, 0, 2))
         for block in (cur.R_ijk, cur.P_ijk, cur.S_ijk):
             low = np.einsum("ip,pmjk->imjk", g, block)
-            worst = max(worst,
-                        float(np.max(np.abs(low + low.transpose(1, 0, 2, 3)))))
-    return worst
+            res.append(low + low.transpose(1, 0, 2, 3))
+    return _worst(res)
 
 
 def _bianchi_worst(sp, points):
-    worst = 0.0
-    for z in points:
-        res = bianchi_residuals(sp, z)
-        worst = max(worst, *(float(np.max(np.abs(v))) for v in res.values()))
-    return worst
+    return _worst(v for z in points for v in bianchi_residuals(sp, z).values())
 
 
 def _deflection_worst(sp, points):
-    worst = 0.0
-    for z in points:
-        res = deflection_identities(sp, z)
-        worst = max(worst, *(float(np.max(np.abs(v))) for v in res.values()))
-    return worst
+    return _worst(v for z in points
+                  for v in deflection_identities(sp, z).values())
 
 
 def _maxwell_worst(sp, points, simple):
     fn = maxwell_simple_residuals if simple else maxwell_residuals
-    worst = 0.0
-    for z in points:
-        worst = max(worst, *fn(sp, z).worst().values())
-    return worst
+    return _worst(v for z in points for v in fn(sp, z).worst().values())
 
 
 def _conservation_worst(sp, points):
-    worst = 0.0
-    for z in points:
-        res = conservation_residuals(sp, z)
-        worst = max(worst, *(float(np.max(np.abs(v))) for v in res.values()))
-    return worst
+    return _worst(v for z in points
+                  for v in conservation_residuals(sp, z).values())
 
 
 def _gauge_worst(sp, points, seed):
-    from .expr import JetPoint
-
     chart = random_affine_chart(sp, seed)
     moved = transformed_space(sp, chart)
-    n = sp.n
-    worst = 0.0
+    res = []
     for z in points:
-        p = JetPoint(z[0], tuple(z[1:n + 1]), tuple(z[n + 1:]))
-        q = transform_point(chart, p)
-        s, nl = canonical_spray(sp, p), canonical_nonlinear_connection(sp, p)
+        q = transform_point(chart, z)
+        s, nl = canonical_spray(sp, z), canonical_nonlinear_connection(sp, z)
         s2 = canonical_spray(moved, q)
         nl2 = canonical_nonlinear_connection(moved, q)
-        pushed_nl = transform_nonlinear(nl, chart, p)
-        worst = max(
-            worst,
-            float(np.max(np.abs(transform_temporal_spray(s.Htemp, chart, p)
-                                - s2.Htemp))),
-            float(np.max(np.abs(transform_spatial_spray(s.Gspat, chart, p)
-                                - s2.Gspat))),
-            float(np.max(np.abs(pushed_nl.M - nl2.M))),
-            float(np.max(np.abs(pushed_nl.N - nl2.N))),
-        )
-    return worst
+        pushed_nl = transform_nonlinear(nl, chart, z)
+        res += [transform_temporal_spray(s.Htemp, chart, z) - s2.Htemp,
+                transform_spatial_spray(s.Gspat, chart, z) - s2.Gspat,
+                pushed_nl.M - nl2.M, pushed_nl.N - nl2.N]
+    return _worst(res)
 
 
 # -- driver ------------------------------------------------------------------
@@ -363,9 +343,11 @@ def run_checks(sp: LagrangeSpace, points, *, tolerances=None,
     if gate:
         out.append(result("conservation", worst, len(pts)))
     else:
-        out.append(CheckResult(name="conservation", worst=float(worst),
-                               tol=tols["conservation"], passed=True,
-                               points=len(pts), note=note))
+        # report-only still fails on a residual that is not a number
+        out.append(CheckResult(name="conservation", worst=worst,
+                               tol=tols["conservation"],
+                               passed=math.isfinite(worst), points=len(pts),
+                               note=note))
     return out
 
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import re
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -27,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import (
+    _worst,
     default_tolerances,
     run_checks,
     sample_points,
@@ -93,13 +96,25 @@ class ProblemConfig:
         return self.ranges.mean(axis=1)
 
 
+def _strip_comment(line: str) -> str:
+    """The line up to the first # that sits outside double quotes."""
+    quoted = False
+    for i, ch in enumerate(line):
+        if ch == '"':
+            quoted = not quoted
+        elif ch == "#" and not quoted:
+            return line[:i]
+    return line
+
+
 def _parse_sections(text: str, origin: str) -> dict:
-    """Sectioned key = value lines; # starts a full-line comment."""
+    """Sectioned key = value lines; # outside double quotes starts a
+    comment that runs to the end of the line."""
     sections: dict = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = _strip_comment(raw).strip()
+        if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
@@ -134,10 +149,13 @@ def _unquote(value: str, origin: str, key: str) -> str:
 
 def _float(value: str, origin: str, key: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        raise ConfigError(f"{origin}: {key} must be a number, got {value!r}") \
-            from None
+        number = math.nan       # rejected below, like a literal nan or inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{origin}: {key} must be a finite number, "
+                          f"got {value!r}")
+    return number
 
 
 def _field(text: str, n: int, origin: str, key: str,
@@ -290,8 +308,13 @@ def load_config(target: str) -> ProblemConfig:
 
     space = _build_space(sections, n, origin)
     ranges = _build_ranges(sections, n, origin)
-    seed = int(_float(problem.get("seed", "0"), origin, "seed"))
+    seed = problem.get("seed", "0")
+    if not re.fullmatch("[0-9]+", seed):
+        raise ConfigError(f"{origin}: seed must be a non-negative integer, "
+                          f"got {seed!r}")
     kappa = _float(problem.get("kappa", "1.0"), origin, "kappa")
+    if kappa == 0.0:
+        raise ConfigError(f"{origin}: kappa must be nonzero")
 
     tolerances = {}
     if "tolerances" in sections:
@@ -301,6 +324,9 @@ def load_config(target: str) -> ProblemConfig:
                 raise ConfigError(f"{origin}: unknown tolerance {key!r} "
                                   f"(valid: {', '.join(sorted(valid))})")
             tolerances[key] = _float(value, origin, key)
+            if tolerances[key] <= 0.0:
+                raise ConfigError(f"{origin}: {key} must be positive, "
+                                  f"got {value!r}")
 
     known_sections = {"problem", "metric", "potential", "scalar", "ranges",
                       "tolerances"}
@@ -309,7 +335,7 @@ def load_config(target: str) -> ProblemConfig:
         raise ConfigError(f"{origin}: unknown sections {sorted(unknown)}")
 
     return ProblemConfig(name=problem.get("name", default_name), space=space,
-                         ranges=ranges, seed=seed, kappa=kappa,
+                         ranges=ranges, seed=int(seed), kappa=kappa,
                          tolerances=tolerances)
 
 
@@ -327,10 +353,6 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
-
-
-def _worst(value) -> float:
-    return float(np.max(np.abs(value)))
 
 
 def point_record(sp: LagrangeSpace, z, kappa: float = 1.0) -> dict:
@@ -375,8 +397,8 @@ def point_record(sp: LagrangeSpace, z, kappa: float = 1.0) -> dict:
                      "forced_zero": list(ein.forced_zero),
                      "kappa": ein.kappa},
         "residuals": {"maxwell": mx.worst(),
-                      "bianchi": {k: _worst(v) for k, v in bia.items()},
-                      "deflection_identities": {k: _worst(v)
+                      "bianchi": {k: _worst([v]) for k, v in bia.items()},
+                      "deflection_identities": {k: _worst([v])
                                                 for k, v in ids.items()},
                       "deflection_route": defl.route_residual,
                       "em_route": em.route_residual},

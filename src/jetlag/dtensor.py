@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.expr import JetPoint, ScalarField
+from jetlag.expr import JetPoint, ScalarField, _point_array
 from jetlag.numdiff import DEFAULT_REL_STEP, gradient
 
 __all__ = [
@@ -30,6 +30,8 @@ __all__ = [
     "CartanCoefficients",
     "ChartMap",
     "ChartError",
+    "delta_t",
+    "delta_x",
     "adapted_derivative",
     "covariant_derivative",
     "contract",
@@ -134,15 +136,14 @@ class DTensorField:
         self._fn = fn
         self._shape = _shape_for(self.signature, self.n)
 
-    def components_at(self, z) -> np.ndarray:
-        out = np.asarray(self._fn(np.asarray(z, dtype=float)), dtype=float)
+    def components_at(self, point) -> np.ndarray:
+        out = np.asarray(self._fn(_point_array(point, self.n)), dtype=float)
         if out.shape != self._shape:
             raise ValueError(f"field returned shape {out.shape}, expected {self._shape}")
         return out
 
     def __call__(self, point) -> DTensorValue:
-        z = _as_z(point, self.n)
-        return DTensorValue(self.signature, self.components_at(z), self.n)
+        return DTensorValue(self.signature, self.components_at(point), self.n)
 
 
 @dataclass(frozen=True)
@@ -205,25 +206,14 @@ class CartanCoefficients:
 
     def symmetry_residual(self) -> float:
         """Max asymmetry of L and C in their two lower indices."""
-        rl = float(np.max(np.abs(self.L - np.swapaxes(self.L, 1, 2))))
-        rc = float(np.max(np.abs(self.C - np.swapaxes(self.C, 1, 2))))
-        return max(rl, rc)
+        rl = np.max(np.abs(self.L - np.swapaxes(self.L, 1, 2)))
+        rc = np.max(np.abs(self.C - np.swapaxes(self.C, 1, 2)))
+        return float(np.max([rl, rc]))   # keeps a NaN, unlike the builtin max
 
 
 # ---------------------------------------------------------------------------
 # point plumbing
 # ---------------------------------------------------------------------------
-
-
-def _as_z(point, n: int) -> np.ndarray:
-    if isinstance(point, JetPoint):
-        if point.n != n:
-            raise ValueError(f"point has n={point.n}, expected {n}")
-        return point.as_array()
-    z = np.asarray(point, dtype=float)
-    if z.shape != (2 * n + 1,):
-        raise ValueError(f"expected {2 * n + 1} coordinates, got shape {z.shape}")
-    return z
 
 
 def _value_at(thing, z):
@@ -236,12 +226,43 @@ def _value_at(thing, z):
 # ---------------------------------------------------------------------------
 
 
-def _normalize_direction(direction):
-    if direction == "T" or direction == ("T",):
-        return ("T", 0)
-    if isinstance(direction, tuple) and len(direction) == 2 and direction[0] in ("M", "V"):
-        return (direction[0], int(direction[1]))
-    raise ValueError(f"direction must be 'T', ('M', i) or ('V', i); got {direction!r}")
+def delta_t(dt, dy, M):
+    """Adapted time derivative d/dt - M^j d/dy^j from the plain partials.
+
+    dt is d/dt of some components, dy[j] their d/dy^j (new axis first).
+    """
+    return dt - np.tensordot(M, dy, axes=(0, 0))
+
+
+def delta_x(dx, dy, N):
+    """Adapted spatial derivatives d/dx^i - N^j_i d/dy^j from the plain
+    partials dx[i], dy[j]; index i first.  N may hold only some columns i,
+    matching the rows of dx."""
+    return dx - np.tensordot(N.T, dy, axes=(1, 0))
+
+
+def _adapted_partials(field: DTensorField, z, nlv, kind: str, rel_step,
+                      i=None) -> np.ndarray:
+    """Adapted derivatives of the field components, derivative axis first.
+
+    kind 'time' gives the single time row; 'space' and 'vert' give every
+    spatial (vertical) direction, or only direction i when it is given.
+    """
+    n = field.n
+    y_axes = list(range(n + 1, 2 * n + 1))
+    if kind == "vert":
+        axes = y_axes if i is None else [1 + n + i]
+        return gradient(field.components_at, z, axes, rel_step)
+    if kind == "time":
+        grads = gradient(field.components_at, z, [0] + y_axes, rel_step)
+        return delta_t(grads[0], grads[1:], nlv.M)[np.newaxis]
+    x_axes = list(range(1, n + 1)) if i is None else [1 + i]
+    grads = gradient(field.components_at, z, x_axes + y_axes, rel_step)
+    N = nlv.N if i is None else nlv.N[:, i:i + 1]
+    return delta_x(grads[:len(x_axes)], grads[len(x_axes):], N)
+
+
+_DIRECTION_KINDS = {"T": "time", "M": "space", "V": "vert"}
 
 
 def adapted_derivative(field: DTensorField, point, nl, direction,
@@ -252,20 +273,17 @@ def adapted_derivative(field: DTensorField, point, nl, direction,
     ('V', i) for the plain d/dy^i.  No connection corrections are applied;
     the result keeps the field's signature.
     """
-    kind, i = _normalize_direction(direction)
-    n = field.n
-    z = _as_z(point, n)
-    nlv = _value_at(nl, z)
-    y_axes = list(range(n + 1, 2 * n + 1))
-    if kind == "T":
-        grads = gradient(field.components_at, z, [0] + y_axes, rel_step)
-        out = grads[0] - np.tensordot(nlv.M, grads[1:], axes=(0, 0))
-    elif kind == "M":
-        grads = gradient(field.components_at, z, [1 + i] + y_axes, rel_step)
-        out = grads[0] - np.tensordot(nlv.N[:, i], grads[1:], axes=(0, 0))
+    if direction in ("T", ("T",)):
+        kind, i = "time", None
+    elif isinstance(direction, tuple) and len(direction) == 2 \
+            and direction[0] in ("M", "V"):
+        kind, i = _DIRECTION_KINDS[direction[0]], int(direction[1])
     else:
-        out = gradient(field.components_at, z, [1 + n + i], rel_step)[0]
-    return DTensorValue(field.signature, out, n)
+        raise ValueError(f"direction must be 'T', ('M', i) or ('V', i); "
+                         f"got {direction!r}")
+    z = _point_array(point, field.n)
+    out = _adapted_partials(field, z, _value_at(nl, z), kind, rel_step, i)
+    return DTensorValue(field.signature, out[0], field.n)
 
 
 _EINSUM_LETTERS = "abcdefghij"
@@ -309,16 +327,11 @@ def covariant_derivative(field: DTensorField, point, cartan, nl, kind: str,
     add, covariant slots subtract.
     """
     n = field.n
-    z = _as_z(point, n)
+    z = _point_array(point, n)
     cart = _value_at(cartan, z)
     nlv = _value_at(nl, z)
     arr = field.components_at(z)
-    y_axes = list(range(n + 1, 2 * n + 1))
-
     if kind == "time":
-        grads = gradient(field.components_at, z, [0] + y_axes, rel_step)
-        base = grads[0] - np.tensordot(nlv.M, grads[1:], axes=(0, 0))
-        base = base[..., np.newaxis]
         blocks = {
             "time": np.full((1, 1, 1), cart.H),
             "space": cart.Gt[:, :, np.newaxis],
@@ -326,31 +339,15 @@ def covariant_derivative(field: DTensorField, point, cartan, nl, kind: str,
             "__extent__": 1,
         }
         new_slot = SlotKind.TIME_DOWN
-    elif kind == "space":
-        grads = gradient(field.components_at, z, list(range(1, n + 1)) + y_axes, rel_step)
-        dx, dy = grads[:n], grads[n:]
-        base = dx - np.tensordot(nlv.N.T, dy, axes=(1, 0))
-        base = np.moveaxis(base, 0, -1)
-        blocks = {
-            "time": np.zeros((1, 1, n)),
-            "space": cart.L,
-            "vert": cart.L,
-            "__extent__": n,
-        }
-        new_slot = SlotKind.SPACE_DOWN
-    elif kind == "vert":
-        grads = gradient(field.components_at, z, y_axes, rel_step)
-        base = np.moveaxis(grads, 0, -1)
-        blocks = {
-            "time": np.zeros((1, 1, n)),
-            "space": cart.C,
-            "vert": cart.C,
-            "__extent__": n,
-        }
-        new_slot = SlotKind.VERT_DOWN
+    elif kind in ("space", "vert"):
+        K = cart.L if kind == "space" else cart.C
+        blocks = {"time": np.zeros((1, 1, n)), "space": K, "vert": K,
+                  "__extent__": n}
+        new_slot = SlotKind.SPACE_DOWN if kind == "space" else SlotKind.VERT_DOWN
     else:
         raise ValueError(f"kind must be 'time', 'space' or 'vert'; got {kind!r}")
 
+    base = np.moveaxis(_adapted_partials(field, z, nlv, kind, rel_step), 0, -1)
     out = base + _slot_corrections(arr, field.signature, blocks, n)
     return DTensorValue(field.signature + (new_slot,), out, n)
 
@@ -500,39 +497,40 @@ class ChartMap:
 
 
 def transform_point(chart: ChartMap, point) -> JetPoint:
-    p = point if isinstance(point, JetPoint) else JetPoint.from_array(point, chart.n)
-    tp = chart.tprime(p.t)
-    x = np.asarray(p.x)
-    y = np.asarray(p.y)
-    x_new = chart.A @ x + chart.c
-    y_new = (chart.A @ y) / tp
-    return JetPoint(chart.t_new(p.t), tuple(x_new), tuple(y_new))
+    n = chart.n
+    z = _point_array(point, n)
+    t = float(z[0])
+    tp = chart.tprime(t)
+    x_new = chart.A @ z[1:n + 1] + chart.c
+    y_new = (chart.A @ z[n + 1:]) / tp
+    return JetPoint(chart.t_new(t), tuple(x_new), tuple(y_new))
 
 
 def transform_temporal_spray(H: np.ndarray, chart: ChartMap, point) -> np.ndarray:
     """Inhomogeneous law for the temporal spray coefficients H^k."""
-    p = point if isinstance(point, JetPoint) else JetPoint.from_array(point, chart.n)
-    tp = chart.tprime(p.t)
-    ts = chart.tsecond(p.t)
-    Ay = chart.A @ np.asarray(p.y)
+    z = _point_array(point, chart.n)
+    t = float(z[0])
+    tp = chart.tprime(t)
+    ts = chart.tsecond(t)
+    Ay = chart.A @ z[chart.n + 1:]
     return (chart.A @ np.asarray(H)) / tp**2 + Ay * ts / (2.0 * tp**3)
 
 
 def transform_spatial_spray(G: np.ndarray, chart: ChartMap, point) -> np.ndarray:
     """Law for the spatial spray coefficients G^k; affine spatial maps make
     the inhomogeneous term vanish, leaving the tensorial part."""
-    p = point if isinstance(point, JetPoint) else JetPoint.from_array(point, chart.n)
-    tp = chart.tprime(p.t)
+    tp = chart.tprime(float(_point_array(point, chart.n)[0]))
     return (chart.A @ np.asarray(G)) / tp**2
 
 
 def transform_nonlinear(nl: NonlinearConnectionValue, chart: ChartMap, point
                         ) -> NonlinearConnectionValue:
     """Laws for nonlinear connection coefficients (M^j, N^j_k)."""
-    p = point if isinstance(point, JetPoint) else JetPoint.from_array(point, chart.n)
-    tp = chart.tprime(p.t)
-    ts = chart.tsecond(p.t)
-    Ay = chart.A @ np.asarray(p.y)
+    z = _point_array(point, chart.n)
+    t = float(z[0])
+    tp = chart.tprime(t)
+    ts = chart.tsecond(t)
+    Ay = chart.A @ z[chart.n + 1:]
     M_new = (chart.A @ nl.M) / tp**2 + Ay * ts / tp**3
     N_new = (chart.A @ nl.N @ chart.A_inv) / tp
     return NonlinearConnectionValue(M_new, N_new)
@@ -540,8 +538,7 @@ def transform_nonlinear(nl: NonlinearConnectionValue, chart: ChartMap, point
 
 def transform_tensor(value: DTensorValue, chart: ChartMap, point) -> DTensorValue:
     """Pure slot-by-slot tensorial transformation of a d-tensor value."""
-    p = point if isinstance(point, JetPoint) else JetPoint.from_array(point, chart.n)
-    tp = chart.tprime(p.t)
+    tp = chart.tprime(float(_point_array(point, chart.n)[0]))
     arr = value.components.copy()
     for ax, slot in enumerate(value.signature):
         if slot is SlotKind.TIME_UP:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dtensor import ChartMap, transform_point
+from .expr import _point_array
 from .geometry import LagrangeSpace, NonRegularError
 
 __all__ = [
@@ -170,11 +171,14 @@ def el_acceleration(sp: LagrangeSpace, point) -> np.ndarray:
     expression assembled purely from Lagrangian partials, with none of
     the metric contractions the spray route uses.
     """
-    geo = sp.geometry_at(point)
-    z = np.asarray(point, dtype=float)
-    y = z[1 + sp.n:]
-    b = geo.Lty + geo.Lxy.T @ y - geo.Lx + geo.H * geo.Ly
-    return -np.linalg.solve(geo.Lyy, b)
+    z = _point_array(point, sp.n)
+    geo = sp.geometry_at(z)
+    return -np.linalg.solve(geo.Lyy, _el_source(geo, z[1 + sp.n:]))
+
+
+def _el_source(geo, y) -> np.ndarray:
+    """The acceleration-free part b of the extremal equation Lyy x'' + b = 0."""
+    return geo.Lty + geo.Lxy.T @ y - geo.Lx + geo.H * geo.Ly
 
 
 def el_residual(sp: LagrangeSpace, curve: Curve) -> np.ndarray:
@@ -196,9 +200,7 @@ def el_residual(sp: LagrangeSpace, curve: Curve) -> np.ndarray:
                      + dt1 * curve.x[k - 1]) / (dt0 * dt1 * (dt0 + dt1))
         z = curve.point(k)
         geo = sp.geometry_at(z)
-        y = curve.y[k]
-        b = geo.Lty + geo.Lxy.T @ y - geo.Lx + geo.H * geo.Ly
-        out[k - 1] = geo.Lyy @ xdd + b
+        out[k - 1] = geo.Lyy @ xdd + _el_source(geo, curve.y[k])
     return out
 
 

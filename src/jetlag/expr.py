@@ -116,16 +116,16 @@ class JetPoint:
         return cls(float(z[0]), tuple(z[1 : n + 1]), tuple(z[n + 1 :]))
 
 
-def _coords(point, n: int):
-    """Normalize a JetPoint / array-like into (t, x, y) for evaluation."""
+def _point_array(point, n: int) -> np.ndarray:
+    """The (2n+1,) coordinate array of a JetPoint or array-like point."""
     if isinstance(point, JetPoint):
         if point.n != n:
-            raise ValueError(f"point has n={point.n}, field has n={n}")
-        return point.t, point.x, point.y
+            raise ValueError(f"point has n={point.n}, expected n={n}")
+        return point.as_array()
     z = np.asarray(point, dtype=float)
     if z.shape != (2 * n + 1,):
         raise ValueError(f"expected {2 * n + 1} coordinates, got shape {z.shape}")
-    return float(z[0]), z[1 : n + 1], z[n + 1 :]
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -850,7 +850,11 @@ class ScalarField:
         return self._table.ast_for(self._offset)
 
     def evaluate(self, point) -> float:
-        t, x, y = _coords(point, self.n)
+        # plain Python floats, whatever the point type: float arithmetic
+        # raises on a domain error where numpy scalars return inf or nan
+        n = self.n
+        z = _point_array(point, n).tolist()
+        t, x, y = z[0], z[1 : n + 1], z[n + 1 :]
         fn = self._table.fn_for(self._offset)
         try:
             return float(fn(t, x, y))
@@ -1138,11 +1142,9 @@ def jet_partials(f: ScalarField, point, max_order: int) -> PartialTable:
             f"requested table order {max_order} on a field of order {f.order} "
             f"exceeds cap {f.max_order}"
         )
-    if isinstance(point, JetPoint):
-        pt = point
-    else:
-        pt = JetPoint.from_array(np.asarray(point, dtype=float), f.n)
+    z = _point_array(point, f.n)
     entries = {}
     for idx in _multi_indices(2 * f.n + 1, max_order):
-        entries[idx] = f.differentiate(idx).evaluate(pt)
-    return PartialTable(n=f.n, max_order=max_order, point=pt, entries=entries)
+        entries[idx] = f.differentiate(idx).evaluate(z)
+    return PartialTable(n=f.n, max_order=max_order,
+                        point=JetPoint.from_array(z, f.n), entries=entries)

@@ -19,6 +19,7 @@ from .dtensor import (
     adapted_derivative,
     covariant_derivative,
 )
+from .expr import _point_array
 from .geometry import (
     LagrangeSpace,
     canonical_nonlinear_connection,
@@ -45,15 +46,6 @@ __all__ = [
     "einstein_system",
     "conservation_residuals",
 ]
-
-
-def _as_z(point, n):
-    z = np.asarray(
-        point if not hasattr(point, "to_array") else point.to_array(),
-        dtype=float)
-    if z.shape != (2 * n + 1,):
-        raise ValueError(f"expected point of length {2 * n + 1}")
-    return z
 
 
 def _connection_callables(sp):
@@ -87,7 +79,7 @@ class DeflectionSet:
 
 def deflections(sp: LagrangeSpace, point, rel_step: float = DEFAULT_REL_STEP):
     n = sp.n
-    z = _as_z(point, n)
+    z = _point_array(point, n)
     y = z[1 + n:]
     geo = sp.geometry_at(z)
     cart = geo.cartan
@@ -100,16 +92,17 @@ def deflections(sp: LagrangeSpace, point, rel_step: float = DEFAULT_REL_STEP):
     # independent route: the engine differentiates y^i as a vertical vector
     cart_fn, nl_fn = _connection_callables(sp)
     liouville = DTensorField((SlotKind.VERT_UP,), n,
-                             lambda q: np.asarray(q, dtype=float)[1 + n:])
+                             lambda q: q[1 + n:])
     eng_t = covariant_derivative(liouville, z, cart_fn, nl_fn, "time",
                                  rel_step=rel_step).components[:, 0]
     eng_x = covariant_derivative(liouville, z, cart_fn, nl_fn, "space",
                                  rel_step=rel_step).components
     eng_y = covariant_derivative(liouville, z, cart_fn, nl_fn, "vert",
                                  rel_step=rel_step).components
-    residual = max(np.max(np.abs(eng_t - Dbar)),
-                   np.max(np.abs(eng_x - D)),
-                   np.max(np.abs(eng_y - d)))
+    # np.max keeps a NaN from any route; the builtin max would drop it
+    residual = np.max([np.max(np.abs(eng_t - Dbar)),
+                       np.max(np.abs(eng_x - D)),
+                       np.max(np.abs(eng_y - d))])
 
     low = geo.h_inv * geo.g
     return DeflectionSet(Dbar=Dbar, D=D, d=d,
@@ -139,7 +132,7 @@ class EMForm:
 def _em_F_closed(sp: LagrangeSpace, q):
     # F_(i)j = h^11/2 [g_jm N^m_i - g_im N^m_j + (g L_j. - g L_i.) y]
     n = sp.n
-    z = _as_z(q, n)
+    z = _point_array(q, n)
     geo = sp.geometry_at(z)
     y = z[1 + n:]
     gN = geo.g @ geo.N
@@ -149,7 +142,7 @@ def _em_F_closed(sp: LagrangeSpace, q):
 
 def em_form(sp: LagrangeSpace, point, rel_step: float = DEFAULT_REL_STEP):
     n = sp.n
-    z = _as_z(point, n)
+    z = _point_array(point, n)
     F = _em_F_closed(sp, z)
     defl = deflections(sp, z, rel_step=rel_step)
     F_alt = 0.5 * (defl.D_low - defl.D_low.T)
@@ -198,7 +191,7 @@ def _F_field(sp: LagrangeSpace):
 def maxwell_residuals(sp: LagrangeSpace, point,
                       rel_step: float = DEFAULT_REL_STEP) -> MaxwellResiduals:
     n = sp.n
-    z = _as_z(point, n)
+    z = _point_array(point, n)
     geo = sp.geometry_at(z)
     y = z[1 + n:]
     y_low = geo.h_inv * (geo.g @ y)
@@ -256,7 +249,7 @@ def maxwell_simple_residuals(sp: LagrangeSpace, point,
     measurements of how far the reduction fails.
     """
     n = sp.n
-    z = _as_z(point, n)
+    z = _point_array(point, n)
     geo = sp.geometry_at(z)
     cart_fn, nl_fn = _connection_callables(sp)
     tor = torsion(sp, z)
@@ -282,7 +275,7 @@ def deflection_identities(sp: LagrangeSpace, point,
     second covariant derivatives of y_i to torsion and curvature blocks.
     """
     n = sp.n
-    z = _as_z(point, n)
+    z = _point_array(point, n)
     geo = sp.geometry_at(z)
     y = z[1 + n:]
     y_low = geo.h_inv * (geo.g @ y)
@@ -351,7 +344,7 @@ class RicciSet:
 
 
 def ricci_and_scalar(sp: LagrangeSpace, point) -> RicciSet:
-    z = _as_z(point, sp.n)
+    z = _point_array(point, sp.n)
     geo = sp.geometry_at(z)
     cur = curvature(sp, z)
     R_i1 = np.einsum("mim->i", cur.R_i1k)
@@ -399,7 +392,7 @@ def einstein_system(sp: LagrangeSpace, point, kappa: float = 1.0,
                     with_conservation: bool = True) -> EinsteinReport:
     if kappa == 0.0 or not np.isfinite(kappa):
         raise ValueError("coupling constant must be finite and nonzero")
-    z = _as_z(point, sp.n)
+    z = _point_array(point, sp.n)
     geo = sp.geometry_at(z)
     ric = ricci_and_scalar(sp, z)
     half = 0.5 * ric.Sc
@@ -439,7 +432,7 @@ def conservation_residuals(sp: LagrangeSpace, point,
     rise with g^im, vertical-origin blocks carry the extra h11 factor.
     """
     n = sp.n
-    z = _as_z(point, n)
+    z = _point_array(point, n)
     geo = sp.geometry_at(z)
     cart_fn, nl_fn = _connection_callables(sp)
 
@@ -447,8 +440,8 @@ def conservation_residuals(sp: LagrangeSpace, point,
         return 0.5 * ricci_and_scalar(sp, q).Sc
 
     def with_geo(q, build):
-        g_inv = sp.geometry_at(_as_z(q, n)).g_inv
-        h11 = sp.geometry_at(_as_z(q, n)).h11
+        g_inv = sp.geometry_at(q).g_inv
+        h11 = sp.geometry_at(q).h11
         return build(ricci_and_scalar(sp, q), g_inv, h11)
 
     # scalar field: adapted time derivative only, no slot corrections

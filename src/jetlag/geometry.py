@@ -23,13 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.expr import Const, JetPoint, ScalarField, Var, add, mul, power
+from jetlag.expr import Const, ScalarField, Var, _point_array, add, mul, power
 from jetlag.dtensor import (
     CartanCoefficients,
     ChartMap,
     NonlinearConnectionValue,
+    delta_t,
+    delta_x,
 )
-from jetlag.numdiff import DEFAULT_REL_STEP, JetGradient
+from jetlag.numdiff import DEFAULT_REL_STEP, gradient
 
 __all__ = [
     "NonRegularError",
@@ -154,7 +156,7 @@ class _Geo:
     """Per-point geometry bundle; all entries exact up to matrix inversion."""
 
     __slots__ = (
-        "z", "h11", "h_inv", "H", "g", "g_inv", "det",
+        "h11", "h_inv", "H", "g", "g_inv", "det",
         "Htemp", "Gspat", "M", "N", "cartan", "dg_t", "dg_x", "dg_y", "Lyyy",
         "Ly", "Lx", "Lty", "Lxy", "Lyy",
     )
@@ -177,17 +179,6 @@ class _ConnJets:
             self.del_t = del_t
             self.del_x = del_x
             self.d_y = d_y
-
-
-def _as_z(point, n: int) -> np.ndarray:
-    if isinstance(point, JetPoint):
-        if point.n != n:
-            raise ValueError(f"point has n={point.n}, expected n={n}")
-        return point.as_array()
-    z = np.asarray(point, dtype=float)
-    if z.shape != (2 * n + 1,):
-        raise ValueError(f"expected {2 * n + 1} coordinates, got shape {z.shape}")
-    return z
 
 
 def _unit_index(n: int, *axes) -> tuple:
@@ -283,7 +274,7 @@ class LagrangeSpace:
         return field.evaluate(z)
 
     def geometry_at(self, point) -> _Geo:
-        z = _as_z(point, self.n)
+        z = _point_array(point, self.n)
         key = z.tobytes()
         cache = self._geo_cache
         hit = cache.get(key)
@@ -379,7 +370,6 @@ class LagrangeSpace:
         Cblock = 0.5 * np.einsum("im,jmk->ijk", g_inv, symC)
 
         geo = _Geo()
-        geo.z = z
         geo.h11 = h11
         geo.h_inv = h_inv
         geo.H = H
@@ -413,7 +403,7 @@ class LagrangeSpace:
 
     def connection_jets(self, point, rel_step: float = DEFAULT_REL_STEP) -> _ConnJets:
         """Adapted first derivatives of (Gt, L, C, N) at a point, one stencil."""
-        z = _as_z(point, self.n)
+        z = _point_array(point, self.n)
         key = z.tobytes()
         cache = self._jet_cache
         hit = cache.get(key)
@@ -422,10 +412,10 @@ class LagrangeSpace:
             return hit
         n = self.n
         geo = self.geometry_at(z)
-        jg = JetGradient(self._pack_connection, z, n, rel_step)
-        del_t = jg.delta_t(geo.M)          # (packed,)
-        del_x = jg.delta_x(geo.N)          # (n, packed)
-        d_y = jg.dy                        # (n, packed)
+        grads = gradient(self._pack_connection, z, rel_step=rel_step)
+        d_y = grads[n + 1:]                         # (n, packed)
+        del_t = delta_t(grads[0], d_y, geo.M)       # (packed,)
+        del_x = delta_x(grads[1:n + 1], d_y, geo.N)  # (n, packed)
 
         shapes = ((n, n), (n, n, n), (n, n, n), (n, n))
         jets = _ConnJets()
@@ -489,7 +479,7 @@ def berwald_connection(h11: ScalarField, g_fields, point) -> CartanCoefficients:
     """Connection (H, 0, gamma, 0) of the metric pair (h11, g): gamma are the
     Christoffel symbols of the spatial metric fields."""
     n = len(g_fields)
-    z = _as_z(point, n)
+    z = _point_array(point, n)
     g = np.empty((n, n))
     dg_x = np.empty((n, n, n))  # dg_x[k, i, j] = dg_ij/dx^k
     for i in range(n):
@@ -513,7 +503,7 @@ def berwald_connection(h11: ScalarField, g_fields, point) -> CartanCoefficients:
 
 def torsion(sp: LagrangeSpace, point) -> TorsionTable:
     n = sp.n
-    z = _as_z(point, n)
+    z = _point_array(point, n)
     geo = sp.geometry_at(z)
     jets = sp.connection_jets(z)
     cart = geo.cartan
@@ -552,7 +542,7 @@ def _cov_space_C(cart: CartanCoefficients, dC_del_x: np.ndarray) -> np.ndarray:
 
 def curvature(sp: LagrangeSpace, point) -> CurvatureTable:
     n = sp.n
-    z = _as_z(point, n)
+    z = _point_array(point, n)
     geo = sp.geometry_at(z)
     jets = sp.connection_jets(z)
     cart = geo.cartan
@@ -600,7 +590,7 @@ def bianchi_residuals(sp: LagrangeSpace, point) -> dict:
     (or a corrupted connection).
     """
     n = sp.n
-    z = _as_z(point, n)
+    z = _point_array(point, n)
     geo = sp.geometry_at(z)
     jets = sp.connection_jets(z)
     cart = geo.cartan

@@ -42,26 +42,3 @@ def gradient(fn, z, axes=None, rel_step: float = DEFAULT_REL_STEP):
         axes = range(len(z))
     return np.stack([partial(fn, z, a, rel_step) for a in axes])
 
-
-class JetGradient:
-    """Partials of a derived field along t, x and y, with adapted combinations.
-
-    ``dt``, ``dx[i]``, ``dy[i]`` are plain partials; ``delta_t(M)`` and
-    ``delta_x(N)`` assemble the adapted-basis derivatives
-    d/dt - M^j d/dy^j and d/dx^i - N^j_i d/dy^j.
-    """
-
-    def __init__(self, fn, z, n: int, rel_step: float = DEFAULT_REL_STEP):
-        self.n = n
-        grads = gradient(fn, z, rel_step=rel_step)
-        self.dt = grads[0]
-        self.dx = grads[1 : n + 1]
-        self.dy = grads[n + 1 :]
-
-    def delta_t(self, M):
-        """Adapted time derivative given temporal coefficients M^j."""
-        return self.dt - np.tensordot(M, self.dy, axes=(0, 0))
-
-    def delta_x(self, N):
-        """Adapted spatial derivatives given coefficients N^j_i; index i first."""
-        return self.dx - np.tensordot(N.T, self.dy, axes=(1, 0))

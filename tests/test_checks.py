@@ -4,9 +4,12 @@ The command-line tests exercise run_checks end to end; these pin the
 sampling, budgeting, gating, and ranking behaviour directly.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from jetlag import checks
 from jetlag.checks import (
     CheckResult,
     conservation_applicable,
@@ -17,7 +20,7 @@ from jetlag.checks import (
     sample_points,
     worst_offender,
 )
-from jetlag.cli import load_config
+from jetlag.cli import load_config, main
 from jetlag.expr import parse
 from jetlag.geometry import LagrangeSpace, NonRegularError
 
@@ -210,3 +213,48 @@ class TestAffineChart:
         sp = space("flat")
         chart = random_affine_chart(sp, seed=1001)
         assert abs(np.linalg.det(chart.A)) > 0.3
+
+
+def nan_residuals(sp, z):
+    return {"b1": np.full((2, 2, 2), np.nan), "b2": np.zeros((2, 2, 2, 2))}
+
+
+class TestNaNResiduals:
+    """The builtin max drops NaN (max(0.0, nan) is 0.0); the suites must not."""
+
+    def test_nan_fails_its_suite_and_outranks_finite_failures(self, monkeypatch):
+        monkeypatch.setattr(checks, "bianchi_residuals", nan_residuals)
+        sp = space("sphere_l1")
+        pts = sample_points(sp, ranges("sphere_l1"), 4, seed=0)
+        res = run_checks(sp, pts, corrupt_connection=True)
+        rows = {r.name: r for r in res}
+        assert math.isnan(rows["bianchi"].worst)
+        assert not rows["bianchi"].passed
+        assert not rows["metricity"].passed     # finite, large ratio
+        assert worst_offender(res).name == "bianchi"
+
+    def test_check_exits_one_naming_the_suite(self, monkeypatch, capsys):
+        monkeypatch.setattr(checks, "bianchi_residuals", nan_residuals)
+        assert main(["check", "--config", "sphere_l1", "--points", "4"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL bianchi" in out
+        assert "worst offender bianchi" in out
+
+    def test_nan_fails_report_only_rows_too(self, monkeypatch):
+        monkeypatch.setattr(checks, "conservation_residuals",
+                            lambda sp, z: {"law1": np.nan})
+        sp = space("sphere_l1")
+        pts = sample_points(sp, ranges("sphere_l1"), 4, seed=0)
+        row = run_checks(sp, pts, conservation_gate=False)[-1]
+        assert row.name == "conservation" and not row.passed
+
+    def test_nan_ratio_is_infinite(self):
+        assert CheckResult("a", float("nan"), 1e-6, False, 5).ratio == math.inf
+
+    def test_nan_metric_is_not_time_invariant(self, monkeypatch):
+        sp = space("flat")
+        pts = sample_points(sp, ranges("flat"), 3, seed=0)
+        geo = sp.geometry_at(pts[0])
+        monkeypatch.setattr(geo, "dg_t", np.full_like(geo.dg_t, np.nan))
+        assert not metric_time_invariant(sp, pts)
+        assert conservation_applicable(sp, pts)[0] is False

@@ -172,6 +172,42 @@ class TestConfigParsing:
         body = "# leading comment\n\n" + MINIMAL + "\n# trailing\n"
         assert load_config(write_cfg(tmp_path, body)).n == 1
 
+    def test_trailing_comments_stripped(self, tmp_path):
+        body = (MINIMAL.replace("[problem]", "[problem]   # header note")
+                .replace("n = 1", "n = 1   # dimension, x = y")
+                .replace('h11 = "1"', 'h11 = "1"  # clock "metric"'))
+        cfg = load_config(write_cfg(tmp_path, body))
+        assert (cfg.n, cfg.space.h11.to_source()) == (1, "1")
+
+    def test_hash_inside_quotes_is_not_a_comment(self, tmp_path):
+        body = MINIMAL.replace('lagrangian = "y1^2"',
+                               'lagrangian = "y1^2 # not a comment"')
+        with pytest.raises(ConfigError,
+                           match="lagrangian: unexpected trailing input"):
+            load_config(write_cfg(tmp_path, body))
+
+    @pytest.mark.parametrize("mutation,key", [
+        (lambda s: s.replace("n = 1", "n = 1\nseed = 4.7"), "seed"),
+        (lambda s: s.replace("n = 1", "n = 1\nseed = nan"), "seed"),
+        (lambda s: s.replace("n = 1", "n = 1\nseed = -3"), "seed"),
+        (lambda s: s.replace("n = 1", "n = 1\nkappa = 0"), "kappa"),
+        (lambda s: s.replace("n = 1", "n = 1\nkappa = inf"), "kappa"),
+        (lambda s: s.replace("t = 0.0 1.0", "t = 0.0 inf"), "t"),
+        (lambda s: s.replace("t = 0.0 1.0", "t = nan 1.0"), "t"),
+        (lambda s: s.replace("x1 = -1.0 1.0", "x1 = -1.0 nan"), "x1"),
+        (lambda s: s + "\n[tolerances]\nmaxwell = nan\n", "maxwell"),
+        (lambda s: s + "\n[tolerances]\nmaxwell = -1\n", "maxwell"),
+        (lambda s: s + "\n[tolerances]\nmaxwell = 0\n", "maxwell"),
+    ], ids=["seed-fraction", "seed-nan", "seed-negative", "kappa-zero",
+            "kappa-inf", "range-inf", "range-nan-low", "range-nan-high",
+            "tol-nan", "tol-negative", "tol-zero"])
+    def test_hostile_numbers_exit_two_naming_the_key(self, tmp_path, capsys,
+                                                      mutation, key):
+        path = write_cfg(tmp_path, mutation(MINIMAL))
+        assert main(["check", "--config", path, "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {key} must be" in err
+
 
 class TestInspect:
     def test_flat_blocks_all_zero(self, tmp_path, capsys):
