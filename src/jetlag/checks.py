@@ -23,6 +23,7 @@ from .dtensor import (
     transform_temporal_spray,
 )
 from .dynamics import el_acceleration, harmonic_rhs
+from .expr import EvalDomainError
 from .fields import (
     conservation_residuals,
     deflection_identities,
@@ -52,6 +53,9 @@ __all__ = [
 
 # residual level treated as "the metric does not depend on t"
 TIME_INDEPENDENT_CUTOFF = 1e-10
+
+# sample_points gives up after this many draws per requested point
+MAX_TRIES_PER_POINT = 64
 
 # heavier suites run on a spread subset of the sample; the cheap
 # algebraic ones use every point
@@ -115,10 +119,10 @@ def default_tolerances(family: str) -> dict:
     }
 
 
-def sample_points(sp: LagrangeSpace, ranges, count: int, seed: int,
-                  max_tries_factor: int = 64) -> np.ndarray:
+def sample_points(sp: LagrangeSpace, ranges, count: int,
+                  seed: int) -> np.ndarray:
     """Uniform draws from the per-coordinate boxes, keeping only points
-    where the space is regular.  Deterministic for a fixed seed.
+    where the space is regular and defined.  Deterministic for a fixed seed.
 
     ranges: (2n+1, 2) array of [low, high] rows ordered t, x^i, y^i.
     """
@@ -133,11 +137,11 @@ def sample_points(sp: LagrangeSpace, ranges, count: int, seed: int,
     rng = np.random.default_rng(seed)
     lo, span = box[:, 0], box[:, 1] - box[:, 0]
     out = []
-    for _ in range(max_tries_factor * count):
+    for _ in range(MAX_TRIES_PER_POINT * count):
         z = lo + span * rng.random(2 * sp.n + 1)
         try:
             sp.geometry_at(z)
-        except NonRegularError:
+        except (NonRegularError, EvalDomainError):
             continue
         out.append(z)
         if len(out) == count:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from jetlag.expr import JetPoint, ScalarField, _point_array
-from jetlag.numdiff import DEFAULT_REL_STEP, gradient
+from jetlag.numdiff import gradient
 
 __all__ = [
     "SlotKind",
@@ -241,7 +241,7 @@ def delta_x(dx, dy, N):
     return dx - np.tensordot(N.T, dy, axes=(1, 0))
 
 
-def _adapted_partials(field: DTensorField, z, nlv, kind: str, rel_step,
+def _adapted_partials(field: DTensorField, z, nlv, kind: str,
                       i=None) -> np.ndarray:
     """Adapted derivatives of the field components, derivative axis first.
 
@@ -252,12 +252,12 @@ def _adapted_partials(field: DTensorField, z, nlv, kind: str, rel_step,
     y_axes = list(range(n + 1, 2 * n + 1))
     if kind == "vert":
         axes = y_axes if i is None else [1 + n + i]
-        return gradient(field.components_at, z, axes, rel_step)
+        return gradient(field.components_at, z, axes)
     if kind == "time":
-        grads = gradient(field.components_at, z, [0] + y_axes, rel_step)
+        grads = gradient(field.components_at, z, [0] + y_axes)
         return delta_t(grads[0], grads[1:], nlv.M)[np.newaxis]
     x_axes = list(range(1, n + 1)) if i is None else [1 + i]
-    grads = gradient(field.components_at, z, x_axes + y_axes, rel_step)
+    grads = gradient(field.components_at, z, x_axes + y_axes)
     N = nlv.N if i is None else nlv.N[:, i:i + 1]
     return delta_x(grads[:len(x_axes)], grads[len(x_axes):], N)
 
@@ -265,8 +265,8 @@ def _adapted_partials(field: DTensorField, z, nlv, kind: str, rel_step,
 _DIRECTION_KINDS = {"T": "time", "M": "space", "V": "vert"}
 
 
-def adapted_derivative(field: DTensorField, point, nl, direction,
-                       rel_step: float = DEFAULT_REL_STEP) -> DTensorValue:
+def adapted_derivative(field: DTensorField, point, nl,
+                       direction) -> DTensorValue:
     """Componentwise adapted-basis derivative of a d-tensor field.
 
     Directions: 'T' for d/dt - M^j d/dy^j, ('M', i) for d/dx^i - N^j_i d/dy^j,
@@ -282,7 +282,7 @@ def adapted_derivative(field: DTensorField, point, nl, direction,
         raise ValueError(f"direction must be 'T', ('M', i) or ('V', i); "
                          f"got {direction!r}")
     z = _point_array(point, field.n)
-    out = _adapted_partials(field, z, _value_at(nl, z), kind, rel_step, i)
+    out = _adapted_partials(field, z, _value_at(nl, z), kind, i)
     return DTensorValue(field.signature, out[0], field.n)
 
 
@@ -313,8 +313,8 @@ def _slot_corrections(arr: np.ndarray, signature, blocks: dict, n: int) -> np.nd
     return total
 
 
-def covariant_derivative(field: DTensorField, point, cartan, nl, kind: str,
-                         rel_step: float = DEFAULT_REL_STEP) -> DTensorValue:
+def covariant_derivative(field: DTensorField, point, cartan, nl,
+                         kind: str) -> DTensorValue:
     """Covariant derivative of a d-tensor field under an h-normal connection.
 
     kind 'time'  : D -> D_{/1};      appends a TimeDown slot (extent 1).
@@ -347,7 +347,7 @@ def covariant_derivative(field: DTensorField, point, cartan, nl, kind: str,
     else:
         raise ValueError(f"kind must be 'time', 'space' or 'vert'; got {kind!r}")
 
-    base = np.moveaxis(_adapted_partials(field, z, nlv, kind, rel_step), 0, -1)
+    base = np.moveaxis(_adapted_partials(field, z, nlv, kind), 0, -1)
     out = base + _slot_corrections(arr, field.signature, blocks, n)
     return DTensorValue(field.signature + (new_slot,), out, n)
 

@@ -37,6 +37,7 @@ __all__ = [
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 DEFAULT_MAX_ORDER = 5
+MAX_NESTING = 50    # parser depth cap, well inside Python's recursion limit
 _MAX_ORDER_ENV = "JETLAG_MAX_DERIV_ORDER"
 
 
@@ -551,7 +552,7 @@ def power(base: Node, exponent) -> Node:
         return base
     if isinstance(base, Const):
         v = base.value
-        if v > 0.0 or e == int(e):
+        if v > 0.0 or e.is_integer():
             try:
                 return Const(v**e)
             except (ValueError, ZeroDivisionError, OverflowError):
@@ -590,7 +591,7 @@ def _var_name(index: int, n: int) -> str:
 
 
 def _fmt_const(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+    if v.is_integer() and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -653,6 +654,8 @@ def _checked_pow(base: float, exponent: float) -> float:
 
 _EVAL_GLOBALS = {
     "__builtins__": {},
+    "inf": math.inf,        # folded constants may overflow; repr gives inf
+    "nan": math.nan,
     "_sin": math.sin,
     "_cos": math.cos,
     "_tan": math.tan,
@@ -685,7 +688,7 @@ def _emit(node: Node, n: int) -> str:
         return f"({_emit(node.num, n)}/{_emit(node.den, n)})"
     if isinstance(node, Pow):
         e = node.exponent
-        if e == int(e) and abs(e) < 1e9:
+        if e.is_integer() and abs(e) < 1e9:
             return f"({_emit(node.base, n)}**{int(e)})"
         return f"_pw({_emit(node.base, n)},{e!r})"
     if isinstance(node, Call):
@@ -696,7 +699,12 @@ def _emit(node: Node, n: int) -> str:
 def compile_node(node: Node, n: int):
     """Compile a node into a fast ``f(t, x, y) -> float`` callable."""
     src = f"lambda t, x, y: {_emit(node, n)}"
-    return eval(compile(src, "<jetlag-expr>", "eval"), _EVAL_GLOBALS)
+    try:
+        code = compile(src, "<jetlag-expr>", "eval")
+    except (SyntaxError, RecursionError, MemoryError):
+        # Python caps nesting at 200 parentheses; derivatives can pass that
+        raise ExprError("expression nested too deeply to compile") from None
+    return eval(code, _EVAL_GLOBALS)
 
 
 def _walk_eval(node: Node, t, x, y, n: int) -> float:
@@ -731,7 +739,7 @@ def _walk_eval(node: Node, t, x, y, n: int) -> float:
             base = _walk_eval(node.base, t, x, y, n)
             e = node.exponent
             try:
-                if e == int(e):
+                if e.is_integer():
                     return base ** int(e)
                 return _checked_pow(base, e)
             except (ValueError, ZeroDivisionError, OverflowError) as exc:
@@ -865,10 +873,6 @@ class ScalarField:
 
     __call__ = evaluate
 
-    def callable(self):
-        """Return the raw compiled ``f(t, x, y)`` (fast path, bare errors)."""
-        return self._table.fn_for(self._offset)
-
     def differentiate(self, idx) -> "ScalarField":
         idx = _validate_multi_index(idx, self.n)
         total = sum(idx) + sum(self._offset)
@@ -946,6 +950,7 @@ class _Parser:
         self.pos = 0
         self.line = 1
         self.col = 1
+        self.depth = 0
 
     def error(self, message: str, line=None, col=None):
         raise ParseError(message, self.line if line is None else line, self.col if col is None else col)
@@ -981,6 +986,9 @@ class _Parser:
         return node
 
     def parse_expr(self) -> Node:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nested more than {MAX_NESTING} levels deep")
         terms = [self.parse_term()]
         while True:
             self.skip_ws()
@@ -993,6 +1001,7 @@ class _Parser:
                 terms.append(neg(self.parse_term()))
             else:
                 break
+        self.depth -= 1
         return add(*terms)
 
     def parse_term(self) -> Node:
@@ -1011,17 +1020,19 @@ class _Parser:
         return node
 
     def parse_factor(self) -> Node:
+        # a run of unary minus signs, counted in a loop: neg is an involution
+        negate = False
         self.skip_ws()
-        if self.peek() == "-":
+        while self.peek() == "-":
             self._advance(1)
-            return neg(self.parse_factor())
-        base = self.parse_base()
+            self.skip_ws()
+            negate = not negate
+        node = self.parse_base()
         self.skip_ws()
         if self.peek() == "^":
             self._advance(1)
-            expo = self.parse_exponent()
-            return power(base, expo)
-        return base
+            node = power(node, self.parse_exponent())
+        return neg(node) if negate else node
 
     def parse_exponent(self) -> float:
         self.skip_ws()
@@ -1038,7 +1049,7 @@ class _Parser:
             if not isinstance(inner, Const):
                 self.error("exponent must be a constant", line, col)
             return sign * inner.value
-        if self.peek().isdigit() or self.peek() == ".":
+        if self.peek().isdecimal() or self.peek() == ".":
             return sign * self.parse_number()
         self.error("exponent must be a number or a parenthesized constant", line, col)
 
@@ -1046,12 +1057,12 @@ class _Parser:
         start = self.pos
         line, col = self.line, self.col
         seen_digit = False
-        while self.peek().isdigit():
+        while self.peek().isdecimal():
             seen_digit = True
             self._advance(1)
         if self.peek() == ".":
             self._advance(1)
-            while self.peek().isdigit():
+            while self.peek().isdecimal():
                 seen_digit = True
                 self._advance(1)
         if not seen_digit:
@@ -1061,15 +1072,18 @@ class _Parser:
             self._advance(1)
             if self.peek() in ("+", "-"):
                 self._advance(1)
-            if self.peek().isdigit():
-                while self.peek().isdigit():
+            if self.peek().isdecimal():
+                while self.peek().isdecimal():
                     self._advance(1)
             else:
                 # not an exponent after all (e.g. "2*exp(t)" tokenized wrong);
                 # numbers and identifiers are space-separated by the grammar,
                 # so treat this as malformed
                 self.error("malformed number exponent", line, col)
-        return float(self.src[start : self.pos])
+        value = float(self.src[start : self.pos])
+        if not math.isfinite(value):
+            self.error("number out of range", line, col)
+        return value
 
     def parse_base(self) -> Node:
         self.skip_ws()
@@ -1082,7 +1096,7 @@ class _Parser:
             node = self.parse_expr()
             self.expect(")")
             return node
-        if ch.isdigit() or ch == ".":
+        if ch.isdecimal() or ch == ".":
             return Const(self.parse_number())
         if ch.isalpha() or ch == "_":
             start = self.pos
@@ -1103,7 +1117,7 @@ class _Parser:
     def make_var(self, name: str, line: int, col: int) -> Node:
         if name == "t":
             return Var(0)
-        if len(name) >= 2 and name[0] in ("x", "y") and name[1:].isdigit():
+        if len(name) >= 2 and name[0] in ("x", "y") and name[1:].isdecimal():
             k = int(name[1:])
             if not 1 <= k <= self.n:
                 self.error(

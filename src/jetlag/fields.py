@@ -28,7 +28,6 @@ from .geometry import (
     fundamental_metric,
     torsion,
 )
-from .numdiff import DEFAULT_REL_STEP
 
 __all__ = [
     "DeflectionSet",
@@ -77,7 +76,7 @@ class DeflectionSet:
     route_residual: float
 
 
-def deflections(sp: LagrangeSpace, point, rel_step: float = DEFAULT_REL_STEP):
+def deflections(sp: LagrangeSpace, point):
     n = sp.n
     z = _point_array(point, n)
     y = z[1 + n:]
@@ -93,12 +92,12 @@ def deflections(sp: LagrangeSpace, point, rel_step: float = DEFAULT_REL_STEP):
     cart_fn, nl_fn = _connection_callables(sp)
     liouville = DTensorField((SlotKind.VERT_UP,), n,
                              lambda q: q[1 + n:])
-    eng_t = covariant_derivative(liouville, z, cart_fn, nl_fn, "time",
-                                 rel_step=rel_step).components[:, 0]
-    eng_x = covariant_derivative(liouville, z, cart_fn, nl_fn, "space",
-                                 rel_step=rel_step).components
-    eng_y = covariant_derivative(liouville, z, cart_fn, nl_fn, "vert",
-                                 rel_step=rel_step).components
+    eng_t = covariant_derivative(liouville, z, cart_fn, nl_fn,
+                                 "time").components[:, 0]
+    eng_x = covariant_derivative(liouville, z, cart_fn, nl_fn,
+                                 "space").components
+    eng_y = covariant_derivative(liouville, z, cart_fn, nl_fn,
+                                 "vert").components
     # np.max keeps a NaN from any route; the builtin max would drop it
     residual = np.max([np.max(np.abs(eng_t - Dbar)),
                        np.max(np.abs(eng_x - D)),
@@ -140,11 +139,11 @@ def _em_F_closed(sp: LagrangeSpace, q):
     return 0.5 * geo.h_inv * ((gN.T - gN) + (gLy - gLy.T))
 
 
-def em_form(sp: LagrangeSpace, point, rel_step: float = DEFAULT_REL_STEP):
+def em_form(sp: LagrangeSpace, point):
     n = sp.n
     z = _point_array(point, n)
     F = _em_F_closed(sp, z)
-    defl = deflections(sp, z, rel_step=rel_step)
+    defl = deflections(sp, z)
     F_alt = 0.5 * (defl.D_low - defl.D_low.T)
     f = 0.5 * (defl.d_low - defl.d_low.T)
     return EMForm(F=F, f=f, F_alt=F_alt,
@@ -183,13 +182,17 @@ def vertical_source_tensor(geo) -> np.ndarray:
     return 0.5 * geo.Lyyy
 
 
-def _F_field(sp: LagrangeSpace):
-    return DTensorField((SlotKind.VERT_DOWN, SlotKind.SPACE_DOWN), sp.n,
-                        lambda q: _em_F_closed(sp, q))
+def _F_derivatives(sp: LagrangeSpace, z) -> list:
+    """Time, space and vertical covariant derivatives of the closed-form F
+    (the time one keeps its one-entry derivative axis)."""
+    F = DTensorField((SlotKind.VERT_DOWN, SlotKind.SPACE_DOWN), sp.n,
+                     lambda q: _em_F_closed(sp, q))
+    cart_fn, nl_fn = _connection_callables(sp)
+    return [covariant_derivative(F, z, cart_fn, nl_fn, kind).components
+            for kind in ("time", "space", "vert")]
 
 
-def maxwell_residuals(sp: LagrangeSpace, point,
-                      rel_step: float = DEFAULT_REL_STEP) -> MaxwellResiduals:
+def maxwell_residuals(sp: LagrangeSpace, point) -> MaxwellResiduals:
     n = sp.n
     z = _point_array(point, n)
     geo = sp.geometry_at(z)
@@ -198,32 +201,26 @@ def maxwell_residuals(sp: LagrangeSpace, point,
     cart_fn, nl_fn = _connection_callables(sp)
     tor = torsion(sp, z)
     C = geo.cartan.C
+    F_t, F_x, F_y = _F_derivatives(sp, z)
 
-    Ffield = _F_field(sp)
-    F_t = covariant_derivative(Ffield, z, cart_fn, nl_fn, "time",
-                               rel_step=rel_step).components[:, :, 0]
-
-    defl = deflections(sp, z, rel_step=rel_step)
+    defl = deflections(sp, z)
     Dbar_low_field = DTensorField(
         (SlotKind.VERT_DOWN, SlotKind.TIME_DOWN), n,
-        lambda q: deflections(sp, q, rel_step=rel_step).Dbar_low[:, None])
+        lambda q: deflections(sp, q).Dbar_low[:, None])
     Dbar_cov = covariant_derivative(Dbar_low_field, z, cart_fn, nl_fn,
-                                    "space",
-                                    rel_step=rel_step).components[:, 0, :]
+                                    "space").components[:, 0, :]
 
     T1_field = DTensorField(
         (SlotKind.SPACE_UP, SlotKind.TIME_DOWN, SlotKind.SPACE_DOWN), n,
         lambda q: torsion(sp, q).T_1j[:, None, :])
-    T1_cov = covariant_derivative(T1_field, z, cart_fn, nl_fn, "space",
-                                  rel_step=rel_step).components[:, 0, :, :]
+    T1_cov = covariant_derivative(T1_field, z, cart_fn, nl_fn,
+                                  "space").components[:, 0, :, :]
 
     bracket = T1_cov + np.einsum("pkm,mi->pik", C, tor.R_1j)
     core = (Dbar_cov + defl.D_low @ tor.T_1j + defl.d_low @ tor.R_1j
             - np.einsum("pik,p->ik", bracket, y_low))
-    eq1 = F_t - 0.5 * (core - core.T)
+    eq1 = F_t[:, :, 0] - 0.5 * (core - core.T)
 
-    F_x = covariant_derivative(Ffield, z, cart_fn, nl_fn, "space",
-                               rel_step=rel_step).components
     # Source tensor h^11 * dg_il/dy^m == (1/2) d^3L/dy^i dy^l dy^m.  An
     # extra h^11 dressing here breaks the cyclic identity on any space
     # whose metric depends on y while h11 != 1; the undressed form keeps
@@ -232,15 +229,11 @@ def maxwell_residuals(sp: LagrangeSpace, point,
     c3 = vertical_source_tensor(geo)
     source = np.einsum("ilm,mjk,l->ijk", c3, tor.R_ij, y)
     eq2 = _cyclic(F_x) + 0.5 * _cyclic(source)
-
-    F_y = covariant_derivative(Ffield, z, cart_fn, nl_fn, "vert",
-                               rel_step=rel_step).components
     eq3 = _cyclic(F_y)
     return MaxwellResiduals(eq1=eq1, eq2=eq2, eq3=eq3)
 
 
-def maxwell_simple_residuals(sp: LagrangeSpace, point,
-                             rel_step: float = DEFAULT_REL_STEP):
+def maxwell_simple_residuals(sp: LagrangeSpace, point):
     """Closure residuals in the reduced form valid for metrics g(x).
 
     The sources drop out and the time equation closes on the mixed
@@ -251,24 +244,14 @@ def maxwell_simple_residuals(sp: LagrangeSpace, point,
     n = sp.n
     z = _point_array(point, n)
     geo = sp.geometry_at(z)
-    cart_fn, nl_fn = _connection_callables(sp)
     tor = torsion(sp, z)
-
-    Ffield = _F_field(sp)
-    F_t = covariant_derivative(Ffield, z, cart_fn, nl_fn, "time",
-                               rel_step=rel_step).components[:, :, 0]
+    F_t, F_x, F_y = _F_derivatives(sp, z)
     term = geo.h_inv * (geo.g @ tor.R_1j)
-    eq1 = F_t - 0.5 * (term - term.T)
-
-    F_x = covariant_derivative(Ffield, z, cart_fn, nl_fn, "space",
-                               rel_step=rel_step).components
-    F_y = covariant_derivative(Ffield, z, cart_fn, nl_fn, "vert",
-                               rel_step=rel_step).components
+    eq1 = F_t[:, :, 0] - 0.5 * (term - term.T)
     return MaxwellResiduals(eq1=eq1, eq2=_cyclic(F_x), eq3=_cyclic(F_y))
 
 
-def deflection_identities(sp: LagrangeSpace, point,
-                          rel_step: float = DEFAULT_REL_STEP) -> dict:
+def deflection_identities(sp: LagrangeSpace, point) -> dict:
     """Residuals of the three lowered deflection derivative identities.
 
     These are the lemmas behind the closure equations; each ties mixed
@@ -283,10 +266,10 @@ def deflection_identities(sp: LagrangeSpace, point,
     tor = torsion(sp, z)
     cur = curvature(sp, z)
     C = geo.cartan.C
-    defl = deflections(sp, z, rel_step=rel_step)
+    defl = deflections(sp, z)
 
     def defl_at(q):
-        return deflections(sp, q, rel_step=rel_step)
+        return deflections(sp, q)
 
     Dbar_field = DTensorField((SlotKind.VERT_DOWN, SlotKind.TIME_DOWN), n,
                               lambda q: defl_at(q).Dbar_low[:, None])
@@ -295,16 +278,13 @@ def deflection_identities(sp: LagrangeSpace, point,
     d_field = DTensorField((SlotKind.VERT_DOWN, SlotKind.VERT_DOWN), n,
                            lambda q: defl_at(q).d_low)
 
-    Dbar_x = covariant_derivative(Dbar_field, z, cart_fn, nl_fn, "space",
-                                  rel_step=rel_step).components[:, 0, :]
-    D_t = covariant_derivative(D_field, z, cart_fn, nl_fn, "time",
-                               rel_step=rel_step).components[:, :, 0]
-    D_x = covariant_derivative(D_field, z, cart_fn, nl_fn, "space",
-                               rel_step=rel_step).components
-    D_y = covariant_derivative(D_field, z, cart_fn, nl_fn, "vert",
-                               rel_step=rel_step).components
-    d_x = covariant_derivative(d_field, z, cart_fn, nl_fn, "space",
-                               rel_step=rel_step).components
+    Dbar_x = covariant_derivative(Dbar_field, z, cart_fn, nl_fn,
+                                  "space").components[:, 0, :]
+    D_t = covariant_derivative(D_field, z, cart_fn, nl_fn,
+                               "time").components[:, :, 0]
+    D_x = covariant_derivative(D_field, z, cart_fn, nl_fn, "space").components
+    D_y = covariant_derivative(D_field, z, cart_fn, nl_fn, "vert").components
+    d_x = covariant_derivative(d_field, z, cart_fn, nl_fn, "space").components
 
     d1 = (Dbar_x - D_t + np.einsum("m,mik->ik", y_low, cur.R_i1k)
           + defl.D_low @ tor.T_1j + defl.d_low @ tor.R_1j)
@@ -423,8 +403,7 @@ def einstein_system(sp: LagrangeSpace, point, kappa: float = 1.0,
 # conservation laws
 # ---------------------------------------------------------------------------
 
-def conservation_residuals(sp: LagrangeSpace, point,
-                           rel_step: float = DEFAULT_REL_STEP) -> dict:
+def conservation_residuals(sp: LagrangeSpace, point) -> dict:
     """Residuals of the three divergence identities of the field equations.
 
     law1 is a scalar; law2 and law3 carry one free spatial index.  All
@@ -447,8 +426,7 @@ def conservation_residuals(sp: LagrangeSpace, point,
     # scalar field: adapted time derivative only, no slot corrections
     scalar_field = DTensorField((), n,
                                 lambda q: np.asarray(half_scalar(q)))
-    lhs1 = float(adapted_derivative(scalar_field, z, nl_fn, "T",
-                                    rel_step=rel_step).components)
+    lhs1 = float(adapted_derivative(scalar_field, z, nl_fn, "T").components)
 
     R_up_1 = DTensorField(
         (SlotKind.SPACE_UP, SlotKind.TIME_DOWN), n,
@@ -456,10 +434,10 @@ def conservation_residuals(sp: LagrangeSpace, point,
     P_up_1 = DTensorField(
         (SlotKind.VERT_UP, SlotKind.TIME_DOWN), n,
         lambda q: with_geo(q, lambda r, gi, h: (h * gi @ r.P_i1)[:, None]))
-    rup1_cov = covariant_derivative(R_up_1, z, cart_fn, nl_fn, "space",
-                                    rel_step=rel_step).components[:, 0, :]
-    pup1_cov = covariant_derivative(P_up_1, z, cart_fn, nl_fn, "vert",
-                                    rel_step=rel_step).components[:, 0, :]
+    rup1_cov = covariant_derivative(R_up_1, z, cart_fn, nl_fn,
+                                    "space").components[:, 0, :]
+    pup1_cov = covariant_derivative(P_up_1, z, cart_fn, nl_fn,
+                                    "vert").components[:, 0, :]
     law1 = lhs1 - (np.trace(rup1_cov) - np.trace(pup1_cov))
 
     mixed_R = DTensorField(
@@ -472,12 +450,10 @@ def conservation_residuals(sp: LagrangeSpace, point,
         lambda q: with_geo(q, lambda r, gi, h: h * gi @ r.P_ij))
     law2 = (np.einsum("mjm->j",
                       covariant_derivative(mixed_R, z, cart_fn, nl_fn,
-                                           "space",
-                                           rel_step=rel_step).components)
+                                           "space").components)
             + np.einsum("mjm->j",
                         covariant_derivative(mixed_P, z, cart_fn, nl_fn,
-                                             "vert",
-                                             rel_step=rel_step).components))
+                                             "vert").components))
 
     mixed_S = DTensorField(
         (SlotKind.VERT_UP, SlotKind.VERT_DOWN), n,
@@ -489,10 +465,8 @@ def conservation_residuals(sp: LagrangeSpace, point,
         lambda q: with_geo(q, lambda r, gi, h: gi @ r.P_i_j))
     law3 = (np.einsum("mjm->j",
                       covariant_derivative(mixed_S, z, cart_fn, nl_fn,
-                                           "vert",
-                                           rel_step=rel_step).components)
+                                           "vert").components)
             + np.einsum("mjm->j",
                         covariant_derivative(mixed_Pv, z, cart_fn, nl_fn,
-                                             "space",
-                                             rel_step=rel_step).components))
+                                             "space").components))
     return {"law1": law1, "law2": law2, "law3": law3}

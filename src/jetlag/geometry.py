@@ -6,19 +6,22 @@ Hessian of L: the spatial metric g, the canonical sprays, the induced
 nonlinear connection, the metric linear connection, and the torsion and
 curvature tables of that connection.
 
-Derivative strategy: g and its first partials come from exact symbolic
-partials of L (third order in the worst case), as do the spray and the
-connection blocks.  N is assembled semi-analytically (symbolic L-partials
-plus a numeric matrix inverse), so the advertised invariant N = dG/dy can
-be cross-checked against finite differences of G as a genuine test.  Only
-derivatives OF connection blocks (needed by torsion/curvature) fall back
-to Richardson finite differences, taken through one packed gradient per
-point so the two tables share stencil work.
+Derivative strategy: every L-partial the geometry reads (L_y, L_x, L_ty,
+L_xy, L_yy, L_tyy, L_xyy, L_yyy) is exact and symbolic.  A space evaluates
+the distinct ones once per point into one flat table and gathers each
+block from it through an index array.  N is assembled semi-analytically
+(symbolic L-partials plus a numeric matrix inverse), so the advertised
+invariant N = dG/dy can be cross-checked against finite differences of G
+as a genuine test.  Only derivatives OF connection blocks (needed by
+torsion/curvature) fall back to Richardson finite differences, taken
+through one packed gradient per point so the two tables share stencil
+work.
 """
 
 from __future__ import annotations
 
 import collections
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,7 @@ from jetlag.dtensor import (
     delta_t,
     delta_x,
 )
-from jetlag.numdiff import DEFAULT_REL_STEP, gradient
+from jetlag.numdiff import gradient
 
 __all__ = [
     "NonRegularError",
@@ -156,29 +159,17 @@ class _Geo:
     """Per-point geometry bundle; all entries exact up to matrix inversion."""
 
     __slots__ = (
-        "h11", "h_inv", "H", "g", "g_inv", "det",
+        "h11", "h_inv", "H", "g", "g_inv",
         "Htemp", "Gspat", "M", "N", "cartan", "dg_t", "dg_x", "dg_y", "Lyyy",
         "Ly", "Lx", "Lty", "Lxy", "Lyy",
     )
 
 
-class _ConnJets:
-    """Adapted first derivatives of the connection blocks at one point.
-
-    del_t is the adapted time derivative, del_x the adapted spatial
-    derivatives (new axis last), d_y the plain vertical derivatives (new
-    axis last).
-    """
-
-    __slots__ = ("Gt", "L", "C", "N")
-
-    class _Block:
-        __slots__ = ("del_t", "del_x", "d_y")
-
-        def __init__(self, del_t, del_x, d_y):
-            self.del_t = del_t
-            self.del_x = del_x
-            self.d_y = d_y
+# Adapted first derivatives of one connection block at one point: del_t is
+# the adapted time derivative, del_x the adapted spatial derivatives (new
+# axis last), d_y the plain vertical derivatives (new axis last).
+_JetBlock = collections.namedtuple("_JetBlock", "del_t del_x d_y")
+_ConnJets = collections.namedtuple("_ConnJets", "Gt L C N")
 
 
 def _unit_index(n: int, *axes) -> tuple:
@@ -226,21 +217,23 @@ class LagrangeSpace:
         self.U_fields = U_fields
         self.F_field = F_field
 
-        t_idx, nn = 0, 2 * n + 1
-        x = lambda i: 1 + i
-        y = lambda i: 1 + n + i
-        d = lambda *axes: L.differentiate(_unit_index(n, *axes))
-        self._Ly = [d(y(i)) for i in range(n)]
-        self._Lx = [d(x(i)) for i in range(n)]
-        self._Lty = [d(t_idx, y(i)) for i in range(n)]
-        self._Lxy = [[d(x(m), y(k)) for k in range(n)] for m in range(n)]
-        self._Lyy = [[d(y(i), y(j)) for j in range(n)] for i in range(n)]
-        self._Ltyy = [[d(t_idx, y(i), y(j)) for j in range(n)] for i in range(n)]
-        self._Lxyy = [[[d(x(m), y(i), y(j)) for j in range(n)] for i in range(n)]
-                      for m in range(n)]
-        self._Lyyy = [[[d(y(i), y(j), y(k)) for k in range(n)] for j in range(n)]
-                      for i in range(n)]
-        self._hdot = h11.differentiate(_unit_index(n, t_idx))
+        # the distinct L-partials _compute_geo reads, in evaluation order
+        # (Lyy first: the regularity check runs before any other partial),
+        # and per block an index array gathering it from their values
+        t, x, y = [0], range(1, n + 1), range(1 + n, 2 * n + 1)
+        slots: dict = {}
+        self._blocks = {}
+        for name, axes in (("Lyy", (y, y)), ("Ly", (y,)), ("Lx", (x,)),
+                           ("Lty", (t, y)), ("Lxy", (x, y)),
+                           ("Ltyy", (t, y, y)), ("Lxyy", (x, y, y)),
+                           ("Lyyy", (y, y, y))):
+            idx = [slots.setdefault(_unit_index(n, *ax), len(slots))
+                   for ax in itertools.product(*axes)]
+            self._blocks[name] = np.array(idx).reshape(
+                [len(a) for a in axes if a is not t])
+        self._partials = [L.differentiate(idx) for idx in slots]
+        self._n_lyy = n * (n + 1) // 2
+        self._hdot = h11.differentiate(_unit_index(n, 0))
         self._geo_cache: collections.OrderedDict = collections.OrderedDict()
         self._jet_cache: collections.OrderedDict = collections.OrderedDict()
 
@@ -270,72 +263,33 @@ class LagrangeSpace:
 
     # -- cached evaluation ---------------------------------------------------
 
-    def _eval(self, field: ScalarField, z) -> float:
-        return field.evaluate(z)
-
     def geometry_at(self, point) -> _Geo:
         z = _point_array(point, self.n)
-        key = z.tobytes()
-        cache = self._geo_cache
-        hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-            return hit
-        geo = self._compute_geo(z)
-        cache[key] = geo
-        if len(cache) > GEO_CACHE_SIZE:
-            cache.popitem(last=False)
-        return geo
+        return _cached(self._geo_cache, z, self._compute_geo)
 
     def _compute_geo(self, z: np.ndarray) -> _Geo:
         n = self.n
         y = z[1 + n:]
-        h11 = self._eval(self.h11, z)
+        h11 = self.h11.evaluate(z)
         if h11 == 0.0 or not np.isfinite(h11):
             raise NonRegularError(f"temporal metric h11 = {h11} at t = {z[0]}",
                                   point=tuple(z))
         h_inv = 1.0 / h11
-        hdot = self._eval(self._hdot, z)
+        hdot = self._hdot.evaluate(z)
         H = 0.5 * h_inv * hdot
 
-        Lyy = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                Lyy[i, j] = Lyy[j, i] = self._eval(self._Lyy[i][j], z)
+        vals = np.empty(len(self._partials))
+        head = self._n_lyy
+        vals[:head] = [f.evaluate(z) for f in self._partials[:head]]
+        Lyy = vals[self._blocks["Lyy"]]
         g = 0.5 * h11 * Lyy
         if not np.all(np.isfinite(g)):
             raise NonRegularError("non-finite metric entries", point=tuple(z))
-        det = float(np.linalg.det(g))
-        scale = max(1.0, float(np.max(np.abs(g))))
-        if abs(det) < DET_THRESHOLD * scale**n:
-            raise NonRegularError(
-                f"vertical Hessian metric is degenerate (det = {det:.3e})",
-                point=tuple(z), det=det)
-        g_inv = np.linalg.inv(g)
-
-        Ly = np.array([self._eval(f, z) for f in self._Ly])
-        Lx = np.array([self._eval(f, z) for f in self._Lx])
-        Lty = np.array([self._eval(f, z) for f in self._Lty])
-        Lxy = np.array([[self._eval(self._Lxy[m][k], z) for k in range(n)]
-                        for m in range(n)])
-        Ltyy = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                Ltyy[i, j] = Ltyy[j, i] = self._eval(self._Ltyy[i][j], z)
-        Lxyy = np.empty((n, n, n))
-        for m in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    v = self._eval(self._Lxyy[m][i][j], z)
-                    Lxyy[m, i, j] = Lxyy[m, j, i] = v
-        Lyyy = np.empty((n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
-                    v = self._eval(self._Lyyy[i][j][k], z)
-                    for perm in ((i, j, k), (i, k, j), (j, i, k),
-                                 (j, k, i), (k, i, j), (k, j, i)):
-                        Lyyy[perm] = v
+        g_inv = _regular_inverse(g, z, "vertical Hessian metric is degenerate")
+        vals[head:] = [f.evaluate(z) for f in self._partials[head:]]
+        Ly, Lx, Lty, Lxy, Ltyy, Lxyy, Lyyy = (
+            vals[self._blocks[name]]
+            for name in ("Ly", "Lx", "Lty", "Lxy", "Ltyy", "Lxyy", "Lyyy"))
 
         # spray source term: B_k = L_{x^m y^k} y^m - L_{x^k} + L_{t y^k}
         #                        + L_{y^k} H + 2 h^inv H g_{kl} y^l
@@ -363,11 +317,8 @@ class LagrangeSpace:
         del_t_g = dg_t - np.einsum("ijm,m->ij", dg_y, M)
         del_x_g = dg_x - np.einsum("ijm,mk->kij", dg_y, N)
         Gt = 0.5 * g_inv @ del_t_g
-        A = np.transpose(del_x_g, (1, 2, 0))  # A[j, m, k] = delta g_jm / delta x^k
-        sym = A + np.transpose(A, (2, 1, 0)) - np.transpose(A, (0, 2, 1))
-        Lblock = 0.5 * np.einsum("im,jmk->ijk", g_inv, sym)
-        symC = dg_y + np.transpose(dg_y, (2, 1, 0)) - np.transpose(dg_y, (0, 2, 1))
-        Cblock = 0.5 * np.einsum("im,jmk->ijk", g_inv, symC)
+        Lblock = _christoffel(g_inv, np.transpose(del_x_g, (1, 2, 0)))
+        Cblock = _christoffel(g_inv, dg_y)
 
         geo = _Geo()
         geo.h11 = h11
@@ -375,7 +326,6 @@ class LagrangeSpace:
         geo.H = H
         geo.g = g
         geo.g_inv = g_inv
-        geo.det = det
         geo.Htemp = Htemp
         geo.Gspat = Gspat
         geo.M = M
@@ -401,39 +351,63 @@ class LagrangeSpace:
         return np.concatenate([geo.cartan.Gt.ravel(), geo.cartan.L.ravel(),
                                geo.cartan.C.ravel(), geo.N.ravel()])
 
-    def connection_jets(self, point, rel_step: float = DEFAULT_REL_STEP) -> _ConnJets:
+    def connection_jets(self, point) -> _ConnJets:
         """Adapted first derivatives of (Gt, L, C, N) at a point, one stencil."""
         z = _point_array(point, self.n)
-        key = z.tobytes()
-        cache = self._jet_cache
-        hit = cache.get(key)
-        if hit is not None:
-            cache.move_to_end(key)
-            return hit
+        return _cached(self._jet_cache, z, self._compute_jets)
+
+    def _compute_jets(self, z: np.ndarray) -> _ConnJets:
         n = self.n
         geo = self.geometry_at(z)
-        grads = gradient(self._pack_connection, z, rel_step=rel_step)
+        grads = gradient(self._pack_connection, z)
         d_y = grads[n + 1:]                         # (n, packed)
         del_t = delta_t(grads[0], d_y, geo.M)       # (packed,)
         del_x = delta_x(grads[1:n + 1], d_y, geo.N)  # (n, packed)
 
-        shapes = ((n, n), (n, n, n), (n, n, n), (n, n))
-        jets = _ConnJets()
+        blocks = []
         offset = 0
-        for name, shape in zip(("Gt", "L", "C", "N"), shapes):
+        for shape in ((n, n), (n, n, n), (n, n, n), (n, n)):   # Gt, L, C, N
             size = int(np.prod(shape))
             sl = slice(offset, offset + size)
-            block = _ConnJets._Block(
+            blocks.append(_JetBlock(
                 del_t[sl].reshape(shape),
                 np.moveaxis(del_x[:, sl].reshape((n,) + shape), 0, -1),
-                np.moveaxis(d_y[:, sl].reshape((n,) + shape), 0, -1),
-            )
-            setattr(jets, name, block)
+                np.moveaxis(d_y[:, sl].reshape((n,) + shape), 0, -1)))
             offset += size
-        cache[key] = jets
-        if len(cache) > GEO_CACHE_SIZE:
-            cache.popitem(last=False)
-        return jets
+        return _ConnJets(*blocks)
+
+
+def _cached(cache: collections.OrderedDict, z: np.ndarray, compute):
+    """compute(z) through an LRU cache keyed on the bytes of z."""
+    key = z.tobytes()
+    hit = cache.get(key)
+    if hit is not None:
+        cache.move_to_end(key)
+        return hit
+    value = compute(z)
+    cache[key] = value
+    if len(cache) > GEO_CACHE_SIZE:
+        cache.popitem(last=False)
+    return value
+
+
+def _regular_inverse(g: np.ndarray, z: np.ndarray, what: str):
+    """Inverse of a metric block, or NonRegularError when |det| is below
+    DET_THRESHOLD relative to the block's scale."""
+    n = len(g)
+    det = float(np.linalg.det(g))
+    scale = max(1.0, float(np.max(np.abs(g))))
+    if abs(det) < DET_THRESHOLD * scale**n:
+        raise NonRegularError(f"{what} (det = {det:.3e})",
+                              point=tuple(z), det=det)
+    return np.linalg.inv(g)
+
+
+def _christoffel(g_inv: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Christoffel symbols 1/2 g^im (A_jmk + A_kmj - A_jkm) of the metric
+    derivatives A[j, m, k] = d g_jm / d u^k."""
+    sym = A + np.transpose(A, (2, 1, 0)) - np.transpose(A, (0, 2, 1))
+    return 0.5 * np.einsum("im,jmk->ijk", g_inv, sym)
 
 
 # ---------------------------------------------------------------------------
@@ -488,15 +462,8 @@ def berwald_connection(h11: ScalarField, g_fields, point) -> CartanCoefficients:
             g[i, j] = f.evaluate(z)
             for k in range(n):
                 dg_x[k, i, j] = f.differentiate(_unit_index(n, 1 + k)).evaluate(z)
-    det = float(np.linalg.det(g))
-    scale = max(1.0, float(np.max(np.abs(g))))
-    if abs(det) < DET_THRESHOLD * scale**n:
-        raise NonRegularError(f"spatial metric degenerate (det = {det:.3e})",
-                              point=tuple(z), det=det)
-    g_inv = np.linalg.inv(g)
-    A = np.transpose(dg_x, (1, 2, 0))
-    sym = A + np.transpose(A, (2, 1, 0)) - np.transpose(A, (0, 2, 1))
-    gamma = 0.5 * np.einsum("im,jmk->ijk", g_inv, sym)
+    g_inv = _regular_inverse(g, z, "spatial metric degenerate")
+    gamma = _christoffel(g_inv, np.transpose(dg_x, (1, 2, 0)))
     H = temporal_christoffel(h11, float(z[0]))
     return CartanCoefficients(H, np.zeros((n, n)), gamma, np.zeros((n, n, n)))
 
@@ -617,12 +584,12 @@ def bianchi_residuals(sp: LagrangeSpace, point) -> dict:
     return {"b1": b1, "b2": b2, "b3": b3}
 
 
-def metric_signature(g: np.ndarray, cutoff: float = SIGNATURE_CUTOFF):
+def metric_signature(g: np.ndarray):
     """(positive, negative) eigenvalue counts of a symmetric metric block."""
     g = np.asarray(g, dtype=float)
     eig = np.linalg.eigvalsh(0.5 * (g + g.T))
     scale = max(1.0, float(np.max(np.abs(eig))))
-    if np.any(np.abs(eig) <= cutoff * scale):
+    if np.any(np.abs(eig) <= SIGNATURE_CUTOFF * scale):
         raise NonRegularError(f"metric eigenvalue below cutoff: {eig}")
     return int(np.sum(eig > 0)), int(np.sum(eig < 0))
 

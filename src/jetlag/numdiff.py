@@ -4,20 +4,20 @@ Symbolic differentiation covers the inputs (Lagrangian, temporal metric,
 user metric components); everything built on top of a matrix inverse
 (connections, curvatures, Ricci blocks) is differentiated numerically with
 a 5-point central stencil plus one Richardson extrapolation level.  The
-step is 1e-3 scaled by (1 + |coordinate|).
+step is fixed: REL_STEP = 1e-3, scaled by (1 + |coordinate|).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-DEFAULT_REL_STEP = 1e-3
+REL_STEP = 1e-3
 
 
-def partial(fn, z, axis: int, rel_step: float = DEFAULT_REL_STEP):
+def partial(fn, z, axis: int):
     """d fn / d z[axis] at z; fn maps a coordinate array to a float/ndarray."""
     z = np.asarray(z, dtype=float)
-    h = rel_step * (1.0 + abs(z[axis]))
+    h = REL_STEP * (1.0 + abs(z[axis]))
 
     def f(shift):
         zz = z.copy()
@@ -32,7 +32,7 @@ def partial(fn, z, axis: int, rel_step: float = DEFAULT_REL_STEP):
     return (16.0 * d_h2 - d_h) / 15.0
 
 
-def gradient(fn, z, axes=None, rel_step: float = DEFAULT_REL_STEP):
+def gradient(fn, z, axes=None):
     """Stack of partials along the requested axes (default: all).
 
     Returns an array of shape (len(axes),) + fn(z).shape.
@@ -40,5 +40,5 @@ def gradient(fn, z, axes=None, rel_step: float = DEFAULT_REL_STEP):
     z = np.asarray(z, dtype=float)
     if axes is None:
         axes = range(len(z))
-    return np.stack([partial(fn, z, a, rel_step) for a in axes])
+    return np.stack([partial(fn, z, a) for a in axes])
 

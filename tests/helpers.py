@@ -19,10 +19,14 @@ from jetlag.expr import Const, Node, Var, add, call, div, mul, neg, power
 # ---------------------------------------------------------------------------
 
 
-def fd_partial(fn, z, axis, rel_step=1e-4):
+# relative step of the oracle, ten times finer than the package's
+ORACLE_STEP = 1e-4
+
+
+def fd_partial(fn, z, axis):
     """O(h^4) derivative of fn (arrays ok) along one coordinate axis."""
     z = np.asarray(z, dtype=float)
-    h = rel_step * (1.0 + abs(z[axis]))
+    h = ORACLE_STEP * (1.0 + abs(z[axis]))
 
     def f(shift):
         zz = z.copy()
@@ -34,9 +38,9 @@ def fd_partial(fn, z, axis, rel_step=1e-4):
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def fd_gradient(fn, z, rel_step=1e-4):
+def fd_gradient(fn, z):
     z = np.asarray(z, dtype=float)
-    return np.stack([fd_partial(fn, z, a, rel_step) for a in range(len(z))])
+    return np.stack([fd_partial(fn, z, a) for a in range(len(z))])
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,19 @@ class TestSamplePoints:
         for z in pts:
             sp.geometry_at(z)   # must not raise
 
+    def test_all_pole_box_is_a_regularity_failure(self):
+        # every draw sits on the pole of 1/x1: each is rejected, none aborts
+        sp = LagrangeSpace(1, parse("y1^2 + 1/x1", 1), parse("1", 1))
+        box = [[0.0, 1.0], [0.0, 0.0], [-1.0, 1.0]]
+        with pytest.raises(NonRegularError, match="could not draw 3 regular"):
+            sample_points(sp, box, 3, seed=0)
+
+    def test_box_straddling_a_domain_edge_keeps_defined_points(self):
+        sp = LagrangeSpace(1, parse("y1^2 + sqrt(x1)*y1", 1), parse("1", 1))
+        box = [[0.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]]
+        pts = sample_points(sp, box, 20, seed=0)
+        assert len(pts) == 20 and np.all(pts[:, 1] > 0.0)
+
     @pytest.mark.parametrize("bad,needle", [
         ({"count": 0}, "count"),
         ({"box": [[1.0, 0.0], [0, 1], [0, 1]]}, "low <= high"),

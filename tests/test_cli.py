@@ -186,27 +186,43 @@ class TestConfigParsing:
                            match="lagrangian: unexpected trailing input"):
             load_config(write_cfg(tmp_path, body))
 
-    @pytest.mark.parametrize("mutation,key", [
-        (lambda s: s.replace("n = 1", "n = 1\nseed = 4.7"), "seed"),
-        (lambda s: s.replace("n = 1", "n = 1\nseed = nan"), "seed"),
-        (lambda s: s.replace("n = 1", "n = 1\nseed = -3"), "seed"),
-        (lambda s: s.replace("n = 1", "n = 1\nkappa = 0"), "kappa"),
-        (lambda s: s.replace("n = 1", "n = 1\nkappa = inf"), "kappa"),
-        (lambda s: s.replace("t = 0.0 1.0", "t = 0.0 inf"), "t"),
-        (lambda s: s.replace("t = 0.0 1.0", "t = nan 1.0"), "t"),
-        (lambda s: s.replace("x1 = -1.0 1.0", "x1 = -1.0 nan"), "x1"),
-        (lambda s: s + "\n[tolerances]\nmaxwell = nan\n", "maxwell"),
-        (lambda s: s + "\n[tolerances]\nmaxwell = -1\n", "maxwell"),
-        (lambda s: s + "\n[tolerances]\nmaxwell = 0\n", "maxwell"),
+    @pytest.mark.parametrize("mutation,needle", [
+        (lambda s: s.replace("n = 1", "n = 1\nseed = 4.7"), "seed must be"),
+        (lambda s: s.replace("n = 1", "n = 1\nseed = nan"), "seed must be"),
+        (lambda s: s.replace("n = 1", "n = 1\nseed = -3"), "seed must be"),
+        (lambda s: s.replace("n = 1", "n = 1\nkappa = 0"), "kappa must be"),
+        (lambda s: s.replace("n = 1", "n = 1\nkappa = inf"), "kappa must be"),
+        (lambda s: s.replace("t = 0.0 1.0", "t = 0.0 inf"), "t must be"),
+        (lambda s: s.replace("t = 0.0 1.0", "t = nan 1.0"), "t must be"),
+        (lambda s: s.replace("x1 = -1.0 1.0", "x1 = -1.0 nan"), "x1 must be"),
+        (lambda s: s + "\n[tolerances]\nmaxwell = nan\n", "maxwell must be"),
+        (lambda s: s + "\n[tolerances]\nmaxwell = -1\n", "maxwell must be"),
+        (lambda s: s + "\n[tolerances]\nmaxwell = 0\n", "maxwell must be"),
+        (lambda s: s.replace('"y1^2"', '"1e999*y1^2"'),
+         "lagrangian: number out of range"),
+        (lambda s: s.replace('"y1^2"', '"y1^2 + x1^1e400"'),
+         "lagrangian: number out of range"),
+        (lambda s: s.replace('"y1^2"', '"' + "(" * 1500 + "y1^2"
+                             + ")" * 1500 + '"'),
+         "lagrangian: nested more than"),
     ], ids=["seed-fraction", "seed-nan", "seed-negative", "kappa-zero",
             "kappa-inf", "range-inf", "range-nan-low", "range-nan-high",
-            "tol-nan", "tol-negative", "tol-zero"])
+            "tol-nan", "tol-negative", "tol-zero", "dsl-inf-literal",
+            "dsl-inf-exponent", "dsl-deep-nesting"])
     def test_hostile_numbers_exit_two_naming_the_key(self, tmp_path, capsys,
-                                                      mutation, key):
+                                                      mutation, needle):
         path = write_cfg(tmp_path, mutation(MINIMAL))
         assert main(["check", "--config", path, "--points", "3"]) == 2
         err = capsys.readouterr().err
-        assert f"{path}: {key} must be" in err
+        assert f"{path}: {needle}" in err
+
+    def test_all_pole_box_exits_three(self, tmp_path, capsys):
+        # every draw is on the pole of 1/x1, so no regular point exists
+        body = MINIMAL.replace('"y1^2"', '"y1^2 + 1/x1"') \
+            .replace("x1 = -1.0 1.0", "x1 = 0.0 0.0")
+        path = write_cfg(tmp_path, body)
+        assert main(["check", "--config", path, "--points", "3"]) == 3
+        assert "could not draw 3 regular points" in capsys.readouterr().err
 
 
 class TestInspect:

@@ -11,11 +11,16 @@ from hypothesis import strategies as st
 
 from helpers import fd_partial, random_ast, usable_test_points
 from jetlag.expr import (
+    MAX_NESTING,
+    Call,
     DerivativeOrderError,
     EvalDomainError,
+    ExprError,
     JetPoint,
     ParseError,
     ScalarField,
+    Var,
+    compile_node,
     differentiate,
     jet_partials,
     parse,
@@ -137,6 +142,47 @@ class TestDomainErrors:
     def test_integer_power_of_negative_base_is_fine(self):
         f = parse("x1^3", n=1)
         assert f.evaluate(pt(0.0, -2.0, 0.0)) == pytest.approx(-8.0)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("source", ["1e999*y1^2", "y1^2 + x1^1e400",
+                                        "-1e400"])
+    def test_non_finite_literal_rejected(self, source):
+        with pytest.raises(ParseError, match="number out of range"):
+            parse(source, n=1)
+
+    def test_overflowing_constant_compiles(self):
+        # constant folding may overflow; the compiled code must still run
+        f = parse("1e200*1e200*y1^2", n=1)
+        assert f.evaluate(pt(0.0, 0.0, 1.0)) == math.inf
+        assert f.differentiate((0, 0, 3)).evaluate(pt(0.0, 0.0, 1.0)) == 0.0
+
+    def test_nesting_limit(self):
+        ok = "(" * (MAX_NESTING - 1) + "y1" + ")" * (MAX_NESTING - 1)
+        assert parse(ok, n=1).evaluate(pt(0.0, 0.0, 2.0)) == 2.0
+        deep = "(" + ok + ")"
+        with pytest.raises(ParseError, match="nested more than"):
+            parse(deep, n=1)
+        with pytest.raises(ParseError, match="nested more than"):
+            parse("sin(" * 1500 + "y1" + ")" * 1500, n=1)
+
+    def test_long_unary_minus_run(self):
+        f = parse("-" * 3001 + "y1^2", n=1)
+        assert f.evaluate(pt(0.0, 0.0, 3.0)) == -9.0
+
+    @pytest.mark.parametrize("source", ["x\u00b2", "1\u00b2", "y1^\u00b2",
+                                        "\u00b3"])
+    def test_digit_like_characters_are_parse_errors(self, source):
+        # superscript digits pass str.isdigit but not float() or int()
+        with pytest.raises(ParseError):
+            parse(source, n=1)
+
+    def test_too_deep_to_compile_is_an_expr_error(self):
+        node = Var(1)
+        for _ in range(300):
+            node = Call("sin", node)
+        with pytest.raises(ExprError, match="too deeply to compile"):
+            compile_node(node, 1)
 
 
 # ---------------------------------------------------------------------------

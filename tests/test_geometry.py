@@ -1,7 +1,7 @@
 """Core geometry: metric, sprays, connections, torsion, curvature, gauge laws.
 
 Numeric oracles come from tests/helpers.py and use a different finite
-difference scheme (3-point + one Richardson step at rel_step 1e-4) than the
+difference scheme (3-point + one Richardson level, relative step 1e-4) than the
 production code, so agreement is evidence rather than tautology.
 """
 
@@ -751,6 +751,53 @@ class TestGaugeTwoPath:
                       t_inverse=parse("t", 3))
         with pytest.raises(ValueError):
             transformed_space(nonaut_space(), ch)
+
+
+# ---------------------------------------------------------------------------
+# the table of L-partials behind geometry_at
+# ---------------------------------------------------------------------------
+
+class TestPartialTable:
+    def test_regularity_check_runs_before_other_partials(self):
+        # L_y1y1 = 2 x1 vanishes at x1 = 0, where L_x1 = 1/x1 ... has a
+        # pole: the degenerate metric must be reported, not the pole
+        sp = LagrangeSpace(1, parse("x1*y1^2 + x1^(-1)", 1), parse("1", 1))
+        with pytest.raises(NonRegularError):
+            sp.geometry_at([0.0, 0.0, 1.0])
+
+    def test_every_block_entry_is_its_partial(self):
+        n = 3
+        L = parse("x1*y2 + t*y1*y3^2 + y1*y2*y3 + (2+sin(x2))*y1^2"
+                  " + y2^2 + y3^2", n)
+        sp = LagrangeSpace(n, L, parse("1", n))
+        z = np.array([0.3, 0.2, -0.4, 0.7, 0.5, -0.2, 0.9])
+        geo = sp.geometry_at(z)
+
+        def partial(*axes):
+            idx = [0] * (2 * n + 1)
+            for a in axes:
+                idx[a] += 1
+            return L.differentiate(idx).evaluate(z)
+
+        x = lambda i: 1 + i
+        y = lambda i: 1 + n + i
+        # L_xy is not symmetric here, so a transposed wiring shows
+        assert np.max(np.abs(geo.Lxy - geo.Lxy.T)) > 0.05
+        for i in range(n):
+            assert geo.Ly[i] == partial(y(i))
+            assert geo.Lx[i] == partial(x(i))
+            assert geo.Lty[i] == partial(0, y(i))
+            for j in range(n):
+                assert geo.Lxy[i, j] == partial(x(i), y(j))
+                assert geo.Lyy[i, j] == partial(y(i), y(j))
+                for k in range(n):
+                    assert geo.Lyyy[i, j, k] == partial(y(i), y(j), y(k))
+        Lxyy = np.array([[[partial(x(m), y(i), y(j)) for j in range(n)]
+                          for i in range(n)] for m in range(n)])
+        Ltyy = np.array([[partial(0, y(i), y(j)) for j in range(n)]
+                         for i in range(n)])
+        assert np.array_equal(geo.dg_x, 0.5 * Lxyy)     # h11 = 1, hdot = 0
+        assert np.array_equal(geo.dg_t, 0.5 * Ltyy)
 
 
 # ---------------------------------------------------------------------------
