@@ -164,10 +164,26 @@ def _field(text: str, n: int, origin: str, key: str,
         f = parse(text, n)
     except ExprError as exc:
         raise ConfigError(f"{origin}: {key}: {exc}") from None
+    if _folded_overflow(f.ast):
+        raise ConfigError(f"{origin}: {key}: constant out of range")
     extra = f.variables() - allow
     if extra:
         raise ConfigError(f"{origin}: {key} may depend on {what} only")
     return f
+
+
+def _folded_overflow(node) -> bool:
+    """Whether constant folding left inf or nan in a tree, as a constant or
+    a power's exponent (a literal that overflows is already a parse error)."""
+    stack = [node]
+    while stack:
+        nd = stack.pop()
+        if not math.isfinite(getattr(nd, "value", getattr(nd, "exponent", 0.0))):
+            return True
+        stack.extend(getattr(nd, "terms", ()) + getattr(nd, "factors", ()))
+        stack.extend(getattr(nd, a) for a in ("arg", "base", "num", "den")
+                     if hasattr(nd, a))
+    return False
 
 
 def _build_space(sections: dict, n: int, origin: str) -> LagrangeSpace:

@@ -4,7 +4,8 @@ A deliberately small expression language: the variables are the jet
 coordinates of a curve (one time variable, n positions, n velocities),
 the functions are a fixed whitelist, and differentiation is exact and
 cached.  Nothing here knows about tensors; the rest of the package
-builds on ScalarField evaluation and ScalarField.differentiate.
+builds on ScalarField evaluation (evaluate_fields takes several partials
+of one field in one compiled call) and ScalarField.differentiate.
 
 Variable indexing convention used throughout the package:
 index 0 is t, indices 1..n are x1..xn, indices n+1..2n are y1..yn.
@@ -31,6 +32,7 @@ __all__ = [
     "parse",
     "differentiate",
     "jet_partials",
+    "evaluate_fields",
     "FUNCTIONS",
     "DEFAULT_MAX_ORDER",
 ]
@@ -667,44 +669,70 @@ _EVAL_GLOBALS = {
 }
 
 
-def _emit(node: Node, n: int) -> str:
-    if isinstance(node, Const):
-        v = node.value
-        return f"({v!r})" if v < 0 else repr(v)
-    if isinstance(node, Var):
-        i = node.index
-        if i == 0:
-            return "t"
-        if i <= n:
-            return f"x[{i - 1}]"
-        return f"y[{i - n - 1}]"
-    if isinstance(node, Neg):
-        return f"(-{_emit(node.arg, n)})"
-    if isinstance(node, Add):
-        return "(" + "+".join(_emit(tm, n) for tm in node.terms) + ")"
-    if isinstance(node, Mul):
-        return "(" + "*".join(_emit(f, n) for f in node.factors) + ")"
-    if isinstance(node, Div):
-        return f"({_emit(node.num, n)}/{_emit(node.den, n)})"
-    if isinstance(node, Pow):
-        e = node.exponent
-        if e.is_integer() and abs(e) < 1e9:
-            return f"({_emit(node.base, n)}**{int(e)})"
-        return f"_pw({_emit(node.base, n)},{e!r})"
-    if isinstance(node, Call):
-        return f"_{node.func}({_emit(node.arg, n)})"
-    raise AssertionError(type(node))
+def compile_node(nodes, n: int):
+    """Compile nodes into one ``f(t, x, y)`` returning the tuple of their values.
 
+    Each distinct non-leaf node becomes one temporary, so a subexpression
+    shared between the nodes, or repeated inside one, is computed once.
+    Nodes are numbered on their emitted text with children referenced by
+    temporary, so equal subtrees share one whether or not they are the same
+    object.  Every temporary keeps its node's operation (n-ary sums and
+    products left to right), so each value is bit-identical to evaluating
+    its tree alone.
+    """
+    memo: dict = {}     # id(node) -> its reference: a literal or a temporary
+    temps: dict = {}    # emitted text -> temporary
+    lines: list = []
 
-def compile_node(node: Node, n: int):
-    """Compile a node into a fast ``f(t, x, y) -> float`` callable."""
-    src = f"lambda t, x, y: {_emit(node, n)}"
+    def ref(node: Node) -> str:
+        got = memo.get(id(node))
+        if got is not None:
+            return got
+        if isinstance(node, Const):
+            text = repr(node.value)
+            if text[0] == "-":      # so that -0.0**2 cannot parse as -(0.0**2)
+                text = f"({text})"
+        elif isinstance(node, Var):
+            i = node.index
+            text = ("t" if i == 0 else f"x[{i - 1}]" if i <= n
+                    else f"y[{i - n - 1}]")
+        else:
+            if isinstance(node, Neg):
+                op = f"-{ref(node.arg)}"
+            elif isinstance(node, Add):
+                op = "+".join(ref(tm) for tm in node.terms)
+            elif isinstance(node, Mul):
+                op = "*".join(ref(f) for f in node.factors)
+            elif isinstance(node, Div):
+                op = f"{ref(node.num)}/{ref(node.den)}"
+            elif isinstance(node, Pow):
+                e = node.exponent
+                if e.is_integer() and abs(e) < 1e9:
+                    op = f"{ref(node.base)}**{int(e)}"
+                else:
+                    op = f"_pw({ref(node.base)},{e!r})"
+            elif isinstance(node, Call):
+                op = f"_{node.func}({ref(node.arg)})"
+            else:
+                raise AssertionError(type(node))
+            text = temps.get(op)
+            if text is None:
+                text = temps[op] = f"_{len(temps)}"
+                lines.append(f" {text} = {op}\n")
+        memo[id(node)] = text
+        return text
+
     try:
-        code = compile(src, "<jetlag-expr>", "eval")
+        out = [ref(node) for node in nodes]
+        src = ("def f(t, x, y):\n" + "".join(lines)
+               + " return (" + "".join(f"{r}, " for r in out) + ")\n")
+        code = compile(src, "<jetlag-expr>", "exec")
     except (SyntaxError, RecursionError, MemoryError):
-        # Python caps nesting at 200 parentheses; derivatives can pass that
+        # the emitter recurses once per level of nesting
         raise ExprError("expression nested too deeply to compile") from None
-    return eval(code, _EVAL_GLOBALS)
+    scope: dict = {}
+    eval(code, _EVAL_GLOBALS, scope)
+    return scope["f"]
 
 
 def _walk_eval(node: Node, t, x, y, n: int) -> float:
@@ -776,7 +804,7 @@ class _DerivTable:
         self.n = n
         self.max_order = max_order
         self._asts: dict[tuple[int, ...], Node] = {(0,) * (2 * n + 1): ast}
-        self._fns: dict[tuple[int, ...], object] = {}
+        self._fns: dict[tuple[tuple[int, ...], ...], object] = {}
         self._lock = threading.Lock()
 
     def ast_for(self, idx: tuple[int, ...]) -> Node:
@@ -795,13 +823,13 @@ class _DerivTable:
         self._asts[idx] = node
         return node
 
-    def fn_for(self, idx: tuple[int, ...]):
-        fn = self._fns.get(idx)
+    def fn_for(self, offsets: tuple[tuple[int, ...], ...]):
+        """The fused compiled function of the partials at these offsets."""
+        fn = self._fns.get(offsets)
         if fn is None:
-            node = self.ast_for(idx)
-            fn = compile_node(node, self.n)
+            fn = compile_node([self.ast_for(idx) for idx in offsets], self.n)
             with self._lock:
-                self._fns[idx] = fn
+                self._fns[offsets] = fn
         return fn
 
 
@@ -863,9 +891,9 @@ class ScalarField:
         n = self.n
         z = _point_array(point, n).tolist()
         t, x, y = z[0], z[1 : n + 1], z[n + 1 :]
-        fn = self._table.fn_for(self._offset)
+        fn = self._table.fn_for((self._offset,))
         try:
-            return float(fn(t, x, y))
+            return fn(t, x, y)[0]
         except (ValueError, ZeroDivisionError, OverflowError):
             # re-run on the reference evaluator to name the subexpression
             _walk_eval(self.ast, t, x, y, self.n)
@@ -897,6 +925,30 @@ class ScalarField:
 
     def __repr__(self):
         return f"ScalarField({self.to_source()!r}, n={self.n})"
+
+
+def evaluate_fields(fields, point) -> tuple:
+    """Values of fields of one derivative table at one point, in order.
+
+    One call of the fields' fused compiled function.  On a domain error the
+    fields are re-evaluated in order one at a time, so the first failing
+    field raises its own EvalDomainError.
+    """
+    fields = tuple(fields)
+    if not fields:
+        return ()
+    table = fields[0]._table
+    if any(f._table is not table for f in fields):
+        raise ValueError("evaluate_fields needs partials of one root field")
+    n = table.n
+    z = _point_array(point, n).tolist()
+    fn = table.fn_for(tuple(f._offset for f in fields))
+    try:
+        return fn(z[0], z[1:n + 1], z[n + 1:])
+    except (ValueError, ZeroDivisionError, OverflowError):
+        for f in fields:
+            f.evaluate(point)
+        raise  # pragma: no cover - one of the fields raises first
 
 
 @dataclass(frozen=True)
@@ -1157,8 +1209,8 @@ def jet_partials(f: ScalarField, point, max_order: int) -> PartialTable:
             f"exceeds cap {f.max_order}"
         )
     z = _point_array(point, f.n)
-    entries = {}
-    for idx in _multi_indices(2 * f.n + 1, max_order):
-        entries[idx] = f.differentiate(idx).evaluate(z)
+    indices = list(_multi_indices(2 * f.n + 1, max_order))
+    values = evaluate_fields([f.differentiate(idx) for idx in indices], z)
+    entries = dict(zip(indices, values))
     return PartialTable(n=f.n, max_order=max_order,
                         point=JetPoint.from_array(z, f.n), entries=entries)

@@ -9,7 +9,11 @@ curvature tables of that connection.
 Derivative strategy: every L-partial the geometry reads (L_y, L_x, L_ty,
 L_xy, L_yy, L_tyy, L_xyy, L_yyy) is exact and symbolic.  A space evaluates
 the distinct ones once per point into one flat table and gathers each
-block from it through an index array.  N is assembled semi-analytically
+block from it through an index array.  The table is evaluated by
+``expr.evaluate_fields`` in two fused calls, the L_yy head (so the
+regularity check runs before any other partial) and the rest, each one
+compiled function that computes every shared subexpression once; h11 and
+its t-derivative are a third.  N is assembled semi-analytically
 (symbolic L-partials plus a numeric matrix inverse), so the advertised
 invariant N = dG/dy can be cross-checked against finite differences of G
 as a genuine test.  Only derivatives OF connection blocks (needed by
@@ -26,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.expr import Const, ScalarField, Var, _point_array, add, mul, power
+from jetlag.expr import (Const, EvalDomainError, ScalarField, Var, _point_array,
+                         add, evaluate_fields, mul, power)
 from jetlag.dtensor import (
     CartanCoefficients,
     ChartMap,
@@ -270,23 +275,25 @@ class LagrangeSpace:
     def _compute_geo(self, z: np.ndarray) -> _Geo:
         n = self.n
         y = z[1 + n:]
-        h11 = self.h11.evaluate(z)
-        if h11 == 0.0 or not np.isfinite(h11):
-            raise NonRegularError(f"temporal metric h11 = {h11} at t = {z[0]}",
-                                  point=tuple(z))
+        try:
+            h11, hdot = evaluate_fields((self.h11, self._hdot), z)
+        except EvalDomainError:
+            # a singular h11 is reported before a pole of its derivative
+            _regular_h11(self.h11.evaluate(z), z[0], tuple(z))
+            raise
+        _regular_h11(h11, z[0], tuple(z))
         h_inv = 1.0 / h11
-        hdot = self._hdot.evaluate(z)
         H = 0.5 * h_inv * hdot
 
         vals = np.empty(len(self._partials))
         head = self._n_lyy
-        vals[:head] = [f.evaluate(z) for f in self._partials[:head]]
+        vals[:head] = evaluate_fields(self._partials[:head], z)
         Lyy = vals[self._blocks["Lyy"]]
         g = 0.5 * h11 * Lyy
         if not np.all(np.isfinite(g)):
             raise NonRegularError("non-finite metric entries", point=tuple(z))
         g_inv = _regular_inverse(g, z, "vertical Hessian metric is degenerate")
-        vals[head:] = [f.evaluate(z) for f in self._partials[head:]]
+        vals[head:] = evaluate_fields(self._partials[head:], z)
         Ly, Lx, Lty, Lxy, Ltyy, Lxyy, Lyyy = (
             vals[self._blocks[name]]
             for name in ("Ly", "Lx", "Lty", "Lxy", "Ltyy", "Lxyy", "Lyyy"))
@@ -391,6 +398,12 @@ def _cached(cache: collections.OrderedDict, z: np.ndarray, compute):
     return value
 
 
+def _regular_h11(h11: float, t: float, point=None) -> None:
+    if h11 == 0.0 or not np.isfinite(h11):
+        raise NonRegularError(f"temporal metric h11 = {h11} at t = {t}",
+                              point=point)
+
+
 def _regular_inverse(g: np.ndarray, z: np.ndarray, what: str):
     """Inverse of a metric block, or NonRegularError when |det| is below
     DET_THRESHOLD relative to the block's scale."""
@@ -429,8 +442,7 @@ def temporal_christoffel(h11: ScalarField, t: float) -> float:
     z = np.zeros(2 * h11.n + 1)
     z[0] = t
     v = h11.evaluate(z)
-    if v == 0.0 or not np.isfinite(v):
-        raise NonRegularError(f"temporal metric h11 = {v} at t = {t}")
+    _regular_h11(v, t)
     hdot = h11.differentiate(_unit_index(h11.n, 0)).evaluate(z)
     return 0.5 * hdot / v
 

@@ -205,10 +205,15 @@ class TestConfigParsing:
         (lambda s: s.replace('"y1^2"', '"' + "(" * 1500 + "y1^2"
                              + ")" * 1500 + '"'),
          "lagrangian: nested more than"),
+        (lambda s: s.replace('"y1^2"', '"1e200*1e200*y1^2"'),
+         "lagrangian: constant out of range"),
+        (lambda s: s.replace('"y1^2"', '"y1^2 + x1^(1e200*1e200)"'),
+         "lagrangian: constant out of range"),
     ], ids=["seed-fraction", "seed-nan", "seed-negative", "kappa-zero",
             "kappa-inf", "range-inf", "range-nan-low", "range-nan-high",
             "tol-nan", "tol-negative", "tol-zero", "dsl-inf-literal",
-            "dsl-inf-exponent", "dsl-deep-nesting"])
+            "dsl-inf-exponent", "dsl-deep-nesting", "dsl-folded-inf",
+            "dsl-folded-inf-exponent"])
     def test_hostile_numbers_exit_two_naming_the_key(self, tmp_path, capsys,
                                                       mutation, needle):
         path = write_cfg(tmp_path, mutation(MINIMAL))

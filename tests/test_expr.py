@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import threading
 
 import numpy as np
@@ -20,6 +21,7 @@ from jetlag.expr import (
     ParseError,
     ScalarField,
     Var,
+    _walk_eval,
     compile_node,
     differentiate,
     jet_partials,
@@ -178,11 +180,18 @@ class TestHostileInput:
             parse(source, n=1)
 
     def test_too_deep_to_compile_is_an_expr_error(self):
+        # one temporary per node: a 300-deep chain compiles, bit for bit
         node = Var(1)
         for _ in range(300):
             node = Call("sin", node)
+        (value,) = compile_node([node], 1)(0.0, [0.7], [0.0])
+        assert value.hex() == _walk_eval(node, 0.0, [0.7], [0.0], 1).hex()
+        # the emitter recurses once per level; past the recursion limit it
+        # must raise ExprError, never RecursionError
+        for _ in range(sys.getrecursionlimit()):
+            node = Call("sin", node)
         with pytest.raises(ExprError, match="too deeply to compile"):
-            compile_node(node, 1)
+            compile_node([node], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,9 @@ from jetlag.dtensor import (
     transform_temporal_spray,
     transform_tensor,
 )
-from jetlag.expr import JetPoint, parse
+from jetlag.checks import random_affine_chart, sample_points
+from jetlag.cli import load_config
+from jetlag.expr import EvalDomainError, JetPoint, evaluate_fields, parse
 from jetlag.geometry import (
     LagrangeSpace,
     NonRegularError,
@@ -798,6 +800,56 @@ class TestPartialTable:
                          for i in range(n)])
         assert np.array_equal(geo.dg_x, 0.5 * Lxyy)     # h11 = 1, hdot = 0
         assert np.array_equal(geo.dg_t, 0.5 * Ltyy)
+
+    @pytest.mark.parametrize("name", ["sphere_l1", "electrodynamics_l2",
+                                      "nonautonomous_l3"])
+    def test_fused_values_are_the_per_field_values(self, name):
+        cfg = load_config(name)
+        chart = random_affine_chart(cfg.space, seed=3)
+        moved = transformed_space(cfg.space, chart)
+        for sp, points in ((cfg.space, sample_points(cfg.space, cfg.ranges,
+                                                     4, seed=5)),
+                           (moved, [transform_point(chart, z) for z in
+                                    sample_points(cfg.space, cfg.ranges,
+                                                  2, seed=6)])):
+            fields = sp._partials + [sp.h11, sp._hdot]
+            for z in points:
+                fused = evaluate_fields(sp._partials, z) \
+                    + evaluate_fields((sp.h11, sp._hdot), z)
+                alone = [f.evaluate(z) for f in fields]
+                assert [v.hex() for v in fused] == [v.hex() for v in alone]
+
+    def test_tail_domain_error_names_the_failing_partial(self):
+        # L_y and L_yy are regular at x1 = 0; L_x1 = -x1^(-2) has a pole
+        # there (x1^(-1), unlike 1/x1, leaves no 0/x1 terms in L_yy)
+        L = parse("y1^2 + x1^(-1)", 1)
+        sp = LagrangeSpace(1, L, parse("1", 1))
+        z = [0.0, 0.0, 1.0]
+        with pytest.raises(EvalDomainError) as alone:
+            L.differentiate((0, 1, 0)).evaluate(z)
+        with pytest.raises(EvalDomainError) as fused:
+            sp.geometry_at(z)
+        assert str(fused.value) == str(alone.value)
+        assert "x1^(-2)" in str(fused.value)
+
+    def test_singular_h11_is_reported_before_a_pole_of_its_derivative(self):
+        # h11 = t sqrt(t) vanishes at t = 0, where its derivative divides
+        # by sqrt(t); h11 and its derivative are evaluated in one call
+        sp = LagrangeSpace(1, parse("y1^2", 1), parse("t*sqrt(t)", 1))
+        with pytest.raises(NonRegularError, match="h11 = 0.0 at t = 0.0"):
+            sp.geometry_at([0.0, 0.3, 1.0])
+
+    def test_transformed_table_compiles_each_subexpression_once(self):
+        # the chart-transformed nonautonomous_l3 partials hold about 271k
+        # tree nodes; fused, its largest table has under a thousand locals
+        cfg = load_config("nonautonomous_l3")
+        chart = random_affine_chart(cfg.space, seed=3)
+        moved = transformed_space(cfg.space, chart)
+        moved.geometry_at(transform_point(chart, cfg.midpoint()))
+        sizes = [fn.__code__.co_nlocals
+                 for fn in moved.L._table._fns.values()]
+        assert len(sizes) == 2                  # the Lyy head and the rest
+        assert max(sizes) < 1000
 
 
 # ---------------------------------------------------------------------------

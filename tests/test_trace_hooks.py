@@ -4,8 +4,9 @@ perfbench/spans.py wraps package functions by name: the module bindings
 of public functions, LagrangeSpace.geometry_at and connection_jets (looked
 up with vars(cls)[name]), numdiff.partial (the stencil count) and the
 checks._*_worst suite functions.  A renamed hook makes the tracer fail to
-install or count zero; this test shows that in the main suite, which does
-not collect perfbench/selftest.py.
+install or count zero, and a geometry_at miss with no traced call inside
+it reads as a hit; this test shows both in the main suite, which does not
+collect perfbench/selftest.py.
 """
 
 import importlib
@@ -43,13 +44,18 @@ def test_tracer_counts_every_hook_then_restores_the_package():
         checks.run_checks(sp, points)
         tracer.on = False
         calls = {k: v["calls"] for k, v in tracer.table().items()}
+        metrics = tracer.analyse()
     finally:
         tracer.uninstall()
     assert (geometry.LagrangeSpace.geometry_at,
             geometry.LagrangeSpace.connection_jets, numdiff.partial,
             checks._bianchi_worst, checks.bianchi_residuals) == before
     for name in (spans.GEO, spans.JETS, spans.STENCIL, spans.EVAL,
-                 spans.COMPILE, "checks.run_checks"):
+                 spans.COMPILE, "expr.evaluate_fields", "checks.run_checks"):
         assert calls.get(name, 0) > 0, name
+    # a geometry_at miss counts only when it has traced children, so the
+    # fused evaluation inside it must be a traced call
+    assert metrics["geometry.geo_misses"] \
+        == metrics["geometry.geo_distinct"] > 0
     for suite in set(spans.SUITES.values()):
         assert calls.get(f"suite.{suite}", 0) == 1, suite
