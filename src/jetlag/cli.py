@@ -164,26 +164,15 @@ def _field(text: str, n: int, origin: str, key: str,
         f = parse(text, n)
     except ExprError as exc:
         raise ConfigError(f"{origin}: {key}: {exc}") from None
-    if _folded_overflow(f.ast):
+    # constant folding may leave inf or nan as a constant or an exponent
+    # (a literal that overflows is already a parse error)
+    if any(not math.isfinite(getattr(nd, "value", getattr(nd, "exponent", 0.0)))
+           for nd in f.ast.walk()):
         raise ConfigError(f"{origin}: {key}: constant out of range")
     extra = f.variables() - allow
     if extra:
         raise ConfigError(f"{origin}: {key} may depend on {what} only")
     return f
-
-
-def _folded_overflow(node) -> bool:
-    """Whether constant folding left inf or nan in a tree, as a constant or
-    a power's exponent (a literal that overflows is already a parse error)."""
-    stack = [node]
-    while stack:
-        nd = stack.pop()
-        if not math.isfinite(getattr(nd, "value", getattr(nd, "exponent", 0.0))):
-            return True
-        stack.extend(getattr(nd, "terms", ()) + getattr(nd, "factors", ()))
-        stack.extend(getattr(nd, a) for a in ("arg", "base", "num", "den")
-                     if hasattr(nd, a))
-    return False
 
 
 def _build_space(sections: dict, n: int, origin: str) -> LagrangeSpace:
@@ -454,6 +443,8 @@ def _parse_point(cfg: ProblemConfig, values) -> np.ndarray:
     if len(values) != 2 * cfg.n + 1:
         raise ConfigError(f"--point needs {2 * cfg.n + 1} numbers "
                           f"(t x1..x{cfg.n} y1..y{cfg.n}), got {len(values)}")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError("--point needs finite numbers")
     return np.asarray(values, dtype=float)
 
 
@@ -588,7 +579,7 @@ def main(argv=None) -> int:
         parser.error("curve requires --out for the CSV")
     try:
         return args.fn(args)
-    except (ConfigError, ExprError, ValueError) as exc:
+    except (ConfigError, ExprError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NonRegularError as exc:

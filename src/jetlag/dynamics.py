@@ -101,8 +101,13 @@ def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
         raise ValueError(f"initial data must have shape ({sp.n},)")
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError("step must be positive and finite")
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError("t0 and t1 must be finite")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
+    steps = (t1 - t0) / step - 1e-12
+    if not math.isfinite(steps):
+        raise ValueError("(t1 - t0)/step is not a finite step count")
 
     def rhs(t, x, y):
         z = np.concatenate([[t], x, y])
@@ -116,7 +121,7 @@ def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
                 f"{err} (reached at t = {t:.6g} along the curve)",
                 point=err.point, det=err.det) from err
 
-    count = max(1, int(math.ceil((t1 - t0) / step - 1e-12)))
+    count = max(1, int(math.ceil(steps)))
     ts = [t0]
     xs = [x0]
     ys = [y0]

@@ -133,6 +133,14 @@ def _point_array(point, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # AST nodes and conservative simplification
+#
+# Nodes are immutable and compare by identity: nothing needs structural
+# equality, since the compiler memoises on node identity and numbers
+# subexpressions on their emitted text.  The smart constructors below fold
+# constants, 0 and 1 identities, nested sums and products, and double
+# negation.  A zero factor or a zero numerator folds to 0 even where the
+# rest is not finite, so derivatives carry no 0/den terms from the
+# quotient rule; a pole of the expression itself still raises.
 # ---------------------------------------------------------------------------
 
 
@@ -141,61 +149,34 @@ class Node:
 
     __slots__ = ()
 
+    def __setattr__(self, name, value=None):  # immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def children(self) -> tuple:
+        return ()
+
     def diff(self, var: int) -> "Node":
         raise NotImplementedError
 
     def substitute(self, mapping: dict[int, "Node"]) -> "Node":
         raise NotImplementedError
 
-    def max_var(self) -> int:
-        return -1
+    def walk(self):
+        """Yield each distinct node object of the tree once, without recursion."""
+        seen = {id(self)}
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            for child in node.children():
+                if id(child) not in seen:
+                    seen.add(id(child))
+                    stack.append(child)
 
     def variables(self) -> set[int]:
-        out: set[int] = set()
-        self._collect_vars(out)
-        return out
-
-    def _collect_vars(self, out: set[int]) -> None:
-        pass
-
-    # operator sugar, used when assembling Lagrangians programmatically
-    def __add__(self, other):
-        return add(self, _as_node(other))
-
-    def __radd__(self, other):
-        return add(_as_node(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_as_node(other)))
-
-    def __rsub__(self, other):
-        return add(_as_node(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _as_node(other))
-
-    def __rmul__(self, other):
-        return mul(_as_node(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_node(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_node(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-
-def _as_node(value) -> Node:
-    if isinstance(value, Node):
-        return value
-    if isinstance(value, (int, float)):
-        return Const(float(value))
-    raise TypeError(f"cannot use {type(value).__name__} in an expression")
+        return {nd.index for nd in self.walk() if isinstance(nd, Var)}
 
 
 class Const(Node):
@@ -203,18 +184,6 @@ class Const(Node):
 
     def __init__(self, value: float):
         object.__setattr__(self, "value", float(value))
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("Const is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Const) and (
-            self.value == other.value
-            or (math.isnan(self.value) and math.isnan(other.value))
-        )
-
-    def __hash__(self):
-        return hash(("const", self.value))
 
     def diff(self, var):
         return Const(0.0)
@@ -231,26 +200,11 @@ class Var(Node):
             raise ValueError("variable index must be nonnegative")
         object.__setattr__(self, "index", int(index))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Var is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.index == other.index
-
-    def __hash__(self):
-        return hash(("var", self.index))
-
     def diff(self, var):
         return Const(1.0) if var == self.index else Const(0.0)
 
     def substitute(self, mapping):
         return mapping.get(self.index, self)
-
-    def max_var(self):
-        return self.index
-
-    def _collect_vars(self, out):
-        out.add(self.index)
 
 
 class Neg(Node):
@@ -259,26 +213,14 @@ class Neg(Node):
     def __init__(self, arg: Node):
         object.__setattr__(self, "arg", arg)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Neg is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Neg) and self.arg == other.arg
-
-    def __hash__(self):
-        return hash(("neg", self.arg))
+    def children(self):
+        return (self.arg,)
 
     def diff(self, var):
         return neg(self.arg.diff(var))
 
     def substitute(self, mapping):
         return neg(self.arg.substitute(mapping))
-
-    def max_var(self):
-        return self.arg.max_var()
-
-    def _collect_vars(self, out):
-        self.arg._collect_vars(out)
 
 
 class Add(Node):
@@ -287,27 +229,14 @@ class Add(Node):
     def __init__(self, terms: tuple[Node, ...]):
         object.__setattr__(self, "terms", terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Add is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Add) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(("add", self.terms))
+    def children(self):
+        return self.terms
 
     def diff(self, var):
         return add(*(tm.diff(var) for tm in self.terms))
 
     def substitute(self, mapping):
         return add(*(tm.substitute(mapping) for tm in self.terms))
-
-    def max_var(self):
-        return max(tm.max_var() for tm in self.terms)
-
-    def _collect_vars(self, out):
-        for tm in self.terms:
-            tm._collect_vars(out)
 
 
 class Mul(Node):
@@ -316,14 +245,8 @@ class Mul(Node):
     def __init__(self, factors: tuple[Node, ...]):
         object.__setattr__(self, "factors", factors)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Mul is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Mul) and self.factors == other.factors
-
-    def __hash__(self):
-        return hash(("mul", self.factors))
+    def children(self):
+        return self.factors
 
     def diff(self, var):
         # product rule over an n-ary product
@@ -336,13 +259,6 @@ class Mul(Node):
     def substitute(self, mapping):
         return mul(*(f.substitute(mapping) for f in self.factors))
 
-    def max_var(self):
-        return max(f.max_var() for f in self.factors)
-
-    def _collect_vars(self, out):
-        for f in self.factors:
-            f._collect_vars(out)
-
 
 class Div(Node):
     __slots__ = ("num", "den")
@@ -351,14 +267,8 @@ class Div(Node):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Div is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Div) and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash(("div", self.num, self.den))
+    def children(self):
+        return (self.num, self.den)
 
     def diff(self, var):
         du = self.num.diff(var)
@@ -367,13 +277,6 @@ class Div(Node):
 
     def substitute(self, mapping):
         return div(self.num.substitute(mapping), self.den.substitute(mapping))
-
-    def max_var(self):
-        return max(self.num.max_var(), self.den.max_var())
-
-    def _collect_vars(self, out):
-        self.num._collect_vars(out)
-        self.den._collect_vars(out)
 
 
 class Pow(Node):
@@ -385,18 +288,8 @@ class Pow(Node):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", float(exponent))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Pow is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Pow)
-            and self.base == other.base
-            and self.exponent == other.exponent
-        )
-
-    def __hash__(self):
-        return hash(("pow", self.base, self.exponent))
+    def children(self):
+        return (self.base,)
 
     def diff(self, var):
         db = self.base.diff(var)
@@ -404,12 +297,6 @@ class Pow(Node):
 
     def substitute(self, mapping):
         return power(self.base.substitute(mapping), self.exponent)
-
-    def max_var(self):
-        return self.base.max_var()
-
-    def _collect_vars(self, out):
-        self.base._collect_vars(out)
 
 
 class Call(Node):
@@ -421,14 +308,8 @@ class Call(Node):
         object.__setattr__(self, "func", func)
         object.__setattr__(self, "arg", arg)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Call is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, Call) and self.func == other.func and self.arg == other.arg
-
-    def __hash__(self):
-        return hash(("call", self.func, self.arg))
+    def children(self):
+        return (self.arg,)
 
     def diff(self, var):
         u = self.arg
@@ -455,12 +336,6 @@ class Call(Node):
 
     def substitute(self, mapping):
         return call(self.func, self.arg.substitute(mapping))
-
-    def max_var(self):
-        return self.arg.max_var()
-
-    def _collect_vars(self, out):
-        self.arg._collect_vars(out)
 
 
 # -- smart constructors: constant folding, 0/1 identities, flattening -------
@@ -535,6 +410,8 @@ def neg(arg: Node) -> Node:
 
 
 def div(num: Node, den: Node) -> Node:
+    if isinstance(num, Const) and num.value == 0.0:
+        return Const(0.0)
     if isinstance(den, Const):
         if den.value == 1.0:
             return num
@@ -859,9 +736,10 @@ class ScalarField:
             return
         if not isinstance(ast, Node):
             raise TypeError("ast must be an expression Node (see parse())")
-        if ast.max_var() >= 2 * n + 1:
+        top = max(ast.variables(), default=-1)
+        if top >= 2 * n + 1:
             raise ValueError(
-                f"expression references variable index {ast.max_var()}, "
+                f"expression references variable index {top}, "
                 f"but n={n} allows at most {2 * n}"
             )
         if max_order is None:

@@ -274,6 +274,13 @@ class TestInspect:
         assert code == 2
         assert "--point needs 5 numbers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_point_names_the_flag(self, capsys, value):
+        code = main(["inspect", "--config", "flat",
+                     "--point", "0.0", value, "0.0", "1.0", "0.0"])
+        assert code == 2
+        assert "error: --point needs finite numbers" in capsys.readouterr().err
+
     def test_stdout_when_no_out_flag(self, capsys):
         assert main(["inspect", "--config", "flat"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -348,6 +355,13 @@ class TestCheck:
         assert code == 2
         capsys.readouterr()
 
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert main(["check", "--config", "flat", "--points", "3",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_config_tolerance_override_applies(self, tmp_path, capsys):
         body = MINIMAL + "\n[tolerances]\nbianchi = 1e-30\nmaxwell = 0.5\n"
         cfg = write_cfg(tmp_path, body)
@@ -399,6 +413,29 @@ class TestCurve:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "step" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("span,needle", [
+        (["--t1", "inf", "--step", "0.1"], "t0 and t1 must be finite"),
+        (["--t0=-inf", "--t1", "1.0", "--step", "0.1"],
+         "t0 and t1 must be finite"),
+        (["--t1", "1e300", "--step", "1e-300"], "not a finite step count"),
+    ], ids=["t1-inf", "t0-inf", "step-count-overflow"])
+    def test_non_finite_span_is_usage_error(self, tmp_path, capsys, span,
+                                            needle):
+        code = main(["curve", "--config", "flat", "--x0", "0", "0",
+                     "--y0", "1", "0", *span,
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert needle in capsys.readouterr().err
+
+    def test_out_into_missing_directory_is_usage_error(self, tmp_path,
+                                                       capsys):
+        code = main(["curve", "--config", "flat", "--x0", "0", "0",
+                     "--y0", "1", "0", "--t1", "0.1", "--step", "0.1",
+                     "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_missing_out_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -13,12 +13,18 @@ from hypothesis import strategies as st
 from helpers import fd_partial, random_ast, usable_test_points
 from jetlag.expr import (
     MAX_NESTING,
+    Add,
     Call,
+    Const,
     DerivativeOrderError,
+    Div,
     EvalDomainError,
     ExprError,
     JetPoint,
+    Mul,
+    Neg,
     ParseError,
+    Pow,
     ScalarField,
     Var,
     _walk_eval,
@@ -420,6 +426,57 @@ class TestSimplification:
         f = parse("x1*y1 + 7", n=1)
         d = differentiate(f, (1, 0, 0))
         assert d.to_source() == "0"
+
+
+    def test_zero_numerator_folds(self):
+        assert parse("0/x1", n=1).to_source() == "0"
+        # the quotient rule leaves no 0/x1 terms in L_y1y1
+        f = parse("y1^2 + 1/x1", n=1)
+        assert differentiate(f, (0, 0, 2)).to_source() == "2"
+
+
+# ---------------------------------------------------------------------------
+# nodes: immutable, compared by identity, walked without recursion
+# ---------------------------------------------------------------------------
+
+
+class TestNodes:
+    @pytest.mark.parametrize("node", [
+        Const(1.0), Var(1), Neg(Var(1)), Add((Var(1), Var(2))),
+        Mul((Var(1), Var(2))), Div(Var(1), Var(2)), Pow(Var(1), 3.0),
+        Call("sin", Var(1))], ids=lambda nd: type(nd).__name__)
+    def test_nodes_are_immutable(self, node):
+        message = f"{type(node).__name__} is immutable"
+        for name in (*type(node).__slots__, "extra"):
+            with pytest.raises(AttributeError, match=message):
+                setattr(node, name, Var(0))
+        for name in type(node).__slots__:
+            with pytest.raises(AttributeError, match=message):
+                delattr(node, name)
+
+    def test_walk_yields_each_node_object_once(self):
+        x, y = Var(1), Var(2)
+        s = Add((x, y))
+        root = Div(Mul((s, s, x)), Pow(s, 2.0))
+        nodes = list(root.walk())
+        assert len(nodes) == 6
+        assert {id(nd) for nd in nodes} == {
+            id(nd) for nd in (root, root.num, root.den, s, x, y)}
+        # equal but distinct objects are distinct nodes
+        twins = Add((Var(1), Var(1)))
+        assert len(list(twins.walk())) == 3
+        assert twins.variables() == {1}
+
+    def test_field_deeper_than_the_recursion_limit(self):
+        node = Var(2)
+        for _ in range(sys.getrecursionlimit() + 100):
+            node = Call("sin", node)
+        f = ScalarField(node, 1)
+        assert f.variables() == {2}
+        with pytest.raises(ExprError, match="too deeply to compile"):
+            f.evaluate(pt(0.0, 0.0, 0.5))
+        with pytest.raises(ValueError, match="variable index 5"):
+            ScalarField(Add((node, Var(5))), 2)
 
 
 class TestJetPoint:

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from jetlag import checks, geometry, numdiff
+from jetlag.cli import BUILTIN_CONFIGS, load_config
 from jetlag.expr import parse
 from jetlag.geometry import LagrangeSpace
 
@@ -59,3 +60,22 @@ def test_tracer_counts_every_hook_then_restores_the_package():
         == metrics["geometry.geo_distinct"] > 0
     for suite in set(spans.SUITES.values()):
         assert calls.get(f"suite.{suite}", 0) == 1, suite
+
+
+def _repeat_count(node, memo):
+    """Tree size with shared subtrees counted at each appearance."""
+    if id(node) not in memo:
+        memo[id(node)] = 1 + sum(_repeat_count(k, memo)
+                                 for k in node.children())
+    return memo[id(node)]
+
+
+def test_tree_size_counts_every_node_field():
+    # spans._tree_size reads node fields by name for expr.compile_nodes; a
+    # renamed field would make it undercount without failing
+    spans = _spans_module()
+    for name in BUILTIN_CONFIGS:
+        sp = load_config(name).space
+        for f in [sp.L] + sp._partials + [sp.h11, sp._hdot]:
+            assert spans._tree_size(f.ast, {}) == _repeat_count(f.ast, {}), \
+                (name, f)
