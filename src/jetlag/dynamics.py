@@ -26,6 +26,10 @@ __all__ = [
     "transform_curve",
 ]
 
+# step-count cap of integrate_harmonic: every sample is kept in memory, and
+# at ~1 ms per step the cap is a couple of minutes of work
+MAX_STEPS = 100_000
+
 
 @dataclass(frozen=True)
 class Curve:
@@ -108,6 +112,9 @@ def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
     steps = (t1 - t0) / step - 1e-12
     if not math.isfinite(steps):
         raise ValueError("(t1 - t0)/step is not a finite step count")
+    count = max(1, int(math.ceil(steps)))
+    if count > MAX_STEPS:
+        raise ValueError(f"{count} steps exceed the cap of {MAX_STEPS}")
 
     def rhs(t, x, y):
         z = np.concatenate([[t], x, y])
@@ -121,7 +128,6 @@ def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
                 f"{err} (reached at t = {t:.6g} along the curve)",
                 point=err.point, det=err.det) from err
 
-    count = max(1, int(math.ceil(steps)))
     ts = [t0]
     xs = [x0]
     ys = [y0]

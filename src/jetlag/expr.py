@@ -6,6 +6,8 @@ the functions are a fixed whitelist, and differentiation is exact and
 cached.  Nothing here knows about tensors; the rest of the package
 builds on ScalarField evaluation (evaluate_fields takes several partials
 of one field in one compiled call) and ScalarField.differentiate.
+Every value comes from one evaluator, the function compile_node emits,
+and a domain error is named from the line of that function that raised.
 
 Variable indexing convention used throughout the package:
 index 0 is t, indices 1..n are x1..xn, indices n+1..2n are y1..yn.
@@ -15,8 +17,6 @@ A multi-index is a tuple of 2n+1 derivative orders in that same order.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,20 +40,6 @@ __all__ = [
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "abs")
 DEFAULT_MAX_ORDER = 5
 MAX_NESTING = 50    # parser depth cap, well inside Python's recursion limit
-_MAX_ORDER_ENV = "JETLAG_MAX_DERIV_ORDER"
-
-
-def _max_order_default() -> int:
-    raw = os.environ.get(_MAX_ORDER_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ExprError(f"{_MAX_ORDER_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ExprError(f"{_MAX_ORDER_ENV} must be >= 1, got {value}")
-    return value
 
 
 class ExprError(Exception):
@@ -78,7 +64,7 @@ class EvalDomainError(ExprError):
 
 
 class DerivativeOrderError(ExprError):
-    """Requested derivative order exceeds the configured cap."""
+    """Requested total derivative order exceeds DEFAULT_MAX_ORDER."""
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +507,7 @@ def to_source(node: Node, n: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# evaluation: compiled fast path, tree-walking slow path for rich errors
+# evaluation: one compiled function per table of partials
 # ---------------------------------------------------------------------------
 
 
@@ -555,11 +541,13 @@ def compile_node(nodes, n: int):
     temporary, so equal subtrees share one whether or not they are the same
     object.  Every temporary keeps its node's operation (n-ary sums and
     products left to right), so each value is bit-identical to evaluating
-    its tree alone.
+    its tree alone.  The function's ``nodes`` attribute holds the node
+    behind each temporary: line k + 2 of its source computes ``nodes[k]``.
     """
     memo: dict = {}     # id(node) -> its reference: a literal or a temporary
     temps: dict = {}    # emitted text -> temporary
     lines: list = []
+    origins: list = []  # the node each line computes
 
     def ref(node: Node) -> str:
         got = memo.get(id(node))
@@ -584,7 +572,7 @@ def compile_node(nodes, n: int):
                 op = f"{ref(node.num)}/{ref(node.den)}"
             elif isinstance(node, Pow):
                 e = node.exponent
-                if e.is_integer() and abs(e) < 1e9:
+                if e.is_integer():
                     op = f"{ref(node.base)}**{int(e)}"
                 else:
                     op = f"_pw({ref(node.base)},{e!r})"
@@ -596,6 +584,7 @@ def compile_node(nodes, n: int):
             if text is None:
                 text = temps[op] = f"_{len(temps)}"
                 lines.append(f" {text} = {op}\n")
+                origins.append(node)
         memo[id(node)] = text
         return text
 
@@ -609,59 +598,9 @@ def compile_node(nodes, n: int):
         raise ExprError("expression nested too deeply to compile") from None
     scope: dict = {}
     eval(code, _EVAL_GLOBALS, scope)
-    return scope["f"]
-
-
-def _walk_eval(node: Node, t, x, y, n: int) -> float:
-    """Reference evaluator; raises EvalDomainError at the failing node."""
-    try:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            i = node.index
-            if i == 0:
-                return float(t)
-            if i <= n:
-                return float(x[i - 1])
-            return float(y[i - n - 1])
-        if isinstance(node, Neg):
-            return -_walk_eval(node.arg, t, x, y, n)
-        if isinstance(node, Add):
-            return math.fsum(_walk_eval(tm, t, x, y, n) for tm in node.terms)
-        if isinstance(node, Mul):
-            out = 1.0
-            for f in node.factors:
-                out *= _walk_eval(f, t, x, y, n)
-            return out
-        if isinstance(node, Div):
-            num = _walk_eval(node.num, t, x, y, n)
-            den = _walk_eval(node.den, t, x, y, n)
-            try:
-                return num / den
-            except ZeroDivisionError:
-                raise EvalDomainError("division by zero", to_source(node, n)) from None
-        if isinstance(node, Pow):
-            base = _walk_eval(node.base, t, x, y, n)
-            e = node.exponent
-            try:
-                if e.is_integer():
-                    return base ** int(e)
-                return _checked_pow(base, e)
-            except (ValueError, ZeroDivisionError, OverflowError) as exc:
-                raise EvalDomainError(str(exc), to_source(node, n)) from None
-        if isinstance(node, Call):
-            arg = _walk_eval(node.arg, t, x, y, n)
-            try:
-                return _apply_function(node.func, arg)
-            except (ValueError, OverflowError) as exc:
-                raise EvalDomainError(
-                    f"{node.func} domain error: {exc}", to_source(node, n)
-                ) from None
-        raise AssertionError(type(node))
-    except EvalDomainError:
-        raise
-    except OverflowError:
-        raise EvalDomainError("overflow", to_source(node, n)) from None
+    fn = scope["f"]
+    fn.nodes = tuple(origins)
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -677,36 +616,26 @@ class _DerivTable:
     cached AST objects; mixed partials are identical by construction.
     """
 
-    def __init__(self, ast: Node, n: int, max_order: int):
+    def __init__(self, ast: Node, n: int):
         self.n = n
-        self.max_order = max_order
         self._asts: dict[tuple[int, ...], Node] = {(0,) * (2 * n + 1): ast}
         self._fns: dict[tuple[tuple[int, ...], ...], object] = {}
-        self._lock = threading.Lock()
 
     def ast_for(self, idx: tuple[int, ...]) -> Node:
-        with self._lock:
-            return self._ast_locked(idx)
-
-    def _ast_locked(self, idx: tuple[int, ...]) -> Node:
         node = self._asts.get(idx)
         if node is not None:
             return node
         # peel the highest-indexed variable with a nonzero order
         var = max(i for i, o in enumerate(idx) if o > 0)
         parent_idx = tuple(o - 1 if i == var else o for i, o in enumerate(idx))
-        parent = self._ast_locked(parent_idx)
-        node = parent.diff(var)
-        self._asts[idx] = node
-        return node
+        return self._asts.setdefault(idx, self.ast_for(parent_idx).diff(var))
 
     def fn_for(self, offsets: tuple[tuple[int, ...], ...]):
         """The fused compiled function of the partials at these offsets."""
         fn = self._fns.get(offsets)
         if fn is None:
             fn = compile_node([self.ast_for(idx) for idx in offsets], self.n)
-            with self._lock:
-                self._fns[offsets] = fn
+            self._fns[offsets] = fn
         return fn
 
 
@@ -727,7 +656,7 @@ class ScalarField:
     reached.
     """
 
-    def __init__(self, ast: Node, n: int, max_order: int | None = None, *, _table=None, _offset=None):
+    def __init__(self, ast: Node, n: int, *, _table=None, _offset=None):
         if n < 1:
             raise ValueError("n must be >= 1")
         if _table is not None:
@@ -742,18 +671,12 @@ class ScalarField:
                 f"expression references variable index {top}, "
                 f"but n={n} allows at most {2 * n}"
             )
-        if max_order is None:
-            max_order = _max_order_default()
-        self._table = _DerivTable(ast, n, max_order)
+        self._table = _DerivTable(ast, n)
         self._offset = (0,) * (2 * n + 1)
 
     @property
     def n(self) -> int:
         return self._table.n
-
-    @property
-    def max_order(self) -> int:
-        return self._table.max_order
 
     @property
     def order(self) -> int:
@@ -764,28 +687,16 @@ class ScalarField:
         return self._table.ast_for(self._offset)
 
     def evaluate(self, point) -> float:
-        # plain Python floats, whatever the point type: float arithmetic
-        # raises on a domain error where numpy scalars return inf or nan
-        n = self.n
-        z = _point_array(point, n).tolist()
-        t, x, y = z[0], z[1 : n + 1], z[n + 1 :]
-        fn = self._table.fn_for((self._offset,))
-        try:
-            return fn(t, x, y)[0]
-        except (ValueError, ZeroDivisionError, OverflowError):
-            # re-run on the reference evaluator to name the subexpression
-            _walk_eval(self.ast, t, x, y, self.n)
-            raise  # pragma: no cover - walk_eval raises first
+        return evaluate_fields((self,), point)[0]
 
     __call__ = evaluate
 
     def differentiate(self, idx) -> "ScalarField":
         idx = _validate_multi_index(idx, self.n)
         total = sum(idx) + sum(self._offset)
-        if total > self.max_order:
+        if total > DEFAULT_MAX_ORDER:
             raise DerivativeOrderError(
-                f"total derivative order {total} exceeds cap {self.max_order} "
-                f"(set {_MAX_ORDER_ENV} or max_order to raise it)"
+                f"total derivative order {total} exceeds cap {DEFAULT_MAX_ORDER}"
             )
         new_offset = tuple(a + b for a, b in zip(self._offset, idx))
         return ScalarField(None, self.n, _table=self._table, _offset=new_offset)
@@ -793,7 +704,7 @@ class ScalarField:
     def substitute(self, mapping: dict[int, Node]) -> "ScalarField":
         """New field with variables replaced by expression nodes."""
         new_ast = self.ast.substitute(mapping)
-        return ScalarField(new_ast, self.n, self.max_order)
+        return ScalarField(new_ast, self.n)
 
     def to_source(self) -> str:
         return to_source(self.ast, self.n)
@@ -808,25 +719,40 @@ class ScalarField:
 def evaluate_fields(fields, point) -> tuple:
     """Values of fields of one derivative table at one point, in order.
 
-    One call of the fields' fused compiled function.  On a domain error the
-    fields are re-evaluated in order one at a time, so the first failing
-    field raises its own EvalDomainError.
+    One call of the fields' fused compiled function, the only place a
+    compiled function is called.  A domain error raises EvalDomainError
+    naming the node of the line that failed: the first failing
+    subexpression of the first failing field, the one that field evaluated
+    alone names.
     """
     fields = tuple(fields)
     if not fields:
         return ()
     table = fields[0]._table
-    if any(f._table is not table for f in fields):
+    offsets = tuple([f._offset for f in fields if f._table is table])
+    if len(offsets) != len(fields):
         raise ValueError("evaluate_fields needs partials of one root field")
     n = table.n
+    # plain Python floats, whatever the point type: float arithmetic
+    # raises on a domain error where numpy scalars return inf or nan
     z = _point_array(point, n).tolist()
-    fn = table.fn_for(tuple(f._offset for f in fields))
+    fn = table.fn_for(offsets)
     try:
         return fn(z[0], z[1:n + 1], z[n + 1:])
-    except (ValueError, ZeroDivisionError, OverflowError):
-        for f in fields:
-            f.evaluate(point)
-        raise  # pragma: no cover - one of the fields raises first
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        tb = exc.__traceback__
+        while tb.tb_frame.f_code.co_filename != "<jetlag-expr>":
+            tb = tb.tb_next
+        node = fn.nodes[tb.tb_lineno - 2]   # line 1 is the def
+        if isinstance(node, Pow):
+            message = str(exc)
+        elif isinstance(node, Call):
+            message = f"{node.func} domain error: {exc}"
+        elif isinstance(exc, ZeroDivisionError):
+            message = "division by zero"
+        else:
+            message = "overflow"
+        raise EvalDomainError(message, to_source(node, n)) from None
 
 
 @dataclass(frozen=True)
@@ -1064,12 +990,12 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def parse(source: str, n: int, max_order: int | None = None) -> ScalarField:
+def parse(source: str, n: int) -> ScalarField:
     """Parse DSL text into a ScalarField over jet coordinates for dimension n."""
     if n < 1:
         raise ValueError("n must be >= 1")
     ast = _Parser(source, n).parse()
-    return ScalarField(ast, n, max_order)
+    return ScalarField(ast, n)
 
 
 def differentiate(f: ScalarField, idx) -> ScalarField:
@@ -1081,10 +1007,10 @@ def jet_partials(f: ScalarField, point, max_order: int) -> PartialTable:
     """Evaluate every mixed partial of total order <= max_order at one point."""
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    if max_order + f.order > f.max_order:
+    if max_order + f.order > DEFAULT_MAX_ORDER:
         raise DerivativeOrderError(
             f"requested table order {max_order} on a field of order {f.order} "
-            f"exceeds cap {f.max_order}"
+            f"exceeds cap {DEFAULT_MAX_ORDER}"
         )
     z = _point_array(point, f.n)
     indices = list(_multi_indices(2 * f.n + 1, max_order))

@@ -428,6 +428,15 @@ class TestCurve:
         assert code == 2
         assert needle in capsys.readouterr().err
 
+    def test_step_count_over_cap_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code = main(["curve", "--config", "flat", "--x0", "0", "0",
+                     "--y0", "1", "0", "--t1", "1e9", "--step", "1e-9",
+                     "--out", str(out)])
+        assert code == 2
+        assert "steps exceed the cap" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_into_missing_directory_is_usage_error(self, tmp_path,
                                                        capsys):
         code = main(["curve", "--config", "flat", "--x0", "0", "0",
@@ -474,25 +483,6 @@ class TestReport:
               "--out", str(b)])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
-
-
-class TestDerivativeCap:
-    def test_low_cap_blocks_geometry(self, monkeypatch, capsys):
-        monkeypatch.setenv("JETLAG_MAX_DERIV_ORDER", "2")
-        code = main(["inspect", "--config", "sphere_l1"])
-        assert code == 2
-        assert "JETLAG_MAX_DERIV_ORDER" in capsys.readouterr().err
-
-    def test_raised_cap_keeps_working(self, monkeypatch, capsys):
-        monkeypatch.setenv("JETLAG_MAX_DERIV_ORDER", "9")
-        assert main(["inspect", "--config", "sphere_l1"]) == 0
-        capsys.readouterr()
-
-    def test_junk_cap_is_config_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("JETLAG_MAX_DERIV_ORDER", "soon")
-        code = main(["inspect", "--config", "sphere_l1"])
-        assert code == 2
-        capsys.readouterr()
 
 
 class TestEntryPoint:

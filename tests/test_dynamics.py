@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from helpers import christoffel_oracle, great_circle
+from jetlag import dynamics
 from jetlag.dtensor import ChartMap
 from jetlag.dynamics import (
+    MAX_STEPS,
     Curve,
     action,
     el_acceleration,
@@ -150,6 +152,22 @@ class TestIntegrate:
             integrate_harmonic(sp, [0.0, 0.0], [1.0, 0.0], 1.0, 0.0, 0.1)
         with pytest.raises(ValueError):
             integrate_harmonic(sp, [0.0], [1.0, 0.0], 0.0, 1.0, 0.1)
+
+    def test_step_count_capped_before_the_first_step(self, monkeypatch):
+        def first_step(sp, z):
+            raise LookupError("first step")
+
+        monkeypatch.setattr(dynamics, "harmonic_rhs", first_step)
+        sp = flat_space()
+        message = f"^{10**18} steps exceed the cap of {MAX_STEPS}$"
+        with pytest.raises(ValueError, match=message):
+            integrate_harmonic(sp, [0.0, 0.0], [1.0, 0.0], 0.0, 1e9, 1e-9)
+        with pytest.raises(ValueError, match=f"^{MAX_STEPS + 1} steps"):
+            integrate_harmonic(sp, [0.0, 0.0], [1.0, 0.0],
+                               0.0, MAX_STEPS + 1.0, 1.0)
+        with pytest.raises(LookupError):
+            integrate_harmonic(sp, [0.0, 0.0], [1.0, 0.0],
+                               0.0, float(MAX_STEPS), 1.0)
 
     def test_singular_time_reported_with_t(self):
         # h11 = 1 - t collapses at t = 1, inside the integration window

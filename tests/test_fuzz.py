@@ -1,18 +1,19 @@
-"""Fuzzing of the two text front ends: the expression parser and the
-problem-file loader.
+"""Fuzzing of the two text front ends, the expression parser and the
+problem-file loader, and of expression evaluation.
 
-Whatever the text, each one either succeeds or raises its own error type
-(ParseError/ExprError from the parser, ConfigError from the loader), which
-the command line reports with exit 2.  Draws are derandomized, so the
-suite stays deterministic.
+Whatever the text, each front end either succeeds or raises its own error
+type (ParseError/ExprError from the parser, ConfigError from the loader),
+which the command line reports with exit 2.  Whatever the expression and
+the point, evaluation returns floats or raises EvalDomainError.  Draws are
+derandomized, so the suite stays deterministic.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetlag.cli import ConfigError, load_config
-from jetlag.expr import ExprError, parse
+from jetlag.expr import EvalDomainError, ExprError, evaluate_fields, parse
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
 
@@ -54,6 +55,50 @@ PLAIN_VALUES = ["0", "1", "2", "-1", "one", "2.0", "nan", "inf", "1e999",
 value = st.one_of(st.sampled_from(PLAIN_VALUES),
                   dsl_text.map(lambda s: f'"{s}"'),
                   st.text(max_size=12))
+
+
+# well-formed expressions that leave their domain at some of the points:
+# poles, logs and roots of nonpositive numbers, overflowing powers
+dsl_expr = st.recursive(
+    st.sampled_from(["t", "x1", "y1", "0", "1", "-1", "2.5", "400", "1e200"]),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map(
+            lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        st.tuples(sub, st.sampled_from(["2", "3", "(-2)", "0.5", "(-0.5)",
+                                        "10000000000"])).map(
+            lambda p: f"({p[0]})^{p[1]}"),
+        st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "log",
+                                   "sqrt", "abs"]), sub).map(
+            lambda p: f"{p[0]}({p[1]})")),
+    max_leaves=8)
+PARTIALS = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 2, 0),
+            (0, 1, 1)]
+COORDS = st.sampled_from([0.0, -1.0, 0.5, 2.0, 400.0, 1e200])
+
+
+@FUZZ
+@given(dsl_expr, st.tuples(COORDS, COORDS, COORDS))
+@example("(x1)^10000000000", (0.0, -1.0, 0.0))
+def test_evaluation_returns_floats_or_raises_domain_error(source, z):
+    f = parse(source, 1)
+    partials = [f.differentiate(idx) for idx in PARTIALS]
+    values, failed = [], []
+    for p in partials:
+        try:
+            value = p.evaluate(z)
+        except EvalDomainError as exc:
+            failed.append(str(exc))
+        else:
+            assert type(value) is float
+            values.append(value.hex())
+    try:
+        fused = evaluate_fields(partials, z)
+    except EvalDomainError as exc:
+        # the text of the first partial that fails alone
+        assert failed and str(exc) == failed[0]
+    else:
+        assert not failed
+        assert [v.hex() for v in fused] == values
 
 
 @st.composite

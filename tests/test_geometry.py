@@ -828,7 +828,7 @@ class TestPartialTable:
 
     def test_tail_domain_error_names_the_failing_partial(self):
         # L_y and L_yy are regular at x1 = 0; L_x1 = -x1^(-2) has a pole
-        # there (x1^(-1), unlike 1/x1, leaves no 0/x1 terms in L_yy)
+        # there
         L = parse("y1^2 + x1^(-1)", 1)
         sp = LagrangeSpace(1, L, parse("1", 1))
         z = [0.0, 0.0, 1.0]
