@@ -16,7 +16,7 @@ sphere = LagrangeSpace.from_family("quadratic", n, parse("1", n), g)
 # x2(t) = t, unit speed, action = 1
 x0, y0 = [np.pi / 2, 0.0], [0.0, 1.0]
 cv = integrate_harmonic(sphere, x0, y0, 0.0, 1.0, 1e-3)
-print("samples:", len(cv.t), "method:", cv.method)
+print("samples:", len(cv.t), "step:", cv.step)
 print("endpoint x:", cv.x[-1], " exact: [pi/2, 1]")
 print("action:", action(sphere, cv))
 print("Euler-Lagrange residual along the curve:", np.abs(el_residual(sphere, cv)).max())

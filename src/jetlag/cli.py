@@ -140,11 +140,15 @@ def _parse_sections(text: str, origin: str) -> dict:
     return sections
 
 
-def _unquote(value: str, origin: str, key: str) -> str:
-    if len(value) >= 2 and value[0] == '"' and value[-1] == '"':
-        return value[1:-1]
-    raise ConfigError(f"{origin}: {key} must be a double-quoted expression, "
-                      f"got {value!r}")
+def _section(sections: dict, name: str, keys, origin: str,
+             hint: str = "") -> dict:
+    """The present section [name], after rejecting keys not in keys."""
+    section = sections[name]
+    unknown = set(section) - set(keys)
+    if unknown:
+        raise ConfigError(f"{origin}: unknown [{name}] keys "
+                          f"{sorted(unknown)}{hint}")
+    return section
 
 
 def _float(value: str, origin: str, key: str) -> float:
@@ -158,10 +162,15 @@ def _float(value: str, origin: str, key: str) -> float:
     return number
 
 
-def _field(text: str, n: int, origin: str, key: str,
+def _field(section: dict, key: str, n: int, origin: str,
            allow: set, what: str) -> ScalarField:
+    """The double-quoted expression at key, or the zero field if absent."""
+    text = section.get(key, '"0"')
+    if len(text) < 2 or text[0] != '"' or text[-1] != '"':
+        raise ConfigError(f"{origin}: {key} must be a double-quoted "
+                          f"expression, got {text!r}")
     try:
-        f = parse(text, n)
+        f = parse(text[1:-1], n)
     except ExprError as exc:
         raise ConfigError(f"{origin}: {key}: {exc}") from None
     # constant folding may leave inf or nan as a constant or an exponent
@@ -181,8 +190,7 @@ def _build_space(sections: dict, n: int, origin: str) -> LagrangeSpace:
     tx = set(range(0, n + 1))
     txy = set(range(0, 2 * n + 1))
 
-    h11 = _field(_unquote(problem["h11"], origin, "h11"), n, origin, "h11",
-                 t_only, "t")
+    h11 = _field(problem, "h11", n, origin, t_only, "t")
 
     has_lagrangian = "lagrangian" in problem
     has_family = "family" in problem
@@ -191,8 +199,7 @@ def _build_space(sections: dict, n: int, origin: str) -> LagrangeSpace:
                           f"family in [problem]")
 
     if has_lagrangian:
-        L = _field(_unquote(problem["lagrangian"], origin, "lagrangian"), n,
-                   origin, "lagrangian", txy, "t, x, y")
+        L = _field(problem, "lagrangian", n, origin, txy, "t, x, y")
         for section in ("metric", "potential", "scalar"):
             if section in sections:
                 raise ConfigError(f"{origin}: [{section}] only belongs to "
@@ -208,19 +215,12 @@ def _build_space(sections: dict, n: int, origin: str) -> LagrangeSpace:
 
     g_allow = tx if family == "nonautonomous" else (tx - t_only)
     g_what = "t, x" if family == "nonautonomous" else "x"
-    metric = dict(sections["metric"])
+    keys = [(i, j, f"g{i + 1}{j + 1}") for i in range(n) for j in range(i, n)]
+    metric = _section(sections, "metric", [key for _, _, key in keys], origin,
+                      " (use gIJ with I <= J)")
     g = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            key = f"g{i + 1}{j + 1}"
-            text = metric.pop(key, None)
-            gij = (_field(_unquote(text, origin, key), n, origin, key,
-                          g_allow, g_what)
-                   if text is not None else parse("0", n))
-            g[i][j] = g[j][i] = gij
-    if metric:
-        raise ConfigError(f"{origin}: unknown [metric] keys "
-                          f"{sorted(metric)} (use gIJ with I <= J)")
+    for i, j, key in keys:
+        g[i][j] = g[j][i] = _field(metric, key, n, origin, g_allow, g_what)
 
     U_fields = None
     F_field = None
@@ -231,25 +231,14 @@ def _build_space(sections: dict, n: int, origin: str) -> LagrangeSpace:
                                   f"[{section}] section")
     else:
         if "potential" in sections:
-            pot = dict(sections["potential"])
-            U_fields = []
-            for i in range(n):
-                key = f"u{i + 1}"
-                text = pot.pop(key, None)
-                U_fields.append(_field(_unquote(text, origin, key), n, origin,
-                                       key, tx, "t, x")
-                                if text is not None else parse("0", n))
-            if pot:
-                raise ConfigError(f"{origin}: unknown [potential] keys "
-                                  f"{sorted(pot)} (use u1..u{n})")
+            keys = [f"u{i + 1}" for i in range(n)]
+            pot = _section(sections, "potential", keys, origin,
+                           f" (use u1..u{n})")
+            U_fields = [_field(pot, key, n, origin, tx, "t, x")
+                        for key in keys]
         if "scalar" in sections:
-            sc = dict(sections["scalar"])
-            text = sc.pop("f", None)
-            if text is None or sc:
-                raise ConfigError(f"{origin}: [scalar] takes exactly one "
-                                  f"key f")
-            F_field = _field(_unquote(text, origin, "f"), n, origin, "f",
-                             tx, "t, x")
+            sc = _section(sections, "scalar", ["f"], origin, " (use f)")
+            F_field = _field(sc, "f", n, origin, tx, "t, x")
     return LagrangeSpace.from_family(family, n, h11, g, U_fields=U_fields,
                                      F_field=F_field)
 
@@ -257,12 +246,12 @@ def _build_space(sections: dict, n: int, origin: str) -> LagrangeSpace:
 def _build_ranges(sections: dict, n: int, origin: str) -> np.ndarray:
     if "ranges" not in sections:
         raise ConfigError(f"{origin}: missing [ranges] section")
-    table = dict(sections["ranges"])
     names = ["t"] + [f"x{i + 1}" for i in range(n)] \
         + [f"y{i + 1}" for i in range(n)]
+    table = _section(sections, "ranges", names, origin)
     rows = []
     for name in names:
-        text = table.pop(name, None)
+        text = table.get(name)
         if text is None:
             raise ConfigError(f"{origin}: [ranges] missing {name}")
         parts = text.split()
@@ -273,8 +262,6 @@ def _build_ranges(sections: dict, n: int, origin: str) -> np.ndarray:
         if hi < lo:
             raise ConfigError(f"{origin}: range {name} has high < low")
         rows.append((lo, hi))
-    if table:
-        raise ConfigError(f"{origin}: unknown [ranges] keys {sorted(table)}")
     return np.array(rows)
 
 
@@ -296,12 +283,8 @@ def load_config(target: str) -> ProblemConfig:
     sections = _parse_sections(text, origin)
     if "problem" not in sections:
         raise ConfigError(f"{origin}: missing [problem] section")
-    problem = sections["problem"]
-    known = {"name", "n", "h11", "lagrangian", "family", "seed", "kappa"}
-    unknown = set(problem) - known
-    if unknown:
-        raise ConfigError(f"{origin}: unknown [problem] keys "
-                          f"{sorted(unknown)}")
+    problem = _section(sections, "problem", ("name", "n", "h11", "lagrangian",
+                                             "family", "seed", "kappa"), origin)
     if "n" not in problem or "h11" not in problem:
         raise ConfigError(f"{origin}: [problem] needs n and h11")
     try:

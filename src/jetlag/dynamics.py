@@ -43,7 +43,6 @@ class Curve:
     x: np.ndarray          # (m, n)
     y: np.ndarray          # (m, n)
     step: float
-    method: str = "rk4"
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -225,4 +224,4 @@ def transform_curve(curve: Curve, chart: ChartMap) -> Curve:
         ts[k] = p.t
         xs[k] = p.x
         ys[k] = p.y
-    return Curve(t=ts, x=xs, y=ys, step=curve.step, method=curve.method)
+    return Curve(t=ts, x=xs, y=ys, step=curve.step)

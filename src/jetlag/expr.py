@@ -17,6 +17,7 @@ A multi-index is a tuple of 2n+1 derivative orders in that same order.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -628,7 +629,11 @@ class _DerivTable:
         # peel the highest-indexed variable with a nonzero order
         var = max(i for i, o in enumerate(idx) if o > 0)
         parent_idx = tuple(o - 1 if i == var else o for i, o in enumerate(idx))
-        return self._asts.setdefault(idx, self.ast_for(parent_idx).diff(var))
+        try:    # diff recurses per level, and a/b/c/... nests past MAX_NESTING
+            node = self.ast_for(parent_idx).diff(var)
+        except RecursionError:
+            raise ExprError("expression nested too deeply to differentiate") from None
+        return self._asts.setdefault(idx, node)
 
     def fn_for(self, offsets: tuple[tuple[int, ...], ...]):
         """The fused compiled function of the partials at these offsets."""
@@ -799,190 +804,149 @@ def _multi_indices(nvars: int, max_total: int):
 # ---------------------------------------------------------------------------
 
 
+# A token is a number, a name or one other non-blank character, and the
+# blanks between tokens are space, tab, CR and LF.  A number takes any e or
+# E after its digits, so "2exp(t)" is a malformed number, not 2*exp(t).
+_TOKEN = re.compile(r"(?:\d+\.?\d*|\.\d*)(?:[eE][+-]?\d*)?|\w+|[^ \t\r\n]")
+
+
 class _Parser:
     def __init__(self, source: str, n: int):
         self.src = source
         self.n = n
-        self.pos = 0
-        self.line = 1
-        self.col = 1
-        self.depth = 0
+        self.tokens = [(m.start(), m.group()) for m in _TOKEN.finditer(source)]
+        self.tokens.append((len(source), ""))   # end of input
+        self.i = 0
+        self.depth = 1      # the whole input is the first level
 
-    def error(self, message: str, line=None, col=None):
-        raise ParseError(message, self.line if line is None else line, self.col if col is None else col)
-
-    def _advance(self, count: int):
-        for _ in range(count):
-            if self.pos < len(self.src) and self.src[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos] in " \t\r\n":
-            self._advance(1)
+    def error(self, message: str, offset=None):
+        """Raise at a source offset, by default the next token's."""
+        if offset is None:
+            offset = self.tokens[self.i][0]
+        line = self.src.count("\n", 0, offset) + 1
+        column = offset - self.src.rfind("\n", 0, offset)  # rfind is -1 on line 1
+        raise ParseError(message, line, column)
 
     def peek(self) -> str:
-        return self.src[self.pos] if self.pos < len(self.src) else ""
+        return self.tokens[self.i][1]
 
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.peek() != ch:
-            got = repr(self.peek()) if self.peek() else "end of input"
-            self.error(f"expected {ch!r}, found {got}")
-        self._advance(1)
+    def take(self) -> str:
+        self.i += 1
+        return self.tokens[self.i - 1][1]
+
+    def parenthesized(self) -> Node:
+        """The expression in the parentheses that open at the next token."""
+        offset = self.tokens[self.i][0] + 1     # just inside the "("
+        self.i += 1
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"nested more than {MAX_NESTING} levels deep", offset)
+        node = self.parse_expr()
+        if self.peek() != ")":
+            got = repr(self.peek()[0]) if self.peek() else "end of input"
+            self.error(f"expected ')', found {got}")
+        self.i += 1
+        self.depth -= 1
+        return node
 
     def parse(self) -> Node:
         node = self.parse_expr()
-        self.skip_ws()
-        if self.pos != len(self.src):
-            self.error(f"unexpected trailing input {self.src[self.pos:][:10]!r}")
+        if self.peek():
+            offset = self.tokens[self.i][0]
+            self.error(f"unexpected trailing input {self.src[offset:offset + 10]!r}")
         return node
 
     def parse_expr(self) -> Node:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            self.error(f"nested more than {MAX_NESTING} levels deep")
         terms = [self.parse_term()]
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "+":
-                self._advance(1)
+        while self.peek() in ("+", "-"):
+            if self.take() == "+":
                 terms.append(self.parse_term())
-            elif ch == "-":
-                self._advance(1)
-                terms.append(neg(self.parse_term()))
             else:
-                break
-        self.depth -= 1
+                terms.append(neg(self.parse_term()))
         return add(*terms)
 
     def parse_term(self) -> Node:
         node = self.parse_factor()
-        while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "*":
-                self._advance(1)
+        while self.peek() in ("*", "/"):
+            if self.take() == "*":
                 node = mul(node, self.parse_factor())
-            elif ch == "/":
-                self._advance(1)
-                node = div(node, self.parse_factor())
             else:
-                break
+                node = div(node, self.parse_factor())
         return node
 
     def parse_factor(self) -> Node:
         # a run of unary minus signs, counted in a loop: neg is an involution
         negate = False
-        self.skip_ws()
         while self.peek() == "-":
-            self._advance(1)
-            self.skip_ws()
+            self.i += 1
             negate = not negate
         node = self.parse_base()
-        self.skip_ws()
         if self.peek() == "^":
-            self._advance(1)
+            self.i += 1
             node = power(node, self.parse_exponent())
         return neg(node) if negate else node
 
     def parse_exponent(self) -> float:
-        self.skip_ws()
-        line, col = self.line, self.col
+        offset = self.tokens[self.i][0]
         sign = 1.0
         if self.peek() == "-":
             sign = -1.0
-            self._advance(1)
-            self.skip_ws()
+            self.i += 1
         if self.peek() == "(":
-            self._advance(1)
-            inner = self.parse_expr()
-            self.expect(")")
+            inner = self.parenthesized()
             if not isinstance(inner, Const):
-                self.error("exponent must be a constant", line, col)
+                self.error("exponent must be a constant", offset)
             return sign * inner.value
-        if self.peek().isdecimal() or self.peek() == ".":
+        if _is_number(self.peek()):
             return sign * self.parse_number()
-        self.error("exponent must be a number or a parenthesized constant", line, col)
+        self.error("exponent must be a number or a parenthesized constant", offset)
 
     def parse_number(self) -> float:
-        start = self.pos
-        line, col = self.line, self.col
-        seen_digit = False
-        while self.peek().isdecimal():
-            seen_digit = True
-            self._advance(1)
-        if self.peek() == ".":
-            self._advance(1)
-            while self.peek().isdecimal():
-                seen_digit = True
-                self._advance(1)
-        if not seen_digit:
-            self.error("malformed number", line, col)
-        if self.peek() in ("e", "E"):
-            mark = self.pos
-            self._advance(1)
-            if self.peek() in ("+", "-"):
-                self._advance(1)
-            if self.peek().isdecimal():
-                while self.peek().isdecimal():
-                    self._advance(1)
-            else:
-                # not an exponent after all (e.g. "2*exp(t)" tokenized wrong);
-                # numbers and identifiers are space-separated by the grammar,
-                # so treat this as malformed
-                self.error("malformed number exponent", line, col)
-        value = float(self.src[start : self.pos])
+        offset, text = self.tokens[self.i]
+        self.i += 1
+        if text[0] == "." and not text[1:2].isdecimal():
+            self.error("malformed number", offset)
+        if text[-1] in "eE+-":
+            self.error("malformed number exponent", offset)
+        value = float(text)
         if not math.isfinite(value):
-            self.error("number out of range", line, col)
+            self.error("number out of range", offset)
         return value
 
     def parse_base(self) -> Node:
-        self.skip_ws()
-        ch = self.peek()
-        line, col = self.line, self.col
-        if ch == "":
+        offset, text = self.tokens[self.i]
+        if not text:
             self.error("unexpected end of input")
-        if ch == "(":
-            self._advance(1)
-            node = self.parse_expr()
-            self.expect(")")
-            return node
-        if ch.isdecimal() or ch == ".":
+        if text == "(":
+            return self.parenthesized()
+        if _is_number(text):
             return Const(self.parse_number())
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.peek().isalnum() or self.peek() == "_":
-                self._advance(1)
-            name = self.src[start : self.pos]
-            self.skip_ws()
-            if self.peek() == "(":
-                if name not in FUNCTIONS:
-                    self.error(f"unknown function {name!r}", line, col)
-                self._advance(1)
-                arg = self.parse_expr()
-                self.expect(")")
-                return call(name, arg)
-            return self.make_var(name, line, col)
-        self.error(f"unexpected character {ch!r}")
+        if not (text[0].isalpha() or text[0] == "_"):
+            self.error(f"unexpected character {text[0]!r}")
+        self.i += 1
+        if self.peek() == "(":
+            if text not in FUNCTIONS:
+                self.error(f"unknown function {text!r}", offset)
+            return call(text, self.parenthesized())
+        return self.make_var(text, offset)
 
-    def make_var(self, name: str, line: int, col: int) -> Node:
+    def make_var(self, name: str, offset: int) -> Node:
         if name == "t":
             return Var(0)
         if len(name) >= 2 and name[0] in ("x", "y") and name[1:].isdecimal():
             k = int(name[1:])
             if not 1 <= k <= self.n:
                 self.error(
-                    f"coordinate index out of range: {name} with n={self.n}", line, col
+                    f"coordinate index out of range: {name} with n={self.n}", offset
                 )
             return Var(k if name[0] == "x" else self.n + k)
         if name in FUNCTIONS:
-            self.error(f"function {name!r} needs an argument list", line, col)
-        self.error(f"unknown identifier {name!r}", line, col)
+            self.error(f"function {name!r} needs an argument list", offset)
+        self.error(f"unknown identifier {name!r}", offset)
+
+
+def _is_number(token: str) -> bool:
+    return token[:1].isdecimal() or token[:1] == "."
 
 
 # ---------------------------------------------------------------------------

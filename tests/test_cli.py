@@ -8,6 +8,7 @@ would see them.
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +229,14 @@ class TestConfigParsing:
         path = write_cfg(tmp_path, body)
         assert main(["check", "--config", path, "--points", "3"]) == 3
         assert "could not draw 3 regular points" in capsys.readouterr().err
+
+    def test_long_division_chain_exits_two(self, tmp_path, capsys):
+        chain = "/".join(["x1"] * 3000)
+        path = write_cfg(tmp_path, MINIMAL.replace('"y1^2"',
+                                                   f'"y1^2 + {chain}"'))
+        assert main(["check", "--config", path, "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestInspect:
@@ -487,8 +496,10 @@ class TestReport:
 
 class TestEntryPoint:
     def test_module_help_runs(self):
+        # run from src/, which -m puts on the path, so no install is needed
         proc = subprocess.run(
             [sys.executable, "-m", "jetlag.cli", "--help"],
+            cwd=Path(__file__).resolve().parent.parent / "src",
             capture_output=True, text=True)
         assert proc.returncode == 0
         for verb in ("inspect", "check", "curve", "report"):

@@ -226,6 +226,34 @@ class TestHostileInput:
         with pytest.raises(ExprError, match="too deeply to compile"):
             compile_node([node], 1)
 
+    def test_long_division_chain_is_an_expr_error(self):
+        # a/b/c/... nests one level per operand without any parentheses,
+        # so the parser accepts it and differentiation must not overflow
+        f = parse("y1^2 + " + "/".join(["x1"] * 3000), n=1)
+        with pytest.raises(ExprError, match="too deeply to differentiate"):
+            f.differentiate((0, 1, 0)).evaluate(pt(0.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("source,message", [
+        ("", "unexpected end of input (line 1, column 1)"),
+        ("   ", "unexpected end of input (line 1, column 4)"),
+        ("y1 +\n* y1", "unexpected character '*' (line 2, column 1)"),
+        ("y1^2^3", "unexpected trailing input '^3' (line 1, column 5)"),
+        ("y1^(x1)", "exponent must be a constant (line 1, column 4)"),
+        ("sin + 1",
+         "function 'sin' needs an argument list (line 1, column 1)"),
+        ("2exp(t)", "malformed number exponent (line 1, column 1)"),
+        (".", "malformed number (line 1, column 1)"),
+        ("(y1", "expected ')', found end of input (line 1, column 4)"),
+        ("x²", "unknown identifier 'x²' (line 1, column 1)"),
+        ("\ty1 @", "unexpected trailing input '@' (line 1, column 5)"),
+        ("x1 +\n  (y1 *\n   )",
+         "unexpected character ')' (line 3, column 4)"),
+    ])
+    def test_parse_error_text_and_position(self, source, message):
+        with pytest.raises(ParseError) as exc:
+            parse(source, n=1)
+        assert str(exc.value) == message
+
 
 # ---------------------------------------------------------------------------
 # differentiation
