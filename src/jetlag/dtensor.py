@@ -158,7 +158,7 @@ class NonlinearConnectionValue:
         N = np.asarray(self.N, dtype=float)
         if M.ndim != 1 or N.shape != (M.shape[0], M.shape[0]):
             raise ValueError(f"inconsistent shapes M{M.shape}, N{N.shape}")
-        if not (np.all(np.isfinite(M)) and np.all(np.isfinite(N))):
+        if not (np.isfinite(M).all() and np.isfinite(N).all()):
             raise ValueError("connection coefficients must be finite")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "N", N)

@@ -117,7 +117,7 @@ def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
 
     def rhs(t, x, y):
         z = np.concatenate([[t], x, y])
-        if not np.all(np.isfinite(z)):
+        if not np.isfinite(z).all():
             raise NonRegularError(f"non-finite state at t = {t:.6g}",
                                   point=tuple(z))
         try:

@@ -934,11 +934,12 @@ class _Parser:
         if name == "t":
             return Var(0)
         if len(name) >= 2 and name[0] in ("x", "y") and name[1:].isdecimal():
-            k = int(name[1:])
+            # longer than n is out of range; int() refuses over 4300 digits
+            digits = name[1:].lstrip("0") or "0"
+            k = int(digits) if len(digits) <= len(str(self.n)) else 0
             if not 1 <= k <= self.n:
-                self.error(
-                    f"coordinate index out of range: {name} with n={self.n}", offset
-                )
+                self.error(f"coordinate index out of range: {name} "
+                           f"with n={self.n}", offset)
             return Var(k if name[0] == "x" else self.n + k)
         if name in FUNCTIONS:
             self.error(f"function {name!r} needs an argument list", offset)

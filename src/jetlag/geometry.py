@@ -7,19 +7,18 @@ nonlinear connection, the metric linear connection, and the torsion and
 curvature tables of that connection.
 
 Derivative strategy: every L-partial the geometry reads (L_y, L_x, L_ty,
-L_xy, L_yy, L_tyy, L_xyy, L_yyy) is exact and symbolic.  A space evaluates
-the distinct ones once per point into one flat table and gathers each
-block from it through an index array.  The table is evaluated by
-``expr.evaluate_fields`` in two fused calls, the L_yy head (so the
-regularity check runs before any other partial) and the rest, each one
-compiled function that computes every shared subexpression once; h11 and
-its t-derivative are a third.  N is assembled semi-analytically
-(symbolic L-partials plus a numeric matrix inverse), so the advertised
-invariant N = dG/dy can be cross-checked against finite differences of G
-as a genuine test.  Only derivatives OF connection blocks (needed by
-torsion/curvature) fall back to Richardson finite differences, taken
-through one packed gradient per point so the two tables share stencil
-work.
+L_xy, L_yy, L_tyy, L_xyy, L_yyy) is exact and symbolic.  ``geometry_at``
+evaluates the distinct ones into one flat table in two fused
+``expr.evaluate_fields`` calls (the L_yy head first, so the regularity
+check runs before any other partial; h11 and its t-derivative are a
+third), so every domain and regularity error raises there.  It builds the
+spray level, all a harmonic curve reads; the connection level (partials
+of g, N and the Cartan blocks) is built on its first read.  N is
+semi-analytic (symbolic L-partials plus a numeric matrix inverse), so
+N = dG/dy is cross-checked against finite differences of G as a genuine
+test.  Only derivatives OF connection blocks (torsion, curvature) fall
+back to Richardson finite differences, through one packed gradient per
+point so the two tables share stencil work.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class SprayValue:
         G = np.asarray(self.Gspat, dtype=float)
         if H.shape != G.shape or H.ndim != 1:
             raise ValueError(f"inconsistent spray shapes {H.shape}, {G.shape}")
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(G))):
+        if not (np.isfinite(H).all() and np.isfinite(G).all()):
             raise ValueError("spray coefficients must be finite")
         object.__setattr__(self, "Htemp", H)
         object.__setattr__(self, "Gspat", G)
@@ -161,13 +160,51 @@ class CurvatureTable:
 
 
 class _Geo:
-    """Per-point geometry bundle; all entries exact up to matrix inversion."""
+    """Per-point geometry bundle; all entries exact up to matrix inversion.
 
-    __slots__ = (
-        "h11", "h_inv", "H", "g", "g_inv",
-        "Htemp", "Gspat", "M", "N", "cartan", "dg_t", "dg_x", "dg_y", "Lyyy",
-        "Ly", "Lx", "Lty", "Lxy", "Lyy",
-    )
+    ``LagrangeSpace._compute_geo`` sets the spray level; ``_connect`` builds
+    the connection level, the ``_CONNECTION`` slots, from ``_pending`` on
+    the first read of one, through ``__getattr__`` (run on unset slots only).
+    """
+
+    _CONNECTION = ("N", "cartan", "dg_t", "dg_x", "dg_y")
+    __slots__ = ("h11", "h_inv", "H", "g", "g_inv", "Htemp", "Gspat", "M",
+                 "Lyyy", "Ly", "Lx", "Lty", "Lxy", "Lyy", "_pending",
+                 *_CONNECTION)
+
+    def __getattr__(self, name):
+        if name not in _Geo._CONNECTION or self._pending is None:
+            raise AttributeError(f"'_Geo' object has no attribute {name!r}")
+        self._connect()
+        return getattr(self, name)
+
+    def _connect(self) -> None:
+        hdot, y, B, Ltyy, Lxyy = self._pending
+        h11, h_inv, H, g_inv = self.h11, self.h_inv, self.H, self.g_inv
+
+        # exact partials of g
+        dg_t = 0.5 * (hdot * self.Lyy + h11 * Ltyy)
+        dg_x = 0.5 * h11 * Lxyy              # dg_x[k, i, j] = dg_ij/dx^k
+        dg_y = 0.5 * h11 * self.Lyyy         # dg_y[i, j, k] = dg_ij/dy^k
+
+        # N^i_j = dG^i/dy^j, semi-analytic: differentiate the closed form of G
+        dginv_y = -np.einsum("im,mlk,lj->ijk", g_inv, dg_y, g_inv)
+        # dB_k/dy^j: the y^m factor contributes L_{x^j y^k}, the -L_{x^k}
+        # term contributes -L_{x^k y^j}; note the index order flip
+        dB_y = (np.einsum("mkj,m->kj", Lxyy, y) + self.Lxy.T - self.Lxy
+                + Ltyy + self.Lyy * H
+                + 2.0 * h_inv * H * (np.einsum("klj,l->kj", dg_y, y) + self.g))
+        N = 0.25 * h11 * (np.einsum("ikj,k->ij", dginv_y, B) + g_inv @ dB_y)
+
+        # metric linear connection blocks from adapted derivatives of g
+        del_t_g = dg_t - np.einsum("ijm,m->ij", dg_y, self.M)
+        del_x_g = dg_x - np.einsum("ijm,mk->kij", dg_y, N)
+        Gt = 0.5 * g_inv @ del_t_g
+        Lblock = _christoffel(g_inv, del_x_g.transpose((1, 2, 0)))
+        Cblock = _christoffel(g_inv, dg_y)
+        self.cartan = CartanCoefficients(H, Gt, Lblock, Cblock)
+        self.N, self.dg_t, self.dg_x, self.dg_y = N, dg_t, dg_x, dg_y
+        self._pending = None
 
 
 # Adapted first derivatives of one connection block at one point: del_t is
@@ -273,8 +310,7 @@ class LagrangeSpace:
         return _cached(self._geo_cache, z, self._compute_geo)
 
     def _compute_geo(self, z: np.ndarray) -> _Geo:
-        n = self.n
-        y = z[1 + n:]
+        y = z[1 + self.n:]
         try:
             h11, hdot = evaluate_fields((self.h11, self._hdot), z)
         except EvalDomainError:
@@ -290,7 +326,7 @@ class LagrangeSpace:
         vals[:head] = evaluate_fields(self._partials[:head], z)
         Lyy = vals[self._blocks["Lyy"]]
         g = 0.5 * h11 * Lyy
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonRegularError("non-finite metric entries", point=tuple(z))
         g_inv = _regular_inverse(g, z, "vertical Hessian metric is degenerate")
         vals[head:] = evaluate_fields(self._partials[head:], z)
@@ -300,55 +336,18 @@ class LagrangeSpace:
 
         # spray source term: B_k = L_{x^m y^k} y^m - L_{x^k} + L_{t y^k}
         #                        + L_{y^k} H + 2 h^inv H g_{kl} y^l
-        gy = g @ y
-        B = Lxy.T @ y - Lx + Lty + Ly * H + 2.0 * h_inv * H * gy
-        Gspat = 0.25 * h11 * (g_inv @ B)
-        Htemp = -0.5 * H * y
-        M = -H * y
-
-        # exact partials of g
-        dg_t = 0.5 * (hdot * Lyy + h11 * Ltyy)
-        dg_x = 0.5 * h11 * Lxyy              # dg_x[k, i, j] = dg_ij/dx^k
-        dg_y = 0.5 * h11 * Lyyy              # dg_y[i, j, k] = dg_ij/dy^k
-
-        # N^i_j = dG^i/dy^j, semi-analytic: differentiate the closed form of G
-        dginv_y = -np.einsum("im,mlk,lj->ijk", g_inv, dg_y, g_inv)
-        # dB_k/dy^j: the y^m factor contributes L_{x^j y^k}, the -L_{x^k}
-        # term contributes -L_{x^k y^j}; note the index order flip
-        dB_y = (np.einsum("mkj,m->kj", Lxyy, y) + Lxy.T - Lxy + Ltyy
-                + Lyy * H
-                + 2.0 * h_inv * H * (np.einsum("klj,l->kj", dg_y, y) + g))
-        N = 0.25 * h11 * (np.einsum("ikj,k->ij", dginv_y, B) + g_inv @ dB_y)
-
-        # metric linear connection blocks from adapted derivatives of g
-        del_t_g = dg_t - np.einsum("ijm,m->ij", dg_y, M)
-        del_x_g = dg_x - np.einsum("ijm,mk->kij", dg_y, N)
-        Gt = 0.5 * g_inv @ del_t_g
-        Lblock = _christoffel(g_inv, np.transpose(del_x_g, (1, 2, 0)))
-        Cblock = _christoffel(g_inv, dg_y)
+        B = Lxy.T @ y - Lx + Lty + Ly * H + 2.0 * h_inv * H * (g @ y)
 
         geo = _Geo()
-        geo.h11 = h11
-        geo.h_inv = h_inv
-        geo.H = H
-        geo.g = g
-        geo.g_inv = g_inv
-        geo.Htemp = Htemp
-        geo.Gspat = Gspat
-        geo.M = M
-        geo.N = N
-        geo.cartan = CartanCoefficients(H, Gt, Lblock, Cblock)
-        geo.dg_t = dg_t
-        geo.dg_x = dg_x
-        geo.dg_y = dg_y
-        geo.Lyyy = Lyyy
+        geo.h11, geo.h_inv, geo.H, geo.g, geo.g_inv = h11, h_inv, H, g, g_inv
+        geo.Htemp = -0.5 * H * y
+        geo.Gspat = 0.25 * h11 * (g_inv @ B)
+        geo.M = -H * y
         # raw Lagrangian partials, kept for the Euler-Lagrange assembly
         # (an algebraic route independent of the g-contracted spray)
-        geo.Ly = Ly
-        geo.Lx = Lx
-        geo.Lty = Lty
-        geo.Lxy = Lxy
-        geo.Lyy = Lyy
+        geo.Ly, geo.Lx, geo.Lty, geo.Lxy, geo.Lyy, geo.Lyyy = (
+            Ly, Lx, Lty, Lxy, Lyy, Lyyy)
+        geo._pending = (hdot, y.copy(), B, Ltyy, Lxyy)   # y views the point
         return geo
 
     # -- derivative bundles for torsion/curvature ----------------------------
@@ -409,7 +408,7 @@ def _regular_inverse(g: np.ndarray, z: np.ndarray, what: str):
     DET_THRESHOLD relative to the block's scale."""
     n = len(g)
     det = float(np.linalg.det(g))
-    scale = max(1.0, float(np.max(np.abs(g))))
+    scale = max(1.0, float(np.abs(g).max()))
     if abs(det) < DET_THRESHOLD * scale**n:
         raise NonRegularError(f"{what} (det = {det:.3e})",
                               point=tuple(z), det=det)
@@ -419,7 +418,7 @@ def _regular_inverse(g: np.ndarray, z: np.ndarray, what: str):
 def _christoffel(g_inv: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Christoffel symbols 1/2 g^im (A_jmk + A_kmj - A_jkm) of the metric
     derivatives A[j, m, k] = d g_jm / d u^k."""
-    sym = A + np.transpose(A, (2, 1, 0)) - np.transpose(A, (0, 2, 1))
+    sym = A + A.transpose((2, 1, 0)) - A.transpose((0, 2, 1))
     return 0.5 * np.einsum("im,jmk->ijk", g_inv, sym)
 
 

@@ -210,17 +210,20 @@ class TestConfigParsing:
          "lagrangian: constant out of range"),
         (lambda s: s.replace('"y1^2"', '"y1^2 + x1^(1e200*1e200)"'),
          "lagrangian: constant out of range"),
+        (lambda s: s.replace('"y1^2"', '"y1^2 + x' + "1" * 5000 + '"'),
+         "lagrangian: coordinate index out of range"),
     ], ids=["seed-fraction", "seed-nan", "seed-negative", "kappa-zero",
             "kappa-inf", "range-inf", "range-nan-low", "range-nan-high",
             "tol-nan", "tol-negative", "tol-zero", "dsl-inf-literal",
             "dsl-inf-exponent", "dsl-deep-nesting", "dsl-folded-inf",
-            "dsl-folded-inf-exponent"])
+            "dsl-folded-inf-exponent", "dsl-huge-index"])
     def test_hostile_numbers_exit_two_naming_the_key(self, tmp_path, capsys,
                                                       mutation, needle):
         path = write_cfg(tmp_path, mutation(MINIMAL))
         assert main(["check", "--config", path, "--points", "3"]) == 2
         err = capsys.readouterr().err
         assert f"{path}: {needle}" in err
+        assert "Traceback" not in err
 
     def test_all_pole_box_exits_three(self, tmp_path, capsys):
         # every draw is on the pole of 1/x1, so no regular point exists

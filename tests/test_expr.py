@@ -89,6 +89,14 @@ class TestParseEvaluate:
             parse("y3", n=2)
         assert "out of range" in str(err.value)
 
+    def test_huge_index_is_out_of_range_at_its_position(self):
+        # int() of over 4300 digits raises a bare ValueError
+        with pytest.raises(ParseError,
+                           match="coordinate index out of range") as err:
+            parse("y1 + x" + "1" * 5000, n=2)
+        assert (err.value.line, err.value.column) == (1, 6)
+        assert parse("x" + "0" * 5000 + "2", n=2).variables() == {2}
+
     def test_unknown_identifier(self):
         with pytest.raises(ParseError) as err:
             parse("x1 + foo", n=1)

@@ -28,8 +28,10 @@ from jetlag.dtensor import (
     transform_temporal_spray,
     transform_tensor,
 )
+from jetlag import expr, geometry
 from jetlag.checks import random_affine_chart, sample_points
 from jetlag.cli import load_config
+from jetlag.dynamics import el_acceleration, el_residual, integrate_harmonic
 from jetlag.expr import (
     Const,
     Div,
@@ -882,6 +884,89 @@ class TestPartialTable:
                  for fn in moved.L._table._fns.values()]
         assert len(sizes) == 2                  # the Lyy head and the rest
         assert max(sizes) < 200
+
+
+# ---------------------------------------------------------------------------
+# the connection level of a point, built on its first read
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, fn, *modules):
+    """Replace fn in each module by a wrapper; the list grows once per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+class TestConnectionLevel:
+    def test_spray_readers_build_no_connection(self, monkeypatch):
+        sp = load_config("sphere_l1").space
+        christoffel = _count_calls(monkeypatch, geometry._christoffel,
+                                   geometry)
+        curve = integrate_harmonic(sp, [np.pi / 2, 0.0], [0.0, 1.0],
+                                   0.0, 0.2, 0.01)
+        assert len(curve) == 21
+        z = np.array([0.3, 1.2, 0.4, 0.5, -0.7])
+        canonical_spray(sp, z)
+        fundamental_metric(sp, z + 0.01)
+        el_acceleration(sp, z + 0.02)
+        el_residual(sp, curve)
+        assert christoffel == []
+
+    @pytest.mark.parametrize("attr", ["N", "cartan", "dg_y"])
+    def test_first_read_builds_the_level_once(self, monkeypatch, attr):
+        sp = load_config("electrodynamics_l2").space
+        geo = sp.geometry_at([0.3, 0.2, -0.4, 0.7, 0.5])
+        evals = _count_calls(monkeypatch, expr.evaluate_fields, expr,
+                             geometry)
+        christoffel = _count_calls(monkeypatch, geometry._christoffel,
+                                   geometry)
+        first = getattr(geo, attr)
+        assert (len(evals), len(christoffel)) == (0, 2)
+        for name in geometry._Geo._CONNECTION:
+            getattr(geo, name)
+        assert getattr(geo, attr) is first
+        assert (len(evals), len(christoffel)) == (0, 2)
+
+    @pytest.mark.parametrize("name", ["sphere_l1", "electrodynamics_l2",
+                                      "nonautonomous_l3"])
+    def test_read_order_leaves_every_block_bitwise_equal(self, name):
+        cfg = load_config(name)
+        chart = random_affine_chart(cfg.space, seed=3)
+        moved = transformed_space(cfg.space, chart)
+        points = sample_points(cfg.space, cfg.ranges, 3, seed=5)
+        for sp, zs in ((cfg.space, points),
+                       (moved, [transform_point(chart, z) for z in points])):
+            for z in zs:
+                z = expr._point_array(z, sp.n)
+                seen = set()
+                for first in ("N", "cartan", "dg_t"):
+                    geo = sp._compute_geo(z)      # a fresh, uncached bundle
+                    getattr(geo, first)
+                    c = geo.cartan
+                    seen.add(tuple(a.tobytes() for a in (
+                        geo.N, c.Gt, c.L, c.C, geo.dg_t, geo.dg_x,
+                        geo.dg_y)))
+                assert len(seen) == 1
+
+    def test_reusing_the_point_array_leaves_the_level(self):
+        z = SPHERE_Z.copy()
+        geo = sphere_space().geometry_at(z)
+        z[1 + N:] = [2.0, -3.0]         # the caller moves to its next point
+        assert np.array_equal(geo.N, sphere_space()._compute_geo(SPHERE_Z).N)
+
+    def test_unknown_attribute_raises(self):
+        geo = sphere_space().geometry_at(SPHERE_Z)
+        for _ in range(2):              # before and after the level is built
+            with pytest.raises(AttributeError, match="nope"):
+                geo.nope
+            assert not hasattr(geo, "nope")
+            geo.N
 
 
 # ---------------------------------------------------------------------------
