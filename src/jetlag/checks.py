@@ -47,7 +47,6 @@ __all__ = [
     "run_checks",
     "worst_offender",
     "random_affine_chart",
-    "metric_time_invariant",
     "conservation_applicable",
 ]
 
@@ -174,12 +173,6 @@ def random_affine_chart(sp: LagrangeSpace, seed: int):
         raise ValueError("could not draw a well-conditioned affine map")
     c = rng.uniform(-1, 1, n)
     return ChartMap(parse("exp(t)", n), A, c, t_inverse=parse("log(t)", n))
-
-
-def metric_time_invariant(sp: LagrangeSpace, points) -> bool:
-    """True when dg/dt stays at round-off level over the sample."""
-    return _worst(sp.geometry_at(z).dg_t for z in points) \
-        < TIME_INDEPENDENT_CUTOFF
 
 
 def conservation_applicable(sp: LagrangeSpace, points) -> tuple:

@@ -1,12 +1,21 @@
-"""Distinguished tensors on the 1-jet bundle.
+"""Distinguished tensors on the 1-jet bundle J1(R, M).
 
-A d-tensor value is a dense array whose axes are typed by slot kinds:
-temporal slots have extent 1, spatial and vertical slots extent n, each in
-covariant or contravariant flavor.  The module provides the adapted-basis
-derivatives, the three covariant derivatives of an h-normal linear
-connection, contraction and metric raising/lowering, and the chart
-transformation rules (including the inhomogeneous spray/connection laws).
+A d-tensor value is a dense array with one axis per index, and every
+index has a slot kind: a family (temporal, spatial or vertical) and a
+variance (up or down).  The kind alone decides what the index does, and
+each rule below is written once, as one block per family:
 
+- extent: 1 for a temporal slot, n for the others;
+- lowering and raising: by h11, g_ij or g_ij / h11 (inverses to raise);
+- a chart change: tau' for a temporal slot, A for a spatial one and
+  A / tau' for a vertical one, with A^-T and the inverse power of tau'
+  on a down slot;
+- the correction in a covariant derivative: the connection block of the
+  slot's family for that derivative kind, added on an up slot and
+  subtracted on a down one.
+
+The module also provides the adapted-basis derivatives, contraction and
+the inhomogeneous chart laws of the sprays and the nonlinear connection.
 Everything here is pointwise and connection-agnostic: geometric content
 (which connection, which metric) is supplied by the caller.
 """
@@ -51,6 +60,8 @@ class ChartError(Exception):
 
 
 class SlotKind(enum.Enum):
+    """Kind of one index; the wire name is its family, then its variance."""
+
     TIME_UP = "TimeUp"
     TIME_DOWN = "TimeDown"
     SPACE_UP = "SpaceUp"
@@ -58,32 +69,17 @@ class SlotKind(enum.Enum):
     VERT_UP = "VertUp"
     VERT_DOWN = "VertDown"
 
-    @property
-    def is_up(self) -> bool:
-        return self in (SlotKind.TIME_UP, SlotKind.SPACE_UP, SlotKind.VERT_UP)
-
-    @property
-    def family(self) -> str:
-        if self in (SlotKind.TIME_UP, SlotKind.TIME_DOWN):
-            return "time"
-        if self in (SlotKind.SPACE_UP, SlotKind.SPACE_DOWN):
-            return "space"
-        return "vert"
+    def __init__(self, wire: str):
+        self.is_up = wire.endswith("Up")
+        self.family = wire.removesuffix("Up" if self.is_up else "Down").lower()
 
     def extent(self, n: int) -> int:
         return 1 if self.family == "time" else n
 
     @property
     def flipped(self) -> "SlotKind":
-        table = {
-            SlotKind.TIME_UP: SlotKind.TIME_DOWN,
-            SlotKind.TIME_DOWN: SlotKind.TIME_UP,
-            SlotKind.SPACE_UP: SlotKind.SPACE_DOWN,
-            SlotKind.SPACE_DOWN: SlotKind.SPACE_UP,
-            SlotKind.VERT_UP: SlotKind.VERT_DOWN,
-            SlotKind.VERT_DOWN: SlotKind.VERT_UP,
-        }
-        return table[self]
+        return SlotKind(self.family.capitalize()
+                        + ("Down" if self.is_up else "Up"))
 
 
 def _shape_for(signature, n: int) -> tuple[int, ...]:
@@ -108,23 +104,6 @@ class DTensorValue:
         if not np.all(np.isfinite(arr)):
             raise ValueError("d-tensor components must be finite")
         object.__setattr__(self, "components", arr)
-
-    @property
-    def rank(self) -> int:
-        return len(self.signature)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "signature": [kind.value for kind in self.signature],
-            "shape": list(self.components.shape),
-            "components": [float(v) for v in self.components.reshape(-1)],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict, n: int) -> "DTensorValue":
-        sig = tuple(SlotKind(name) for name in data["signature"])
-        arr = np.array(data["components"], dtype=float).reshape(data["shape"])
-        return cls(sig, arr, n)
 
 
 class DTensorField:
@@ -262,7 +241,7 @@ def _adapted_partials(field: DTensorField, z, nlv, kind: str,
     return delta_x(grads[:len(x_axes)], grads[len(x_axes):], N)
 
 
-_DIRECTION_KINDS = {"T": "time", "M": "space", "V": "vert"}
+_DIRECTION_KINDS = {"M": "space", "V": "vert"}
 
 
 def adapted_derivative(field: DTensorField, point, nl,
@@ -270,13 +249,16 @@ def adapted_derivative(field: DTensorField, point, nl,
     """Componentwise adapted-basis derivative of a d-tensor field.
 
     Directions: 'T' for d/dt - M^j d/dy^j, ('M', i) for d/dx^i - N^j_i d/dy^j,
-    ('V', i) for the plain d/dy^i.  No connection corrections are applied;
-    the result keeps the field's signature.
+    ('V', i) for the plain d/dy^i, with an integer i in [0, n).  No
+    connection corrections are applied; the result keeps the field's
+    signature.
     """
     if direction in ("T", ("T",)):
         kind, i = "time", None
     elif isinstance(direction, tuple) and len(direction) == 2 \
-            and direction[0] in ("M", "V"):
+            and direction[0] in _DIRECTION_KINDS \
+            and isinstance(direction[1], (int, np.integer)) \
+            and 0 <= direction[1] < field.n:
         kind, i = _DIRECTION_KINDS[direction[0]], int(direction[1])
     else:
         raise ValueError(f"direction must be 'T', ('M', i) or ('V', i); "
@@ -289,8 +271,10 @@ def adapted_derivative(field: DTensorField, point, nl,
 _EINSUM_LETTERS = "abcdefghij"
 
 
-def _slot_corrections(arr: np.ndarray, signature, blocks: dict, n: int) -> np.ndarray:
-    """Sum of per-slot connection corrections; new derivative axis is last."""
+def _slot_corrections(arr: np.ndarray, signature, blocks: dict):
+    """Sum of the per-slot connection corrections, new derivative axis
+    last: each slot takes its family's block, added on an up slot and
+    subtracted on a down one.  A scalar takes none: 0.0."""
     rank = len(signature)
     if rank >= len(_EINSUM_LETTERS):
         raise ValueError("tensor rank too large")
@@ -298,8 +282,6 @@ def _slot_corrections(arr: np.ndarray, signature, blocks: dict, n: int) -> np.nd
     total = None
     for ax, slot in enumerate(signature):
         K = blocks[slot.family]
-        if K is None:
-            continue
         in_sub = base[:ax] + "z" + base[ax + 1 :]
         out_sub = base + "p"
         if slot.is_up:
@@ -307,10 +289,7 @@ def _slot_corrections(arr: np.ndarray, signature, blocks: dict, n: int) -> np.nd
         else:
             term = -np.einsum(f"{in_sub},z{base[ax]}p->{out_sub}", arr, K)
         total = term if total is None else total + term
-    if total is None:
-        extent = blocks["__extent__"]
-        total = np.zeros(arr.shape + (extent,))
-    return total
+    return 0.0 if total is None else total
 
 
 def covariant_derivative(field: DTensorField, point, cartan, nl,
@@ -336,19 +315,17 @@ def covariant_derivative(field: DTensorField, point, cartan, nl,
             "time": np.full((1, 1, 1), cart.H),
             "space": cart.Gt[:, :, np.newaxis],
             "vert": cart.vert_time()[:, :, np.newaxis],
-            "__extent__": 1,
         }
         new_slot = SlotKind.TIME_DOWN
     elif kind in ("space", "vert"):
         K = cart.L if kind == "space" else cart.C
-        blocks = {"time": np.zeros((1, 1, n)), "space": K, "vert": K,
-                  "__extent__": n}
+        blocks = {"time": np.zeros((1, 1, n)), "space": K, "vert": K}
         new_slot = SlotKind.SPACE_DOWN if kind == "space" else SlotKind.VERT_DOWN
     else:
         raise ValueError(f"kind must be 'time', 'space' or 'vert'; got {kind!r}")
 
     base = np.moveaxis(_adapted_partials(field, z, nlv, kind), 0, -1)
-    out = base + _slot_corrections(arr, field.signature, blocks, n)
+    out = base + _slot_corrections(arr, field.signature, blocks)
     return DTensorValue(field.signature + (new_slot,), out, n)
 
 
@@ -377,55 +354,56 @@ def _apply_matrix(arr: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.tensordot(mat, moved, axes=(1, 0)), 0, axis)
 
 
+_FAMILY_NOUNS = {"time": "temporal", "space": "spatial", "vert": "vertical"}
+
+
+def _move_slot(value: DTensorValue, axis: int, lowering: bool, metric: str,
+               blocks: dict) -> DTensorValue:
+    """Flip the variance of one slot with its family's block, None where
+    the caller left out a metric it needs: a temporal slot is multiplied
+    by its block to lower and divided by it to raise, the others take
+    their block as a matrix."""
+    slot = value.signature[axis]
+    if slot.is_up != lowering:
+        raise ValueError(f"slot {axis} is already "
+                         f"{'covariant' if lowering else 'contravariant'}")
+    block = blocks[slot.family]
+    if block is None:
+        needs = {"time": "h11", "space": metric,
+                 "vert": f"{metric} and h11"}[slot.family]
+        raise ValueError(f"{'lowering' if lowering else 'raising'} a "
+                         f"{_FAMILY_NOUNS[slot.family]} slot needs {needs}")
+    arr = value.components
+    if slot.family != "time":
+        arr = _apply_matrix(arr, axis, block)
+    elif lowering:
+        arr = arr * block
+    else:
+        arr = arr / block
+    sig = list(value.signature)
+    sig[axis] = slot.flipped
+    return DTensorValue(tuple(sig), arr, value.n)
+
+
 def lower_slot(value: DTensorValue, axis: int, g: np.ndarray | None = None,
                h11: float | None = None) -> DTensorValue:
     """Lower one contravariant slot with the appropriate metric block.
 
     Temporal slots use h11, spatial slots g_ij, vertical slots h^11 g_ij.
     """
-    slot = value.signature[axis]
-    if not slot.is_up:
-        raise ValueError(f"slot {axis} is already covariant")
-    arr = value.components
-    if slot.family == "time":
-        if h11 is None:
-            raise ValueError("lowering a temporal slot needs h11")
-        arr = arr * h11
-    elif slot.family == "space":
-        if g is None:
-            raise ValueError("lowering a spatial slot needs g")
-        arr = _apply_matrix(arr, axis, np.asarray(g, dtype=float))
-    else:
-        if g is None or h11 is None:
-            raise ValueError("lowering a vertical slot needs g and h11")
-        arr = _apply_matrix(arr, axis, np.asarray(g, dtype=float) / h11)
-    sig = list(value.signature)
-    sig[axis] = slot.flipped
-    return DTensorValue(tuple(sig), arr, value.n)
+    g = None if g is None else np.asarray(g, dtype=float)
+    return _move_slot(value, axis, True, "g", {
+        "time": h11, "space": g,
+        "vert": None if g is None or h11 is None else g / h11})
 
 
 def raise_slot(value: DTensorValue, axis: int, g_inv: np.ndarray | None = None,
                h11: float | None = None) -> DTensorValue:
     """Raise one covariant slot; inverse blocks of :func:`lower_slot`."""
-    slot = value.signature[axis]
-    if slot.is_up:
-        raise ValueError(f"slot {axis} is already contravariant")
-    arr = value.components
-    if slot.family == "time":
-        if h11 is None:
-            raise ValueError("raising a temporal slot needs h11")
-        arr = arr / h11
-    elif slot.family == "space":
-        if g_inv is None:
-            raise ValueError("raising a spatial slot needs g_inv")
-        arr = _apply_matrix(arr, axis, np.asarray(g_inv, dtype=float))
-    else:
-        if g_inv is None or h11 is None:
-            raise ValueError("raising a vertical slot needs g_inv and h11")
-        arr = _apply_matrix(arr, axis, np.asarray(g_inv, dtype=float) * h11)
-    sig = list(value.signature)
-    sig[axis] = slot.flipped
-    return DTensorValue(tuple(sig), arr, value.n)
+    g_inv = None if g_inv is None else np.asarray(g_inv, dtype=float)
+    return _move_slot(value, axis, False, "g_inv", {
+        "time": h11, "space": g_inv,
+        "vert": None if g_inv is None or h11 is None else g_inv * h11})
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +484,16 @@ def transform_point(chart: ChartMap, point) -> JetPoint:
     return JetPoint(chart.t_new(t), tuple(x_new), tuple(y_new))
 
 
-def transform_temporal_spray(H: np.ndarray, chart: ChartMap, point) -> np.ndarray:
-    """Inhomogeneous law for the temporal spray coefficients H^k."""
+def _inhomogeneous_terms(chart: ChartMap, point) -> tuple:
+    """(tau', tau'', A y) at the point, for the inhomogeneous laws."""
     z = _point_array(point, chart.n)
     t = float(z[0])
-    tp = chart.tprime(t)
-    ts = chart.tsecond(t)
-    Ay = chart.A @ z[chart.n + 1:]
+    return chart.tprime(t), chart.tsecond(t), chart.A @ z[chart.n + 1:]
+
+
+def transform_temporal_spray(H: np.ndarray, chart: ChartMap, point) -> np.ndarray:
+    """Inhomogeneous law for the temporal spray coefficients H^k."""
+    tp, ts, Ay = _inhomogeneous_terms(chart, point)
     return (chart.A @ np.asarray(H)) / tp**2 + Ay * ts / (2.0 * tp**3)
 
 
@@ -526,11 +507,7 @@ def transform_spatial_spray(G: np.ndarray, chart: ChartMap, point) -> np.ndarray
 def transform_nonlinear(nl: NonlinearConnectionValue, chart: ChartMap, point
                         ) -> NonlinearConnectionValue:
     """Laws for nonlinear connection coefficients (M^j, N^j_k)."""
-    z = _point_array(point, chart.n)
-    t = float(z[0])
-    tp = chart.tprime(t)
-    ts = chart.tsecond(t)
-    Ay = chart.A @ z[chart.n + 1:]
+    tp, ts, Ay = _inhomogeneous_terms(chart, point)
     M_new = (chart.A @ nl.M) / tp**2 + Ay * ts / tp**3
     N_new = (chart.A @ nl.N @ chart.A_inv) / tp
     return NonlinearConnectionValue(M_new, N_new)
@@ -539,20 +516,17 @@ def transform_nonlinear(nl: NonlinearConnectionValue, chart: ChartMap, point
 def transform_tensor(value: DTensorValue, chart: ChartMap, point) -> DTensorValue:
     """Pure slot-by-slot tensorial transformation of a d-tensor value."""
     tp = chart.tprime(float(_point_array(point, chart.n)[0]))
+    # family -> (up, down) slot rule: (matrix or None, power of tp)
+    rules = {"time": ((None, 1), (None, -1)),
+             "space": ((chart.A, 0), (chart.A_inv.T, 0)),
+             "vert": ((chart.A, -1), (chart.A_inv.T, 1))}
     arr = value.components.copy()
     for ax, slot in enumerate(value.signature):
-        if slot is SlotKind.TIME_UP:
-            arr = arr * tp
-        elif slot is SlotKind.TIME_DOWN:
-            arr = arr / tp
-        elif slot is SlotKind.SPACE_UP:
-            arr = _apply_matrix(arr, ax, chart.A)
-        elif slot is SlotKind.SPACE_DOWN:
-            arr = _apply_matrix(arr, ax, chart.A_inv.T)
-        elif slot is SlotKind.VERT_UP:
-            arr = _apply_matrix(arr, ax, chart.A) / tp
-        else:  # VERT_DOWN
-            arr = _apply_matrix(arr, ax, chart.A_inv.T) * tp
+        mat, power = rules[slot.family][0 if slot.is_up else 1]
+        if mat is not None:
+            arr = _apply_matrix(arr, ax, mat)
+        if power:
+            arr = arr * tp if power > 0 else arr / tp
     return DTensorValue(value.signature, arr, value.n)
 
 

@@ -14,7 +14,6 @@ from jetlag.checks import (
     CheckResult,
     conservation_applicable,
     default_tolerances,
-    metric_time_invariant,
     random_affine_chart,
     run_checks,
     sample_points,
@@ -123,14 +122,12 @@ class TestConservationGate:
     def test_autonomous_metric_gates(self):
         sp = space("electrodynamics_l2")
         pts = sample_points(sp, ranges("electrodynamics_l2"), 6, seed=1)
-        assert metric_time_invariant(sp, pts)
         gate, note = conservation_applicable(sp, pts)
         assert gate and note == ""
 
     def test_time_dependence_reports_only(self):
         sp = space("nonautonomous_l3")
         pts = sample_points(sp, ranges("nonautonomous_l3"), 6, seed=1)
-        assert not metric_time_invariant(sp, pts)
         gate, note = conservation_applicable(sp, pts)
         assert not gate and "depends on t" in note
         row = [r for r in run_checks(sp, pts) if r.name == "conservation"][0]
@@ -269,5 +266,4 @@ class TestNaNResiduals:
         pts = sample_points(sp, ranges("flat"), 3, seed=0)
         geo = sp.geometry_at(pts[0])
         monkeypatch.setattr(geo, "dg_t", np.full_like(geo.dg_t, np.nan))
-        assert not metric_time_invariant(sp, pts)
         assert conservation_applicable(sp, pts)[0] is False

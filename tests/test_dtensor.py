@@ -91,17 +91,6 @@ class TestDTensorValue:
         with pytest.raises(ValueError):
             DTensorValue((SlotKind.SPACE_UP,), np.array([1.0, np.nan]), n=2)
 
-    def test_json_round_trip(self):
-        sig = (SlotKind.SPACE_UP, SlotKind.TIME_DOWN, SlotKind.VERT_DOWN)
-        arr = RNG.uniform(-3, 3, size=(N, 1, N))
-        v = DTensorValue(sig, arr, N)
-        d = v.to_json_dict()
-        assert d["signature"] == ["SpaceUp", "TimeDown", "VertDown"]
-        assert d["shape"] == [N, 1, N]
-        back = DTensorValue.from_json_dict(d, N)
-        assert back.signature == sig
-        assert np.array_equal(back.components, arr)
-
 
 class TestContract:
     def test_matrix_trace(self):
@@ -218,8 +207,12 @@ class TestAdaptedDerivative:
         assert out.components == pytest.approx(2 * p.y[0], abs=1e-9)
 
     def test_bad_direction(self):
-        with pytest.raises(ValueError):
-            adapted_derivative(scalar_field("t"), rand_point(), zero_nl(), ("Q", 0))
+        # an index must be an integer in [0, n): a negative one would wrap
+        # to d/dy^n and a fractional one would be truncated
+        field = scalar_field("x2*7 + y1^2")
+        for direction in [("Q", 0), ("V", -1), ("V", 1.7), ("M", N), ("V", N)]:
+            with pytest.raises(ValueError, match="direction must be"):
+                adapted_derivative(field, rand_point(), zero_nl(), direction)
 
 
 def vector_field_poly():
@@ -361,13 +354,19 @@ class TestCovariantDerivative:
             np.testing.assert_allclose(lhs, rhs, atol=1e-7)
 
     def test_scalar_space_matches_adapted(self):
+        # a scalar takes no connection correction in any kind
         field = scalar_field("t * sin(x1) * y2")
         cart, nl = rand_cartan(), rand_nl()
         p = rand_point()
-        cov = covariant_derivative(field, p, cart, nl, "space")
-        for q in range(N):
-            ad = adapted_derivative(field, p, nl, ("M", q))
-            assert cov.components[q] == pytest.approx(float(ad.components), abs=1e-10)
+        cov = covariant_derivative(field, p, cart, nl, "time")
+        assert cov.signature == (SlotKind.TIME_DOWN,)
+        ad = adapted_derivative(field, p, nl, "T")
+        assert cov.components[0] == pytest.approx(float(ad.components), abs=1e-10)
+        for kind, letter in (("space", "M"), ("vert", "V")):
+            cov = covariant_derivative(field, p, cart, nl, kind)
+            for q in range(N):
+                ad = adapted_derivative(field, p, nl, (letter, q))
+                assert cov.components[q] == pytest.approx(float(ad.components), abs=1e-10)
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
