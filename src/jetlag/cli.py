@@ -306,7 +306,7 @@ def load_config(target: str) -> ProblemConfig:
 
     tolerances = {}
     if "tolerances" in sections:
-        valid = set(default_tolerances(space.family))
+        valid = set(default_tolerances())
         for key, value in sections["tolerances"].items():
             if key not in valid:
                 raise ConfigError(f"{origin}: unknown tolerance {key!r} "

@@ -46,7 +46,6 @@ __all__ = [
     "contract",
     "raise_slot",
     "lower_slot",
-    "gauge_transform",
     "transform_point",
     "transform_temporal_spray",
     "transform_spatial_spray",
@@ -528,25 +527,3 @@ def transform_tensor(value: DTensorValue, chart: ChartMap, point) -> DTensorValu
         if power:
             arr = arr * tp if power > 0 else arr / tp
     return DTensorValue(value.signature, arr, value.n)
-
-
-def gauge_transform(obj, chart: ChartMap, point=None):
-    """Transform a geometric object into the chart's coordinates.
-
-    Accepts a JetPoint (no base point needed), a NonlinearConnectionValue,
-    a DTensorValue, or any spray-like object exposing Htemp/Gspat arrays.
-    """
-    if isinstance(obj, JetPoint):
-        return transform_point(chart, obj)
-    if point is None:
-        raise ValueError("transforming values requires the base point")
-    if isinstance(obj, NonlinearConnectionValue):
-        return transform_nonlinear(obj, chart, point)
-    if isinstance(obj, DTensorValue):
-        return transform_tensor(obj, chart, point)
-    if hasattr(obj, "Htemp") and hasattr(obj, "Gspat"):
-        return type(obj)(
-            Htemp=transform_temporal_spray(obj.Htemp, chart, point),
-            Gspat=transform_spatial_spray(obj.Gspat, chart, point),
-        )
-    raise TypeError(f"cannot gauge-transform {type(obj).__name__}")

@@ -224,22 +224,22 @@ def _unit_index(n: int, *axes) -> tuple:
 class LagrangeSpace:
     """A Lagrangian L(t, x, y) with temporal metric h11(t) and dimension n.
 
-    Optionally carries a declared family tag with the component fields the
-    family was assembled from:
+    A space built by ``from_family`` also carries the family tag and the
+    component fields L was assembled from:
 
     * ``quadratic``        L = (1/h11) g_ij(x) y^i y^j
     * ``electrodynamics``  L = (1/h11) g_ij(x) y^i y^j + U_i(t,x) y^i + F(t,x)
     * ``nonautonomous``    same with g_ij(t,x)
 
-    The tag is advisory: every computation runs off L itself.  Family data
-    feeds the specialized cross-check formulas in the test suite.
+    The tag is advisory: every computation and every check runs off L
+    itself, and the tag only labels output.  The component fields feed the
+    closed-form cross-checks in the test suite.
     """
 
-    FAMILIES = ("general", "quadratic", "electrodynamics", "nonautonomous")
+    family = "general"
+    g_fields = U_fields = F_field = None
 
-    def __init__(self, n: int, L: ScalarField, h11: ScalarField,
-                 family: str = "general", g_fields=None, U_fields=None,
-                 F_field=None):
+    def __init__(self, n: int, L: ScalarField, h11: ScalarField):
         if n < 1:
             raise ValueError("n must be >= 1")
         if L.n != n or h11.n != n:
@@ -247,17 +247,9 @@ class LagrangeSpace:
         extra = h11.variables() - {0}
         if extra:
             raise ValueError("h11 must depend only on t")
-        if family not in self.FAMILIES:
-            raise ValueError(f"unknown family {family!r}")
-        if family != "general" and g_fields is None:
-            raise ValueError(f"family {family!r} requires g_fields")
         self.n = n
         self.L = L
         self.h11 = h11
-        self.family = family
-        self.g_fields = g_fields
-        self.U_fields = U_fields
-        self.F_field = F_field
 
         # the distinct L-partials _compute_geo reads, in evaluation order
         # (Lyy first: the regularity check runs before any other partial),
@@ -299,9 +291,10 @@ class LagrangeSpace:
                 terms.append(mul(U_fields[i].ast, Var(1 + n + i)))
         if F_field is not None:
             terms.append(F_field.ast)
-        L = ScalarField(add(*terms), n)
-        return cls(n, L, h11, family=family, g_fields=g_fields,
-                   U_fields=U_fields, F_field=F_field)
+        sp = cls(n, ScalarField(add(*terms), n), h11)
+        sp.family, sp.g_fields = family, g_fields
+        sp.U_fields, sp.F_field = U_fields, F_field
+        return sp
 
     # -- cached evaluation ---------------------------------------------------
 

@@ -12,7 +12,7 @@ import pytest
 from jetlag import checks
 from jetlag.checks import (
     CheckResult,
-    conservation_applicable,
+    _metric_dependence,
     default_tolerances,
     random_affine_chart,
     run_checks,
@@ -32,6 +32,9 @@ def space(name):
 
 def ranges(name):
     return load_config(name).ranges
+
+
+FAMILIES = ("quadratic", "electrodynamics", "nonautonomous")
 
 
 def quartic_space():
@@ -118,27 +121,50 @@ class TestBudgets:
         assert all(r.points == 3 for r in run_checks(sp, pts))
 
 
+# electrodynamics_l2 written out as one Lagrangian: no family tag, same L
+ELECTRODYNAMICS_AS_LAGRANGIAN = """\
+[problem]
+n = 2
+h11 = "1 + 0.5*t^2"
+lagrangian = "(y1^2 + sin(x1)^2*y2^2)/(1 + 0.5*t^2) + cos(x1)*y2 + 0.2*t*x2"
+
+[ranges]
+t = 0.0 1.0
+x1 = 0.3 2.8
+x2 = -3.0 3.0
+y1 = -1.5 1.5
+y2 = -1.5 1.5
+"""
+
+
+def rows_by_name(sp, pts, **kwargs):
+    return {r.name: r for r in run_checks(sp, pts, **kwargs)}
+
+
 class TestConservationGate:
     def test_autonomous_metric_gates(self):
         sp = space("electrodynamics_l2")
         pts = sample_points(sp, ranges("electrodynamics_l2"), 6, seed=1)
-        gate, note = conservation_applicable(sp, pts)
-        assert gate and note == ""
+        assert _metric_dependence(sp, pts) == ()
 
     def test_time_dependence_reports_only(self):
         sp = space("nonautonomous_l3")
         pts = sample_points(sp, ranges("nonautonomous_l3"), 6, seed=1)
-        gate, note = conservation_applicable(sp, pts)
-        assert not gate and "depends on t" in note
-        row = [r for r in run_checks(sp, pts) if r.name == "conservation"][0]
-        assert row.passed and "reported only" in row.note
+        assert _metric_dependence(sp, pts) == ("t",)
+        rows = rows_by_name(sp, pts)
+        row = rows["conservation"]
+        assert row.passed and row.note == "metric depends on t; reported only"
         assert row.worst > 1e-4   # measured, not hidden
+        assert "maxwell-simple" not in rows
 
     def test_velocity_dependence_reports_only(self):
         sp = quartic_space()
         pts = sample_points(sp, QUARTIC_RANGES, 6, seed=1)
-        gate, note = conservation_applicable(sp, pts)
-        assert not gate and "depends on y" in note
+        assert _metric_dependence(sp, pts) == ("y",)
+        rows = rows_by_name(sp, pts)
+        assert rows["conservation"].passed
+        assert rows["conservation"].note == "metric depends on y; reported only"
+        assert "maxwell-simple" not in rows
 
     def test_forced_gate_fails_honestly(self):
         sp = space("nonautonomous_l3")
@@ -156,10 +182,24 @@ class TestConservationGate:
         assert row.passed and row.note == "forced report-only"
 
 
+class TestMaxwellSimpleRow:
+    def test_lagrangian_config_with_an_x_only_metric_gets_the_row(
+            self, tmp_path):
+        path = tmp_path / "ed.cfg"
+        path.write_text(ELECTRODYNAMICS_AS_LAGRANGIAN)
+        cfg = load_config(str(path))
+        assert cfg.space.family == "general"
+        pts = sample_points(cfg.space, cfg.ranges, 4, seed=1)
+        row = rows_by_name(cfg.space, pts)["maxwell-simple"]
+        assert row.passed and row.worst < 1e-12 and row.points == 4
+
+
 class TestTolerances:
     def test_family_defaults(self):
-        assert default_tolerances("quadratic")["maxwell"] == 1e-6
-        assert default_tolerances("nonautonomous")["maxwell"] == 1e-5
+        # the bounds are the same for every space, whatever its tag
+        for family in (None,) + FAMILIES:
+            assert default_tolerances(family) == default_tolerances()
+            assert default_tolerances(family)["maxwell"] == 1e-6
 
     def test_unknown_override_rejected(self):
         sp = space("flat")
@@ -266,4 +306,8 @@ class TestNaNResiduals:
         pts = sample_points(sp, ranges("flat"), 3, seed=0)
         geo = sp.geometry_at(pts[0])
         monkeypatch.setattr(geo, "dg_t", np.full_like(geo.dg_t, np.nan))
-        assert conservation_applicable(sp, pts)[0] is False
+        assert _metric_dependence(sp, pts) == ("t",)
+        rows = rows_by_name(sp, pts)
+        assert "maxwell-simple" not in rows
+        assert rows["conservation"].passed
+        assert rows["conservation"].note == "metric depends on t; reported only"

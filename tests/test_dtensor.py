@@ -14,7 +14,6 @@ from jetlag.dtensor import (
     adapted_derivative,
     contract,
     covariant_derivative,
-    gauge_transform,
     lower_slot,
     raise_slot,
     transform_nonlinear,
@@ -491,18 +490,6 @@ class TestTransforms:
         there = transform_tensor(v, ch, p)
         home = transform_tensor(there, inv, q)
         np.testing.assert_allclose(home.components, v.components, atol=1e-12)
-
-    def test_dispatcher(self):
-        ch = exp_chart(seed=3)
-        p = rand_point()
-        assert isinstance(gauge_transform(p, ch), JetPoint)
-        v = DTensorValue((SlotKind.SPACE_UP,), np.ones(N), N)
-        assert isinstance(gauge_transform(v, ch, p), DTensorValue)
-        assert isinstance(gauge_transform(rand_nl(), ch, p), NonlinearConnectionValue)
-        with pytest.raises(ValueError):
-            gauge_transform(v, ch)  # value without a base point
-        with pytest.raises(TypeError):
-            gauge_transform("nope", ch, p)
 
 
 class TestCartanCoefficients:

@@ -95,8 +95,6 @@ CALLS.update({
     "dtensor.transform_tensor": lambda sp, q: dtensor.transform_tensor(
         DTensorValue((SlotKind.SPACE_UP, SlotKind.VERT_DOWN),
                      np.arange(4.0).reshape(2, 2), N), CHART, q),
-    "dtensor.gauge_transform": lambda sp, q: dtensor.gauge_transform(
-        geometry.canonical_spray(sp, Z), CHART, q),
 })
 
 

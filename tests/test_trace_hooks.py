@@ -60,6 +60,9 @@ def test_tracer_counts_every_hook_then_restores_the_package():
         == metrics["geometry.geo_distinct"] > 0
     for suite in set(spans.SUITES.values()):
         assert calls.get(f"suite.{suite}", 0) == 1, suite
+    # the metric moves with x alone, so the simple form runs too, and the
+    # tracer tells it from the full form by the simple= argument
+    assert calls["suite.maxwell-simple"] == 1
 
 
 def _repeat_count(node, memo):
