@@ -39,6 +39,7 @@ from .dynamics import action, integrate_harmonic
 from .expr import ExprError, ScalarField, parse
 from .fields import (
     deflection_identities,
+    deflection_route,
     deflections,
     einstein_system,
     em_form,
@@ -388,7 +389,7 @@ def point_record(sp: LagrangeSpace, z, kappa: float = 1.0) -> dict:
                       "bianchi": {k: _worst([v]) for k, v in bia.items()},
                       "deflection_identities": {k: _worst([v])
                                                 for k, v in ids.items()},
-                      "deflection_route": defl.route_residual,
+                      "deflection_route": deflection_route(sp, z),
                       "em_route": em.route_residual},
     }
     return _jsonable(record)

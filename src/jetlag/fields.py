@@ -36,6 +36,7 @@ __all__ = [
     "RicciSet",
     "EinsteinReport",
     "deflections",
+    "deflection_route",
     "em_form",
     "maxwell_residuals",
     "maxwell_simple_residuals",
@@ -70,8 +71,9 @@ class DeflectionSet:
 
     Dbar/D/d carry the upper vertical index; the *_low variants are the
     contractions with the vertical block h^11 g_ik of the jet metric.
-    route_residual is the worst disagreement between the closed forms
-    and the covariant-derivative engine applied to y^i directly.
+    The engine route to the same values is `deflection_route`; it stays
+    out of this set, which the field equations evaluate at every stencil
+    point.
     """
 
     Dbar: np.ndarray      # (n,)   time derivative
@@ -80,34 +82,37 @@ class DeflectionSet:
     Dbar_low: np.ndarray
     D_low: np.ndarray
     d_low: np.ndarray
-    route_residual: float
 
 
 def deflections(sp: LagrangeSpace, point):
+    """Closed forms from the connection coefficients."""
     n = sp.n
     z = _point_array(point, n)
     y = z[1 + n:]
     geo = sp.geometry_at(z)
     cart = geo.cartan
-
-    # closed forms from the connection coefficients
     Dbar = cart.Gt @ y
     D = -geo.N + np.einsum("ijm,m->ij", cart.L, y)
     d = np.eye(n) + np.einsum("imj,m->ij", cart.C, y)
+    low = geo.h_inv * geo.g
+    return DeflectionSet(Dbar=Dbar, D=D, d=d,
+                         Dbar_low=low @ Dbar, D_low=low @ D, d_low=low @ d)
 
-    # independent route: the engine differentiates y^i as a vertical vector
+
+def deflection_route(sp: LagrangeSpace, point) -> float:
+    """Worst disagreement between the closed-form deflections and the
+    covariant-derivative engine applied to y^i as a vertical vector.
+    Report-only: no suite reads it, so it is computed once per record."""
+    n = sp.n
+    z = _point_array(point, n)
+    defl = deflections(sp, z)
     eng_t, eng_x, eng_y = [
         _covd(sp, z, (SlotKind.VERT_UP,), lambda q: q[1 + n:], kind)
         for kind in ("time", "space", "vert")]
     # np.max keeps a NaN from any route; the builtin max would drop it
-    residual = np.max([np.max(np.abs(eng_t[:, 0] - Dbar)),
-                       np.max(np.abs(eng_x - D)),
-                       np.max(np.abs(eng_y - d))])
-
-    low = geo.h_inv * geo.g
-    return DeflectionSet(Dbar=Dbar, D=D, d=d,
-                         Dbar_low=low @ Dbar, D_low=low @ D, d_low=low @ d,
-                         route_residual=float(residual))
+    return float(np.max([np.max(np.abs(eng_t[:, 0] - defl.Dbar)),
+                         np.max(np.abs(eng_x - defl.D)),
+                         np.max(np.abs(eng_y - defl.d))]))
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +210,11 @@ def maxwell_residuals(sp: LagrangeSpace, point) -> MaxwellResiduals:
     Dbar_cov = _covd(sp, z, (SlotKind.VERT_DOWN, SlotKind.TIME_DOWN),
                      lambda q: deflections(sp, q).Dbar_low[:, None],
                      "space")[:, 0, :]
+    # T_1j = -Gt, read off the Cartan block so that no stencil point
+    # builds connection jets
     T1_cov = _covd(sp, z, (SlotKind.SPACE_UP, SlotKind.TIME_DOWN,
                            SlotKind.SPACE_DOWN),
-                   lambda q: torsion(sp, q).T_1j[:, None, :],
+                   lambda q: -cartan_connection(sp, q).Gt[:, None, :],
                    "space")[:, 0, :, :]
 
     bracket = T1_cov + np.einsum("pkm,mi->pik", C, tor.R_1j)
@@ -397,13 +404,11 @@ def conservation_residuals(sp: LagrangeSpace, point) -> dict:
     """
     n = sp.n
     z = _point_array(point, n)
-    geo = sp.geometry_at(z)   # unused; perfbench/selftest.py pins this read
 
     def raised(build):
         def fn(q):
-            g_inv = sp.geometry_at(q).g_inv
-            h11 = sp.geometry_at(q).h11   # a second read, pinned likewise
-            return build(ricci_and_scalar(sp, q), g_inv, h11)
+            geo = sp.geometry_at(q)
+            return build(ricci_and_scalar(sp, q), geo.g_inv, geo.h11)
         return fn
 
     SU, SD = SlotKind.SPACE_UP, SlotKind.SPACE_DOWN

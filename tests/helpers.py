@@ -14,6 +14,21 @@ import numpy as np
 
 from jetlag.expr import Const, Node, Var, add, call, div, mul, neg, power
 
+
+def count_calls(monkeypatch, fn, *owners):
+    """Replace fn on each module or class by a wrapper; the list grows once
+    per call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, fn.__name__, counted)
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # finite-difference oracle
 # ---------------------------------------------------------------------------

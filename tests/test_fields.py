@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from helpers import fd_partial, metric_at, ricci_oracle
+from helpers import count_calls, fd_partial, metric_at, ricci_oracle
+from jetlag import numdiff
+from jetlag.checks import sample_points
+from jetlag.cli import load_config
 from jetlag.expr import parse
 from jetlag.fields import (
     conservation_residuals,
     deflection_identities,
+    deflection_route,
     deflections,
     einstein_system,
     em_form,
@@ -16,7 +20,12 @@ from jetlag.fields import (
     ricci_and_scalar,
     vertical_source_tensor,
 )
-from jetlag.geometry import LagrangeSpace, fundamental_metric, torsion
+from jetlag.geometry import (
+    LagrangeSpace,
+    cartan_connection,
+    fundamental_metric,
+    torsion,
+)
 
 N = 2
 RNG = np.random.default_rng(77003919)
@@ -129,8 +138,7 @@ class TestDeflections:
     def test_routes_agree(self, build):
         sp = build()
         for z in random_points(2):
-            defl = deflections(sp, z)
-            assert defl.route_residual < 1e-9
+            assert deflection_route(sp, z) < 1e-9
 
     def test_electrodynamics_reduction(self):
         # autonomous metric: Dbar = 0, d = identity, and the spatial block
@@ -263,6 +271,42 @@ class TestMaxwell:
         worst = maxwell_residuals(sp, z).worst()
         assert worst["eq2"] < 1e-10, worst
         assert worst["eq1"] < 1e-9 and worst["eq3"] < 1e-10, worst
+
+
+BUILTINS = ["sphere_l1", "electrodynamics_l2", "nonautonomous_l3"]
+
+
+def _builtin_point(name):
+    cfg = load_config(name)
+    return cfg.space, sample_points(cfg.space, cfg.ranges, 1, seed=5)[0]
+
+
+class TestDifferentiatedWork:
+    """The field equations differentiate only what each identity reads."""
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_maxwell_builds_jets_at_its_base_point_only(self, monkeypatch,
+                                                        name):
+        sp, z = _builtin_point(name)
+        jets = count_calls(monkeypatch, LagrangeSpace.connection_jets,
+                           LagrangeSpace)
+        maxwell_residuals(sp, z)
+        assert len(jets) == 1
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_deflections_take_no_stencil(self, monkeypatch, name):
+        sp, z = _builtin_point(name)
+        stencils = count_calls(monkeypatch, numdiff.partial, numdiff)
+        deflections(sp, z)
+        assert stencils == []
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_mixed_torsion_is_minus_the_cartan_time_block(self, name):
+        cfg = load_config(name)
+        for z in sample_points(cfg.space, cfg.ranges, 3, seed=5):
+            T_1j = torsion(cfg.space, z).T_1j
+            Gt = cartan_connection(cfg.space, z).Gt
+            assert T_1j.tobytes() == (-Gt).tobytes()
 
 
 class TestVerticalSource:

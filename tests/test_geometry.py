@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     christoffel_oracle,
+    count_calls,
     fd_partial,
     riemann_oracle,
     sphere_gamma_closed,
@@ -890,24 +891,11 @@ class TestPartialTable:
 # the connection level of a point, built on its first read
 # ---------------------------------------------------------------------------
 
-def _count_calls(monkeypatch, fn, *modules):
-    """Replace fn in each module by a wrapper; the list grows once per call."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return fn(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, fn.__name__, counted)
-    return calls
-
-
 class TestConnectionLevel:
     def test_spray_readers_build_no_connection(self, monkeypatch):
         sp = load_config("sphere_l1").space
-        christoffel = _count_calls(monkeypatch, geometry._christoffel,
-                                   geometry)
+        christoffel = count_calls(monkeypatch, geometry._christoffel,
+                                  geometry)
         curve = integrate_harmonic(sp, [np.pi / 2, 0.0], [0.0, 1.0],
                                    0.0, 0.2, 0.01)
         assert len(curve) == 21
@@ -922,10 +910,10 @@ class TestConnectionLevel:
     def test_first_read_builds_the_level_once(self, monkeypatch, attr):
         sp = load_config("electrodynamics_l2").space
         geo = sp.geometry_at([0.3, 0.2, -0.4, 0.7, 0.5])
-        evals = _count_calls(monkeypatch, expr.evaluate_fields, expr,
-                             geometry)
-        christoffel = _count_calls(monkeypatch, geometry._christoffel,
-                                   geometry)
+        evals = count_calls(monkeypatch, expr.evaluate_fields, expr,
+                            geometry)
+        christoffel = count_calls(monkeypatch, geometry._christoffel,
+                                  geometry)
         first = getattr(geo, attr)
         assert (len(evals), len(christoffel)) == (0, 2)
         for name in geometry._Geo._CONNECTION:

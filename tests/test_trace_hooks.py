@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from jetlag import checks, geometry, numdiff
+from jetlag import checks, fields, geometry, numdiff
 from jetlag.cli import BUILTIN_CONFIGS, load_config
 from jetlag.expr import parse
 from jetlag.geometry import LagrangeSpace
@@ -43,9 +43,13 @@ def test_tracer_counts_every_hook_then_restores_the_package():
         tracer.install()
         tracer.on = True
         checks.run_checks(sp, points)
-        tracer.on = False
         calls = {k: v["calls"] for k, v in tracer.table().items()}
         metrics = tracer.analyse()
+        # the report-only deflection route is a traced hook, yet no suite
+        # calls it
+        fields.deflection_route(sp, points[0])
+        tracer.on = False
+        route_calls = tracer.table()["fields.deflection_route"]["calls"]
     finally:
         tracer.uninstall()
     assert (geometry.LagrangeSpace.geometry_at,
@@ -63,6 +67,7 @@ def test_tracer_counts_every_hook_then_restores_the_package():
     # the metric moves with x alone, so the simple form runs too, and the
     # tracer tells it from the full form by the simple= argument
     assert calls["suite.maxwell-simple"] == 1
+    assert "fields.deflection_route" not in calls and route_calls == 1
 
 
 def _repeat_count(node, memo):
