@@ -3,7 +3,7 @@
 Layers, bottom to top:
 
 * :mod:`jetlag.expr` - symbolic scalar fields on jet coordinates.
-* :mod:`jetlag.numdiff` - finite differences for derived (non-symbolic) fields.
+* :mod:`jetlag.numdiff` - finite differences, taken by ``dtensor.adapted_gradient``.
 * :mod:`jetlag.dtensor` - distinguished tensors, adapted/covariant derivatives,
   chart transforms.
 * :mod:`jetlag.geometry` - Lagrange spaces: metrics, sprays, connections,

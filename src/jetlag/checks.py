@@ -12,11 +12,13 @@ honest end-to-end exercise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dtensor import (
+    SlotKind,
+    add_connection_terms,
     transform_nonlinear,
     transform_point,
     transform_spatial_spray,
@@ -183,23 +185,24 @@ def _metric_dependence(sp: LagrangeSpace, points) -> tuple:
 
 # -- individual suites: each returns the worst residual over its points -------
 
+_G_SLOTS = (SlotKind.SPACE_DOWN, SlotKind.SPACE_DOWN)
+
+
+def _metricity_residuals(geo, corrupt=False) -> list:
+    """Spatial, vertical and time covariant derivatives of g at one point,
+    derivative axis last; corrupt bumps the spatial block L by 1e-3."""
+    cart = geo.cartan
+    bumped = replace(cart, L=cart.L + 1e-3) if corrupt else cart
+    del_t_g, del_x_g = geo.adapted_dg()
+    return [add_connection_terms(del_x_g, geo.g, _G_SLOTS, bumped, "space"),
+            add_connection_terms(geo.dg_y, geo.g, _G_SLOTS, cart, "vert"),
+            add_connection_terms(del_t_g[..., np.newaxis], geo.g, _G_SLOTS,
+                                 cart, "time")]
+
+
 def _metricity_worst(sp, points, corrupt):
-    res = []
-    for z in points:
-        geo = sp.geometry_at(z)
-        g, cart = geo.g, geo.cartan
-        Lb = cart.L + 1e-3 if corrupt else cart.L
-        del_x_g = geo.dg_x - np.einsum("ijm,mk->kij", geo.dg_y, geo.N)
-        cov_s = (del_x_g
-                 - np.einsum("mik,mj->kij", Lb, g)
-                 - np.einsum("mjk,im->kij", Lb, g))
-        cov_v = (geo.dg_y
-                 - np.einsum("mik,mj->ijk", cart.C, g)
-                 - np.einsum("mjk,im->ijk", cart.C, g))
-        del_t_g = geo.dg_t - np.einsum("ijm,m->ij", geo.dg_y, geo.M)
-        cov_t = del_t_g - cart.Gt.T @ g - g @ cart.Gt
-        res += [cov_s, cov_v, cov_t]
-    return _worst(res)
+    return _worst(r for z in points
+                  for r in _metricity_residuals(sp.geometry_at(z), corrupt))
 
 
 def _h_metricity_worst(sp, points):
@@ -251,6 +254,8 @@ def _conservation_worst(sp, points):
 
 
 def _gauge_worst(sp, points, seed):
+    # each pushed quantity against the moved space's, relative to
+    # max(1, its largest entry there)
     chart = random_affine_chart(sp, seed)
     moved = transformed_space(sp, chart)
     res = []
@@ -260,9 +265,10 @@ def _gauge_worst(sp, points, seed):
         s2 = canonical_spray(moved, q)
         nl2 = canonical_nonlinear_connection(moved, q)
         pushed_nl = transform_nonlinear(nl, chart, z)
-        res += [transform_temporal_spray(s.Htemp, chart, z) - s2.Htemp,
-                transform_spatial_spray(s.Gspat, chart, z) - s2.Gspat,
-                pushed_nl.M - nl2.M, pushed_nl.N - nl2.N]
+        pairs = ((transform_temporal_spray(s.Htemp, chart, z), s2.Htemp),
+                 (transform_spatial_spray(s.Gspat, chart, z), s2.Gspat),
+                 (pushed_nl.M, nl2.M), (pushed_nl.N, nl2.N))
+        res += [(a - b) / max(1.0, np.max(np.abs(b))) for a, b in pairs]
     return _worst(res)
 
 

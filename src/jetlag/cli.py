@@ -59,6 +59,7 @@ __all__ = ["ConfigError", "ProblemConfig", "load_config", "point_record",
            "build_parser", "main", "BUILTIN_CONFIGS", "SCHEMA_VERSION"]
 
 SCHEMA_VERSION = 1
+MAX_N = 16   # largest n a config may ask for: building a space grows as n^3
 
 BUILTIN_CONFIGS = ("flat", "sphere_l1", "electrodynamics_l2",
                    "nonautonomous_l3", "exp_time")
@@ -294,6 +295,8 @@ def load_config(target: str) -> ProblemConfig:
         raise ConfigError(f"{origin}: n must be an integer") from None
     if n < 1:
         raise ConfigError(f"{origin}: n must be >= 1")
+    if n > MAX_N:
+        raise ConfigError(f"{origin}: n must be <= {MAX_N}, got {n}")
 
     space = _build_space(sections, n, origin)
     ranges = _build_ranges(sections, n, origin)

@@ -14,8 +14,9 @@ each rule below is written once, as one block per family:
   slot's family for that derivative kind, added on an up slot and
   subtracted on a down one.
 
-The module also provides the adapted-basis derivatives, contraction and
-the inhomogeneous chart laws of the sprays and the nonlinear connection.
+The module also provides the adapted-basis derivatives, the package's
+one finite-difference seam (``adapted_gradient``), contraction and the
+inhomogeneous chart laws of the sprays and the nonlinear connection.
 Everything here is pointwise and connection-agnostic: geometric content
 (which connection, which metric) is supplied by the caller.
 """
@@ -39,9 +40,9 @@ __all__ = [
     "CartanCoefficients",
     "ChartMap",
     "ChartError",
-    "delta_t",
-    "delta_x",
+    "adapted_gradient",
     "adapted_derivative",
+    "add_connection_terms",
     "covariant_derivative",
     "contract",
     "raise_slot",
@@ -182,6 +183,17 @@ class CartanCoefficients:
         """Coefficient block acting on vertical indices under the time derivative."""
         return self.Gt - self.H * np.eye(self.n)
 
+    def slot_block(self, kind: str, family: str) -> np.ndarray:
+        """The block correcting a slot of this family in a covariant
+        derivative of this kind, derivative axis last."""
+        if family == "time":
+            return np.full((1, 1, 1), self.H) if kind == "time" \
+                else np.zeros((1, 1, self.n))
+        if kind == "time":
+            return (self.Gt if family == "space"
+                    else self.vert_time())[:, :, np.newaxis]
+        return self.L if kind == "space" else self.C
+
     def symmetry_residual(self) -> float:
         """Max asymmetry of L and C in their two lower indices."""
         rl = np.max(np.abs(self.L - np.swapaxes(self.L, 1, 2)))
@@ -204,40 +216,33 @@ def _value_at(thing, z):
 # ---------------------------------------------------------------------------
 
 
-def delta_t(dt, dy, M):
-    """Adapted time derivative d/dt - M^j d/dy^j from the plain partials.
+_KINDS = ("time", "space", "vert")
 
-    dt is d/dt of some components, dy[j] their d/dy^j (new axis first).
+
+def adapted_gradient(fn, z, nl, kinds) -> list:
+    """Adapted derivatives of the array-valued point function fn at z, one
+    array per kind, derivative axis last, from one gradient over the union
+    of the axes the kinds read: 'time' d/dt - M^j d/dy^j (an axis of
+    extent 1), 'space' d/dx^i - N^j_i d/dy^j, 'vert' d/dy^i; nl gives M, N.
     """
-    return dt - np.tensordot(M, dy, axes=(0, 0))
-
-
-def delta_x(dx, dy, N):
-    """Adapted spatial derivatives d/dx^i - N^j_i d/dy^j from the plain
-    partials dx[i], dy[j]; index i first.  N may hold only some columns i,
-    matching the rows of dx."""
-    return dx - np.tensordot(N.T, dy, axes=(1, 0))
-
-
-def _adapted_partials(field: DTensorField, z, nlv, kind: str,
-                      i=None) -> np.ndarray:
-    """Adapted derivatives of the field components, derivative axis first.
-
-    kind 'time' gives the single time row; 'space' and 'vert' give every
-    spatial (vertical) direction, or only direction i when it is given.
-    """
-    n = field.n
-    y_axes = list(range(n + 1, 2 * n + 1))
-    if kind == "vert":
-        axes = y_axes if i is None else [1 + n + i]
-        return gradient(field.components_at, z, axes)
-    if kind == "time":
-        grads = gradient(field.components_at, z, [0] + y_axes)
-        return delta_t(grads[0], grads[1:], nlv.M)[np.newaxis]
-    x_axes = list(range(1, n + 1)) if i is None else [1 + i]
-    grads = gradient(field.components_at, z, x_axes + y_axes)
-    N = nlv.N if i is None else nlv.N[:, i:i + 1]
-    return delta_x(grads[:len(x_axes)], grads[len(x_axes):], N)
+    for kind in kinds:
+        if kind not in _KINDS:
+            raise ValueError(f"kind must be 'time', 'space' or 'vert'; "
+                             f"got {kind!r}")
+    n = (len(z) - 1) // 2
+    has_t, has_x = "time" in kinds, "space" in kinds
+    axes = [0] * has_t + [*range(1, n + 1)] * has_x \
+        + [*range(n + 1, 2 * n + 1)]
+    grads = gradient(fn, z, axes)
+    d_y = grads[-n:]
+    out = {"vert": d_y}
+    if has_t:
+        out["time"] = (grads[0] - np.tensordot(nl.M, d_y, axes=(0, 0)))[
+            np.newaxis]
+    if has_x:
+        out["space"] = (grads[has_t:has_t + n]
+                        - np.tensordot(nl.N.T, d_y, axes=(1, 0)))
+    return [np.moveaxis(out[k], 0, -1) for k in kinds]
 
 
 _DIRECTION_KINDS = {"M": "space", "V": "vert"}
@@ -253,7 +258,7 @@ def adapted_derivative(field: DTensorField, point, nl,
     signature.
     """
     if direction in ("T", ("T",)):
-        kind, i = "time", None
+        kind, i = "time", 0
     elif isinstance(direction, tuple) and len(direction) == 2 \
             and direction[0] in _DIRECTION_KINDS \
             and isinstance(direction[1], (int, np.integer)) \
@@ -263,32 +268,39 @@ def adapted_derivative(field: DTensorField, point, nl,
         raise ValueError(f"direction must be 'T', ('M', i) or ('V', i); "
                          f"got {direction!r}")
     z = _point_array(point, field.n)
-    out = _adapted_partials(field, z, _value_at(nl, z), kind, i)
-    return DTensorValue(field.signature, out[0], field.n)
+    (out,) = adapted_gradient(field.components_at, z, _value_at(nl, z), [kind])
+    return DTensorValue(field.signature, out[..., i], field.n)
 
 
 _EINSUM_LETTERS = "abcdefghij"
 
 
-def _slot_corrections(arr: np.ndarray, signature, blocks: dict):
-    """Sum of the per-slot connection corrections, new derivative axis
-    last: each slot takes its family's block, added on an up slot and
-    subtracted on a down one.  A scalar takes none: 0.0."""
+def add_connection_terms(derivs: np.ndarray, arr: np.ndarray, signature,
+                         cartan: CartanCoefficients, kind: str) -> np.ndarray:
+    """Covariant derivative from the adapted one: derivs (derivative axis
+    last) of the components arr, plus the connection correction of each
+    slot in turn, in slot order.  A slot takes its family's block for the
+    derivative kind, added on an up slot and subtracted on a down one:
+
+    kind 'time'  : time slots H, spatial slots Gt, vertical slots Gt - H*I;
+    kind 'space' : time slots 0, spatial and vertical slots L;
+    kind 'vert'  : time slots 0, spatial and vertical slots C.
+    """
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be 'time', 'space' or 'vert'; got {kind!r}")
     rank = len(signature)
     if rank >= len(_EINSUM_LETTERS):
         raise ValueError("tensor rank too large")
     base = _EINSUM_LETTERS[:rank]
-    total = None
+    out = derivs
     for ax, slot in enumerate(signature):
-        K = blocks[slot.family]
-        in_sub = base[:ax] + "z" + base[ax + 1 :]
-        out_sub = base + "p"
+        in_sub = base[:ax] + "z" + base[ax + 1:]
+        K = cartan.slot_block(kind, slot.family)
         if slot.is_up:
-            term = np.einsum(f"{in_sub},{base[ax]}zp->{out_sub}", arr, K)
+            out = out + np.einsum(f"{in_sub},{base[ax]}zp->{base}p", arr, K)
         else:
-            term = -np.einsum(f"{in_sub},z{base[ax]}p->{out_sub}", arr, K)
-        total = term if total is None else total + term
-    return 0.0 if total is None else total
+            out = out - np.einsum(f"{in_sub},z{base[ax]}p->{base}p", arr, K)
+    return out
 
 
 def covariant_derivative(field: DTensorField, point, cartan, nl,
@@ -299,33 +311,16 @@ def covariant_derivative(field: DTensorField, point, cartan, nl,
     kind 'space' : D -> D_{|p};      appends a SpaceDown slot.
     kind 'vert'  : D -> D_{|(1)(p)}; appends a VertDown slot.
 
-    Correction blocks per slot family:
-    time slots get (H, 0, 0), spatial slots (Gt, L, C), vertical slots
-    (Gt - H*I, L, C) for the three kinds respectively; contravariant slots
-    add, covariant slots subtract.
+    The corrections are those of :func:`add_connection_terms`.
     """
-    n = field.n
-    z = _point_array(point, n)
+    z = _point_array(point, field.n)
     cart = _value_at(cartan, z)
     nlv = _value_at(nl, z)
     arr = field.components_at(z)
-    if kind == "time":
-        blocks = {
-            "time": np.full((1, 1, 1), cart.H),
-            "space": cart.Gt[:, :, np.newaxis],
-            "vert": cart.vert_time()[:, :, np.newaxis],
-        }
-        new_slot = SlotKind.TIME_DOWN
-    elif kind in ("space", "vert"):
-        K = cart.L if kind == "space" else cart.C
-        blocks = {"time": np.zeros((1, 1, n)), "space": K, "vert": K}
-        new_slot = SlotKind.SPACE_DOWN if kind == "space" else SlotKind.VERT_DOWN
-    else:
-        raise ValueError(f"kind must be 'time', 'space' or 'vert'; got {kind!r}")
-
-    base = np.moveaxis(_adapted_partials(field, z, nlv, kind), 0, -1)
-    out = base + _slot_corrections(arr, field.signature, blocks)
-    return DTensorValue(field.signature + (new_slot,), out, n)
+    (derivs,) = adapted_gradient(field.components_at, z, nlv, [kind])
+    out = add_connection_terms(derivs, arr, field.signature, cart, kind)
+    new_slot = SlotKind(kind.capitalize() + "Down")
+    return DTensorValue(field.signature + (new_slot,), out, field.n)
 
 
 # ---------------------------------------------------------------------------

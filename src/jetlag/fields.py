@@ -16,8 +16,8 @@ import numpy as np
 from .dtensor import (
     DTensorField,
     SlotKind,
-    adapted_derivative,
-    covariant_derivative,
+    adapted_gradient,
+    add_connection_terms,
 )
 from .expr import _point_array
 from .geometry import (
@@ -48,17 +48,24 @@ __all__ = [
 ]
 
 
-def _covd(sp: LagrangeSpace, z, signature, fn, kind: str) -> np.ndarray:
-    """Components of the covariant derivative of the d-tensor field
-    q -> fn(q) in the canonical connection of sp.  A scalar's time
-    derivative takes no correction, so it is the adapted one, which reads
-    neither the Cartan blocks nor the field at z."""
+_KINDS = ("time", "space", "vert")
+
+
+def _covd(sp: LagrangeSpace, z, signature, fn, kinds) -> list:
+    """Components of the covariant derivatives of the d-tensor field
+    q -> fn(q) in the canonical connection of sp, one array per kind
+    (derivative axis last), from one stencil over the axes the kinds read.
+    A scalar takes no correction, so its derivatives are the adapted ones,
+    which read neither the Cartan blocks nor the field at z."""
     field = DTensorField(signature, sp.n, fn)
-    nl = lambda q: canonical_nonlinear_connection(sp, q)
-    if not signature and kind == "time":
-        return adapted_derivative(field, z, nl, "T").components
-    cart = lambda q: cartan_connection(sp, q)
-    return covariant_derivative(field, z, cart, nl, kind).components
+    derivs = adapted_gradient(field.components_at, z,
+                              canonical_nonlinear_connection(sp, z), kinds)
+    if not signature:
+        return derivs
+    arr = field.components_at(z)
+    cart = cartan_connection(sp, z)
+    return [add_connection_terms(d, arr, signature, cart, kind)
+            for d, kind in zip(derivs, kinds)]
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +113,8 @@ def deflection_route(sp: LagrangeSpace, point) -> float:
     n = sp.n
     z = _point_array(point, n)
     defl = deflections(sp, z)
-    eng_t, eng_x, eng_y = [
-        _covd(sp, z, (SlotKind.VERT_UP,), lambda q: q[1 + n:], kind)
-        for kind in ("time", "space", "vert")]
+    eng_t, eng_x, eng_y = _covd(sp, z, (SlotKind.VERT_UP,),
+                                lambda q: q[1 + n:], _KINDS)
     # np.max keeps a NaN from any route; the builtin max would drop it
     return float(np.max([np.max(np.abs(eng_t[:, 0] - defl.Dbar)),
                          np.max(np.abs(eng_x - defl.D)),
@@ -188,14 +194,6 @@ def vertical_source_tensor(geo) -> np.ndarray:
     return 0.5 * geo.Lyyy
 
 
-def _F_derivatives(sp: LagrangeSpace, z) -> list:
-    """Time, space and vertical covariant derivatives of the closed-form F
-    (the time one keeps its one-entry derivative axis)."""
-    return [_covd(sp, z, (SlotKind.VERT_DOWN, SlotKind.SPACE_DOWN),
-                  lambda q: _em_F_closed(sp, q), kind)
-            for kind in ("time", "space", "vert")]
-
-
 def maxwell_residuals(sp: LagrangeSpace, point) -> MaxwellResiduals:
     n = sp.n
     z = _point_array(point, n)
@@ -204,18 +202,19 @@ def maxwell_residuals(sp: LagrangeSpace, point) -> MaxwellResiduals:
     y_low = geo.h_inv * (geo.g @ y)
     tor = torsion(sp, z)
     C = geo.cartan.C
-    F_t, F_x, F_y = _F_derivatives(sp, z)
+    F_t, F_x, F_y = _covd(sp, z, (SlotKind.VERT_DOWN, SlotKind.SPACE_DOWN),
+                          lambda q: _em_F_closed(sp, q), _KINDS)
 
     defl = deflections(sp, z)
     Dbar_cov = _covd(sp, z, (SlotKind.VERT_DOWN, SlotKind.TIME_DOWN),
                      lambda q: deflections(sp, q).Dbar_low[:, None],
-                     "space")[:, 0, :]
+                     ["space"])[0][:, 0, :]
     # T_1j = -Gt, read off the Cartan block so that no stencil point
     # builds connection jets
     T1_cov = _covd(sp, z, (SlotKind.SPACE_UP, SlotKind.TIME_DOWN,
                            SlotKind.SPACE_DOWN),
                    lambda q: -cartan_connection(sp, q).Gt[:, None, :],
-                   "space")[:, 0, :, :]
+                   ["space"])[0][:, 0, :, :]
 
     bracket = T1_cov + np.einsum("pkm,mi->pik", C, tor.R_1j)
     core = (Dbar_cov + defl.D_low @ tor.T_1j + defl.d_low @ tor.R_1j
@@ -246,7 +245,8 @@ def maxwell_simple_residuals(sp: LagrangeSpace, point):
     z = _point_array(point, n)
     geo = sp.geometry_at(z)
     tor = torsion(sp, z)
-    F_t, F_x, F_y = _F_derivatives(sp, z)
+    F_t, F_x, F_y = _covd(sp, z, (SlotKind.VERT_DOWN, SlotKind.SPACE_DOWN),
+                          lambda q: _em_F_closed(sp, q), _KINDS)
     term = geo.h_inv * (geo.g @ tor.R_1j)
     eq1 = F_t[:, :, 0] - 0.5 * (term - term.T)
     return MaxwellResiduals(eq1=eq1, eq2=_cyclic(F_x), eq3=_cyclic(F_y))
@@ -272,13 +272,12 @@ def deflection_identities(sp: LagrangeSpace, point) -> dict:
     Dbar_low = lambda q: deflections(sp, q).Dbar_low[:, None]
     D_low = lambda q: deflections(sp, q).D_low
     Dbar_x = _covd(sp, z, (VD, SlotKind.TIME_DOWN), Dbar_low,
-                   "space")[:, 0, :]
-    D_t = _covd(sp, z, (VD, SD), D_low, "time")[:, :, 0]
-    D_x = _covd(sp, z, (VD, SD), D_low, "space")
-    D_y = _covd(sp, z, (VD, SD), D_low, "vert")
-    d_x = _covd(sp, z, (VD, VD), lambda q: deflections(sp, q).d_low, "space")
+                   ["space"])[0][:, 0, :]
+    D_t, D_x, D_y = _covd(sp, z, (VD, SD), D_low, _KINDS)
+    (d_x,) = _covd(sp, z, (VD, VD), lambda q: deflections(sp, q).d_low,
+                   ["space"])
 
-    d1 = (Dbar_x - D_t + np.einsum("m,mik->ik", y_low, cur.R_i1k)
+    d1 = (Dbar_x - D_t[:, :, 0] + np.einsum("m,mik->ik", y_low, cur.R_i1k)
           + defl.D_low @ tor.T_1j + defl.d_low @ tor.R_1j)
     d2 = (D_x - np.transpose(D_x, (0, 2, 1))
           + np.einsum("m,mijk->ijk", y_low, cur.R_ijk)
@@ -413,23 +412,24 @@ def conservation_residuals(sp: LagrangeSpace, point) -> dict:
 
     SU, SD = SlotKind.SPACE_UP, SlotKind.SPACE_DOWN
     VU, VD, TD = SlotKind.VERT_UP, SlotKind.VERT_DOWN, SlotKind.TIME_DOWN
-    lhs1 = float(_covd(sp, z, (), lambda q: np.asarray(
-        0.5 * ricci_and_scalar(sp, q).Sc), "time"))
-    rup1_cov = _covd(sp, z, (SU, TD), raised(
-        lambda r, gi, h: (gi @ r.R_i1)[:, None]), "space")[:, 0, :]
-    pup1_cov = _covd(sp, z, (VU, TD), raised(
-        lambda r, gi, h: (h * gi @ r.P_i1)[:, None]), "vert")[:, 0, :]
-    law1 = lhs1 - (np.trace(rup1_cov) - np.trace(pup1_cov))
+    (lhs1,) = _covd(sp, z, (), lambda q: np.asarray(
+        0.5 * ricci_and_scalar(sp, q).Sc), ["time"])
+    (rup1_cov,) = _covd(sp, z, (SU, TD), raised(
+        lambda r, gi, h: (gi @ r.R_i1)[:, None]), ["space"])
+    (pup1_cov,) = _covd(sp, z, (VU, TD), raised(
+        lambda r, gi, h: (h * gi @ r.P_i1)[:, None]), ["vert"])
+    law1 = float(lhs1[0]) - (np.trace(rup1_cov[:, 0, :])
+                             - np.trace(pup1_cov[:, 0, :]))
 
-    mixed_R = _covd(sp, z, (SU, SD), raised(
-        lambda r, gi, h: gi @ r.R_ij - 0.5 * r.Sc * np.eye(n)), "space")
-    mixed_P = _covd(sp, z, (VU, SD), raised(
-        lambda r, gi, h: h * gi @ r.P_ij), "vert")
+    (mixed_R,) = _covd(sp, z, (SU, SD), raised(
+        lambda r, gi, h: gi @ r.R_ij - 0.5 * r.Sc * np.eye(n)), ["space"])
+    (mixed_P,) = _covd(sp, z, (VU, SD), raised(
+        lambda r, gi, h: h * gi @ r.P_ij), ["vert"])
     law2 = np.einsum("mjm->j", mixed_R) + np.einsum("mjm->j", mixed_P)
 
-    mixed_S = _covd(sp, z, (VU, VD), raised(
-        lambda r, gi, h: h * gi @ r.S_ij - 0.5 * r.Sc * np.eye(n)), "vert")
-    mixed_Pv = _covd(sp, z, (SU, VD), raised(
-        lambda r, gi, h: gi @ r.P_i_j), "space")
+    (mixed_S,) = _covd(sp, z, (VU, VD), raised(
+        lambda r, gi, h: h * gi @ r.S_ij - 0.5 * r.Sc * np.eye(n)), ["vert"])
+    (mixed_Pv,) = _covd(sp, z, (SU, VD), raised(
+        lambda r, gi, h: gi @ r.P_i_j), ["space"])
     law3 = np.einsum("mjm->j", mixed_S) + np.einsum("mjm->j", mixed_Pv)
     return {"law1": law1, "law2": law2, "law3": law3}

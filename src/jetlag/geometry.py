@@ -17,8 +17,8 @@ of g, N and the Cartan blocks) is built on its first read.  N is
 semi-analytic (symbolic L-partials plus a numeric matrix inverse), so
 N = dG/dy is cross-checked against finite differences of G as a genuine
 test.  Only derivatives OF connection blocks (torsion, curvature) fall
-back to Richardson finite differences, through one packed gradient per
-point so the two tables share stencil work.
+back to Richardson finite differences, taken by ``dtensor.adapted_gradient``;
+their connection corrections come from ``dtensor.add_connection_terms``.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from jetlag.dtensor import (
     CartanCoefficients,
     ChartMap,
     NonlinearConnectionValue,
-    delta_t,
-    delta_x,
+    SlotKind,
+    adapted_gradient,
+    add_connection_terms,
 )
-from jetlag.numdiff import gradient
 
 __all__ = [
     "NonRegularError",
@@ -195,16 +195,22 @@ class _Geo:
                 + Ltyy + self.Lyy * H
                 + 2.0 * h_inv * H * (np.einsum("klj,l->kj", dg_y, y) + self.g))
         N = 0.25 * h11 * (np.einsum("ikj,k->ij", dginv_y, B) + g_inv @ dB_y)
+        self.N, self.dg_t, self.dg_x, self.dg_y = N, dg_t, dg_x, dg_y
 
         # metric linear connection blocks from adapted derivatives of g
-        del_t_g = dg_t - np.einsum("ijm,m->ij", dg_y, self.M)
-        del_x_g = dg_x - np.einsum("ijm,mk->kij", dg_y, N)
+        del_t_g, del_x_g = self.adapted_dg()
         Gt = 0.5 * g_inv @ del_t_g
-        Lblock = _christoffel(g_inv, del_x_g.transpose((1, 2, 0)))
+        Lblock = _christoffel(g_inv, del_x_g)
         Cblock = _christoffel(g_inv, dg_y)
         self.cartan = CartanCoefficients(H, Gt, Lblock, Cblock)
-        self.N, self.dg_t, self.dg_x, self.dg_y = N, dg_t, dg_x, dg_y
         self._pending = None
+
+    def adapted_dg(self) -> tuple:
+        """Adapted time and spatial derivatives of g, derivative axis last:
+        (delta g_ij / delta t, delta g_ij / delta x^k as [i, j, k])."""
+        return (self.dg_t - np.einsum("ijm,m->ij", self.dg_y, self.M),
+                self.dg_x.transpose((1, 2, 0))
+                - np.einsum("ijm,mk->ijk", self.dg_y, self.N))
 
 
 # Adapted first derivatives of one connection block at one point: del_t is
@@ -357,22 +363,17 @@ class LagrangeSpace:
 
     def _compute_jets(self, z: np.ndarray) -> _ConnJets:
         n = self.n
-        geo = self.geometry_at(z)
-        grads = gradient(self._pack_connection, z)
-        d_y = grads[n + 1:]                         # (n, packed)
-        del_t = delta_t(grads[0], d_y, geo.M)       # (packed,)
-        del_x = delta_x(grads[1:n + 1], d_y, geo.N)  # (n, packed)
-
+        del_t, del_x, d_y = adapted_gradient(      # (packed, 1 or n)
+            self._pack_connection, z, self.geometry_at(z),
+            ("time", "space", "vert"))
         blocks = []
         offset = 0
         for shape in ((n, n), (n, n, n), (n, n, n), (n, n)):   # Gt, L, C, N
-            size = int(np.prod(shape))
-            sl = slice(offset, offset + size)
-            blocks.append(_JetBlock(
-                del_t[sl].reshape(shape),
-                np.moveaxis(del_x[:, sl].reshape((n,) + shape), 0, -1),
-                np.moveaxis(d_y[:, sl].reshape((n,) + shape), 0, -1)))
-            offset += size
+            sl = slice(offset, offset + int(np.prod(shape)))
+            blocks.append(_JetBlock(del_t[sl, 0].reshape(shape),
+                                    del_x[sl].reshape(shape + (n,)),
+                                    d_y[sl].reshape(shape + (n,))))
+            offset = sl.stop
         return _ConnJets(*blocks)
 
 
@@ -493,22 +494,18 @@ def torsion(sp: LagrangeSpace, point) -> TorsionTable:
                         P_i=P_i, R_1j=R_1j, R_ij=R_ij, S=S)
 
 
-def _cov_time_C(cart: CartanCoefficients, dC_del_t: np.ndarray) -> np.ndarray:
-    """Time covariant derivative of the vertical block C (slots up,down,vert-down)."""
-    Gt, C, vt = cart.Gt, cart.C, cart.vert_time()
-    return (dC_del_t
-            + np.einsum("lm,mik->lik", Gt, C)
-            - np.einsum("lmk,mi->lik", C, Gt)
-            - np.einsum("lim,mk->lik", C, vt))
+# slots of the vertical block C^l_i(k) and of the mixed torsion T^m_1j
+# (whose time slot takes no correction under a spatial derivative)
+_C_SLOTS = (SlotKind.SPACE_UP, SlotKind.SPACE_DOWN, SlotKind.VERT_DOWN)
+_T1_SLOTS = (SlotKind.SPACE_UP, SlotKind.SPACE_DOWN)
 
 
-def _cov_space_C(cart: CartanCoefficients, dC_del_x: np.ndarray) -> np.ndarray:
-    """Spatial covariant derivatives of C; result indexed [l, i, k, j]."""
-    L, C = cart.L, cart.C
-    return (dC_del_x
-            + np.einsum("lmj,mik->likj", L, C)
-            - np.einsum("lmk,mij->likj", C, L)
-            - np.einsum("lim,mkj->likj", C, L))
+def _cov_C(cart: CartanCoefficients, jets: _ConnJets, kind: str) -> np.ndarray:
+    """Time or spatial covariant derivative of C, derivative axis last."""
+    if kind == "time":
+        return add_connection_terms(jets.C.del_t[..., np.newaxis], cart.C,
+                                    _C_SLOTS, cart, kind)[..., 0]
+    return add_connection_terms(jets.C.del_x, cart.C, _C_SLOTS, cart, kind)
 
 
 def curvature(sp: LagrangeSpace, point) -> CurvatureTable:
@@ -534,10 +531,10 @@ def curvature(sp: LagrangeSpace, point) -> CurvatureTable:
              + np.einsum("lim,mjk->lijk", C, tors.R_ij))
 
     P_i1k = (jets.Gt.d_y
-             - _cov_time_C(cart, jets.C.del_t)
+             - _cov_C(cart, jets, "time")
              + np.einsum("lim,mk->lik", C, tors.P_1))
 
-    covC_x = _cov_space_C(cart, jets.C.del_x)  # [l, i, k, j]
+    covC_x = _cov_C(cart, jets, "space")       # [l, i, k, j]
     P_ijk = (jets.L.d_y
              - np.transpose(covC_x, (0, 1, 3, 2))
              + np.einsum("lim,mjk->lijk", C, tors.P_i))
@@ -565,15 +562,13 @@ def bianchi_residuals(sp: LagrangeSpace, point) -> dict:
     geo = sp.geometry_at(z)
     jets = sp.connection_jets(z)
     cart = geo.cartan
-    L, C = cart.L, cart.C
+    C = cart.C
     tors = torsion(sp, z)
     cur = curvature(sp, z)
 
     # spatial covariant derivative of the time-mixed torsion block -Gt
-    T1 = tors.T_1j
-    T1_cov = (-jets.Gt.del_x
-              + np.einsum("lmk,mj->ljk", L, T1)
-              - np.einsum("mjk,lm->ljk", L, T1))
+    T1_cov = add_connection_terms(-jets.Gt.del_x, tors.T_1j, _T1_SLOTS,
+                                  cart, "space")
     term = cur.R_i1k + T1_cov + np.einsum("lkm,mj->ljk", C, tors.R_1j)
     b1 = term - np.transpose(term, (0, 2, 1))
 
@@ -581,7 +576,7 @@ def bianchi_residuals(sp: LagrangeSpace, point) -> dict:
     b2 = (t2 + np.transpose(t2, (0, 2, 3, 1))
           + np.transpose(t2, (0, 3, 1, 2)))
 
-    covC_x = _cov_space_C(cart, jets.C.del_x)   # [l, i, k, j]
+    covC_x = _cov_C(cart, jets, "space")        # [l, i, k, j]
     t3 = (cur.P_ijk + np.transpose(covC_x, (0, 1, 3, 2))
           + np.einsum("lkm,mjp->ljkp", C, tors.P_i))
     b3 = t3 - np.transpose(t3, (0, 2, 1, 3))

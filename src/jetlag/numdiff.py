@@ -32,13 +32,9 @@ def partial(fn, z, axis: int):
     return (16.0 * d_h2 - d_h) / 15.0
 
 
-def gradient(fn, z, axes=None):
-    """Stack of partials along the requested axes (default: all).
-
-    Returns an array of shape (len(axes),) + fn(z).shape.
-    """
+def gradient(fn, z, axes):
+    """Stack of partials along the given axes, of shape
+    (len(axes),) + fn(z).shape."""
     z = np.asarray(z, dtype=float)
-    if axes is None:
-        axes = range(len(z))
     return np.stack([partial(fn, z, a) for a in axes])
 

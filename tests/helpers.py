@@ -4,6 +4,8 @@ The finite-difference oracle here is a 3-point central difference with one
 Richardson level; the package itself uses a 5-point stencil, so agreement
 between the two is evidence, not circularity.  The metric oracles build
 Christoffel/Riemann data straight from user-level metric component fields.
+The slot-rule oracles take the package's own connection jets and write out
+only the connection corrections, one einsum per slot.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import random
 import numpy as np
 
 from jetlag.expr import Const, Node, Var, add, call, div, mul, neg, power
+from jetlag.geometry import curvature, torsion
 
 
 def count_calls(monkeypatch, fn, *owners):
@@ -111,6 +114,84 @@ def riemann_oracle(g_fields, z):
 def ricci_oracle(g_fields, z):
     r = riemann_oracle(g_fields, z)
     return np.einsum("mijm->ij", r)
+
+
+# ---------------------------------------------------------------------------
+# connection corrections written out one einsum per slot: an oracle for the
+# one slot rule, dtensor.add_connection_terms, where the vertical block C
+# is nonzero (every builtin has C = 0)
+# ---------------------------------------------------------------------------
+
+
+def cov_time_C(cart, dC_del_t):
+    """Time covariant derivative of C^l_i(k) (slots up, down, vert-down)."""
+    Gt, C, vt = cart.Gt, cart.C, cart.vert_time()
+    return (dC_del_t
+            + np.einsum("lm,mik->lik", Gt, C)
+            - np.einsum("lmk,mi->lik", C, Gt)
+            - np.einsum("lim,mk->lik", C, vt))
+
+
+def cov_space_C(cart, dC_del_x):
+    """Spatial covariant derivatives of C; result indexed [l, i, k, j]."""
+    L, C = cart.L, cart.C
+    return (dC_del_x
+            + np.einsum("lmj,mik->likj", L, C)
+            - np.einsum("lmk,mij->likj", C, L)
+            - np.einsum("lim,mkj->likj", C, L))
+
+
+def cov_space_T1(cart, T1, dT1_del_x):
+    """Spatial covariant derivative of the mixed torsion T^l_1j, [l, j, k]."""
+    L = cart.L
+    return (dT1_del_x
+            + np.einsum("lmk,mj->ljk", L, T1)
+            - np.einsum("mjk,lm->ljk", L, T1))
+
+
+def curvature_P_oracle(sp, z):
+    """(P_i1k, P_ijk) of geometry.curvature with the C terms written out."""
+    geo, jets = sp.geometry_at(z), sp.connection_jets(z)
+    cart, tors = geo.cartan, torsion(sp, z)
+    C = cart.C
+    P_i1k = (jets.Gt.d_y - cov_time_C(cart, jets.C.del_t)
+             + np.einsum("lim,mk->lik", C, tors.P_1))
+    P_ijk = (jets.L.d_y
+             - np.transpose(cov_space_C(cart, jets.C.del_x), (0, 1, 3, 2))
+             + np.einsum("lim,mjk->lijk", C, tors.P_i))
+    return P_i1k, P_ijk
+
+
+def bianchi_b1_b3_oracle(sp, z):
+    """(b1, b3) of geometry.bianchi_residuals with the slot terms written out."""
+    geo, jets = sp.geometry_at(z), sp.connection_jets(z)
+    cart, tors, cur = geo.cartan, torsion(sp, z), curvature(sp, z)
+    C = cart.C
+    term = (cur.R_i1k + cov_space_T1(cart, tors.T_1j, -jets.Gt.del_x)
+            + np.einsum("lkm,mj->ljk", C, tors.R_1j))
+    t3 = (cur.P_ijk + np.transpose(cov_space_C(cart, jets.C.del_x),
+                                   (0, 1, 3, 2))
+          + np.einsum("lkm,mjp->ljkp", C, tors.P_i))
+    return (term - np.transpose(term, (0, 2, 1)),
+            t3 - np.transpose(t3, (0, 2, 1, 3)))
+
+
+def metricity_oracle(geo):
+    """Spatial, vertical and time covariant derivatives of g, derivative
+    axis last, from the exact partials of g."""
+    g, cart = geo.g, geo.cartan
+    del_x_g = geo.dg_x - np.einsum("ijm,mk->kij", geo.dg_y, geo.N)
+    cov_s = (del_x_g
+             - np.einsum("mik,mj->kij", cart.L, g)
+             - np.einsum("mjk,im->kij", cart.L, g))
+    cov_v = (geo.dg_y
+             - np.einsum("mik,mj->ijk", cart.C, g)
+             - np.einsum("mjk,im->ijk", cart.C, g))
+    del_t_g = geo.dg_t - np.einsum("ijm,m->ij", geo.dg_y, geo.M)
+    cov_t = (del_t_g
+             - np.einsum("mi,mj->ij", cart.Gt, g)
+             - np.einsum("im,mj->ij", g, cart.Gt))
+    return [np.transpose(cov_s, (1, 2, 0)), cov_v, cov_t[..., np.newaxis]]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from jetlag.checks import (
     worst_offender,
 )
 from jetlag.cli import load_config, main
+from jetlag.dtensor import NonlinearConnectionValue
 from jetlag.expr import parse
 from jetlag.geometry import LagrangeSpace, NonRegularError
 
@@ -263,6 +264,55 @@ class TestAffineChart:
         sp = space("flat")
         chart = random_affine_chart(sp, seed=1001)
         assert abs(np.linalg.det(chart.A)) > 0.3
+
+
+# L = y1^2 + y2^2 + x1/x1/.../x1 with 40 operands: over x1 in [0.5, 1]
+# the spatial spray reaches about 1e12, so the gauge differences are large
+# in absolute terms while staying at round-off relative to the values
+LONG_QUOTIENT = """
+[problem]
+n = 2
+h11 = "1"
+lagrangian = "y1^2 + y2^2 + CHAIN"
+
+[ranges]
+t = 0.1 0.9
+x1 = 0.5 1.0
+x2 = -1.0 1.0
+y1 = -1.0 1.0
+y2 = -1.0 1.0
+""".replace("CHAIN", "/".join(["x1"] * 40))
+
+
+class TestGaugeRelative:
+    """Gauge compares each pushed quantity to the moved space's relative
+    to max(1, its largest entry)."""
+
+    def test_large_spray_passes_on_round_off(self, tmp_path, capsys):
+        path = tmp_path / "long_quotient.cfg"
+        path.write_text(LONG_QUOTIENT)
+        assert main(["check", "--config", str(path), "--points", "3"]) == 0
+        assert "all 10 suites passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["long_quotient", "sphere_l1"])
+    def test_relative_perturbation_still_fails(self, tmp_path, monkeypatch,
+                                               name):
+        if name == "long_quotient":
+            path = tmp_path / "long_quotient.cfg"
+            path.write_text(LONG_QUOTIENT)
+            name = str(path)
+        cfg = load_config(name)
+        pts = sample_points(cfg.space, cfg.ranges, 3, seed=0)
+        assert checks._gauge_worst(cfg.space, pts, 0) < 1e-12
+        push = checks.transform_nonlinear
+
+        def bumped(nl, chart, z):
+            v = push(nl, chart, z)
+            return NonlinearConnectionValue(v.M * (1 + 1e-6), v.N * (1 + 1e-6))
+
+        monkeypatch.setattr(checks, "transform_nonlinear", bumped)
+        worst = checks._gauge_worst(cfg.space, pts, 0)
+        assert worst > default_tolerances()["gauge"]
 
 
 def nan_residuals(sp, z):

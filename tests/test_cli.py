@@ -13,8 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jetlag import cli
 from jetlag.cli import (
     BUILTIN_CONFIGS,
+    MAX_N,
     ConfigError,
     SCHEMA_VERSION,
     load_config,
@@ -224,6 +226,17 @@ class TestConfigParsing:
         err = capsys.readouterr().err
         assert f"{path}: {needle}" in err
         assert "Traceback" not in err
+
+    def test_n_above_the_cap_exits_two_before_building(self, tmp_path,
+                                                        capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "_build_space",
+                            lambda *args: built.append(args))
+        path = write_cfg(tmp_path, MINIMAL.replace("n = 1", f"n = {MAX_N + 1}"))
+        assert main(["check", "--config", path, "--points", "3"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: n must be <= {MAX_N}, got {MAX_N + 1}" in err
+        assert built == []
 
     def test_all_pole_box_exits_three(self, tmp_path, capsys):
         # every draw is on the pole of 1/x1, so no regular point exists

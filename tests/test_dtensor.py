@@ -1,8 +1,14 @@
 """Tests for the typed-slot tensor layer: algebra, derivatives, chart laws."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import jetlag
+from helpers import count_calls
+from jetlag import numdiff
 from jetlag.dtensor import (
     CartanCoefficients,
     ChartError,
@@ -12,6 +18,7 @@ from jetlag.dtensor import (
     NonlinearConnectionValue,
     SlotKind,
     adapted_derivative,
+    adapted_gradient,
     contract,
     covariant_derivative,
     lower_slot,
@@ -212,6 +219,41 @@ class TestAdaptedDerivative:
         for direction in [("Q", 0), ("V", -1), ("V", 1.7), ("M", N), ("V", N)]:
             with pytest.raises(ValueError, match="direction must be"):
                 adapted_derivative(field, rand_point(), zero_nl(), direction)
+
+
+class TestAdaptedGradient:
+    def test_one_stencil_over_the_union_of_axes(self, monkeypatch):
+        # each kind alone reads t+y, x+y or y (1+n, 2n, n axes); together
+        # they share the y axes, 2n+1 stencils in all, with the same bits
+        field, _, _, _ = vector_field_poly()
+        z, nl = RNG.uniform(-1.0, 1.0, 2 * N + 1), rand_nl()
+        alone = [adapted_gradient(field.components_at, z, nl, [kind])[0]
+                 for kind in ("time", "space", "vert")]
+        stencils = count_calls(monkeypatch, numdiff.partial, numdiff)
+        together = adapted_gradient(field.components_at, z, nl,
+                                    ("time", "space", "vert"))
+        assert len(stencils) == 2 * N + 1
+        for a, b in zip(alone, together, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="kind must be"):
+            adapted_gradient(lambda q: q[0], np.zeros(2 * N + 1), zero_nl(),
+                             ("time", "??"))
+
+    def test_only_dtensor_imports_numdiff(self):
+        importers = set()
+        for path in Path(jetlag.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                if any(name.rsplit(".", 1)[-1] == "numdiff" for name in names):
+                    importers.add(path.name)
+        assert importers == {"dtensor.py"}
 
 
 def vector_field_poly():

@@ -3,9 +3,17 @@
 import numpy as np
 import pytest
 
-from helpers import count_calls, fd_partial, metric_at, ricci_oracle
+from helpers import (
+    bianchi_b1_b3_oracle,
+    count_calls,
+    curvature_P_oracle,
+    fd_partial,
+    metric_at,
+    metricity_oracle,
+    ricci_oracle,
+)
 from jetlag import numdiff
-from jetlag.checks import sample_points
+from jetlag.checks import _metricity_residuals, sample_points
 from jetlag.cli import load_config
 from jetlag.expr import parse
 from jetlag.fields import (
@@ -22,7 +30,9 @@ from jetlag.fields import (
 )
 from jetlag.geometry import (
     LagrangeSpace,
+    bianchi_residuals,
     cartan_connection,
+    curvature,
     fundamental_metric,
     torsion,
 )
@@ -307,6 +317,41 @@ class TestDifferentiatedWork:
             T_1j = torsion(cfg.space, z).T_1j
             Gt = cartan_connection(cfg.space, z).Gt
             assert T_1j.tobytes() == (-Gt).tobytes()
+
+
+    # numdiff.partial calls on a cold space at one sphere_l1 point (n = 2):
+    # the connection jets take 2n+1, and each differentiated field takes
+    # one stencil over the union of the axes its derivative kinds read
+    @pytest.mark.parametrize("fn,count", [
+        (maxwell_residuals, 18), (maxwell_simple_residuals, 10),
+        (deflection_identities, 18), (deflection_route, 5)])
+    def test_stencils_per_point(self, monkeypatch, fn, count):
+        sp, z = _builtin_point("sphere_l1")
+        stencils = count_calls(monkeypatch, numdiff.partial, numdiff)
+        fn(sp, z)
+        assert len(stencils) == count
+
+
+class TestSlotRuleOracle:
+    """The slot rule against its corrections written out one einsum per
+    slot, bit for bit, on spaces whose vertical block C is nonzero."""
+
+    @pytest.mark.parametrize("build,z", [(quartic_space, GEN_Z),
+                                         (gen3_space, GEN3_Z)])
+    def test_connection_corrections_match_the_written_out_einsums(self, build,
+                                                                  z):
+        sp = build()
+        assert np.max(np.abs(sp.geometry_at(z).cartan.C)) > 1e-3
+        cur = curvature(sp, z)
+        bianchi = bianchi_residuals(sp, z)
+        got = ([cur.P_i1k, cur.P_ijk, bianchi["b1"], bianchi["b3"]]
+               + _metricity_residuals(sp.geometry_at(z)))
+        want = (list(curvature_P_oracle(sp, z))
+                + list(bianchi_b1_b3_oracle(sp, z))
+                + metricity_oracle(sp.geometry_at(z)))
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
 
 
 class TestVerticalSource:
