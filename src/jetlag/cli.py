@@ -44,7 +44,6 @@ from .fields import (
     einstein_system,
     em_form,
     maxwell_residuals,
-    ricci_and_scalar,
 )
 from .geometry import (
     LagrangeSpace,
@@ -60,6 +59,7 @@ __all__ = ["ConfigError", "ProblemConfig", "load_config", "point_record",
 
 SCHEMA_VERSION = 1
 MAX_N = 16   # largest n a config may ask for: building a space grows as n^3
+MAX_POINTS = 10_000   # largest --points: every sampled point is kept
 
 BUILTIN_CONFIGS = ("flat", "sphere_l1", "electrodynamics_l2",
                    "nonautonomous_l3", "exp_time")
@@ -356,8 +356,8 @@ def point_record(sp: LagrangeSpace, z, kappa: float = 1.0) -> dict:
     cur = curvature(sp, z)
     defl = deflections(sp, z)
     em = em_form(sp, z)
-    ric = ricci_and_scalar(sp, z)
     ein = einstein_system(sp, z, kappa=kappa, with_conservation=False)
+    ric = ein.ricci
     bia = bianchi_residuals(sp, z)
     mx = maxwell_residuals(sp, z)
     ids = deflection_identities(sp, z)
@@ -450,6 +450,9 @@ def cmd_inspect(args) -> int:
 
 
 def _run_suites(args, with_records: bool):
+    if args.points > MAX_POINTS:
+        raise ConfigError(f"--points must be <= {MAX_POINTS}, "
+                          f"got {args.points}")
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
     points = sample_points(cfg.space, cfg.ranges, args.points, seed)

@@ -220,10 +220,11 @@ _KINDS = ("time", "space", "vert")
 
 
 def adapted_gradient(fn, z, nl, kinds) -> list:
-    """Adapted derivatives of the array-valued point function fn at z, one
-    array per kind, derivative axis last, from one gradient over the union
-    of the axes the kinds read: 'time' d/dt - M^j d/dy^j (an axis of
-    extent 1), 'space' d/dx^i - N^j_i d/dy^j, 'vert' d/dy^i; nl gives M, N.
+    """Adapted derivatives of the point function fn, which returns a tuple
+    of arrays, at z: per array, one derivative array per kind (derivative
+    axis last), all from one gradient over the union of the axes the kinds
+    read: 'time' d/dt - M^j d/dy^j (an axis of extent 1), 'space'
+    d/dx^i - N^j_i d/dy^j, 'vert' d/dy^i; nl gives M, N.
     """
     for kind in kinds:
         if kind not in _KINDS:
@@ -233,16 +234,30 @@ def adapted_gradient(fn, z, nl, kinds) -> list:
     has_t, has_x = "time" in kinds, "space" in kinds
     axes = [0] * has_t + [*range(1, n + 1)] * has_x \
         + [*range(n + 1, 2 * n + 1)]
-    grads = gradient(fn, z, axes)
-    d_y = grads[-n:]
-    out = {"vert": d_y}
-    if has_t:
-        out["time"] = (grads[0] - np.tensordot(nl.M, d_y, axes=(0, 0)))[
-            np.newaxis]
-    if has_x:
-        out["space"] = (grads[has_t:has_t + n]
-                        - np.tensordot(nl.N.T, d_y, axes=(1, 0)))
-    return [np.moveaxis(out[k], 0, -1) for k in kinds]
+    shapes = []
+
+    def packed(q):
+        arrays = [np.asarray(a, dtype=float) for a in fn(q)]
+        shapes[:] = [a.shape for a in arrays]
+        return np.concatenate([a.ravel() for a in arrays])
+
+    grads = gradient(packed, z, axes)
+    splits = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    derivs = []
+    # each array takes its own corrections: BLAS rounds a matrix-vector
+    # column by where it sits, so the arrays beside it would move its bits
+    for g, shape in zip(np.split(grads, splits, axis=1), shapes):
+        g = g.reshape(-1, *shape)
+        d_y = g[-n:]
+        out = {"vert": d_y}
+        if has_t:
+            out["time"] = (g[0] - np.tensordot(nl.M, d_y, axes=(0, 0)))[
+                np.newaxis]
+        if has_x:
+            out["space"] = (g[has_t:has_t + n]
+                            - np.tensordot(nl.N.T, d_y, axes=(1, 0)))
+        derivs.append([np.moveaxis(out[k], 0, -1) for k in kinds])
+    return derivs
 
 
 _DIRECTION_KINDS = {"M": "space", "V": "vert"}
@@ -268,7 +283,8 @@ def adapted_derivative(field: DTensorField, point, nl,
         raise ValueError(f"direction must be 'T', ('M', i) or ('V', i); "
                          f"got {direction!r}")
     z = _point_array(point, field.n)
-    (out,) = adapted_gradient(field.components_at, z, _value_at(nl, z), [kind])
+    ((out,),) = adapted_gradient(lambda q: (field.components_at(q),), z,
+                                 _value_at(nl, z), [kind])
     return DTensorValue(field.signature, out[..., i], field.n)
 
 
@@ -317,7 +333,8 @@ def covariant_derivative(field: DTensorField, point, cartan, nl,
     cart = _value_at(cartan, z)
     nlv = _value_at(nl, z)
     arr = field.components_at(z)
-    (derivs,) = adapted_gradient(field.components_at, z, nlv, [kind])
+    ((derivs,),) = adapted_gradient(lambda q: (field.components_at(q),), z,
+                                    nlv, [kind])
     out = add_connection_terms(derivs, arr, field.signature, cart, kind)
     new_slot = SlotKind(kind.capitalize() + "Down")
     return DTensorValue(field.signature + (new_slot,), out, field.n)

@@ -113,7 +113,8 @@ def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
         raise ValueError("(t1 - t0)/step is not a finite step count")
     count = max(1, int(math.ceil(steps)))
     if count > MAX_STEPS:
-        raise ValueError(f"{count} steps exceed the cap of {MAX_STEPS}")
+        # exact below 1e20 steps, and never the 309 digits of a huge count
+        raise ValueError(f"{count:.20g} steps exceed the cap of {MAX_STEPS}")
 
     def rhs(t, x, y):
         z = np.concatenate([[t], x, y])

@@ -13,12 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtensor import (
-    DTensorField,
-    SlotKind,
-    adapted_gradient,
-    add_connection_terms,
-)
+from .dtensor import (SlotKind, _shape_for, adapted_gradient,
+                      add_connection_terms)
 from .expr import _point_array
 from .geometry import (
     LagrangeSpace,
@@ -48,24 +44,32 @@ __all__ = [
 ]
 
 
-_KINDS = ("time", "space", "vert")
+_SU, _SD, _TD = SlotKind.SPACE_UP, SlotKind.SPACE_DOWN, SlotKind.TIME_DOWN
+_VU, _VD = SlotKind.VERT_UP, SlotKind.VERT_DOWN
 
 
-def _covd(sp: LagrangeSpace, z, signature, fn, kinds) -> list:
-    """Components of the covariant derivatives of the d-tensor field
-    q -> fn(q) in the canonical connection of sp, one array per kind
-    (derivative axis last), from one stencil over the axes the kinds read.
-    A scalar takes no correction, so its derivatives are the adapted ones,
-    which read neither the Cartan blocks nor the field at z."""
-    field = DTensorField(signature, sp.n, fn)
-    derivs = adapted_gradient(field.components_at, z,
+def _covd(sp: LagrangeSpace, z, signatures, fn) -> list:
+    """Covariant derivatives in the canonical connection of sp of the
+    d-tensor fields q -> fn(q), a tuple with one array per signature: per
+    field, its [time, space, vert] derivatives (derivative axis last), all
+    from one stencil.  Each array's shape is checked against its signature
+    wherever fn is evaluated."""
+    shapes = [_shape_for(sig, sp.n) for sig in signatures]
+
+    def checked(q):
+        arrays = [np.asarray(a, dtype=float) for a in fn(q)]
+        if [a.shape for a in arrays] != shapes:
+            raise ValueError(f"field returned shapes "
+                             f"{[a.shape for a in arrays]}, expected {shapes}")
+        return arrays
+
+    kinds = ("time", "space", "vert")
+    derivs = adapted_gradient(checked, z,
                               canonical_nonlinear_connection(sp, z), kinds)
-    if not signature:
-        return derivs
-    arr = field.components_at(z)
     cart = cartan_connection(sp, z)
-    return [add_connection_terms(d, arr, signature, cart, kind)
-            for d, kind in zip(derivs, kinds)]
+    return [[add_connection_terms(d, arr, sig, cart, kind)
+             for d, kind in zip(field_derivs, kinds)]
+            for field_derivs, arr, sig in zip(derivs, checked(z), signatures)]
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +117,7 @@ def deflection_route(sp: LagrangeSpace, point) -> float:
     n = sp.n
     z = _point_array(point, n)
     defl = deflections(sp, z)
-    eng_t, eng_x, eng_y = _covd(sp, z, (SlotKind.VERT_UP,),
-                                lambda q: q[1 + n:], _KINDS)
+    ((eng_t, eng_x, eng_y),) = _covd(sp, z, [(_VU,)], lambda q: (q[1 + n:],))
     # np.max keeps a NaN from any route; the builtin max would drop it
     return float(np.max([np.max(np.abs(eng_t[:, 0] - defl.Dbar)),
                          np.max(np.abs(eng_x - defl.D)),
@@ -202,19 +205,14 @@ def maxwell_residuals(sp: LagrangeSpace, point) -> MaxwellResiduals:
     y_low = geo.h_inv * (geo.g @ y)
     tor = torsion(sp, z)
     C = geo.cartan.C
-    F_t, F_x, F_y = _covd(sp, z, (SlotKind.VERT_DOWN, SlotKind.SPACE_DOWN),
-                          lambda q: _em_F_closed(sp, q), _KINDS)
-
     defl = deflections(sp, z)
-    Dbar_cov = _covd(sp, z, (SlotKind.VERT_DOWN, SlotKind.TIME_DOWN),
-                     lambda q: deflections(sp, q).Dbar_low[:, None],
-                     ["space"])[0][:, 0, :]
     # T_1j = -Gt, read off the Cartan block so that no stencil point
     # builds connection jets
-    T1_cov = _covd(sp, z, (SlotKind.SPACE_UP, SlotKind.TIME_DOWN,
-                           SlotKind.SPACE_DOWN),
-                   lambda q: -cartan_connection(sp, q).Gt[:, None, :],
-                   ["space"])[0][:, 0, :, :]
+    (F_t, F_x, F_y), (_, Dbar_cov, _), (_, T1_cov, _) = _covd(
+        sp, z, [(_VD, _SD), (_VD, _TD), (_SU, _TD, _SD)],
+        lambda q: (_em_F_closed(sp, q), deflections(sp, q).Dbar_low[:, None],
+                   -cartan_connection(sp, q).Gt[:, None, :]))
+    Dbar_cov, T1_cov = Dbar_cov[:, 0, :], T1_cov[:, 0, :, :]
 
     bracket = T1_cov + np.einsum("pkm,mi->pik", C, tor.R_1j)
     core = (Dbar_cov + defl.D_low @ tor.T_1j + defl.d_low @ tor.R_1j
@@ -245,8 +243,8 @@ def maxwell_simple_residuals(sp: LagrangeSpace, point):
     z = _point_array(point, n)
     geo = sp.geometry_at(z)
     tor = torsion(sp, z)
-    F_t, F_x, F_y = _covd(sp, z, (SlotKind.VERT_DOWN, SlotKind.SPACE_DOWN),
-                          lambda q: _em_F_closed(sp, q), _KINDS)
+    ((F_t, F_x, F_y),) = _covd(sp, z, [(_VD, _SD)],
+                               lambda q: (_em_F_closed(sp, q),))
     term = geo.h_inv * (geo.g @ tor.R_1j)
     eq1 = F_t[:, :, 0] - 0.5 * (term - term.T)
     return MaxwellResiduals(eq1=eq1, eq2=_cyclic(F_x), eq3=_cyclic(F_y))
@@ -268,14 +266,13 @@ def deflection_identities(sp: LagrangeSpace, point) -> dict:
     C = geo.cartan.C
     defl = deflections(sp, z)
 
-    VD, SD = SlotKind.VERT_DOWN, SlotKind.SPACE_DOWN
-    Dbar_low = lambda q: deflections(sp, q).Dbar_low[:, None]
-    D_low = lambda q: deflections(sp, q).D_low
-    Dbar_x = _covd(sp, z, (VD, SlotKind.TIME_DOWN), Dbar_low,
-                   ["space"])[0][:, 0, :]
-    D_t, D_x, D_y = _covd(sp, z, (VD, SD), D_low, _KINDS)
-    (d_x,) = _covd(sp, z, (VD, VD), lambda q: deflections(sp, q).d_low,
-                   ["space"])
+    def lowered(q):
+        d = deflections(sp, q)
+        return d.Dbar_low[:, None], d.D_low, d.d_low
+
+    (_, Dbar_x, _), (D_t, D_x, D_y), (_, d_x, _) = _covd(
+        sp, z, [(_VD, _TD), (_VD, _SD), (_VD, _VD)], lowered)
+    Dbar_x = Dbar_x[:, 0, :]
 
     d1 = (Dbar_x - D_t[:, :, 0] + np.einsum("m,mik->ik", y_low, cur.R_i1k)
           + defl.D_low @ tor.T_1j + defl.d_low @ tor.R_1j)
@@ -404,32 +401,23 @@ def conservation_residuals(sp: LagrangeSpace, point) -> dict:
     n = sp.n
     z = _point_array(point, n)
 
-    def raised(build):
-        def fn(q):
-            geo = sp.geometry_at(q)
-            return build(ricci_and_scalar(sp, q), geo.g_inv, geo.h11)
-        return fn
+    def raised(q):
+        geo = sp.geometry_at(q)
+        r, gi, h = ricci_and_scalar(sp, q), geo.g_inv, geo.h11
+        return (np.asarray(0.5 * r.Sc),
+                (gi @ r.R_i1)[:, None],
+                (h * gi @ r.P_i1)[:, None],
+                gi @ r.R_ij - 0.5 * r.Sc * np.eye(n),
+                h * gi @ r.P_ij,
+                h * gi @ r.S_ij - 0.5 * r.Sc * np.eye(n),
+                gi @ r.P_i_j)
 
-    SU, SD = SlotKind.SPACE_UP, SlotKind.SPACE_DOWN
-    VU, VD, TD = SlotKind.VERT_UP, SlotKind.VERT_DOWN, SlotKind.TIME_DOWN
-    (lhs1,) = _covd(sp, z, (), lambda q: np.asarray(
-        0.5 * ricci_and_scalar(sp, q).Sc), ["time"])
-    (rup1_cov,) = _covd(sp, z, (SU, TD), raised(
-        lambda r, gi, h: (gi @ r.R_i1)[:, None]), ["space"])
-    (pup1_cov,) = _covd(sp, z, (VU, TD), raised(
-        lambda r, gi, h: (h * gi @ r.P_i1)[:, None]), ["vert"])
+    ((lhs1, _, _), (_, rup1_cov, _), (_, _, pup1_cov), (_, mixed_R, _),
+     (_, _, mixed_P), (_, _, mixed_S), (_, mixed_Pv, _)) = _covd(
+        sp, z, [(), (_SU, _TD), (_VU, _TD), (_SU, _SD), (_VU, _SD),
+                (_VU, _VD), (_SU, _VD)], raised)
     law1 = float(lhs1[0]) - (np.trace(rup1_cov[:, 0, :])
                              - np.trace(pup1_cov[:, 0, :]))
-
-    (mixed_R,) = _covd(sp, z, (SU, SD), raised(
-        lambda r, gi, h: gi @ r.R_ij - 0.5 * r.Sc * np.eye(n)), ["space"])
-    (mixed_P,) = _covd(sp, z, (VU, SD), raised(
-        lambda r, gi, h: h * gi @ r.P_ij), ["vert"])
     law2 = np.einsum("mjm->j", mixed_R) + np.einsum("mjm->j", mixed_P)
-
-    (mixed_S,) = _covd(sp, z, (VU, VD), raised(
-        lambda r, gi, h: h * gi @ r.S_ij - 0.5 * r.Sc * np.eye(n)), ["vert"])
-    (mixed_Pv,) = _covd(sp, z, (SU, VD), raised(
-        lambda r, gi, h: gi @ r.P_i_j), ["space"])
     law3 = np.einsum("mjm->j", mixed_S) + np.einsum("mjm->j", mixed_Pv)
     return {"law1": law1, "law2": law2, "law3": law3}

@@ -17,8 +17,9 @@ of g, N and the Cartan blocks) is built on its first read.  N is
 semi-analytic (symbolic L-partials plus a numeric matrix inverse), so
 N = dG/dy is cross-checked against finite differences of G as a genuine
 test.  Only derivatives OF connection blocks (torsion, curvature) fall
-back to Richardson finite differences, taken by ``dtensor.adapted_gradient``;
-their connection corrections come from ``dtensor.add_connection_terms``.
+back to Richardson finite differences, one ``dtensor.adapted_gradient``
+call on the tuple (Gt, L, C, N) per point; their connection corrections
+come from ``dtensor.add_connection_terms``.
 """
 
 from __future__ import annotations
@@ -351,30 +352,19 @@ class LagrangeSpace:
 
     # -- derivative bundles for torsion/curvature ----------------------------
 
-    def _pack_connection(self, z: np.ndarray) -> np.ndarray:
-        geo = self.geometry_at(z)
-        return np.concatenate([geo.cartan.Gt.ravel(), geo.cartan.L.ravel(),
-                               geo.cartan.C.ravel(), geo.N.ravel()])
-
     def connection_jets(self, point) -> _ConnJets:
         """Adapted first derivatives of (Gt, L, C, N) at a point, one stencil."""
         z = _point_array(point, self.n)
         return _cached(self._jet_cache, z, self._compute_jets)
 
     def _compute_jets(self, z: np.ndarray) -> _ConnJets:
-        n = self.n
-        del_t, del_x, d_y = adapted_gradient(      # (packed, 1 or n)
-            self._pack_connection, z, self.geometry_at(z),
-            ("time", "space", "vert"))
-        blocks = []
-        offset = 0
-        for shape in ((n, n), (n, n, n), (n, n, n), (n, n)):   # Gt, L, C, N
-            sl = slice(offset, offset + int(np.prod(shape)))
-            blocks.append(_JetBlock(del_t[sl, 0].reshape(shape),
-                                    del_x[sl].reshape(shape + (n,)),
-                                    d_y[sl].reshape(shape + (n,))))
-            offset = sl.stop
-        return _ConnJets(*blocks)
+        def blocks(q):
+            geo = self.geometry_at(q)
+            return geo.cartan.Gt, geo.cartan.L, geo.cartan.C, geo.N
+
+        jets = adapted_gradient(blocks, z, self.geometry_at(z),
+                                ("time", "space", "vert"))
+        return _ConnJets(*(_JetBlock(t[..., 0], x, y) for t, x, y in jets))
 
 
 def _cached(cache: collections.OrderedDict, z: np.ndarray, compute):

@@ -5,7 +5,9 @@ Richardson level; the package itself uses a 5-point stencil, so agreement
 between the two is evidence, not circularity.  The metric oracles build
 Christoffel/Riemann data straight from user-level metric component fields.
 The slot-rule oracles take the package's own connection jets and write out
-only the connection corrections, one einsum per slot.
+only the connection corrections, one einsum per slot.  The field-identity
+oracles take one covariant derivative per field and kind, where the
+package differentiates all of an identity's fields in one stencil.
 """
 
 from __future__ import annotations
@@ -14,8 +16,11 @@ import random
 
 import numpy as np
 
+from jetlag import fields
+from jetlag.dtensor import DTensorField, SlotKind, covariant_derivative
 from jetlag.expr import Const, Node, Var, add, call, div, mul, neg, power
-from jetlag.geometry import curvature, torsion
+from jetlag.geometry import (canonical_nonlinear_connection,
+                             cartan_connection, curvature, torsion)
 
 
 def count_calls(monkeypatch, fn, *owners):
@@ -192,6 +197,116 @@ def metricity_oracle(geo):
              - np.einsum("mi,mj->ij", cart.Gt, g)
              - np.einsum("im,mj->ij", g, cart.Gt))
     return [np.transpose(cov_s, (1, 2, 0)), cov_v, cov_t[..., np.newaxis]]
+
+
+# ---------------------------------------------------------------------------
+# the field identities with one derivative call per field and kind: an
+# oracle for fields._covd, which differentiates all of an identity's fields
+# in one stencil and must hand each field back with the bits of its own call
+# ---------------------------------------------------------------------------
+
+
+SU, SD, TD = SlotKind.SPACE_UP, SlotKind.SPACE_DOWN, SlotKind.TIME_DOWN
+VU, VD = SlotKind.VERT_UP, SlotKind.VERT_DOWN
+KINDS = ("time", "space", "vert")
+
+
+def cov_alone(sp, z, signature, fn, kind):
+    """Components of one field's covariant derivative of one kind."""
+    return covariant_derivative(DTensorField(signature, sp.n, fn), z,
+                                cartan_connection(sp, z),
+                                canonical_nonlinear_connection(sp, z),
+                                kind).components
+
+
+def maxwell_oracle(sp, z):
+    """fields.maxwell_residuals as a dict, one call per field and kind."""
+    n = sp.n
+    geo = sp.geometry_at(z)
+    y = z[1 + n:]
+    y_low = geo.h_inv * (geo.g @ y)
+    tor = torsion(sp, z)
+    C = geo.cartan.C
+    F_t, F_x, F_y = (cov_alone(sp, z, (VD, SD),
+                               lambda q: fields._em_F_closed(sp, q), kind)
+                     for kind in KINDS)
+    defl = fields.deflections(sp, z)
+    Dbar_cov = cov_alone(sp, z, (VD, TD),
+                         lambda q: fields.deflections(sp, q).Dbar_low[:, None],
+                         "space")[:, 0, :]
+    T1_cov = cov_alone(sp, z, (SU, TD, SD),
+                       lambda q: -cartan_connection(sp, q).Gt[:, None, :],
+                       "space")[:, 0, :, :]
+    bracket = T1_cov + np.einsum("pkm,mi->pik", C, tor.R_1j)
+    core = (Dbar_cov + defl.D_low @ tor.T_1j + defl.d_low @ tor.R_1j
+            - np.einsum("pik,p->ik", bracket, y_low))
+    eq1 = F_t[:, :, 0] - 0.5 * (core - core.T)
+    c3 = fields.vertical_source_tensor(geo)
+    source = np.einsum("ilm,mjk,l->ijk", c3, tor.R_ij, y)
+    eq2 = fields._cyclic(F_x) + 0.5 * fields._cyclic(source)
+    eq3 = fields._cyclic(F_y)
+    return {"eq1": eq1, "eq2": eq2, "eq3": eq3}
+
+
+def deflection_identities_oracle(sp, z):
+    """fields.deflection_identities, one call per field and kind."""
+    n = sp.n
+    geo = sp.geometry_at(z)
+    y = z[1 + n:]
+    y_low = geo.h_inv * (geo.g @ y)
+    tor = torsion(sp, z)
+    cur = curvature(sp, z)
+    C = geo.cartan.C
+    defl = fields.deflections(sp, z)
+    Dbar_x = cov_alone(sp, z, (VD, TD),
+                       lambda q: fields.deflections(sp, q).Dbar_low[:, None],
+                       "space")[:, 0, :]
+    D_t, D_x, D_y = (cov_alone(sp, z, (VD, SD),
+                               lambda q: fields.deflections(sp, q).D_low,
+                               kind) for kind in KINDS)
+    d_x = cov_alone(sp, z, (VD, VD), lambda q: fields.deflections(sp, q).d_low,
+                    "space")
+    d1 = (Dbar_x - D_t[:, :, 0] + np.einsum("m,mik->ik", y_low, cur.R_i1k)
+          + defl.D_low @ tor.T_1j + defl.d_low @ tor.R_1j)
+    d2 = (D_x - np.transpose(D_x, (0, 2, 1))
+          + np.einsum("m,mijk->ijk", y_low, cur.R_ijk)
+          + np.einsum("im,mjk->ijk", defl.d_low, tor.R_ij))
+    d3 = (D_y - np.transpose(d_x, (0, 2, 1))
+          + np.einsum("m,mijk->ijk", y_low, cur.P_ijk)
+          + np.einsum("im,mjk->ijk", defl.D_low, C)
+          + np.einsum("im,mjk->ijk", defl.d_low, tor.P_i))
+    return {"d1": d1, "d2": d2, "d3": d3}
+
+
+def conservation_oracle(sp, z):
+    """fields.conservation_residuals, one call per raised field."""
+    n = sp.n
+
+    def raised(build):
+        def fn(q):
+            geo = sp.geometry_at(q)
+            return build(fields.ricci_and_scalar(sp, q), geo.g_inv, geo.h11)
+        return fn
+
+    lhs1 = cov_alone(sp, z, (), lambda q: np.asarray(
+        0.5 * fields.ricci_and_scalar(sp, q).Sc), "time")
+    rup1_cov = cov_alone(sp, z, (SU, TD), raised(
+        lambda r, gi, h: (gi @ r.R_i1)[:, None]), "space")
+    pup1_cov = cov_alone(sp, z, (VU, TD), raised(
+        lambda r, gi, h: (h * gi @ r.P_i1)[:, None]), "vert")
+    law1 = float(lhs1[0]) - (np.trace(rup1_cov[:, 0, :])
+                             - np.trace(pup1_cov[:, 0, :]))
+    mixed_R = cov_alone(sp, z, (SU, SD), raised(
+        lambda r, gi, h: gi @ r.R_ij - 0.5 * r.Sc * np.eye(n)), "space")
+    mixed_P = cov_alone(sp, z, (VU, SD), raised(
+        lambda r, gi, h: h * gi @ r.P_ij), "vert")
+    law2 = np.einsum("mjm->j", mixed_R) + np.einsum("mjm->j", mixed_P)
+    mixed_S = cov_alone(sp, z, (VU, VD), raised(
+        lambda r, gi, h: h * gi @ r.S_ij - 0.5 * r.Sc * np.eye(n)), "vert")
+    mixed_Pv = cov_alone(sp, z, (SU, VD), raised(
+        lambda r, gi, h: gi @ r.P_i_j), "space")
+    law3 = np.einsum("mjm->j", mixed_S) + np.einsum("mjm->j", mixed_Pv)
+    return {"law1": law1, "law2": law2, "law3": law3}
 
 
 # ---------------------------------------------------------------------------

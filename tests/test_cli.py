@@ -17,6 +17,7 @@ from jetlag import cli
 from jetlag.cli import (
     BUILTIN_CONFIGS,
     MAX_N,
+    MAX_POINTS,
     ConfigError,
     SCHEMA_VERSION,
     load_config,
@@ -335,6 +336,18 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "worst offender metricity" in out
 
+    @pytest.mark.parametrize("command", ["check", "report"])
+    def test_points_above_the_cap_exit_two_before_sampling(
+            self, capsys, monkeypatch, command):
+        sampled = []
+        monkeypatch.setattr(cli, "sample_points",
+                            lambda *args: sampled.append(args))
+        assert main([command, "--config", "flat",
+                     "--points", str(MAX_POINTS + 1)]) == 2
+        err = capsys.readouterr().err
+        assert f"--points must be <= {MAX_POINTS}, got {MAX_POINTS + 1}" in err
+        assert sampled == []
+
     def test_family_gates_suite_rows(self, tmp_path, capsys):
         out = tmp_path / "s.json"
         main(["check", "--config", "electrodynamics_l2", "--points", "5",
@@ -461,6 +474,16 @@ class TestCurve:
         assert code == 2
         assert "steps exceed the cap" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_huge_step_count_message_stays_short(self, tmp_path, capsys):
+        # 1/1e-300 steps: the message gives the count in a few digits
+        code = main(["curve", "--config", "flat", "--x0", "0", "0",
+                     "--y0", "1", "0", "--t1", "1", "--step", "1e-300",
+                     "--out", str(tmp_path / "c.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "steps exceed the cap" in err
+        assert len(err.strip()) < 100
 
     def test_out_into_missing_directory_is_usage_error(self, tmp_path,
                                                        capsys):

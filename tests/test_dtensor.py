@@ -226,15 +226,38 @@ class TestAdaptedGradient:
         # each kind alone reads t+y, x+y or y (1+n, 2n, n axes); together
         # they share the y axes, 2n+1 stencils in all, with the same bits
         field, _, _, _ = vector_field_poly()
+        fn = lambda q: (field.components_at(q),)
         z, nl = RNG.uniform(-1.0, 1.0, 2 * N + 1), rand_nl()
-        alone = [adapted_gradient(field.components_at, z, nl, [kind])[0]
+        alone = [adapted_gradient(fn, z, nl, [kind])[0][0]
                  for kind in ("time", "space", "vert")]
         stencils = count_calls(monkeypatch, numdiff.partial, numdiff)
-        together = adapted_gradient(field.components_at, z, nl,
-                                    ("time", "space", "vert"))
+        (together,) = adapted_gradient(fn, z, nl, ("time", "space", "vert"))
         assert len(stencils) == 2 * N + 1
         for a, b in zip(alone, together, strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_several_arrays_keep_the_bits_of_their_own_calls(self,
+                                                              monkeypatch):
+        # a scalar, a vector and three rank-2 arrays share one stencil, and
+        # each comes back as it would from a call of its own
+        vec, _, _, _ = vector_field_poly()
+        scal = scalar_field("t * y1 + x2^2 * y2")
+        parts = [scal.components_at, vec.components_at,
+                 lambda q: np.outer(vec.components_at(q), q[N + 1:]),
+                 lambda q: np.outer(q[1:N + 1], q[N + 1:]),
+                 lambda q: np.outer(q[N + 1:], vec.components_at(q))]
+        kinds = ("time", "space", "vert")
+        z, nl = RNG.uniform(-1.0, 1.0, 2 * N + 1), rand_nl()
+        alone = [adapted_gradient(lambda q, f=f: (f(q),), z, nl, kinds)[0]
+                 for f in parts]
+        stencils = count_calls(monkeypatch, numdiff.partial, numdiff)
+        together = adapted_gradient(lambda q: [f(q) for f in parts], z, nl,
+                                    kinds)
+        assert len(stencils) == 2 * N + 1
+        assert len(together) == len(parts)
+        for own, shared in zip(alone, together, strict=True):
+            for a, b in zip(own, shared, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind must be"):
@@ -279,6 +302,12 @@ def vector_field_poly():
 
 
 class TestCovariantDerivative:
+    def test_field_of_the_wrong_shape(self):
+        field = DTensorField((SlotKind.SPACE_UP,), N, lambda z: np.zeros(N + 1))
+        with pytest.raises(ValueError, match="field returned shape"):
+            covariant_derivative(field, rand_point(), zero_cartan(), zero_nl(),
+                                 "space")
+
     def test_zero_connection_time_is_plain_dt(self):
         field, dt, dx, dy = vector_field_poly()
         p = rand_point()

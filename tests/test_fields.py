@@ -5,16 +5,20 @@ import pytest
 
 from helpers import (
     bianchi_b1_b3_oracle,
+    conservation_oracle,
     count_calls,
     curvature_P_oracle,
+    deflection_identities_oracle,
     fd_partial,
     metric_at,
+    maxwell_oracle,
     metricity_oracle,
     ricci_oracle,
 )
-from jetlag import numdiff
+from jetlag import fields, numdiff
 from jetlag.checks import _metricity_residuals, sample_points
 from jetlag.cli import load_config
+from jetlag.dtensor import SlotKind
 from jetlag.expr import parse
 from jetlag.fields import (
     conservation_residuals,
@@ -320,16 +324,27 @@ class TestDifferentiatedWork:
 
 
     # numdiff.partial calls on a cold space at one sphere_l1 point (n = 2):
-    # the connection jets take 2n+1, and each differentiated field takes
-    # one stencil over the union of the axes its derivative kinds read
+    # the connection jets take 2n+1 at every point where they are read, and
+    # each identity differentiates all of its fields in one stencil of 2n+1;
+    # conservation reads the jets at its base point and at its 30 stencil
+    # points, so 31 * 5 + 5
     @pytest.mark.parametrize("fn,count", [
-        (maxwell_residuals, 18), (maxwell_simple_residuals, 10),
-        (deflection_identities, 18), (deflection_route, 5)])
+        (maxwell_residuals, 10), (maxwell_simple_residuals, 10),
+        (deflection_identities, 10), (deflection_route, 5),
+        (conservation_residuals, 160)])
     def test_stencils_per_point(self, monkeypatch, fn, count):
         sp, z = _builtin_point("sphere_l1")
         stencils = count_calls(monkeypatch, numdiff.partial, numdiff)
         fn(sp, z)
         assert len(stencils) == count
+
+    def test_conservation_builds_ricci_once_per_point(self, monkeypatch):
+        # one curvature at each of the 30 stencil points and one at the
+        # base point; the per-field stencils built it 132 times
+        sp, z = _builtin_point("sphere_l1")
+        calls = count_calls(monkeypatch, fields.ricci_and_scalar, fields)
+        conservation_residuals(sp, z)
+        assert len(calls) <= 32
 
 
 class TestSlotRuleOracle:
@@ -352,6 +367,43 @@ class TestSlotRuleOracle:
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+
+
+class TestOneStencilOracle:
+    """Each identity differentiates all of its fields in one stencil; the
+    split hands every field back with the bits of its own derivative call.
+    Checked on spaces whose vertical block C is nonzero: every builtin has
+    C = 0, so check cannot see a field handed to the wrong term."""
+
+    @pytest.mark.parametrize("build,z", [(quartic_space, GEN_Z),
+                                         (gen3_space, GEN3_Z)])
+    @pytest.mark.parametrize("fn,oracle", [
+        (maxwell_residuals, maxwell_oracle),
+        (deflection_identities, deflection_identities_oracle),
+        (conservation_residuals, conservation_oracle)])
+    def test_matches_one_call_per_field(self, build, z, fn, oracle):
+        sp = build()
+        assert np.max(np.abs(sp.geometry_at(z).cartan.C)) > 1e-3
+        got, want = fn(sp, z), oracle(sp, z)
+        if not isinstance(got, dict):
+            got = {key: getattr(got, key) for key in want}
+        assert got.keys() == want.keys()
+        for key in want:
+            a, b = np.asarray(got[key]), np.asarray(want[key])
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes(), key
+
+    def test_field_of_the_wrong_shape_at_a_stencil_point(self):
+        # right at the base point, one entry too long everywhere else: the
+        # shape check runs wherever the field is evaluated
+        sp, n = sphere_space(), N
+
+        def fn(q):
+            y = q[1 + n:]
+            return y, (y if np.array_equal(q, SPHERE_Z) else np.append(y, 0.0))
+
+        with pytest.raises(ValueError, match="field returned shape"):
+            fields._covd(sp, SPHERE_Z, [(SlotKind.VERT_UP,)] * 2, fn)
 
 
 class TestVerticalSource:
