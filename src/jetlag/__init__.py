@@ -2,10 +2,11 @@
 
 Layers, bottom to top:
 
-* :mod:`jetlag.expr` - symbolic scalar fields on jet coordinates.
-* :mod:`jetlag.numdiff` - finite differences, taken by ``dtensor.adapted_gradient``.
-* :mod:`jetlag.dtensor` - distinguished tensors, adapted/covariant derivatives,
-  chart transforms.
+* :mod:`jetlag.dual` - forward-mode dual numbers over numpy arrays.
+* :mod:`jetlag.expr` - symbolic scalar fields on jet coordinates, evaluated
+  at float or dual points.
+* :mod:`jetlag.dtensor` - distinguished tensors, adapted/covariant derivatives
+  (forward mode, through ``adapted_gradient``), chart transforms.
 * :mod:`jetlag.geometry` - Lagrange spaces: metrics, sprays, connections,
   torsion and curvature.
 * :mod:`jetlag.fields` - deflections, electromagnetic form, Maxwell identities,
@@ -13,6 +14,9 @@ Layers, bottom to top:
 * :mod:`jetlag.dynamics` - harmonic curves, action integrals.
 * :mod:`jetlag.checks` / :mod:`jetlag.cli` - identity sweeps and the ``jetlag``
   command line tool.
+
+:mod:`jetlag.numdiff` (finite differences) is no layer: the tests use it as
+the independent oracle of the forward-mode derivatives.
 """
 
 from jetlag.expr import JetPoint, ScalarField, parse

@@ -10,7 +10,8 @@ x1..xn, y1..yn).  Four verbs:
 * ``report``   check plus a per-point record of every computed object
 
 Exit codes are a stable contract: 0 pass, 1 identity failure, 2 usage
-or configuration error, 3 regularity failure.  Reports are fully
+or configuration error, 3 regularity failure (a singular metric, or an
+expression leaving its domain, at a point).  Reports are fully
 deterministic for a fixed (config, seed): repeated runs are
 byte-identical.
 """
@@ -36,7 +37,7 @@ from .checks import (
     worst_offender,
 )
 from .dynamics import action, integrate_harmonic
-from .expr import ExprError, ScalarField, parse
+from .expr import EvalDomainError, ExprError, ScalarField, parse
 from .fields import (
     deflection_identities,
     deflection_route,
@@ -569,12 +570,14 @@ def main(argv=None) -> int:
         parser.error("curve requires --out for the CSV")
     try:
         return args.fn(args)
+    except (NonRegularError, EvalDomainError) as exc:
+        # a point where the metric is singular or an expression leaves its
+        # domain (the domain error is an ExprError, so it is caught first)
+        print(f"regularity failure: {exc}", file=sys.stderr)
+        return 3
     except (ConfigError, ExprError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NonRegularError as exc:
-        print(f"regularity failure: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ each rule below is written once, as one block per family:
   subtracted on a down one.
 
 The module also provides the adapted-basis derivatives, the package's
-one finite-difference seam (``adapted_gradient``), contraction and the
-inhomogeneous chart laws of the sprays and the nonlinear connection.
+one derivative seam (``adapted_gradient``, forward mode on a dual point),
+contraction and the inhomogeneous chart laws of the sprays and the
+nonlinear connection.
 Everything here is pointwise and connection-agnostic: geometric content
 (which connection, which metric) is supplied by the caller.
 """
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from jetlag.dual import CONTRACT, Dual, as_array, base, depth, scalar
 from jetlag.expr import JetPoint, ScalarField, _point_array
-from jetlag.numdiff import gradient
 
 __all__ = [
     "SlotKind",
@@ -97,17 +98,25 @@ class DTensorValue:
     def __post_init__(self):
         sig = tuple(self.signature)
         object.__setattr__(self, "signature", sig)
-        arr = np.asarray(self.components, dtype=float)
+        arr = as_array(self.components)
         expected = _shape_for(sig, self.n)
         if arr.shape != expected:
             raise ValueError(f"components shape {arr.shape} != {expected} for signature")
-        if not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(base(arr))):
             raise ValueError("d-tensor components must be finite")
         object.__setattr__(self, "components", arr)
 
 
 class DTensorField:
-    """A pure map from jet points to d-tensor components of fixed signature."""
+    """A pure map from jet points to d-tensor components of fixed signature.
+
+    The map is differentiated by forward mode, so it must be
+    dual-transparent: at a dual point it is called with a
+    ``jetlag.dual.Dual`` and must build its components from it with the
+    operations that module lists (arithmetic, @, indexing, einsum, ...),
+    never through ``float()`` or ``np.array([...])`` of entries.  A map
+    that breaks this raises a TypeError naming the contract.
+    """
 
     def __init__(self, signature, n: int, fn):
         self.signature = tuple(signature)
@@ -116,7 +125,7 @@ class DTensorField:
         self._shape = _shape_for(self.signature, self.n)
 
     def components_at(self, point) -> np.ndarray:
-        out = np.asarray(self._fn(_point_array(point, self.n)), dtype=float)
+        out = as_array(self._fn(_point_array(point, self.n)))
         if out.shape != self._shape:
             raise ValueError(f"field returned shape {out.shape}, expected {self._shape}")
         return out
@@ -133,11 +142,11 @@ class NonlinearConnectionValue:
     N: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.M, dtype=float)
-        N = np.asarray(self.N, dtype=float)
+        M = as_array(self.M)
+        N = as_array(self.N)
         if M.ndim != 1 or N.shape != (M.shape[0], M.shape[0]):
             raise ValueError(f"inconsistent shapes M{M.shape}, N{N.shape}")
-        if not (np.isfinite(M).all() and np.isfinite(N).all()):
+        if not (np.isfinite(base(M)).all() and np.isfinite(base(N)).all()):
             raise ValueError("connection coefficients must be finite")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "N", N)
@@ -164,13 +173,13 @@ class CartanCoefficients:
     C: np.ndarray
 
     def __post_init__(self):
-        Gt = np.asarray(self.Gt, dtype=float)
-        L = np.asarray(self.L, dtype=float)
-        C = np.asarray(self.C, dtype=float)
+        Gt = as_array(self.Gt)
+        L = as_array(self.L)
+        C = as_array(self.C)
         n = Gt.shape[0]
         if Gt.shape != (n, n) or L.shape != (n, n, n) or C.shape != (n, n, n):
             raise ValueError("inconsistent connection block shapes")
-        object.__setattr__(self, "H", float(self.H))
+        object.__setattr__(self, "H", scalar(self.H))
         object.__setattr__(self, "Gt", Gt)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "C", C)
@@ -187,7 +196,7 @@ class CartanCoefficients:
         """The block correcting a slot of this family in a covariant
         derivative of this kind, derivative axis last."""
         if family == "time":
-            return np.full((1, 1, 1), self.H) if kind == "time" \
+            return self.H * np.ones((1, 1, 1)) if kind == "time" \
                 else np.zeros((1, 1, self.n))
         if kind == "time":
             return (self.Gt if family == "space"
@@ -222,40 +231,38 @@ _KINDS = ("time", "space", "vert")
 def adapted_gradient(fn, z, nl, kinds) -> list:
     """Adapted derivatives of the point function fn, which returns a tuple
     of arrays, at z: per array, one derivative array per kind (derivative
-    axis last), all from one gradient over the union of the axes the kinds
-    read: 'time' d/dt - M^j d/dy^j (an axis of extent 1), 'space'
-    d/dx^i - N^j_i d/dy^j, 'vert' d/dy^i; nl gives M, N.
+    axis last) of 'time' d/dt - M^j d/dy^j (an axis of extent 1), 'space'
+    d/dx^i - N^j_i d/dy^j and 'vert' d/dy^i; nl gives M, N.
+
+    Forward mode: fn is called once, at z seeded with the identity tangent
+    (a ``jetlag.dual.Dual``; z may be one already, which nests), and each
+    array's plain partials are its tangent.  fn must be dual-transparent
+    (see ``DTensorField``).  The corrections are plain einsums, which
+    round every entry by itself, so an array's bits do not depend on the
+    arrays beside it.
     """
     for kind in kinds:
         if kind not in _KINDS:
             raise ValueError(f"kind must be 'time', 'space' or 'vert'; "
                              f"got {kind!r}")
     n = (len(z) - 1) // 2
-    has_t, has_x = "time" in kinds, "space" in kinds
-    axes = [0] * has_t + [*range(1, n + 1)] * has_x \
-        + [*range(n + 1, 2 * n + 1)]
-    shapes = []
-
-    def packed(q):
-        arrays = [np.asarray(a, dtype=float) for a in fn(q)]
-        shapes[:] = [a.shape for a in arrays]
-        return np.concatenate([a.ravel() for a in arrays])
-
-    grads = gradient(packed, z, axes)
-    splits = np.cumsum([math.prod(s) for s in shapes])[:-1]
+    point = Dual(z, np.eye(len(z)))
     derivs = []
-    # each array takes its own corrections: BLAS rounds a matrix-vector
-    # column by where it sits, so the arrays beside it would move its bits
-    for g, shape in zip(np.split(grads, splits, axis=1), shapes):
-        g = g.reshape(-1, *shape)
-        d_y = g[-n:]
+    for a in fn(point):
+        if depth(a) != point.depth:
+            raise TypeError(f"adapted_gradient: fn returned a "
+                            f"{type(a).__name__} without the point's "
+                            f"tangent; {CONTRACT}")
+        g = a.tan
+        d_y = g[n + 1:]
+        flat = d_y.reshape(n, -1)
         out = {"vert": d_y}
-        if has_t:
-            out["time"] = (g[0] - np.tensordot(nl.M, d_y, axes=(0, 0)))[
-                np.newaxis]
-        if has_x:
-            out["space"] = (g[has_t:has_t + n]
-                            - np.tensordot(nl.N.T, d_y, axes=(1, 0)))
+        if "time" in kinds:
+            out["time"] = (g[0] - np.einsum("m,mk->k", nl.M, flat)
+                           .reshape(a.shape))[np.newaxis]
+        if "space" in kinds:
+            out["space"] = (g[1:n + 1] - np.einsum("mi,mk->ik", nl.N, flat)
+                            .reshape(g[1:n + 1].shape))
         derivs.append([np.moveaxis(out[k], 0, -1) for k in kinds])
     return derivs
 
@@ -402,7 +409,7 @@ def lower_slot(value: DTensorValue, axis: int, g: np.ndarray | None = None,
 
     Temporal slots use h11, spatial slots g_ij, vertical slots h^11 g_ij.
     """
-    g = None if g is None else np.asarray(g, dtype=float)
+    g = None if g is None else as_array(g)
     return _move_slot(value, axis, True, "g", {
         "time": h11, "space": g,
         "vert": None if g is None or h11 is None else g / h11})
@@ -411,7 +418,7 @@ def lower_slot(value: DTensorValue, axis: int, g: np.ndarray | None = None,
 def raise_slot(value: DTensorValue, axis: int, g_inv: np.ndarray | None = None,
                h11: float | None = None) -> DTensorValue:
     """Raise one covariant slot; inverse blocks of :func:`lower_slot`."""
-    g_inv = None if g_inv is None else np.asarray(g_inv, dtype=float)
+    g_inv = None if g_inv is None else as_array(g_inv)
     return _move_slot(value, axis, False, "g_inv", {
         "time": h11, "space": g_inv,
         "vert": None if g_inv is None or h11 is None else g_inv * h11})

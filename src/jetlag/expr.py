@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from jetlag.dual import Dual, base
+
 __all__ = [
     "JetPoint",
     "ScalarField",
@@ -107,7 +109,13 @@ class JetPoint:
 
 
 def _point_array(point, n: int) -> np.ndarray:
-    """The (2n+1,) coordinate array of a JetPoint or array-like point."""
+    """The (2n+1,) coordinate array of a JetPoint or array-like point; a
+    dual point passes through."""
+    if isinstance(point, Dual):
+        if point.shape != (2 * n + 1,):
+            raise ValueError(f"expected {2 * n + 1} coordinates, "
+                             f"got shape {point.shape}")
+        return point
     if isinstance(point, JetPoint):
         if point.n != n:
             raise ValueError(f"point has n={point.n}, expected n={n}")
@@ -144,7 +152,19 @@ class Node:
     def children(self) -> tuple:
         return ()
 
-    def diff(self, var: int) -> "Node":
+    def diff(self, var: int, memo: dict | None = None) -> "Node":
+        """The derivative in variable var.  memo maps id(node) to the
+        derivative of each subtree already taken in this call, so a
+        subtree shared across the tree is differentiated once: without it,
+        a chain of k quotients costs O(k^r) at order r."""
+        if memo is None:
+            memo = {}
+        got = memo.get(id(self))
+        if got is None:
+            got = memo[id(self)] = self._diff(var, memo)
+        return got
+
+    def _diff(self, var: int, memo: dict) -> "Node":
         raise NotImplementedError
 
     def substitute(self, mapping: dict[int, "Node"]) -> "Node":
@@ -172,7 +192,7 @@ class Const(Node):
     def __init__(self, value: float):
         object.__setattr__(self, "value", float(value))
 
-    def diff(self, var):
+    def _diff(self, var, memo):
         return Const(0.0)
 
     def substitute(self, mapping):
@@ -187,7 +207,7 @@ class Var(Node):
             raise ValueError("variable index must be nonnegative")
         object.__setattr__(self, "index", int(index))
 
-    def diff(self, var):
+    def _diff(self, var, memo):
         return Const(1.0) if var == self.index else Const(0.0)
 
     def substitute(self, mapping):
@@ -203,8 +223,8 @@ class Neg(Node):
     def children(self):
         return (self.arg,)
 
-    def diff(self, var):
-        return neg(self.arg.diff(var))
+    def _diff(self, var, memo):
+        return neg(self.arg.diff(var, memo))
 
     def substitute(self, mapping):
         return neg(self.arg.substitute(mapping))
@@ -219,8 +239,8 @@ class Add(Node):
     def children(self):
         return self.terms
 
-    def diff(self, var):
-        return add(*(tm.diff(var) for tm in self.terms))
+    def _diff(self, var, memo):
+        return add(*(tm.diff(var, memo) for tm in self.terms))
 
     def substitute(self, mapping):
         return add(*(tm.substitute(mapping) for tm in self.terms))
@@ -235,11 +255,11 @@ class Mul(Node):
     def children(self):
         return self.factors
 
-    def diff(self, var):
+    def _diff(self, var, memo):
         # product rule over an n-ary product
         pieces = []
         for i, f in enumerate(self.factors):
-            df = f.diff(var)
+            df = f.diff(var, memo)
             pieces.append(mul(*self.factors[:i], df, *self.factors[i + 1 :]))
         return add(*pieces)
 
@@ -257,9 +277,9 @@ class Div(Node):
     def children(self):
         return (self.num, self.den)
 
-    def diff(self, var):
-        du = self.num.diff(var)
-        dv = self.den.diff(var)
+    def _diff(self, var, memo):
+        du = self.num.diff(var, memo)
+        dv = self.den.diff(var, memo)
         return div(add(mul(du, self.den), neg(mul(self.num, dv))), power(self.den, 2))
 
     def substitute(self, mapping):
@@ -278,8 +298,8 @@ class Pow(Node):
     def children(self):
         return (self.base,)
 
-    def diff(self, var):
-        db = self.base.diff(var)
+    def _diff(self, var, memo):
+        db = self.base.diff(var, memo)
         return mul(Const(self.exponent), power(self.base, self.exponent - 1.0), db)
 
     def substitute(self, mapping):
@@ -298,9 +318,9 @@ class Call(Node):
     def children(self):
         return (self.arg,)
 
-    def diff(self, var):
+    def _diff(self, var, memo):
         u = self.arg
-        du = u.diff(var)
+        du = u.diff(var, memo)
         if self.func == "sin":
             outer = call("cos", u)
         elif self.func == "cos":
@@ -621,6 +641,7 @@ class _DerivTable:
         self.n = n
         self._asts: dict[tuple[int, ...], Node] = {(0,) * (2 * n + 1): ast}
         self._fns: dict[tuple[tuple[int, ...], ...], object] = {}
+        self._plans: dict = {}
 
     def ast_for(self, idx: tuple[int, ...]) -> Node:
         node = self._asts.get(idx)
@@ -642,6 +663,41 @@ class _DerivTable:
             fn = compile_node([self.ast_for(idx) for idx in offsets], self.n)
             self._fns[offsets] = fn
         return fn
+
+    def taylor_plan(self, offsets: tuple[tuple[int, ...], ...], order: int):
+        """How to take the Taylor polynomials of the partials at these
+        offsets to this order, from one fused function over the distinct
+        multi-indices they read: (that function, the index of each partial's
+        value, and per order r the coefficient indices [partial, monomial],
+        the 1/alpha! weights, and each monomial of order r as a monomial of
+        order r - 1 times one variable).  Compiles on its first use."""
+        key = (offsets, order)
+        plan = self._plans.get(key)
+        if plan is not None:
+            return plan
+        top = max(map(sum, offsets)) + order
+        if top > DEFAULT_MAX_ORDER:
+            raise DerivativeOrderError(
+                f"total derivative order {top} exceeds cap {DEFAULT_MAX_ORDER}")
+        slots: dict = {}
+        values = [slots.setdefault(o, len(slots)) for o in offsets]
+        orders = []
+        prev = {(): 0}      # monomials as sorted variable tuples -> position
+        for _ in range(order):
+            monos = [m + (v,) for m in prev
+                     for v in range(m[-1] if m else 0, 2 * self.n + 1)]
+            idx = [[slots.setdefault(tuple(o[i] + m.count(i)
+                                           for i in range(len(o))), len(slots))
+                    for m in monos] for o in offsets]
+            weight = [1.0 / math.prod(math.factorial(m.count(v))
+                                      for v in set(m)) for m in monos]
+            orders.append((np.array(idx), np.array(weight),
+                           np.array([prev[m[:-1]] for m in monos]),
+                           np.array([m[-1] for m in monos])))
+            prev = {m: i for i, m in enumerate(monos)}
+        plan = (self.fn_for(tuple(slots)), np.array(values), orders)
+        self._plans[key] = plan
+        return plan
 
 
 def _validate_multi_index(idx, n: int) -> tuple[int, ...]:
@@ -724,11 +780,16 @@ class ScalarField:
 def evaluate_fields(fields, point) -> tuple:
     """Values of fields of one derivative table at one point, in order.
 
-    One call of the fields' fused compiled function, the only place a
-    compiled function is called.  A domain error raises EvalDomainError
-    naming the node of the line that failed: the first failing
-    subexpression of the first failing field, the one that field evaluated
-    alone names.
+    One call of a fused compiled function, the only place a compiled
+    function is called.  A domain error raises EvalDomainError naming the
+    node of the line that failed: the first failing subexpression of the
+    first failing field, the one that field evaluated alone names.
+
+    At a dual point of depth d (see jetlag.dual) the values come back as
+    one Dual of shape (len(fields),): each field's Taylor polynomial to
+    order d about the base point, from the exact partials up to d orders
+    above the field's own, evaluated on the point's perturbation.  That is
+    exact, since a perturbation of depth d vanishes at power d + 1.
     """
     fields = tuple(fields)
     if not fields:
@@ -738,26 +799,50 @@ def evaluate_fields(fields, point) -> tuple:
     if len(offsets) != len(fields):
         raise ValueError("evaluate_fields needs partials of one root field")
     n = table.n
+    z = _point_array(point, n)
+    if isinstance(z, Dual):
+        return _taylor_values(table, offsets, z)
     # plain Python floats, whatever the point type: float arithmetic
     # raises on a domain error where numpy scalars return inf or nan
-    z = _point_array(point, n).tolist()
-    fn = table.fn_for(offsets)
+    fn, z = table.fn_for(offsets), z.tolist()
     try:
         return fn(z[0], z[1:n + 1], z[n + 1:])
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        tb = exc.__traceback__
-        while tb.tb_frame.f_code.co_filename != "<jetlag-expr>":
-            tb = tb.tb_next
-        node = fn.nodes[tb.tb_lineno - 2]   # line 1 is the def
-        if isinstance(node, Pow):
-            message = str(exc)
-        elif isinstance(node, Call):
-            message = f"{node.func} domain error: {exc}"
-        elif isinstance(exc, ZeroDivisionError):
-            message = "division by zero"
-        else:
-            message = "overflow"
-        raise EvalDomainError(message, to_source(node, n)) from None
+        raise _domain_error(fn, exc, n) from None
+
+
+def _taylor_values(table: _DerivTable, offsets, point: Dual) -> Dual:
+    fn, values, orders = table.taylor_plan(offsets, point.depth)
+    z = base(point)
+    n, zl = table.n, z.tolist()
+    try:
+        partials = np.array(fn(zl[0], zl[1:n + 1], zl[n + 1:]))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise _domain_error(fn, exc, n) from None
+    delta = point - z
+    out = partials[values]
+    mono = None
+    for idx, weight, prefix, var in orders:
+        mono = delta[var] if mono is None else mono[prefix] * delta[var]
+        out = out + (partials[idx] * weight) @ mono
+    return out
+
+
+def _domain_error(fn, exc: Exception, n: int) -> EvalDomainError:
+    """The EvalDomainError naming the node of the line of fn that raised."""
+    tb = exc.__traceback__
+    while tb.tb_frame.f_code.co_filename != "<jetlag-expr>":
+        tb = tb.tb_next
+    node = fn.nodes[tb.tb_lineno - 2]   # line 1 is the def
+    if isinstance(node, Pow):
+        message = str(exc)
+    elif isinstance(node, Call):
+        message = f"{node.func} domain error: {exc}"
+    elif isinstance(exc, ZeroDivisionError):
+        message = "division by zero"
+    else:
+        message = "overflow"
+    return EvalDomainError(message, to_source(node, n))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dtensor import (SlotKind, _shape_for, adapted_gradient,
                       add_connection_terms)
+from .dual import as_array, scalar
 from .expr import _point_array
 from .geometry import (
     LagrangeSpace,
@@ -52,12 +53,12 @@ def _covd(sp: LagrangeSpace, z, signatures, fn) -> list:
     """Covariant derivatives in the canonical connection of sp of the
     d-tensor fields q -> fn(q), a tuple with one array per signature: per
     field, its [time, space, vert] derivatives (derivative axis last), all
-    from one stencil.  Each array's shape is checked against its signature
-    wherever fn is evaluated."""
+    from one evaluation at one dual point.  Each array's shape is checked
+    against its signature wherever fn is evaluated."""
     shapes = [_shape_for(sig, sp.n) for sig in signatures]
 
     def checked(q):
-        arrays = [np.asarray(a, dtype=float) for a in fn(q)]
+        arrays = [as_array(a) for a in fn(q)]
         if [a.shape for a in arrays] != shapes:
             raise ValueError(f"field returned shapes "
                              f"{[a.shape for a in arrays]}, expected {shapes}")
@@ -83,8 +84,7 @@ class DeflectionSet:
     Dbar/D/d carry the upper vertical index; the *_low variants are the
     contractions with the vertical block h^11 g_ik of the jet metric.
     The engine route to the same values is `deflection_route`; it stays
-    out of this set, which the field equations evaluate at every stencil
-    point.
+    out of this set, which the field equations differentiate.
     """
 
     Dbar: np.ndarray      # (n,)   time derivative
@@ -206,8 +206,8 @@ def maxwell_residuals(sp: LagrangeSpace, point) -> MaxwellResiduals:
     tor = torsion(sp, z)
     C = geo.cartan.C
     defl = deflections(sp, z)
-    # T_1j = -Gt, read off the Cartan block so that no stencil point
-    # builds connection jets
+    # T_1j = -Gt, read off the Cartan block so that its derivative needs
+    # no connection jets at the dual point, hence no nested dual point
     (F_t, F_x, F_y), (_, Dbar_cov, _), (_, T1_cov, _) = _covd(
         sp, z, [(_VD, _SD), (_VD, _TD), (_SU, _TD, _SD)],
         lambda q: (_em_F_closed(sp, q), deflections(sp, q).Dbar_low[:, None],
@@ -323,8 +323,8 @@ def ricci_and_scalar(sp: LagrangeSpace, point) -> RicciSet:
     P_i1 = np.einsum("mim->i", cur.P_i1k)
     P_ij = np.einsum("mijm->ij", cur.P_ijk)
     S_ij = np.einsum("mijm->ij", cur.S_ijk)
-    R = float(np.einsum("ij,ij->", geo.g_inv, R_ij))
-    S = float(geo.h11 * np.einsum("ij,ij->", geo.g_inv, S_ij))
+    R = scalar(np.einsum("ij,ij->", geo.g_inv, R_ij))
+    S = scalar(geo.h11 * np.einsum("ij,ij->", geo.g_inv, S_ij))
     return RicciSet(H11=0.0, R_i1=R_i1, R_ij=R_ij, P_i_j=P_i_j, P_i1=P_i1,
                     P_ij=P_ij, S_ij=S_ij, H=0.0, R=R, S=S, Sc=R + S)
 
@@ -404,7 +404,7 @@ def conservation_residuals(sp: LagrangeSpace, point) -> dict:
     def raised(q):
         geo = sp.geometry_at(q)
         r, gi, h = ricci_and_scalar(sp, q), geo.g_inv, geo.h11
-        return (np.asarray(0.5 * r.Sc),
+        return (0.5 * r.Sc,
                 (gi @ r.R_i1)[:, None],
                 (h * gi @ r.P_i1)[:, None],
                 gi @ r.R_ij - 0.5 * r.Sc * np.eye(n),

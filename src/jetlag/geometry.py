@@ -8,18 +8,21 @@ curvature tables of that connection.
 
 Derivative strategy: every L-partial the geometry reads (L_y, L_x, L_ty,
 L_xy, L_yy, L_tyy, L_xyy, L_yyy) is exact and symbolic.  ``geometry_at``
-evaluates the distinct ones into one flat table in two fused
-``expr.evaluate_fields`` calls (the L_yy head first, so the regularity
-check runs before any other partial; h11 and its t-derivative are a
-third), so every domain and regularity error raises there.  It builds the
-spray level, all a harmonic curve reads; the connection level (partials
-of g, N and the Cartan blocks) is built on its first read.  N is
-semi-analytic (symbolic L-partials plus a numeric matrix inverse), so
-N = dG/dy is cross-checked against finite differences of G as a genuine
-test.  Only derivatives OF connection blocks (torsion, curvature) fall
-back to Richardson finite differences, one ``dtensor.adapted_gradient``
-call on the tuple (Gt, L, C, N) per point; their connection corrections
-come from ``dtensor.add_connection_terms``.
+evaluates the distinct ones in two fused ``expr.evaluate_fields`` calls
+(the L_yy head first, so the regularity check runs before any other
+partial; h11 and its t-derivative are a third), so every domain and
+regularity error raises there.  It builds the spray level, all a harmonic
+curve reads; the connection level (partials of g, N and the Cartan
+blocks) is built on its first read.  N is semi-analytic (symbolic
+L-partials plus a numeric matrix inverse), so N = dG/dy is cross-checked
+against finite differences of G as a genuine test.  Derivatives OF
+connection blocks (torsion, curvature) are exact too, by forward mode:
+``dtensor.adapted_gradient`` runs the same code on a dual point (see
+``jetlag.dual``), whose L-partials are Taylor values from the exact
+partials one order up, two when nested.  The dual geometry is cached like
+any other, so the connection jets and every covariant derivative at a
+point share it; their connection corrections come from
+``dtensor.add_connection_terms``.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from jetlag.dual import as_array, base
 from jetlag.expr import (Const, EvalDomainError, ScalarField, Var, _point_array,
                          add, evaluate_fields, mul, power)
 from jetlag.dtensor import (
@@ -82,11 +86,11 @@ class SprayValue:
     Gspat: np.ndarray
 
     def __post_init__(self):
-        H = np.asarray(self.Htemp, dtype=float)
-        G = np.asarray(self.Gspat, dtype=float)
+        H = as_array(self.Htemp)
+        G = as_array(self.Gspat)
         if H.shape != G.shape or H.ndim != 1:
             raise ValueError(f"inconsistent spray shapes {H.shape}, {G.shape}")
-        if not (np.isfinite(H).all() and np.isfinite(G).all()):
+        if not (np.isfinite(base(H)).all() and np.isfinite(base(G)).all()):
             raise ValueError("spray coefficients must be finite")
         object.__setattr__(self, "Htemp", H)
         object.__setattr__(self, "Gspat", G)
@@ -260,10 +264,12 @@ class LagrangeSpace:
 
         # the distinct L-partials _compute_geo reads, in evaluation order
         # (Lyy first: the regularity check runs before any other partial),
-        # and per block an index array gathering it from their values
+        # and per block an index array gathering it from the values of its
+        # call: the Lyy head, or the rest, whose slots follow the head's
         t, x, y = [0], range(1, n + 1), range(1 + n, 2 * n + 1)
         slots: dict = {}
         self._blocks = {}
+        self._n_lyy = n * (n + 1) // 2
         for name, axes in (("Lyy", (y, y)), ("Ly", (y,)), ("Lx", (x,)),
                            ("Lty", (t, y)), ("Lxy", (x, y)),
                            ("Ltyy", (t, y, y)), ("Lxyy", (x, y, y)),
@@ -271,12 +277,11 @@ class LagrangeSpace:
             idx = [slots.setdefault(_unit_index(n, *ax), len(slots))
                    for ax in itertools.product(*axes)]
             self._blocks[name] = np.array(idx).reshape(
-                [len(a) for a in axes if a is not t])
+                [len(a) for a in axes if a is not t]) \
+                - (0 if name == "Lyy" else self._n_lyy)
         self._partials = [L.differentiate(idx) for idx in slots]
-        self._n_lyy = n * (n + 1) // 2
         self._hdot = h11.differentiate(_unit_index(n, 0))
         self._geo_cache: collections.OrderedDict = collections.OrderedDict()
-        self._jet_cache: collections.OrderedDict = collections.OrderedDict()
 
     # -- family constructors ------------------------------------------------
 
@@ -309,27 +314,29 @@ class LagrangeSpace:
         z = _point_array(point, self.n)
         return _cached(self._geo_cache, z, self._compute_geo)
 
-    def _compute_geo(self, z: np.ndarray) -> _Geo:
+    def _compute_geo(self, z) -> _Geo:
+        """The spray level at z, a float point or a dual one; the checks
+        read the base point and values."""
+        zb = base(z)
         y = z[1 + self.n:]
         try:
             h11, hdot = evaluate_fields((self.h11, self._hdot), z)
         except EvalDomainError:
             # a singular h11 is reported before a pole of its derivative
-            _regular_h11(self.h11.evaluate(z), z[0], tuple(z))
+            _regular_h11(self.h11.evaluate(zb), zb[0], tuple(zb))
             raise
-        _regular_h11(h11, z[0], tuple(z))
+        _regular_h11(base(h11), zb[0], tuple(zb))
         h_inv = 1.0 / h11
         H = 0.5 * h_inv * hdot
 
-        vals = np.empty(len(self._partials))
         head = self._n_lyy
-        vals[:head] = evaluate_fields(self._partials[:head], z)
-        Lyy = vals[self._blocks["Lyy"]]
+        Lyy = as_array(evaluate_fields(self._partials[:head], z))[
+            self._blocks["Lyy"]]
         g = 0.5 * h11 * Lyy
-        if not np.isfinite(g).all():
-            raise NonRegularError("non-finite metric entries", point=tuple(z))
-        g_inv = _regular_inverse(g, z, "vertical Hessian metric is degenerate")
-        vals[head:] = evaluate_fields(self._partials[head:], z)
+        if not np.isfinite(base(g)).all():
+            raise NonRegularError("non-finite metric entries", point=tuple(zb))
+        g_inv = _regular_inverse(g, zb, "vertical Hessian metric is degenerate")
+        vals = as_array(evaluate_fields(self._partials[head:], z))
         Ly, Lx, Lty, Lxy, Ltyy, Lxyy, Lyyy = (
             vals[self._blocks[name]]
             for name in ("Ly", "Lx", "Lty", "Lxy", "Ltyy", "Lxyy", "Lyyy"))
@@ -353,11 +360,10 @@ class LagrangeSpace:
     # -- derivative bundles for torsion/curvature ----------------------------
 
     def connection_jets(self, point) -> _ConnJets:
-        """Adapted first derivatives of (Gt, L, C, N) at a point, one stencil."""
+        """Adapted first derivatives of (Gt, L, C, N) at a point, read off
+        the geometry at one dual point."""
         z = _point_array(point, self.n)
-        return _cached(self._jet_cache, z, self._compute_jets)
 
-    def _compute_jets(self, z: np.ndarray) -> _ConnJets:
         def blocks(q):
             geo = self.geometry_at(q)
             return geo.cartan.Gt, geo.cartan.L, geo.cartan.C, geo.N
@@ -367,8 +373,9 @@ class LagrangeSpace:
         return _ConnJets(*(_JetBlock(t[..., 0], x, y) for t, x, y in jets))
 
 
-def _cached(cache: collections.OrderedDict, z: np.ndarray, compute):
-    """compute(z) through an LRU cache keyed on the bytes of z."""
+def _cached(cache: collections.OrderedDict, z, compute):
+    """compute(z) through an LRU cache keyed on the bytes of z (of every
+    leaf of a dual point)."""
     key = z.tobytes()
     hit = cache.get(key)
     if hit is not None:
@@ -387,12 +394,12 @@ def _regular_h11(h11: float, t: float, point=None) -> None:
                               point=point)
 
 
-def _regular_inverse(g: np.ndarray, z: np.ndarray, what: str):
-    """Inverse of a metric block, or NonRegularError when |det| is below
-    DET_THRESHOLD relative to the block's scale."""
-    n = len(g)
-    det = float(np.linalg.det(g))
-    scale = max(1.0, float(np.abs(g).max()))
+def _regular_inverse(g, z: np.ndarray, what: str):
+    """Inverse of a metric block, or NonRegularError when the |det| of its
+    value is below DET_THRESHOLD relative to the block's scale."""
+    n, value = len(g), base(g)
+    det = float(np.linalg.det(value))
+    scale = max(1.0, float(np.abs(value).max()))
     if abs(det) < DET_THRESHOLD * scale**n:
         raise NonRegularError(f"{what} (det = {det:.3e})",
                               point=tuple(z), det=det)

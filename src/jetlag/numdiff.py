@@ -1,9 +1,9 @@
-"""Finite differences for derived fields.
+"""Finite differences: an independent oracle for the package's derivatives.
 
-Symbolic differentiation covers the inputs (Lagrangian, temporal metric,
-user metric components); everything built on top of a matrix inverse
-(connections, curvatures, Ricci blocks) is differentiated numerically with
-a 5-point central stencil plus one Richardson extrapolation level.  The
+No module of the package calls this one: every derivative on the main
+path is exact, by forward mode (``dtensor.adapted_gradient``).  The tests
+take the same derivatives here, with a 5-point central stencil plus one
+Richardson extrapolation level, and check that the two routes agree.  The
 step is fixed: REL_STEP = 1e-3, scaled by (1 + |coordinate|).
 """
 

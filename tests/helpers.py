@@ -1,13 +1,16 @@
 """Shared test oracles, independent of the production numerics.
 
 The finite-difference oracle here is a 3-point central difference with one
-Richardson level; the package itself uses a 5-point stencil, so agreement
-between the two is evidence, not circularity.  The metric oracles build
-Christoffel/Riemann data straight from user-level metric component fields.
-The slot-rule oracles take the package's own connection jets and write out
-only the connection corrections, one einsum per slot.  The field-identity
-oracles take one covariant derivative per field and kind, where the
-package differentiates all of an identity's fields in one stencil.
+Richardson level; the package itself differentiates by forward mode, so
+agreement between the two is evidence, not circularity.  The same holds
+for ``fd_adapted_gradient``, the package's derivative seam taken by finite
+differences (with this oracle or with ``jetlag.numdiff``, the package's
+former 5-point stencil).  The metric oracles build Christoffel/Riemann
+data straight from user-level metric component fields.  The slot-rule
+oracles take the package's own connection jets and write out only the
+connection corrections, one einsum per slot.  The field-identity oracles
+take one covariant derivative per field and kind, where the package
+differentiates all of an identity's fields at one dual point.
 """
 
 from __future__ import annotations
@@ -18,8 +21,10 @@ import numpy as np
 
 from jetlag import fields
 from jetlag.dtensor import DTensorField, SlotKind, covariant_derivative
+from jetlag.dual import Dual
 from jetlag.expr import Const, Node, Var, add, call, div, mul, neg, power
-from jetlag.geometry import (canonical_nonlinear_connection,
+from jetlag.geometry import (LagrangeSpace, _Geo,
+                             canonical_nonlinear_connection,
                              cartan_connection, curvature, torsion)
 
 
@@ -35,6 +40,28 @@ def count_calls(monkeypatch, fn, *owners):
     for owner in owners:
         monkeypatch.setattr(owner, fn.__name__, counted)
     return calls
+
+
+def dual_levels(monkeypatch):
+    """Record the depth of every dual point whose geometry is computed
+    (a geometry_at miss) and of every dual connection level built, as
+    ("geo", depth) and ("connect", depth); float points are not recorded."""
+    seen = []
+    compute, connect = LagrangeSpace._compute_geo, _Geo._connect
+
+    def computed(self, z):
+        if isinstance(z, Dual):
+            seen.append(("geo", z.depth))
+        return compute(self, z)
+
+    def connected(self):
+        if isinstance(self.H, Dual):
+            seen.append(("connect", self.H.depth))
+        return connect(self)
+
+    monkeypatch.setattr(LagrangeSpace, "_compute_geo", computed)
+    monkeypatch.setattr(_Geo, "_connect", connected)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +91,33 @@ def fd_partial(fn, z, axis):
 def fd_gradient(fn, z):
     z = np.asarray(z, dtype=float)
     return np.stack([fd_partial(fn, z, a) for a in range(len(z))])
+
+
+def fd_adapted_gradient(partial):
+    """dtensor.adapted_gradient taken by finite differences along every
+    axis with the one-axis derivative partial(fn, z, axis): the same
+    arrays, from fn evaluated at float points only."""
+
+    def gradient(fn, z, nl, kinds):
+        z = np.asarray(z, dtype=float)
+        n = (len(z) - 1) // 2
+        shapes = [np.shape(a) for a in fn(z)]
+        grads = np.stack([
+            partial(lambda q: np.concatenate([np.ravel(a) for a in fn(q)]),
+                    z, axis) for axis in range(len(z))])
+        derivs = []
+        for shape, g in zip(shapes, np.split(
+                grads, np.cumsum([np.prod(s, dtype=int) for s in shapes])[:-1],
+                axis=1)):
+            g = g.reshape((-1,) + shape)
+            d_y = g[n + 1:]
+            out = {"time": (g[0] - np.einsum("m,m...->...", nl.M, d_y))[None],
+                   "space": g[1:n + 1] - np.einsum("mi,m...->i...", nl.N, d_y),
+                   "vert": d_y}
+            derivs.append([np.moveaxis(out[k], 0, -1) for k in kinds])
+        return derivs
+
+    return gradient
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +256,8 @@ def metricity_oracle(geo):
 # ---------------------------------------------------------------------------
 # the field identities with one derivative call per field and kind: an
 # oracle for fields._covd, which differentiates all of an identity's fields
-# in one stencil and must hand each field back with the bits of its own call
+# at one dual point and must hand each field back with the bits of its own
+# call
 # ---------------------------------------------------------------------------
 
 
@@ -288,8 +343,8 @@ def conservation_oracle(sp, z):
             return build(fields.ricci_and_scalar(sp, q), geo.g_inv, geo.h11)
         return fn
 
-    lhs1 = cov_alone(sp, z, (), lambda q: np.asarray(
-        0.5 * fields.ricci_and_scalar(sp, q).Sc), "time")
+    lhs1 = cov_alone(sp, z, (), lambda q:
+                     0.5 * fields.ricci_and_scalar(sp, q).Sc, "time")
     rup1_cov = cov_alone(sp, z, (SU, TD), raised(
         lambda r, gi, h: (gi @ r.R_i1)[:, None]), "space")
     pup1_cov = cov_alone(sp, z, (VU, TD), raised(

@@ -89,7 +89,7 @@ def engine_cov_h(sp, z, kind):
     cart = lambda q: cartan_connection(sp, q)
     nl = lambda q: canonical_nonlinear_connection(sp, q)
     hfield = DTensorField((SlotKind.TIME_DOWN, SlotKind.TIME_DOWN), sp.n,
-                          lambda q: np.array([[sp.h11.evaluate(q)]]))
+                          lambda q: sp.h11.evaluate(q) * np.ones((1, 1)))
     return covariant_derivative(hfield, z, cart, nl, kind).components
 
 

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import fd_partial, random_ast, usable_test_points
+from jetlag import expr
+from jetlag.dual import Dual
 from jetlag.expr import (
     MAX_NESTING,
     Add,
@@ -324,6 +326,17 @@ class TestDifferentiate:
         with pytest.raises(DerivativeOrderError):
             differentiate(d3, (0, 0, 3))
 
+    def test_shared_subtrees_are_differentiated_once(self):
+        # each derivative of a chain of k quotients reuses the subtrees
+        # below it; taking each shared subtree's derivative once keeps the
+        # third derivative near k^2 nodes (165,507 objects at k = 40 when
+        # every appearance was differentiated anew)
+        f = parse("/".join(["x1"] * 40), n=1)
+        d = f.differentiate((0, 3, 0))
+        assert sum(1 for _ in d.ast.walk()) < 4000
+        assert d.evaluate(pt(0.0, 0.7, 0.0)) \
+            == pytest.approx(-38 * -39 * -40 * 0.7 ** -41)
+
     def test_derivative_cache_is_thread_safe(self):
         f = parse("sin(x1*y1)*exp(t) + y1^4/(2+x1^2)", n=1)
         results = []
@@ -338,6 +351,59 @@ class TestDifferentiate:
         for th in threads:
             th.join()
         assert len(set(results)) == 1
+
+
+class TestDualPoints:
+    """At a dual point a field's value is its Taylor polynomial, from the
+    exact partials, to the point's depth."""
+
+    F = "sin(x1)*y2^3 + t*x2*y1^2 + exp(t*x1)"
+    Z = np.array([0.3, 0.5, -0.2, 0.7, 1.1])
+
+    def partial(self, f, *axes):
+        idx = [0] * 5
+        for a in axes:
+            idx[a] += 1
+        return f.differentiate(tuple(idx)).evaluate(self.Z)
+
+    def test_first_order_tangent_is_the_gradient(self):
+        f = parse(self.F, n=2)
+        v = f.evaluate(Dual(self.Z, np.eye(5)))
+        assert v.depth == 1 and v.val == f.evaluate(self.Z)
+        grad = [self.partial(f, a) for a in range(5)]
+        assert v.tan.tolist() == grad
+
+    def test_nested_point_carries_the_hessian(self):
+        f = parse(self.F, n=2)
+        first = Dual(self.Z, np.eye(5))
+        v = f.evaluate(Dual(first, np.eye(5)))
+        assert v.depth == 2
+        hess = [[self.partial(f, a, b) for b in range(5)] for a in range(5)]
+        np.testing.assert_allclose(v.tan.tan, hess, rtol=1e-14, atol=1e-14)
+        np.testing.assert_array_equal(v.tan.val, v.val.tan)
+
+    def test_order_above_the_cap_is_refused(self):
+        f = parse("y1^6", n=1).differentiate((0, 0, 4))
+        point = Dual(Dual(np.zeros(3), np.eye(3)), np.eye(3))
+        with pytest.raises(DerivativeOrderError):
+            f.evaluate(point)
+
+    def test_tables_compile_on_the_first_dual_read(self, monkeypatch):
+        from jetlag.geometry import LagrangeSpace, curvature
+        compiles = []
+        compile_fn = expr.compile_node
+        monkeypatch.setattr(expr, "compile_node",
+                            lambda *a: compiles.append(a) or compile_fn(*a))
+        sp = LagrangeSpace(2, parse("(1 + x1^2)*y1^2 + y2^2*exp(t)", 2),
+                           parse("1 + t", 2))
+        assert compiles == []
+        sp.geometry_at(self.Z)
+        at_first_point = len(compiles)
+        curvature(sp, self.Z)
+        assert len(compiles) > at_first_point
+        after_dual = len(compiles)
+        curvature(sp, self.Z + 0.01)
+        assert len(compiles) == after_dual
 
 
 class TestJetPartials:

@@ -9,17 +9,19 @@ from helpers import (
     count_calls,
     curvature_P_oracle,
     deflection_identities_oracle,
+    dual_levels,
+    fd_adapted_gradient,
     fd_partial,
     metric_at,
     maxwell_oracle,
     metricity_oracle,
     ricci_oracle,
 )
-from jetlag import fields, numdiff
-from jetlag.checks import _metricity_residuals, sample_points
-from jetlag.cli import load_config
+from jetlag import fields, geometry, numdiff
+from jetlag.checks import _metricity_residuals, run_checks, sample_points
+from jetlag.cli import BUILTIN_CONFIGS, load_config, main
 from jetlag.dtensor import SlotKind
-from jetlag.expr import parse
+from jetlag.expr import EvalDomainError, parse
 from jetlag.fields import (
     conservation_residuals,
     deflection_identities,
@@ -309,10 +311,12 @@ class TestDifferentiatedWork:
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_deflections_take_no_stencil(self, monkeypatch, name):
+        # closed forms: no dual point and no finite difference
         sp, z = _builtin_point(name)
+        levels = dual_levels(monkeypatch)
         stencils = count_calls(monkeypatch, numdiff.partial, numdiff)
         deflections(sp, z)
-        assert stencils == []
+        assert levels == [] and stencils == []
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_mixed_torsion_is_minus_the_cartan_time_block(self, name):
@@ -323,28 +327,41 @@ class TestDifferentiatedWork:
             assert T_1j.tobytes() == (-Gt).tobytes()
 
 
-    # numdiff.partial calls on a cold space at one sphere_l1 point (n = 2):
-    # the connection jets take 2n+1 at every point where they are read, and
-    # each identity differentiates all of its fields in one stencil of 2n+1;
-    # conservation reads the jets at its base point and at its 30 stencil
-    # points, so 31 * 5 + 5
-    @pytest.mark.parametrize("fn,count", [
-        (maxwell_residuals, 10), (maxwell_simple_residuals, 10),
-        (deflection_identities, 10), (deflection_route, 5),
-        (conservation_residuals, 160)])
-    def test_stencils_per_point(self, monkeypatch, fn, count):
+    # dual geometry computed on a cold space at one sphere_l1 point: the
+    # connection jets and every covariant derivative at z share the one
+    # first-order dual point seeded at z, built once; conservation
+    # differentiates Ricci, which reads the jets at that dual point, so it
+    # adds one nested point; the deflection route differentiates y alone
+    @pytest.mark.parametrize("fn,levels", [
+        (maxwell_residuals, [1]), (maxwell_simple_residuals, [1]),
+        (deflection_identities, [1]), (deflection_route, []),
+        (conservation_residuals, [1, 2])],
+        ids=lambda v: v.__name__ if callable(v)
+        else "-".join(map(str, v)) or "none")
+    def test_dual_points_per_point(self, monkeypatch, fn, levels):
         sp, z = _builtin_point("sphere_l1")
+        sp._geo_cache.clear()
+        seen = dual_levels(monkeypatch)
         stencils = count_calls(monkeypatch, numdiff.partial, numdiff)
         fn(sp, z)
-        assert len(stencils) == count
+        assert sorted(seen) == [("connect", d) for d in levels] \
+            + [("geo", d) for d in levels]
+        assert stencils == []
 
     def test_conservation_builds_ricci_once_per_point(self, monkeypatch):
-        # one curvature at each of the 30 stencil points and one at the
-        # base point; the per-field stencils built it 132 times
+        # once at the base point and once at the dual point
         sp, z = _builtin_point("sphere_l1")
         calls = count_calls(monkeypatch, fields.ricci_and_scalar, fields)
         conservation_residuals(sp, z)
-        assert len(calls) <= 32
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_run_checks_takes_no_finite_difference(self, monkeypatch, name):
+        cfg = load_config(name)
+        points = sample_points(cfg.space, cfg.ranges, 4, seed=5)
+        stencils = count_calls(monkeypatch, numdiff.partial, numdiff)
+        run_checks(cfg.space, points)
+        assert stencils == []
 
 
 class TestSlotRuleOracle:
@@ -370,8 +387,8 @@ class TestSlotRuleOracle:
 
 
 class TestOneStencilOracle:
-    """Each identity differentiates all of its fields in one stencil; the
-    split hands every field back with the bits of its own derivative call.
+    """Each identity differentiates all of its fields at one dual point;
+    every field comes back with the bits of its own derivative call.
     Checked on spaces whose vertical block C is nonzero: every builtin has
     C = 0, so check cannot see a field handed to the wrong term."""
 
@@ -394,16 +411,113 @@ class TestOneStencilOracle:
             assert a.tobytes() == b.tobytes(), key
 
     def test_field_of_the_wrong_shape_at_a_stencil_point(self):
-        # right at the base point, one entry too long everywhere else: the
+        # right at the base point, one entry too long at the dual point: the
         # shape check runs wherever the field is evaluated
         sp, n = sphere_space(), N
 
         def fn(q):
             y = q[1 + n:]
-            return y, (y if np.array_equal(q, SPHERE_Z) else np.append(y, 0.0))
+            return y, (y if isinstance(q, np.ndarray)
+                       else np.stack([*y, q[0]]))
 
         with pytest.raises(ValueError, match="field returned shape"):
             fields._covd(sp, SPHERE_Z, [(SlotKind.VERT_UP,)] * 2, fn)
+
+
+# every builtin at a sampled point, and the two fixtures whose vertical
+# block C is nonzero
+ORACLE_SPACES = {**{name: (lambda name=name: _builtin_point(name))
+                    for name in BUILTIN_CONFIGS},
+                 "quartic": lambda: (quartic_space(), GEN_Z),
+                 "gen3": lambda: (gen3_space(), GEN3_Z)}
+FD_ROUTES = {"numdiff": numdiff.partial, "fd_partial": fd_partial}
+
+
+def _agree(a, b, rel=1e-8):
+    """a is within rel of b, relative to b's largest entry (at least 1)."""
+    a, b = np.asarray(a), np.asarray(b)
+    scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+    return a.shape == b.shape \
+        and float(np.max(np.abs(a - b), initial=0.0)) <= rel * scale
+
+
+class TestForwardModeOracle:
+    """Forward-mode derivatives against the finite-difference oracles, the
+    package's former stencil (numdiff) and the tests' own (fd_partial),
+    each taken through the same derivative seam."""
+
+    @pytest.mark.parametrize("route", FD_ROUTES)
+    @pytest.mark.parametrize("space", ORACLE_SPACES)
+    def test_connection_jets(self, monkeypatch, route, space):
+        sp, z = ORACLE_SPACES[space]()
+        exact = sp.connection_jets(z)
+        monkeypatch.setattr(geometry, "adapted_gradient",
+                            fd_adapted_gradient(FD_ROUTES[route]))
+        fd = sp.connection_jets(z)
+        for name, block, fd_block in zip(exact._fields, exact, fd,
+                                         strict=True):
+            for part, a, b in zip(block._fields, block, fd_block,
+                                  strict=True):
+                assert _agree(a, b), (name, part)
+
+    @pytest.mark.parametrize("route", FD_ROUTES)
+    @pytest.mark.parametrize("space", ORACLE_SPACES)
+    @pytest.mark.parametrize("fn", [maxwell_residuals, deflection_identities,
+                                    conservation_residuals])
+    def test_field_derivatives(self, monkeypatch, route, space, fn):
+        # every covariant derivative the identity takes, by forward mode
+        # and then with its outer derivative by finite differences
+        sp, z = ORACLE_SPACES[space]()
+        covd, got = fields._covd, []
+        monkeypatch.setattr(fields, "_covd",
+                            lambda *args: got.append(covd(*args)) or got[-1])
+        fn(sp, z)
+        monkeypatch.setattr(fields, "adapted_gradient",
+                            fd_adapted_gradient(FD_ROUTES[route]))
+        fn(sp, z)
+        exact, fd = got
+        for i, (field, fd_field) in enumerate(zip(exact, fd, strict=True)):
+            for kind, a, b in zip(("time", "space", "vert"), field, fd_field,
+                                  strict=True):
+                assert _agree(a, b), (i, kind)
+
+
+class TestDomainEdges:
+    """Forward mode reads the partials at the point itself, so a point
+    near the edge of an expression's domain raises only where the
+    expression's own partials do."""
+
+    @pytest.mark.parametrize("x1", [1e-3, 2.5e-3])
+    def test_no_domain_error_from_points_beside_the_base_point(self, x1):
+        # x1^2.5 leaves its domain at x1 < 0, a finite-difference step away
+        sp = LagrangeSpace(2, parse("(1 + x1^2.5)*y1^2 + y2^2", 2),
+                           parse("1", 2))
+        z = np.array([0.3, x1, 0.2, 0.7, 0.4])
+        sp.geometry_at(z)
+        cur = curvature(sp, z)
+        for block in cur.cells().values():
+            assert np.isfinite(block).all()
+        assert all(np.isfinite(v) for v in
+                   maxwell_residuals(sp, z).worst().values())
+        for v in conservation_residuals(sp, z).values():
+            assert np.isfinite(v).all()
+
+    def test_a_pole_the_dual_level_reads_names_its_node(self, tmp_path,
+                                                        capsys):
+        # at t = 0 every partial geometry_at reads is defined, but
+        # d^2/dt dx1 of x1*sqrt(t), which the derivatives read, has a pole
+        src = "y1^2 + y2^2 + x1*sqrt(t)"
+        sp = LagrangeSpace(2, parse(src, 2), parse("1", 2))
+        z = np.array([0.0, 0.5, 0.2, 0.7, 0.4])
+        sp.geometry_at(z)
+        with pytest.raises(EvalDomainError, match=r"sqrt\(t\)"):
+            curvature(sp, z)
+        cfg = tmp_path / "pole.cfg"
+        cfg.write_text(f'[problem]\nn = 2\nh11 = "1"\nlagrangian = "{src}"\n'
+                       "[ranges]\nt = 0.0 0.0\nx1 = 0.1 1.0\nx2 = 0.1 1.0\n"
+                       "y1 = 0.1 1.0\ny2 = 0.1 1.0\n")
+        assert main(["check", "--config", str(cfg), "--points", "3"]) == 3
+        assert "sqrt(t)" in capsys.readouterr().err
 
 
 class TestVerticalSource:

@@ -1,8 +1,9 @@
 """Core geometry: metric, sprays, connections, torsion, curvature, gauge laws.
 
-Numeric oracles come from tests/helpers.py and use a different finite
-difference scheme (3-point + one Richardson level, relative step 1e-4) than the
-production code, so agreement is evidence rather than tautology.
+Numeric oracles come from tests/helpers.py and use finite differences
+(3-point + one Richardson level, relative step 1e-4), where the production
+code differentiates exactly by forward mode, so agreement is evidence rather
+than tautology.
 """
 
 import numpy as np
@@ -368,7 +369,7 @@ def engine_h_derivative(sp, z, kind):
     cart = lambda q: cartan_connection(sp, q)
     nl = lambda q: canonical_nonlinear_connection(sp, q)
     hfield = DTensorField((SlotKind.TIME_DOWN, SlotKind.TIME_DOWN), N,
-                          lambda q: np.array([[sp.h11.evaluate(q)]]))
+                          lambda q: sp.h11.evaluate(q) * np.ones((1, 1)))
     return covariant_derivative(hfield, z, cart, nl, kind).components
 
 

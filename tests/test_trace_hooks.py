@@ -2,7 +2,8 @@
 
 perfbench/spans.py wraps package functions by name: the module bindings
 of public functions, LagrangeSpace.geometry_at and connection_jets (looked
-up with vars(cls)[name]), numdiff.partial (the stencil count) and the
+up with vars(cls)[name]), numdiff.partial (the stencil count, which reads
+0 since the package differentiates by forward mode) and the
 checks._*_worst suite functions.  A renamed hook makes the tracer fail to
 install or count zero, and a geometry_at miss with no traced call inside
 it reads as a hit; this test shows both in the main suite, which does not
@@ -18,6 +19,7 @@ import numpy as np
 from jetlag import checks, fields, geometry, numdiff
 from jetlag.cli import BUILTIN_CONFIGS, load_config
 from jetlag.expr import parse
+from jetlag.dual import Dual
 from jetlag.geometry import LagrangeSpace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -31,8 +33,17 @@ def _spans_module():
         sys.path.remove(str(PERFBENCH))
 
 
-def test_tracer_counts_every_hook_then_restores_the_package():
+def test_tracer_counts_every_hook_then_restores_the_package(monkeypatch):
     spans = _spans_module()
+    # every geometry computed, counted outside the tracer
+    computed = []
+    compute = LagrangeSpace._compute_geo
+
+    def counted(self, z):
+        computed.append(isinstance(z, Dual))
+        return compute(self, z)
+
+    monkeypatch.setattr(LagrangeSpace, "_compute_geo", counted)
     before = (geometry.LagrangeSpace.geometry_at,
               geometry.LagrangeSpace.connection_jets, numdiff.partial,
               checks._bianchi_worst, checks.bianchi_residuals)
@@ -45,6 +56,7 @@ def test_tracer_counts_every_hook_then_restores_the_package():
         checks.run_checks(sp, points)
         calls = {k: v["calls"] for k, v in tracer.table().items()}
         metrics = tracer.analyse()
+        in_checks = list(computed)
         # the report-only deflection route is a traced hook, yet no suite
         # calls it
         fields.deflection_route(sp, points[0])
@@ -55,13 +67,16 @@ def test_tracer_counts_every_hook_then_restores_the_package():
     assert (geometry.LagrangeSpace.geometry_at,
             geometry.LagrangeSpace.connection_jets, numdiff.partial,
             checks._bianchi_worst, checks.bianchi_residuals) == before
-    for name in (spans.GEO, spans.JETS, spans.STENCIL, spans.EVAL,
+    for name in (spans.GEO, spans.JETS, spans.EVAL,
                  spans.COMPILE, "expr.evaluate_fields", "checks.run_checks"):
         assert calls.get(name, 0) > 0, name
+    assert spans.STENCIL not in calls
     # a geometry_at miss counts only when it has traced children, so the
-    # fused evaluation inside it must be a traced call
-    assert metrics["geometry.geo_misses"] \
-        == metrics["geometry.geo_distinct"] > 0
+    # fused evaluation inside it must be a traced call; the tracer keys a
+    # dual point on its base point, so only float points count as distinct
+    assert metrics["geometry.geo_misses"] == len(in_checks)
+    assert metrics["geometry.geo_distinct"] == in_checks.count(False) > 0
+    assert in_checks.count(True) > 0
     for suite in set(spans.SUITES.values()):
         assert calls.get(f"suite.{suite}", 0) == 1, suite
     # the metric moves with x alone, so the simple form runs too, and the
