@@ -263,7 +263,8 @@ def adapted_gradient(fn, z, nl, kinds) -> list:
         if "space" in kinds:
             out["space"] = (g[1:n + 1] - np.einsum("mi,mk->ik", nl.N, flat)
                             .reshape(g[1:n + 1].shape))
-        derivs.append([np.moveaxis(out[k], 0, -1) for k in kinds])
+        last = (*range(1, a.ndim + 1), 0)    # the derivative axis last
+        derivs.append([out[k].transpose(last) for k in kinds])
     return derivs
 
 

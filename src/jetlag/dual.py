@@ -27,6 +27,8 @@ callers that want the base point.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["Dual", "CONTRACT", "depth", "base", "as_array", "scalar"]
@@ -99,11 +101,17 @@ def _broadcast(x, shape: tuple):
         return x
     if isinstance(x, Dual):
         return Dual(_broadcast(x.val, shape),
-                    _broadcast(x.tan, x.tan.shape[:1] + shape))
+                    _broadcast(x.tan, x.tan.shape[:1] + shape), x.depth)
     return np.broadcast_to(x, shape)
 
 
 def _add(x, y, sign: float):
+    if type(x) is Dual and type(y) is Dual and x.depth == y.depth \
+            and x.shape == y.shape:
+        # the direct route: both differentiated, nothing to broadcast
+        if sign > 0:
+            return Dual(x.val + y.val, x.tan + y.tan, x.depth)
+        return Dual(x.val - y.val, x.tan - y.tan, x.depth)
     level = max(depth(x), depth(y))
     xv, xt = _split(x, level)
     yv, yt = _split(y, level)
@@ -117,10 +125,15 @@ def _add(x, y, sign: float):
         tan = _lift(xt, nd)
     else:
         tan = _lift(xt, nd) + yt
-    return Dual(val, _broadcast(tan, tan.shape[:1] + _shape(val)))
+    return Dual(val, _broadcast(tan, tan.shape[:1] + _shape(val)), level)
 
 
 def _mul(x, y):
+    # the direct route for a Python float scaling a Dual
+    if type(x) is float:
+        return Dual(x * y.val, x * y.tan, y.depth)
+    if type(y) is float:
+        return Dual(x.val * y, x.tan * y, x.depth)
     level = max(depth(x), depth(y))
     xv, xt = _split(x, level)
     yv, yt = _split(y, level)
@@ -130,7 +143,7 @@ def _mul(x, y):
     if yt is not None:
         term = xv * _lift(yt, nd)
         tan = term if tan is None else tan + term
-    return Dual(val, tan)
+    return Dual(val, tan, level)
 
 
 def _div(x, y):
@@ -143,7 +156,7 @@ def _div(x, y):
     if yt is not None:
         term = (val * _lift(yt, nd)) / yv
         tan = -term if tan is None else tan - term
-    return Dual(val, tan)
+    return Dual(val, tan, level)
 
 
 def _matmul(x, y):
@@ -167,7 +180,7 @@ def _matmul(x, y):
         tan = tan[..., 0, :]
     if vy:
         tan = tan[..., 0]
-    return Dual(val, tan)
+    return Dual(val, tan, level)
 
 
 class Dual:
@@ -178,10 +191,12 @@ class Dual:
     # numpy defers every binary operator to the Dual's reflected method
     __array_ufunc__ = None
 
-    def __init__(self, val, tan):
+    def __init__(self, val, tan, level=None):
         self.val = val
         self.tan = tan
-        self.depth = 1 + max(depth(val), depth(tan))
+        # an operation passes the depth it already knows
+        self.depth = 1 + max(depth(val), depth(tan)) if level is None \
+            else level
 
     # -- array protocol ------------------------------------------------------
 
@@ -201,12 +216,14 @@ class Dual:
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
-        return Dual(self.val[key], self.tan[(slice(None),) + key])
+        return Dual(self.val[key], self.tan[(slice(None),) + key],
+                    self.depth)
 
     def reshape(self, *shape):
         shape = shape[0] if len(shape) == 1 else shape
         val = self.val.reshape(shape)
-        return Dual(val, self.tan.reshape((self.tan.shape[0],) + _shape(val)))
+        return Dual(val, self.tan.reshape((self.tan.shape[0],) + _shape(val)),
+                    self.depth)
 
     def transpose(self, *axes):
         axes = axes[0] if len(axes) == 1 else axes
@@ -214,7 +231,8 @@ class Dual:
         axes = tuple(reversed(range(nd))) if axes in (None, ()) \
             else tuple(a % nd for a in axes)
         return Dual(self.val.transpose(axes),
-                    self.tan.transpose((0,) + tuple(a + 1 for a in axes)))
+                    self.tan.transpose((0,) + tuple(a + 1 for a in axes)),
+                    self.depth)
 
     @property
     def T(self):
@@ -223,10 +241,10 @@ class Dual:
     def swapaxes(self, a, b):
         nd = self.ndim
         return Dual(self.val.swapaxes(a, b),
-                    self.tan.swapaxes(a % nd + 1, b % nd + 1))
+                    self.tan.swapaxes(a % nd + 1, b % nd + 1), self.depth)
 
     def copy(self):
-        return Dual(self.val.copy(), self.tan.copy())
+        return Dual(self.val.copy(), self.tan.copy(), self.depth)
 
     def tobytes(self) -> bytes:
         """The bytes of every leaf, value first: a cache key."""
@@ -284,7 +302,7 @@ class Dual:
         return _matmul(other, self)
 
     def __neg__(self):
-        return Dual(-self.val, -self.tan)
+        return Dual(-self.val, -self.tan, self.depth)
 
     def __pow__(self, p):
         if isinstance(p, Dual):
@@ -292,29 +310,37 @@ class Dual:
         if p == 2:
             return _mul(self, self)
         return Dual(self.val ** p,
-                    _lift(self.tan, self.ndim) * (p * self.val ** (p - 1)))
+                    _lift(self.tan, self.ndim) * (p * self.val ** (p - 1)),
+                    self.depth)
 
 
 # -- the numpy functions a Dual supports --------------------------------------
 
 
-def _einsum(subscripts, *operands):
+@functools.lru_cache(maxsize=None)
+def _tangent_subscripts(subscripts: str) -> tuple:
+    """Per operand, the subscripts of the einsum that carries its tangent:
+    the tangent axis takes a letter the subscripts do not use."""
     inputs, output = subscripts.replace(" ", "").split("->")
     specs = inputs.split(",")
+    axis = next(c for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" if c not in subscripts)
+    return tuple(",".join(axis + s if j == i else s
+                          for j, s in enumerate(specs)) + f"->{axis}{output}"
+                 for i in range(len(specs)))
+
+
+def _einsum(subscripts, *operands):
     level = max(depth(op) for op in operands)
     parts = [_split(op, level) for op in operands]
     vals = [v for v, _ in parts]
-    # the tangent axis takes a letter the subscripts do not use
-    axis = next(c for c in "ABCDEFGHIJKLMNOPQRSTUVWXYZ" if c not in subscripts)
     tan = None
-    for i, (_, t) in enumerate(parts):
+    for i, ((_, t), spec) in enumerate(zip(parts,
+                                           _tangent_subscripts(subscripts))):
         if t is None:
             continue
-        spec = ",".join(axis + s if j == i else s for j, s in enumerate(specs))
-        term = np.einsum(f"{spec}->{axis}{output}",
-                         *vals[:i], t, *vals[i + 1:])
+        term = np.einsum(spec, *vals[:i], t, *vals[i + 1:])
         tan = term if tan is None else tan + term
-    return Dual(np.einsum(subscripts, *vals), tan)
+    return Dual(np.einsum(subscripts, *vals), tan, level)
 
 
 def _moveaxis(a, source: int, destination: int):
@@ -329,7 +355,7 @@ def _inv(a):
     level = depth(a)
     av, at = _split(a, level)
     inv = np.linalg.inv(av)
-    return Dual(inv, -(inv @ at @ inv))
+    return Dual(inv, -(inv @ at @ inv), level)
 
 
 def _outer(a, b):
@@ -344,7 +370,7 @@ def _stack(arrays, axis: int = 0):
     val = np.stack([v for v, _ in parts], axis)
     k = next(t.shape[0] for _, t in parts if t is not None)
     tans = [np.zeros((k,) + _shape(v)) if t is None else t for v, t in parts]
-    return Dual(val, np.stack(tans, axis % len(_shape(val)) + 1))
+    return Dual(val, np.stack(tans, axis % len(_shape(val)) + 1), level)
 
 
 _FUNCTIONS = {

@@ -22,7 +22,11 @@ connection blocks (torsion, curvature) are exact too, by forward mode:
 partials one order up, two when nested.  The dual geometry is cached like
 any other, so the connection jets and every covariant derivative at a
 point share it; their connection corrections come from
-``dtensor.add_connection_terms``.
+``dtensor.add_connection_terms``.  The per-point tables, the connection
+jets, torsion and curvature, are built once per cached geometry, float or
+dual, on their first call, and kept on it: every later call at the point
+reads them back.  A spray or connection that overflows the floats at a
+finite point raises NonRegularError where it is read.
 """
 
 from __future__ import annotations
@@ -170,12 +174,16 @@ class _Geo:
     ``LagrangeSpace._compute_geo`` sets the spray level; ``_connect`` builds
     the connection level, the ``_CONNECTION`` slots, from ``_pending`` on
     the first read of one, through ``__getattr__`` (run on unset slots only).
+    The per-point tables ``jets``, ``torsion`` and ``curvature`` are set by
+    ``LagrangeSpace.connection_jets``, ``torsion`` and ``curvature`` on
+    their first call at the point; until then reading one raises
+    AttributeError.
     """
 
     _CONNECTION = ("N", "cartan", "dg_t", "dg_x", "dg_y")
     __slots__ = ("h11", "h_inv", "H", "g", "g_inv", "Htemp", "Gspat", "M",
                  "Lyyy", "Ly", "Lx", "Lty", "Lxy", "Lyy", "_pending",
-                 *_CONNECTION)
+                 *_CONNECTION, "jets", "torsion", "curvature")
 
     def __getattr__(self, name):
         if name not in _Geo._CONNECTION or self._pending is None:
@@ -184,8 +192,9 @@ class _Geo:
         return getattr(self, name)
 
     def _connect(self) -> None:
-        hdot, y, B, Ltyy, Lxyy = self._pending
+        hdot, z, B, Ltyy, Lxyy = self._pending
         h11, h_inv, H, g_inv = self.h11, self.h_inv, self.H, self.g_inv
+        y = z[1 + len(B):]
 
         # exact partials of g
         dg_t = 0.5 * (hdot * self.Lyy + h11 * Ltyy)
@@ -207,6 +216,10 @@ class _Geo:
         Gt = 0.5 * g_inv @ del_t_g
         Lblock = _christoffel(g_inv, del_x_g)
         Cblock = _christoffel(g_inv, dg_y)
+        # one isfinite call over all four blocks: the cheapest form
+        if not np.isfinite(np.concatenate(
+                [base(a).ravel() for a in (N, Gt, Lblock, Cblock)])).all():
+            raise _non_finite("connection coefficients", z)
         self.cartan = CartanCoefficients(H, Gt, Lblock, Cblock)
         self._pending = None
 
@@ -354,23 +367,28 @@ class LagrangeSpace:
         # (an algebraic route independent of the g-contracted spray)
         geo.Ly, geo.Lx, geo.Lty, geo.Lxy, geo.Lyy, geo.Lyyy = (
             Ly, Lx, Lty, Lxy, Lyy, Lyyy)
-        geo._pending = (hdot, y.copy(), B, Ltyy, Lxyy)   # y views the point
+        geo._pending = (hdot, z.copy(), B, Ltyy, Lxyy)   # z may be the caller's
         return geo
 
     # -- derivative bundles for torsion/curvature ----------------------------
 
     def connection_jets(self, point) -> _ConnJets:
         """Adapted first derivatives of (Gt, L, C, N) at a point, read off
-        the geometry at one dual point."""
+        the geometry at one dual point; built once per cached geometry."""
         z = _point_array(point, self.n)
+        geo = self.geometry_at(z)
+        jets = getattr(geo, "jets", None)
+        if jets is not None:
+            return jets
 
         def blocks(q):
-            geo = self.geometry_at(q)
-            return geo.cartan.Gt, geo.cartan.L, geo.cartan.C, geo.N
+            dual = self.geometry_at(q)
+            return dual.cartan.Gt, dual.cartan.L, dual.cartan.C, dual.N
 
-        jets = adapted_gradient(blocks, z, self.geometry_at(z),
-                                ("time", "space", "vert"))
-        return _ConnJets(*(_JetBlock(t[..., 0], x, y) for t, x, y in jets))
+        geo.jets = _ConnJets(*(
+            _JetBlock(t[..., 0], x, y) for t, x, y in
+            adapted_gradient(blocks, z, geo, ("time", "space", "vert"))))
+        return geo.jets
 
 
 def _cached(cache: collections.OrderedDict, z, compute):
@@ -392,6 +410,12 @@ def _regular_h11(h11: float, t: float, point=None) -> None:
     if h11 == 0.0 or not np.isfinite(h11):
         raise NonRegularError(f"temporal metric h11 = {h11} at t = {t}",
                               point=point)
+
+
+def _non_finite(what: str, z) -> NonRegularError:
+    """The NonRegularError for a block that left the floats at point z."""
+    point = tuple(base(z).tolist())
+    return NonRegularError(f"non-finite {what} at point {point}", point=point)
 
 
 def _regular_inverse(g, z: np.ndarray, what: str):
@@ -439,7 +463,12 @@ def temporal_christoffel(h11: ScalarField, t: float) -> float:
 
 def canonical_spray(sp: LagrangeSpace, point) -> SprayValue:
     geo = sp.geometry_at(point)
-    return SprayValue(Htemp=geo.Htemp, Gspat=geo.Gspat)
+    try:
+        return SprayValue(Htemp=geo.Htemp, Gspat=geo.Gspat)
+    except ValueError:
+        # the shapes are the geometry's own: an entry is not finite
+        raise _non_finite("spray coefficients",
+                          _point_array(point, sp.n)) from None
 
 
 def canonical_nonlinear_connection(sp: LagrangeSpace, point) -> NonlinearConnectionValue:
@@ -474,6 +503,9 @@ def torsion(sp: LagrangeSpace, point) -> TorsionTable:
     n = sp.n
     z = _point_array(point, n)
     geo = sp.geometry_at(z)
+    tors = getattr(geo, "torsion", None)
+    if tors is not None:
+        return tors
     jets = sp.connection_jets(z)
     cart = geo.cartan
     eye = np.eye(n)
@@ -487,8 +519,10 @@ def torsion(sp: LagrangeSpace, point) -> TorsionTable:
     R_1j = geo.H * geo.N - jets.N.del_t
     R_ij = jets.N.del_x - np.swapaxes(jets.N.del_x, 1, 2)
     S = cart.C - np.swapaxes(cart.C, 1, 2)
-    return TorsionTable(T_1j=T_1j, T_ij=T_ij, P_1=P_1, P_c=cart.C.copy(),
-                        P_i=P_i, R_1j=R_1j, R_ij=R_ij, S=S)
+    geo.torsion = TorsionTable(T_1j=T_1j, T_ij=T_ij, P_1=P_1,
+                               P_c=cart.C.copy(), P_i=P_i, R_1j=R_1j,
+                               R_ij=R_ij, S=S)
+    return geo.torsion
 
 
 # slots of the vertical block C^l_i(k) and of the mixed torsion T^m_1j
@@ -509,6 +543,9 @@ def curvature(sp: LagrangeSpace, point) -> CurvatureTable:
     n = sp.n
     z = _point_array(point, n)
     geo = sp.geometry_at(z)
+    cur = getattr(geo, "curvature", None)
+    if cur is not None:
+        return cur
     jets = sp.connection_jets(z)
     cart = geo.cartan
     tors = torsion(sp, z)
@@ -542,8 +579,9 @@ def curvature(sp: LagrangeSpace, point) -> CurvatureTable:
              + np.einsum("mij,lmk->lijk", C, C)
              - np.einsum("mik,lmj->lijk", C, C))
 
-    return CurvatureTable(R_i1k=R_i1k, R_ijk=R_ijk, P_i1k=P_i1k,
-                          P_ijk=P_ijk, S_ijk=S_ijk)
+    geo.curvature = CurvatureTable(R_i1k=R_i1k, R_ijk=R_ijk, P_i1k=P_i1k,
+                                   P_ijk=P_ijk, S_ijk=S_ijk)
+    return geo.curvature
 
 
 def bianchi_residuals(sp: LagrangeSpace, point) -> dict:

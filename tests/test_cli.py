@@ -288,6 +288,17 @@ class TestInspect:
         assert code == 3
         assert "regularity" in capsys.readouterr().err
 
+    def test_overflow_at_a_finite_point_exits_three(self, capsys):
+        # the float spray path, unchecked, multiplies inf by 0 (numpy's
+        # invalid-value warning); the connection level names the point
+        with np.errstate(invalid="ignore"):
+            code = main(["inspect", "--config", "flat",
+                         "--point", "0", "0", "0", "1e308", "1e308"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "regularity failure: non-finite connection coefficients at "
+            "point (0.0, 0.0, 0.0, 1e+308, 1e+308)\n")
+
     def test_default_point_is_midpoint(self, tmp_path):
         out = tmp_path / "mid.json"
         assert main(["inspect", "--config", "flat", "--out", str(out)]) == 0

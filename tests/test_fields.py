@@ -21,7 +21,7 @@ from jetlag import fields, geometry, numdiff
 from jetlag.checks import _metricity_residuals, run_checks, sample_points
 from jetlag.cli import BUILTIN_CONFIGS, load_config, main
 from jetlag.dtensor import SlotKind
-from jetlag.expr import EvalDomainError, parse
+from jetlag.expr import EvalDomainError, _point_array, parse
 from jetlag.fields import (
     conservation_residuals,
     deflection_identities,
@@ -354,6 +354,37 @@ class TestDifferentiatedWork:
         calls = count_calls(monkeypatch, fields.ricci_and_scalar, fields)
         conservation_residuals(sp, z)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("name", BUILTINS)
+    def test_tables_at_a_cold_point_compute_the_jets_once(self, monkeypatch,
+                                                           name):
+        # curvature reads torsion, and bianchi reads both and the jets
+        sp, z = _builtin_point(name)
+        computed = count_calls(monkeypatch, geometry.adapted_gradient,
+                               geometry)
+        torsion(sp, z)
+        curvature(sp, z)
+        bianchi_residuals(sp, z)
+        assert len(computed) == 1
+
+    def test_run_checks_computes_the_jets_once_per_point(self, monkeypatch):
+        # electrodynamics_l2's default sample asks for the jets at 61 float
+        # points and at conservation's 4 first-order dual points
+        cfg = load_config("electrodynamics_l2")
+        points = sample_points(cfg.space, cfg.ranges, 100, cfg.seed)
+        asked = set()
+        jets = LagrangeSpace.connection_jets
+
+        def recorded(self, point):
+            asked.add(_point_array(point, self.n).tobytes())
+            return jets(self, point)
+
+        monkeypatch.setattr(LagrangeSpace, "connection_jets", recorded)
+        computed = count_calls(monkeypatch, geometry.adapted_gradient,
+                               geometry)
+        run_checks(cfg.space, points, tolerances=cfg.tolerances,
+                   gauge_seed=cfg.seed)
+        assert len(computed) == len(asked) == 65
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_run_checks_takes_no_finite_difference(self, monkeypatch, name):

@@ -32,7 +32,8 @@ from jetlag.dtensor import (
 )
 from jetlag import expr, geometry
 from jetlag.checks import random_affine_chart, sample_points
-from jetlag.cli import load_config
+from jetlag.cli import BUILTIN_CONFIGS, load_config
+from jetlag.dual import Dual
 from jetlag.dynamics import el_acceleration, el_residual, integrate_harmonic
 from jetlag.expr import (
     Const,
@@ -302,6 +303,15 @@ class TestCanonicalSpray:
         for z in random_points(3):
             s = canonical_spray(sp, z)
             assert np.allclose(s.Htemp, -0.5 * z[N + 1:], atol=1e-12)
+
+    def test_overflow_at_a_finite_point_is_non_regular(self):
+        # L_y = 2y overflows, and L_y * H = inf * 0 in the spray source
+        z = (0.0, 0.0, 0.0, 1e308, 1e308)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonRegularError, match=r"non-finite spray coefficients at "
+                                       r"point \(0\.0, 0\.0, 0\.0, 1e\+308, "
+                                       r"1e\+308\)"):
+            canonical_spray(flat_space(), z)
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +972,32 @@ class TestConnectionLevel:
 # caching
 # ---------------------------------------------------------------------------
 
+def _table_bytes(table) -> dict:
+    """The bytes of every array of a table or residual dict, by name."""
+    items = table.items() if isinstance(table, dict) else vars(table).items()
+    return {k: v.tobytes() for k, v in items}
+
+
 class TestCaching:
+    @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
+    def test_call_order_leaves_every_table_bitwise_equal(self, name):
+        # two cold spaces, the per-point tables asked for in opposite
+        # orders, over float points and a first-order dual point at one of
+        # them, also taken in opposite orders
+        cfg = load_config(name)
+        points = sample_points(cfg.space, cfg.ranges, 3, seed=5)
+        points = list(points) + [Dual(points[0], np.eye(len(points[0])))]
+        forward, backward = load_config(name).space, load_config(name).space
+        want = [[curvature(forward, z), torsion(forward, z),
+                 bianchi_residuals(forward, z)] for z in points]
+        got = []
+        for z in reversed(points):
+            bia = bianchi_residuals(backward, z)
+            tor = torsion(backward, z)
+            got.insert(0, [curvature(backward, z), tor, bia])
+        assert [[_table_bytes(t) for t in tables] for tables in got] \
+            == [[_table_bytes(t) for t in tables] for tables in want]
+
     def test_geometry_cache_hit(self):
         sp = sphere_space()
         a = sp.geometry_at(SPHERE_Z)

@@ -102,3 +102,26 @@ def test_tree_size_counts_every_node_field():
         for f in [sp.L] + sp._partials + [sp.h11, sp._hdot]:
             assert spans._tree_size(f.ast, {}) == _repeat_count(f.ast, {}), \
                 (name, f)
+
+
+def test_traced_check_times_curvature_and_the_jets():
+    # curvature and connection_jets read their tables off the cached
+    # geometry; the tracer still wraps both by name, and curvature's own
+    # time (geometry.curvature_s) is its work on a miss, so it reads > 0
+    spans = _spans_module()
+    cfg = load_config("electrodynamics_l2")
+    points = checks.sample_points(cfg.space, cfg.ranges, 10, seed=cfg.seed)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.on = True
+        checks.run_checks(cfg.space, points, gauge_seed=cfg.seed)
+        tracer.on = False
+        calls = {k: v["calls"] for k, v in tracer.table().items()}
+        metrics = tracer.analyse()
+    finally:
+        tracer.uninstall()
+    assert calls.get("geometry.curvature", 0) > 0
+    assert calls.get(spans.JETS, 0) > 0
+    assert metrics["geometry.curvature_s"] > 0
+    assert metrics["geometry.jets_calls"] == calls[spans.JETS]
