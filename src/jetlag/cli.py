@@ -569,7 +569,10 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "curve" and args.out is None:
         parser.error("curve requires --out for the CSV")
     try:
-        return args.fn(args)
+        # the engine reports every non-finite result it reads itself, so
+        # numpy's floating-point warnings on the way there are noise
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (NonRegularError, EvalDomainError) as exc:
         # a point where the metric is singular or an expression leaves its
         # domain (the domain error is an ExprError, so it is caught first)

@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 # step-count cap of integrate_harmonic: every sample is kept in memory, and
-# at ~1 ms per step the cap is a couple of minutes of work
+# at 0.3-0.4 ms per step (n = 2 builtins, 2-core x86-64 VM) the cap is under
+# a minute of work
 MAX_STEPS = 100_000
 
 
@@ -116,37 +117,41 @@ def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
         # exact below 1e20 steps, and never the 309 digits of a huge count
         raise ValueError(f"{count:.20g} steps exceed the cap of {MAX_STEPS}")
 
-    def rhs(t, x, y):
-        z = np.concatenate([[t], x, y])
+    # RK4 on the state s = (x, y), whose slope is (y, rhs).  Each stage's
+    # point (t, s) is written into one reused buffer z: a geometry keeps a
+    # copy of any point it holds on to
+    n = sp.n
+    z = np.empty(2 * n + 1)
+    k = np.empty((4, 2 * n))            # the four stage slopes
+
+    def slope(stage, t, s):
+        z[0], z[1:] = t, s
         if not np.isfinite(z).all():
             raise NonRegularError(f"non-finite state at t = {t:.6g}",
                                   point=tuple(z))
+        k[stage, :n] = s[n:]
         try:
-            return harmonic_rhs(sp, z)
+            k[stage, n:] = harmonic_rhs(sp, z)
         except NonRegularError as err:
             raise NonRegularError(
                 f"{err} (reached at t = {t:.6g} along the curve)",
                 point=err.point, det=err.det) from err
+        return k[stage]
 
-    ts = [t0]
-    xs = [x0]
-    ys = [y0]
-    t, x, y = t0, x0, y0
-    for k in range(count):
+    t, s = t0, np.concatenate([x0, y0])
+    ts, states = [t], [s]
+    for i in range(count):
         h = min(step, t1 - t)
-        k1x, k1y = y, rhs(t, x, y)
-        k2x, k2y = y + 0.5 * h * k1y, rhs(t + 0.5 * h, x + 0.5 * h * k1x,
-                                          y + 0.5 * h * k1y)
-        k3x, k3y = y + 0.5 * h * k2y, rhs(t + 0.5 * h, x + 0.5 * h * k2x,
-                                          y + 0.5 * h * k2y)
-        k4x, k4y = y + h * k3y, rhs(t + h, x + h * k3x, y + h * k3y)
-        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        t = t1 if k == count - 1 else t + h
+        k1 = slope(0, t, s)
+        k2 = slope(1, t + 0.5 * h, s + 0.5 * h * k1)
+        k3 = slope(2, t + 0.5 * h, s + 0.5 * h * k2)
+        k4 = slope(3, t + h, s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t1 if i == count - 1 else t + h
         ts.append(t)
-        xs.append(x)
-        ys.append(y)
-    return Curve(t=np.array(ts), x=np.array(xs), y=np.array(ys), step=step)
+        states.append(s)
+    states = np.array(states)
+    return Curve(t=np.array(ts), x=states[:, :n], y=states[:, n:], step=step)
 
 
 def action(sp: LagrangeSpace, curve: Curve) -> float:

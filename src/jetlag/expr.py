@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from jetlag.dual import Dual, base
+from jetlag.dual import _FLOAT, Dual, base
 
 __all__ = [
     "JetPoint",
@@ -637,11 +637,34 @@ class _DerivTable:
     cached AST objects; mixed partials are identical by construction.
     """
 
-    def __init__(self, ast: Node, n: int):
+    def __init__(self, root: "ScalarField", ast: Node, n: int):
         self.n = n
-        self._asts: dict[tuple[int, ...], Node] = {(0,) * (2 * n + 1): ast}
+        zero = (0,) * (2 * n + 1)
+        self._asts: dict[tuple[int, ...], Node] = {zero: ast}
         self._fns: dict[tuple[tuple[int, ...], ...], object] = {}
         self._plans: dict = {}
+        self._fields = {zero: root}     # offset -> the one field at it
+        self._groups: dict = {}         # tuple of fields -> [offsets, fn]
+
+    def field(self, offset: tuple[int, ...]) -> "ScalarField":
+        """The one field at an offset: a tuple of fields is a group's key."""
+        f = self._fields.get(offset)
+        if f is None:
+            f = self._fields[offset] = ScalarField(None, self.n, _table=self,
+                                                   _offset=offset)
+        return f
+
+    def group(self, fields: tuple) -> list:
+        """[offsets, fused float function] of a tuple of this table's
+        fields; the function is compiled on the group's first float
+        evaluation, as a dual point reads a Taylor plan's instead."""
+        group = self._groups.get(fields)
+        if group is None:
+            offsets = tuple([f._offset for f in fields if f._table is self])
+            if len(offsets) != len(fields):
+                raise ValueError("evaluate_fields needs partials of one root field")
+            group = self._groups[fields] = [offsets, None]
+        return group
 
     def ast_for(self, idx: tuple[int, ...]) -> Node:
         node = self._asts.get(idx)
@@ -713,8 +736,8 @@ class ScalarField:
     """A scalar function of a jet point with exact cached derivatives.
 
     Fields returned by :meth:`differentiate` share the root's cache, so a
-    given mixed partial is represented by one AST no matter how it was
-    reached.
+    given mixed partial is represented by one field object and one AST no
+    matter how it was reached.
     """
 
     def __init__(self, ast: Node, n: int, *, _table=None, _offset=None):
@@ -732,7 +755,7 @@ class ScalarField:
                 f"expression references variable index {top}, "
                 f"but n={n} allows at most {2 * n}"
             )
-        self._table = _DerivTable(ast, n)
+        self._table = _DerivTable(self, ast, n)
         self._offset = (0,) * (2 * n + 1)
 
     @property
@@ -759,8 +782,7 @@ class ScalarField:
             raise DerivativeOrderError(
                 f"total derivative order {total} exceeds cap {DEFAULT_MAX_ORDER}"
             )
-        new_offset = tuple(a + b for a, b in zip(self._offset, idx))
-        return ScalarField(None, self.n, _table=self._table, _offset=new_offset)
+        return self._table.field(tuple(a + b for a, b in zip(self._offset, idx)))
 
     def substitute(self, mapping: dict[int, Node]) -> "ScalarField":
         """New field with variables replaced by expression nodes."""
@@ -795,16 +817,19 @@ def evaluate_fields(fields, point) -> tuple:
     if not fields:
         return ()
     table = fields[0]._table
-    offsets = tuple([f._offset for f in fields if f._table is table])
-    if len(offsets) != len(fields):
-        raise ValueError("evaluate_fields needs partials of one root field")
+    group = table.group(fields)
     n = table.n
-    z = _point_array(point, n)
-    if isinstance(z, Dual):
-        return _taylor_values(table, offsets, z)
+    if not (type(point) is np.ndarray and point.dtype is _FLOAT
+            and point.shape == (2 * n + 1,)):
+        point = _point_array(point, n)
+        if isinstance(point, Dual):
+            return _taylor_values(table, group[0], point)
+    fn = group[1]
+    if fn is None:
+        fn = group[1] = table.fn_for(group[0])
     # plain Python floats, whatever the point type: float arithmetic
     # raises on a domain error where numpy scalars return inf or nan
-    fn, z = table.fn_for(offsets), z.tolist()
+    z = point.tolist()
     try:
         return fn(z[0], z[1:n + 1], z[n + 1:])
     except (ValueError, ZeroDivisionError, OverflowError) as exc:

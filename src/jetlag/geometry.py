@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,25 +276,24 @@ class LagrangeSpace:
         self.L = L
         self.h11 = h11
 
-        # the distinct L-partials _compute_geo reads, in evaluation order
-        # (Lyy first: the regularity check runs before any other partial),
-        # and per block an index array gathering it from the values of its
-        # call: the Lyy head, or the rest, whose slots follow the head's
+        # the distinct L-partials _compute_geo reads, as two field groups
+        # in evaluation order: the Lyy head (so the regularity check runs
+        # before any other partial) and the rest, whose slots follow the
+        # head's; per block an index array gathers it from its group's values
         t, x, y = [0], range(1, n + 1), range(1 + n, 2 * n + 1)
         slots: dict = {}
-        self._blocks = {}
-        self._n_lyy = n * (n + 1) // 2
-        for name, axes in (("Lyy", (y, y)), ("Ly", (y,)), ("Lx", (x,)),
-                           ("Lty", (t, y)), ("Lxy", (x, y)),
-                           ("Ltyy", (t, y, y)), ("Lxyy", (x, y, y)),
-                           ("Lyyy", (y, y, y))):
+        blocks = []             # Lyy, then Ly Lx Lty Lxy Ltyy Lxyy Lyyy
+        for axes in ((y, y), (y,), (x,), (t, y), (x, y), (t, y, y),
+                     (x, y, y), (y, y, y)):
             idx = [slots.setdefault(_unit_index(n, *ax), len(slots))
                    for ax in itertools.product(*axes)]
-            self._blocks[name] = np.array(idx).reshape(
-                [len(a) for a in axes if a is not t]) \
-                - (0 if name == "Lyy" else self._n_lyy)
-        self._partials = [L.differentiate(idx) for idx in slots]
-        self._hdot = h11.differentiate(_unit_index(n, 0))
+            blocks.append(np.array(idx).reshape(
+                [len(a) for a in axes if a is not t]))
+        head = n * (n + 1) // 2
+        self._lyy_idx, self._rest_idx = blocks[0], [b - head for b in blocks[1:]]
+        partials = tuple(L.differentiate(idx) for idx in slots)
+        self._lyy_head, self._rest = partials[:head], partials[head:]
+        self._h11_pair = (h11, h11.differentiate(_unit_index(n, 0)))
         self._geo_cache: collections.OrderedDict = collections.OrderedDict()
 
     # -- family constructors ------------------------------------------------
@@ -333,26 +333,22 @@ class LagrangeSpace:
         zb = base(z)
         y = z[1 + self.n:]
         try:
-            h11, hdot = evaluate_fields((self.h11, self._hdot), z)
+            h11, hdot = evaluate_fields(self._h11_pair, z)
         except EvalDomainError:
             # a singular h11 is reported before a pole of its derivative
-            _regular_h11(self.h11.evaluate(zb), zb[0], tuple(zb))
+            _regular_h11(self.h11.evaluate(zb), zb[0], zb)
             raise
-        _regular_h11(base(h11), zb[0], tuple(zb))
+        _regular_h11(base(h11), zb[0], zb)
         h_inv = 1.0 / h11
         H = 0.5 * h_inv * hdot
 
-        head = self._n_lyy
-        Lyy = as_array(evaluate_fields(self._partials[:head], z))[
-            self._blocks["Lyy"]]
+        Lyy = as_array(evaluate_fields(self._lyy_head, z))[self._lyy_idx]
         g = 0.5 * h11 * Lyy
         if not np.isfinite(base(g)).all():
             raise NonRegularError("non-finite metric entries", point=tuple(zb))
         g_inv = _regular_inverse(g, zb, "vertical Hessian metric is degenerate")
-        vals = as_array(evaluate_fields(self._partials[head:], z))
-        Ly, Lx, Lty, Lxy, Ltyy, Lxyy, Lyyy = (
-            vals[self._blocks[name]]
-            for name in ("Ly", "Lx", "Lty", "Lxy", "Ltyy", "Lxyy", "Lyyy"))
+        vals = as_array(evaluate_fields(self._rest, z))
+        Ly, Lx, Lty, Lxy, Ltyy, Lxyy, Lyyy = (vals[i] for i in self._rest_idx)
 
         # spray source term: B_k = L_{x^m y^k} y^m - L_{x^k} + L_{t y^k}
         #                        + L_{y^k} H + 2 h^inv H g_{kl} y^l
@@ -407,9 +403,9 @@ def _cached(cache: collections.OrderedDict, z, compute):
 
 
 def _regular_h11(h11: float, t: float, point=None) -> None:
-    if h11 == 0.0 or not np.isfinite(h11):
+    if h11 == 0.0 or not math.isfinite(h11):
         raise NonRegularError(f"temporal metric h11 = {h11} at t = {t}",
-                              point=point)
+                              point=None if point is None else tuple(point))
 
 
 def _non_finite(what: str, z) -> NonRegularError:

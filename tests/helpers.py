@@ -10,11 +10,13 @@ data straight from user-level metric component fields.  The slot-rule
 oracles take the package's own connection jets and write out only the
 connection corrections, one einsum per slot.  The field-identity oracles
 take one covariant derivative per field and kind, where the package
-differentiates all of an identity's fields at one dual point.
+differentiates all of an identity's fields at one dual point.  The RK4
+loop on two arrays is the curve integrator's bit-for-bit oracle.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -22,8 +24,9 @@ import numpy as np
 from jetlag import fields
 from jetlag.dtensor import DTensorField, SlotKind, covariant_derivative
 from jetlag.dual import Dual
+from jetlag.dynamics import harmonic_rhs
 from jetlag.expr import Const, Node, Var, add, call, div, mul, neg, power
-from jetlag.geometry import (LagrangeSpace, _Geo,
+from jetlag.geometry import (LagrangeSpace, NonRegularError, _Geo,
                              canonical_nonlinear_connection,
                              cartan_connection, curvature, torsion)
 
@@ -397,6 +400,53 @@ def great_circle(x0, y0, s):
     theta = np.arccos(np.clip(gam[2], -1.0, 1.0))
     phi = np.arctan2(gam[1], gam[0])
     return np.array([theta, phi])
+
+
+# ---------------------------------------------------------------------------
+# the RK4 loop on two arrays, the bit-for-bit oracle of integrate_harmonic
+# ---------------------------------------------------------------------------
+
+
+def rk4_two_arrays(sp, x0, y0, t0, t1, step):
+    """(t, x, y) samples of integrate_harmonic's fixed-step RK4 written on
+    two arrays x and y, with a fresh point per stage.  Each stage is the
+    same elementwise arithmetic as on the state vector (x, y), so the
+    package's curve must match this bit for bit."""
+    x0 = np.asarray(x0, dtype=float)
+    y0 = np.asarray(y0, dtype=float)
+    count = max(1, int(math.ceil((t1 - t0) / step - 1e-12)))
+
+    def rhs(t, x, y):
+        z = np.concatenate([[t], x, y])
+        if not np.isfinite(z).all():
+            raise NonRegularError(f"non-finite state at t = {t:.6g}",
+                                  point=tuple(z))
+        try:
+            return harmonic_rhs(sp, z)
+        except NonRegularError as err:
+            raise NonRegularError(
+                f"{err} (reached at t = {t:.6g} along the curve)",
+                point=err.point, det=err.det) from err
+
+    ts = [t0]
+    xs = [x0]
+    ys = [y0]
+    t, x, y = t0, x0, y0
+    for k in range(count):
+        h = min(step, t1 - t)
+        k1x, k1y = y, rhs(t, x, y)
+        k2x, k2y = y + 0.5 * h * k1y, rhs(t + 0.5 * h, x + 0.5 * h * k1x,
+                                          y + 0.5 * h * k1y)
+        k3x, k3y = y + 0.5 * h * k2y, rhs(t + 0.5 * h, x + 0.5 * h * k2x,
+                                          y + 0.5 * h * k2y)
+        k4x, k4y = y + h * k3y, rhs(t + h, x + h * k3x, y + h * k3y)
+        x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        t = t1 if k == count - 1 else t + h
+        ts.append(t)
+        xs.append(x)
+        ys.append(y)
+    return np.array(ts), np.array(xs), np.array(ys)
 
 
 # ---------------------------------------------------------------------------

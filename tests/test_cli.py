@@ -8,6 +8,7 @@ would see them.
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,9 +290,11 @@ class TestInspect:
         assert "regularity" in capsys.readouterr().err
 
     def test_overflow_at_a_finite_point_exits_three(self, capsys):
-        # the float spray path, unchecked, multiplies inf by 0 (numpy's
-        # invalid-value warning); the connection level names the point
-        with np.errstate(invalid="ignore"):
+        # the float spray path, unchecked, multiplies inf by 0; the
+        # connection level names the point, and numpy's invalid-value
+        # warning on the way there is silenced at the command boundary
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["inspect", "--config", "flat",
                          "--point", "0", "0", "0", "1e308", "1e308"])
         assert code == 3

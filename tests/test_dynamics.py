@@ -5,8 +5,10 @@ import io
 import numpy as np
 import pytest
 
-from helpers import christoffel_oracle, great_circle
-from jetlag import dynamics
+from helpers import (christoffel_oracle, count_calls, great_circle,
+                     rk4_two_arrays)
+from jetlag import dynamics, expr, geometry
+from jetlag.cli import BUILTIN_CONFIGS, load_config
 from jetlag.dtensor import ChartMap
 from jetlag.dynamics import (
     MAX_STEPS,
@@ -175,6 +177,55 @@ class TestIntegrate:
         sp = LagrangeSpace.from_family("quadratic", N, parse("1 - t", N), g)
         with pytest.raises(NonRegularError, match="t = 1"):
             integrate_harmonic(sp, [0.0, 0.0], [1.0, 0.0], 0.0, 2.0, 0.125)
+
+
+class TestStateVector:
+    """integrate_harmonic runs RK4 on one state vector (x, y), written into
+    one reused point buffer; the samples are those of the loop on two
+    arrays, bit for bit, and each stage costs one spray level."""
+
+    @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
+    @pytest.mark.parametrize("step, steps", [(1.0 / 32, 16), (0.07, 8)])
+    def test_samples_match_the_two_array_loop_bit_for_bit(self, name, step,
+                                                          steps):
+        cfg = load_config(name)
+        lo, hi = cfg.ranges[:, 0], cfg.ranges[:, 1]
+        z = lo + np.array([0.25, 0.55, 0.45, 0.6, 0.35]) * (hi - lo)
+        t0 = float(z[0])
+        t, x, y = rk4_two_arrays(cfg.space, z[1:3], z[3:], t0, t0 + 0.5,
+                                 step)
+        c = integrate_harmonic(cfg.space, z[1:3], z[3:], t0, t0 + 0.5, step)
+        assert len(c) == len(t) == steps + 1
+        # 0.5 / 0.07 is not whole, so that curve ends on a short step
+        assert (c.t[-1] - c.t[-2] < step) == (step == 0.07)
+        for got, want in ((c.t, t), (c.x, x), (c.y, y)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_cold_step_costs_four_spray_levels(self, monkeypatch):
+        geo = count_calls(monkeypatch, LagrangeSpace.geometry_at,
+                          LagrangeSpace)
+        evals = count_calls(monkeypatch, expr.evaluate_fields, expr,
+                            geometry)
+        christoffel = count_calls(monkeypatch, geometry._christoffel,
+                                  geometry)
+        sp = load_config("sphere_l1").space
+        c = integrate_harmonic(sp, [1.2, 0.1], [0.3, 0.8], 0.0, 0.1, 0.1)
+        assert len(c) == 2
+        # one geometry per stage, three fused evaluations per geometry
+        # (the h11 pair, the Lyy head, the rest), no connection level
+        assert (len(geo), len(evals), len(christoffel)) == (4, 12, 0)
+
+    def test_group_lookup_is_bounded_by_distinct_groups(self):
+        L = parse("sin(x1)*y1^2 + t*x2*y2^3", N)
+        indices = [(0, 0, 0, 1, 0), (0, 1, 0, 1, 0), (0, 0, 0, 0, 2),
+                   (1, 0, 1, 0, 1)]
+        z = np.array([0.2, 0.7, -0.3, 1.1, 0.4])
+        for k in range(1000):
+            L.differentiate(indices[k % len(indices)]).evaluate(z)
+        # differentiate returns the one field at each offset, so fresh
+        # calls meet the groups already built
+        assert len(L._table._groups) == len(indices)
 
 
 class TestCurveType:

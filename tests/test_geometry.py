@@ -833,11 +833,10 @@ class TestPartialTable:
                            (moved, [transform_point(chart, z) for z in
                                     sample_points(cfg.space, cfg.ranges,
                                                   2, seed=6)])):
-            fields = sp._partials + [sp.h11, sp._hdot]
+            groups = (sp._h11_pair, sp._lyy_head, sp._rest)
             for z in points:
-                fused = evaluate_fields(sp._partials, z) \
-                    + evaluate_fields((sp.h11, sp._hdot), z)
-                alone = [f.evaluate(z) for f in fields]
+                fused = sum((evaluate_fields(g, z) for g in groups), ())
+                alone = [f.evaluate(z) for g in groups for f in g]
                 assert [v.hex() for v in fused] == [v.hex() for v in alone]
 
     def test_tail_domain_error_names_the_failing_partial(self):
@@ -872,7 +871,7 @@ class TestPartialTable:
         cfg = load_config(name)
         moved = transformed_space(cfg.space,
                                   random_affine_chart(cfg.space, seed=3))
-        for f in moved._partials + [moved.h11, moved._hdot]:
+        for f in moved._lyy_head + moved._rest + moved._h11_pair:
             for node in f.ast.walk():
                 assert not (isinstance(node, Div)
                             and isinstance(node.num, Const)

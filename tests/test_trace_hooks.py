@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from jetlag import checks, fields, geometry, numdiff
+from jetlag import checks, dynamics, fields, geometry, numdiff
 from jetlag.cli import BUILTIN_CONFIGS, load_config
 from jetlag.expr import parse
 from jetlag.dual import Dual
@@ -99,7 +99,7 @@ def test_tree_size_counts_every_node_field():
     spans = _spans_module()
     for name in BUILTIN_CONFIGS:
         sp = load_config(name).space
-        for f in [sp.L] + sp._partials + [sp.h11, sp._hdot]:
+        for f in (sp.L,) + sp._lyy_head + sp._rest + sp._h11_pair:
             assert spans._tree_size(f.ast, {}) == _repeat_count(f.ast, {}), \
                 (name, f)
 
@@ -125,3 +125,30 @@ def test_traced_check_times_curvature_and_the_jets():
     assert calls.get(spans.JETS, 0) > 0
     assert metrics["geometry.curvature_s"] > 0
     assert metrics["geometry.jets_calls"] == calls[spans.JETS]
+
+
+def test_traced_curve_sees_every_stage_and_its_fused_evaluations():
+    # integrate_harmonic reaches geometry_at through the module's
+    # harmonic_rhs once per stage, and a miss reaches the compiled partials
+    # through geometry's binding of evaluate_fields: both are traced, so
+    # the tracer counts the stages and tells every miss from a hit
+    spans = _spans_module()
+    sp = load_config("sphere_l1").space
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.on = True
+        dynamics.integrate_harmonic(sp, [1.2, 0.1], [0.3, 0.8], 0.0, 1.0, 0.1)
+        tracer.on = False
+        calls = {k: v["calls"] for k, v in tracer.table().items()}
+        metrics = tracer.analyse()
+        a = tracer.arrays()
+    finally:
+        tracer.uninstall()
+    assert calls["dynamics.harmonic_rhs"] == 40
+    assert metrics["dynamics.rk4_steps"] == 10
+    assert metrics["geometry.geo_misses"] == calls[spans.GEO] == 40
+    names = list(a["names"])
+    geo = np.flatnonzero(a["name"] == names.index(spans.GEO))
+    fused = a["parent"][a["name"] == names.index("expr.evaluate_fields")]
+    assert np.isin(geo, fused).all()
