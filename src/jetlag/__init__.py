@@ -5,8 +5,9 @@ Layers, bottom to top:
 * :mod:`jetlag.dual` - forward-mode dual numbers over numpy arrays.
 * :mod:`jetlag.expr` - symbolic scalar fields on jet coordinates, evaluated
   at float or dual points.
-* :mod:`jetlag.dtensor` - distinguished tensors, adapted/covariant derivatives
-  (forward mode, through ``adapted_gradient``), chart transforms.
+* :mod:`jetlag.dtensor` - distinguished tensors as (components, signature)
+  pairs: adapted derivatives (forward mode, through ``adapted_gradient``),
+  the slot rule of covariant derivatives, chart transforms.
 * :mod:`jetlag.geometry` - Lagrange spaces: metrics, sprays, connections,
   torsion and curvature.
 * :mod:`jetlag.fields` - deflections, electromagnetic form, Maxwell identities,

@@ -1,12 +1,12 @@
 """Distinguished tensors on the 1-jet bundle J1(R, M).
 
-A d-tensor value is a dense array with one axis per index, and every
-index has a slot kind: a family (temporal, spatial or vertical) and a
-variance (up or down).  The kind alone decides what the index does, and
-each rule below is written once, as one block per family:
+A d-tensor is a dense array of components with one axis per index,
+passed around with its signature, the tuple of its indices' slot kinds.
+A slot kind is a family (temporal, spatial or vertical) and a variance
+(up or down).  The kind alone decides what the index does, and each
+rule below is written once, as one block per family:
 
 - extent: 1 for a temporal slot, n for the others;
-- lowering and raising: by h11, g_ij or g_ij / h11 (inverses to raise);
 - a chart change: tau' for a temporal slot, A for a spatial one and
   A / tau' for a vertical one, with A^-T and the inverse power of tau'
   on a down slot;
@@ -16,8 +16,8 @@ each rule below is written once, as one block per family:
 
 The module also provides the adapted-basis derivatives, the package's
 one derivative seam (``adapted_gradient``, forward mode on a dual point),
-contraction and the inhomogeneous chart laws of the sprays and the
-nonlinear connection.
+and the inhomogeneous chart laws of the sprays and the nonlinear
+connection.
 Everything here is pointwise and connection-agnostic: geometric content
 (which connection, which metric) is supplied by the caller.
 """
@@ -35,19 +35,12 @@ from jetlag.expr import JetPoint, ScalarField, _point_array
 
 __all__ = [
     "SlotKind",
-    "DTensorValue",
-    "DTensorField",
     "NonlinearConnectionValue",
     "CartanCoefficients",
     "ChartMap",
     "ChartError",
     "adapted_gradient",
-    "adapted_derivative",
     "add_connection_terms",
-    "covariant_derivative",
-    "contract",
-    "raise_slot",
-    "lower_slot",
     "transform_point",
     "transform_temporal_spray",
     "transform_spatial_spray",
@@ -77,61 +70,9 @@ class SlotKind(enum.Enum):
     def extent(self, n: int) -> int:
         return 1 if self.family == "time" else n
 
-    @property
-    def flipped(self) -> "SlotKind":
-        return SlotKind(self.family.capitalize()
-                        + ("Down" if self.is_up else "Up"))
-
 
 def _shape_for(signature, n: int) -> tuple[int, ...]:
     return tuple(kind.extent(n) for kind in signature)
-
-
-@dataclass(frozen=True)
-class DTensorValue:
-    """Dense components of a d-tensor at one point."""
-
-    signature: tuple[SlotKind, ...]
-    components: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        sig = tuple(self.signature)
-        object.__setattr__(self, "signature", sig)
-        arr = as_array(self.components)
-        expected = _shape_for(sig, self.n)
-        if arr.shape != expected:
-            raise ValueError(f"components shape {arr.shape} != {expected} for signature")
-        if not np.all(np.isfinite(base(arr))):
-            raise ValueError("d-tensor components must be finite")
-        object.__setattr__(self, "components", arr)
-
-
-class DTensorField:
-    """A pure map from jet points to d-tensor components of fixed signature.
-
-    The map is differentiated by forward mode, so it must be
-    dual-transparent: at a dual point it is called with a
-    ``jetlag.dual.Dual`` and must build its components from it with the
-    operations that module lists (arithmetic, @, indexing, einsum, ...),
-    never through ``float()`` or ``np.array([...])`` of entries.  A map
-    that breaks this raises a TypeError naming the contract.
-    """
-
-    def __init__(self, signature, n: int, fn):
-        self.signature = tuple(signature)
-        self.n = int(n)
-        self._fn = fn
-        self._shape = _shape_for(self.signature, self.n)
-
-    def components_at(self, point) -> np.ndarray:
-        out = as_array(self._fn(_point_array(point, self.n)))
-        if out.shape != self._shape:
-            raise ValueError(f"field returned shape {out.shape}, expected {self._shape}")
-        return out
-
-    def __call__(self, point) -> DTensorValue:
-        return DTensorValue(self.signature, self.components_at(point), self.n)
 
 
 @dataclass(frozen=True)
@@ -203,22 +144,6 @@ class CartanCoefficients:
                     else self.vert_time())[:, :, np.newaxis]
         return self.L if kind == "space" else self.C
 
-    def symmetry_residual(self) -> float:
-        """Max asymmetry of L and C in their two lower indices."""
-        rl = np.max(np.abs(self.L - np.swapaxes(self.L, 1, 2)))
-        rc = np.max(np.abs(self.C - np.swapaxes(self.C, 1, 2)))
-        return float(np.max([rl, rc]))   # keeps a NaN, unlike the builtin max
-
-
-# ---------------------------------------------------------------------------
-# point plumbing
-# ---------------------------------------------------------------------------
-
-
-def _value_at(thing, z):
-    """Allow connection inputs to be fixed values or point functions."""
-    return thing(z) if callable(thing) else thing
-
 
 # ---------------------------------------------------------------------------
 # adapted and covariant derivatives
@@ -230,16 +155,21 @@ _KINDS = ("time", "space", "vert")
 
 def adapted_gradient(fn, z, nl, kinds) -> list:
     """Adapted derivatives of the point function fn, which returns a tuple
-    of arrays, at z: per array, one derivative array per kind (derivative
-    axis last) of 'time' d/dt - M^j d/dy^j (an axis of extent 1), 'space'
-    d/dx^i - N^j_i d/dy^j and 'vert' d/dy^i; nl gives M, N.
+    of arrays, at z: per array, the pair (its value at z, one derivative
+    array per kind), each derivative with its axis last, of 'time'
+    d/dt - M^j d/dy^j (an axis of extent 1), 'space' d/dx^i - N^j_i d/dy^j
+    and 'vert' d/dy^i; nl gives M, N.
 
     Forward mode: fn is called once, at z seeded with the identity tangent
-    (a ``jetlag.dual.Dual``; z may be one already, which nests), and each
-    array's plain partials are its tangent.  fn must be dual-transparent
-    (see ``DTensorField``).  The corrections are plain einsums, which
-    round every entry by itself, so an array's bits do not depend on the
-    arrays beside it.
+    (a ``jetlag.dual.Dual``; z may be one already, which nests); each
+    array's value part is its value at z and its plain partials are its
+    tangent.  So fn must be dual-transparent: it builds its arrays from
+    the dual point with the operations ``jetlag.dual`` lists (arithmetic,
+    @, indexing, einsum, ...), never through ``float()`` or
+    ``np.array([...])`` of entries; an array without the point's tangent
+    raises a TypeError naming the contract.  The corrections are plain
+    einsums, which round every entry by itself, so an array's bits do not
+    depend on the arrays beside it.
     """
     for kind in kinds:
         if kind not in _KINDS:
@@ -247,7 +177,7 @@ def adapted_gradient(fn, z, nl, kinds) -> list:
                              f"got {kind!r}")
     n = (len(z) - 1) // 2
     point = Dual(z, np.eye(len(z)))
-    derivs = []
+    pairs = []
     for a in fn(point):
         if depth(a) != point.depth:
             raise TypeError(f"adapted_gradient: fn returned a "
@@ -264,36 +194,8 @@ def adapted_gradient(fn, z, nl, kinds) -> list:
             out["space"] = (g[1:n + 1] - np.einsum("mi,mk->ik", nl.N, flat)
                             .reshape(g[1:n + 1].shape))
         last = (*range(1, a.ndim + 1), 0)    # the derivative axis last
-        derivs.append([out[k].transpose(last) for k in kinds])
-    return derivs
-
-
-_DIRECTION_KINDS = {"M": "space", "V": "vert"}
-
-
-def adapted_derivative(field: DTensorField, point, nl,
-                       direction) -> DTensorValue:
-    """Componentwise adapted-basis derivative of a d-tensor field.
-
-    Directions: 'T' for d/dt - M^j d/dy^j, ('M', i) for d/dx^i - N^j_i d/dy^j,
-    ('V', i) for the plain d/dy^i, with an integer i in [0, n).  No
-    connection corrections are applied; the result keeps the field's
-    signature.
-    """
-    if direction in ("T", ("T",)):
-        kind, i = "time", 0
-    elif isinstance(direction, tuple) and len(direction) == 2 \
-            and direction[0] in _DIRECTION_KINDS \
-            and isinstance(direction[1], (int, np.integer)) \
-            and 0 <= direction[1] < field.n:
-        kind, i = _DIRECTION_KINDS[direction[0]], int(direction[1])
-    else:
-        raise ValueError(f"direction must be 'T', ('M', i) or ('V', i); "
-                         f"got {direction!r}")
-    z = _point_array(point, field.n)
-    ((out,),) = adapted_gradient(lambda q: (field.components_at(q),), z,
-                                 _value_at(nl, z), [kind])
-    return DTensorValue(field.signature, out[..., i], field.n)
+        pairs.append((a.val, [out[k].transpose(last) for k in kinds]))
+    return pairs
 
 
 _EINSUM_LETTERS = "abcdefghij"
@@ -325,104 +227,6 @@ def add_connection_terms(derivs: np.ndarray, arr: np.ndarray, signature,
         else:
             out = out - np.einsum(f"{in_sub},z{base[ax]}p->{base}p", arr, K)
     return out
-
-
-def covariant_derivative(field: DTensorField, point, cartan, nl,
-                         kind: str) -> DTensorValue:
-    """Covariant derivative of a d-tensor field under an h-normal connection.
-
-    kind 'time'  : D -> D_{/1};      appends a TimeDown slot (extent 1).
-    kind 'space' : D -> D_{|p};      appends a SpaceDown slot.
-    kind 'vert'  : D -> D_{|(1)(p)}; appends a VertDown slot.
-
-    The corrections are those of :func:`add_connection_terms`.
-    """
-    z = _point_array(point, field.n)
-    cart = _value_at(cartan, z)
-    nlv = _value_at(nl, z)
-    arr = field.components_at(z)
-    ((derivs,),) = adapted_gradient(lambda q: (field.components_at(q),), z,
-                                    nlv, [kind])
-    out = add_connection_terms(derivs, arr, field.signature, cart, kind)
-    new_slot = SlotKind(kind.capitalize() + "Down")
-    return DTensorValue(field.signature + (new_slot,), out, field.n)
-
-
-# ---------------------------------------------------------------------------
-# contraction and metric raising/lowering
-# ---------------------------------------------------------------------------
-
-
-def contract(value: DTensorValue, slot_up: int, slot_down: int) -> DTensorValue:
-    """Trace one contravariant slot against one covariant slot."""
-    sig = value.signature
-    up, down = sig[slot_up], sig[slot_down]
-    if slot_up == slot_down:
-        raise ValueError("cannot contract a slot with itself")
-    if not up.is_up or down.is_up:
-        raise ValueError(f"need (up, down) variance, got ({up.value}, {down.value})")
-    if up.extent(value.n) != down.extent(value.n):
-        raise ValueError("contracted slots must have equal extent")
-    arr = np.trace(value.components, axis1=slot_up, axis2=slot_down)
-    new_sig = tuple(k for i, k in enumerate(sig) if i not in (slot_up, slot_down))
-    return DTensorValue(new_sig, arr, value.n)
-
-
-def _apply_matrix(arr: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
-    moved = np.moveaxis(arr, axis, 0)
-    return np.moveaxis(np.tensordot(mat, moved, axes=(1, 0)), 0, axis)
-
-
-_FAMILY_NOUNS = {"time": "temporal", "space": "spatial", "vert": "vertical"}
-
-
-def _move_slot(value: DTensorValue, axis: int, lowering: bool, metric: str,
-               blocks: dict) -> DTensorValue:
-    """Flip the variance of one slot with its family's block, None where
-    the caller left out a metric it needs: a temporal slot is multiplied
-    by its block to lower and divided by it to raise, the others take
-    their block as a matrix."""
-    slot = value.signature[axis]
-    if slot.is_up != lowering:
-        raise ValueError(f"slot {axis} is already "
-                         f"{'covariant' if lowering else 'contravariant'}")
-    block = blocks[slot.family]
-    if block is None:
-        needs = {"time": "h11", "space": metric,
-                 "vert": f"{metric} and h11"}[slot.family]
-        raise ValueError(f"{'lowering' if lowering else 'raising'} a "
-                         f"{_FAMILY_NOUNS[slot.family]} slot needs {needs}")
-    arr = value.components
-    if slot.family != "time":
-        arr = _apply_matrix(arr, axis, block)
-    elif lowering:
-        arr = arr * block
-    else:
-        arr = arr / block
-    sig = list(value.signature)
-    sig[axis] = slot.flipped
-    return DTensorValue(tuple(sig), arr, value.n)
-
-
-def lower_slot(value: DTensorValue, axis: int, g: np.ndarray | None = None,
-               h11: float | None = None) -> DTensorValue:
-    """Lower one contravariant slot with the appropriate metric block.
-
-    Temporal slots use h11, spatial slots g_ij, vertical slots h^11 g_ij.
-    """
-    g = None if g is None else as_array(g)
-    return _move_slot(value, axis, True, "g", {
-        "time": h11, "space": g,
-        "vert": None if g is None or h11 is None else g / h11})
-
-
-def raise_slot(value: DTensorValue, axis: int, g_inv: np.ndarray | None = None,
-               h11: float | None = None) -> DTensorValue:
-    """Raise one covariant slot; inverse blocks of :func:`lower_slot`."""
-    g_inv = None if g_inv is None else as_array(g_inv)
-    return _move_slot(value, axis, False, "g_inv", {
-        "time": h11, "space": g_inv,
-        "vert": None if g_inv is None or h11 is None else g_inv * h11})
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +280,6 @@ class ChartMap:
     def t_new(self, t: float) -> float:
         return self._t_eval(self.t_map, t)
 
-    def t_old(self, t_tilde: float) -> float:
-        if self.t_inverse is None:
-            raise ChartError("this chart map has no t_inverse")
-        return self._t_eval(self.t_inverse, t_tilde)
-
     def tprime(self, t: float) -> float:
         idx = (1,) + (0,) * (2 * self.t_map.n)
         v = self._t_eval(self.t_map.differentiate(idx), t)
@@ -532,18 +331,28 @@ def transform_nonlinear(nl: NonlinearConnectionValue, chart: ChartMap, point
     return NonlinearConnectionValue(M_new, N_new)
 
 
-def transform_tensor(value: DTensorValue, chart: ChartMap, point) -> DTensorValue:
-    """Pure slot-by-slot tensorial transformation of a d-tensor value."""
+def _apply_matrix(arr: np.ndarray, axis: int, mat: np.ndarray) -> np.ndarray:
+    moved = np.moveaxis(arr, axis, 0)
+    return np.moveaxis(np.tensordot(mat, moved, axes=(1, 0)), 0, axis)
+
+
+def transform_tensor(components: np.ndarray, signature, chart: ChartMap,
+                     point) -> np.ndarray:
+    """Pure slot-by-slot tensorial transformation of the components of a
+    d-tensor of the given signature."""
+    arr = np.array(components, dtype=float)
+    if arr.shape != _shape_for(signature, chart.n):
+        raise ValueError(f"components shape {arr.shape} does not match "
+                         f"the signature's {_shape_for(signature, chart.n)}")
     tp = chart.tprime(float(_point_array(point, chart.n)[0]))
     # family -> (up, down) slot rule: (matrix or None, power of tp)
     rules = {"time": ((None, 1), (None, -1)),
              "space": ((chart.A, 0), (chart.A_inv.T, 0)),
              "vert": ((chart.A, -1), (chart.A_inv.T, 1))}
-    arr = value.components.copy()
-    for ax, slot in enumerate(value.signature):
+    for ax, slot in enumerate(signature):
         mat, power = rules[slot.family][0 if slot.is_up else 1]
         if mat is not None:
             arr = _apply_matrix(arr, ax, mat)
         if power:
             arr = arr * tp if power > 0 else arr / tp
-    return DTensorValue(value.signature, arr, value.n)
+    return arr

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtensor import ChartMap, transform_point
 from .expr import _point_array
 from .geometry import LagrangeSpace, NonRegularError
 
@@ -23,7 +22,6 @@ __all__ = [
     "action",
     "el_acceleration",
     "el_residual",
-    "transform_curve",
 ]
 
 # step-count cap of integrate_harmonic: every sample is kept in memory, and
@@ -219,15 +217,3 @@ def el_residual(sp: LagrangeSpace, curve: Curve) -> np.ndarray:
         out[k - 1] = geo.Lyy @ xdd + _el_source(geo, curve.y[k])
     return out
 
-
-def transform_curve(curve: Curve, chart: ChartMap) -> Curve:
-    """Push a sampled curve through a jet chart map sample by sample."""
-    ts = np.empty(len(curve))
-    xs = np.empty_like(curve.x)
-    ys = np.empty_like(curve.y)
-    for k in range(len(curve)):
-        p = transform_point(chart, curve.point(k))
-        ts[k] = p.t
-        xs[k] = p.x
-        ys[k] = p.y
-    return Curve(t=ts, x=xs, y=ys, step=curve.step)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,14 +27,11 @@ from jetlag.dual import _FLOAT, Dual, base
 __all__ = [
     "JetPoint",
     "ScalarField",
-    "PartialTable",
     "ExprError",
     "ParseError",
     "EvalDomainError",
     "DerivativeOrderError",
     "parse",
-    "differentiate",
-    "jet_partials",
     "evaluate_fields",
     "FUNCTIONS",
     "DEFAULT_MAX_ORDER",
@@ -870,45 +867,6 @@ def _domain_error(fn, exc: Exception, n: int) -> EvalDomainError:
     return EvalDomainError(message, to_source(node, n))
 
 
-@dataclass(frozen=True)
-class PartialTable:
-    """All mixed partials of one field at one point, up to a total order."""
-
-    n: int
-    max_order: int
-    point: JetPoint
-    entries: dict = field(repr=False)
-
-    def __getitem__(self, idx) -> float:
-        idx = _validate_multi_index(idx, self.n)
-        if sum(idx) > self.max_order:
-            raise KeyError(f"order {sum(idx)} exceeds table order {self.max_order}")
-        return self.entries[idx]
-
-    @property
-    def value(self) -> float:
-        return self.entries[(0,) * (2 * self.n + 1)]
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-
-def _multi_indices(nvars: int, max_total: int):
-    """Yield all derivative multi-indices with total order <= max_total."""
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            yield tuple(prefix)
-            return
-        for o in range(remaining + 1):
-            yield from rec(prefix + [o], remaining - o, slots - 1)
-
-    yield from rec([], max_total, nvars)
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -1072,24 +1030,3 @@ def parse(source: str, n: int) -> ScalarField:
     ast = _Parser(source, n).parse()
     return ScalarField(ast, n)
 
-
-def differentiate(f: ScalarField, idx) -> ScalarField:
-    """Exact partial derivative of f by a multi-index over (t, x1.., y1..)."""
-    return f.differentiate(idx)
-
-
-def jet_partials(f: ScalarField, point, max_order: int) -> PartialTable:
-    """Evaluate every mixed partial of total order <= max_order at one point."""
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    if max_order + f.order > DEFAULT_MAX_ORDER:
-        raise DerivativeOrderError(
-            f"requested table order {max_order} on a field of order {f.order} "
-            f"exceeds cap {DEFAULT_MAX_ORDER}"
-        )
-    z = _point_array(point, f.n)
-    indices = list(_multi_indices(2 * f.n + 1, max_order))
-    values = evaluate_fields([f.differentiate(idx) for idx in indices], z)
-    entries = dict(zip(indices, values))
-    return PartialTable(n=f.n, max_order=max_order,
-                        point=JetPoint.from_array(z, f.n), entries=entries)

@@ -22,7 +22,6 @@ from .geometry import (
     canonical_nonlinear_connection,
     cartan_connection,
     curvature,
-    fundamental_metric,
     torsion,
 )
 
@@ -53,8 +52,8 @@ def _covd(sp: LagrangeSpace, z, signatures, fn) -> list:
     """Covariant derivatives in the canonical connection of sp of the
     d-tensor fields q -> fn(q), a tuple with one array per signature: per
     field, its [time, space, vert] derivatives (derivative axis last), all
-    from one evaluation at one dual point.  Each array's shape is checked
-    against its signature wherever fn is evaluated."""
+    from one evaluation at one dual point, whose value parts are the
+    fields at z.  Each array's shape is checked against its signature."""
     shapes = [_shape_for(sig, sp.n) for sig in signatures]
 
     def checked(q):
@@ -65,12 +64,12 @@ def _covd(sp: LagrangeSpace, z, signatures, fn) -> list:
         return arrays
 
     kinds = ("time", "space", "vert")
-    derivs = adapted_gradient(checked, z,
-                              canonical_nonlinear_connection(sp, z), kinds)
+    pairs = adapted_gradient(checked, z,
+                             canonical_nonlinear_connection(sp, z), kinds)
     cart = cartan_connection(sp, z)
     return [[add_connection_terms(d, arr, sig, cart, kind)
-             for d, kind in zip(field_derivs, kinds)]
-            for field_derivs, arr, sig in zip(derivs, checked(z), signatures)]
+             for d, kind in zip(derivs, kinds)]
+            for (arr, derivs), sig in zip(pairs, signatures)]
 
 
 # ---------------------------------------------------------------------------

@@ -56,12 +56,9 @@ __all__ = [
     "TorsionTable",
     "CurvatureTable",
     "LagrangeSpace",
-    "fundamental_metric",
-    "temporal_christoffel",
     "canonical_spray",
     "canonical_nonlinear_connection",
     "cartan_connection",
-    "berwald_connection",
     "torsion",
     "curvature",
     "bianchi_residuals",
@@ -382,7 +379,7 @@ class LagrangeSpace:
             return dual.cartan.Gt, dual.cartan.L, dual.cartan.C, dual.N
 
         geo.jets = _ConnJets(*(
-            _JetBlock(t[..., 0], x, y) for t, x, y in
+            _JetBlock(t[..., 0], x, y) for _, (t, x, y) in
             adapted_gradient(blocks, z, geo, ("time", "space", "vert"))))
         return geo.jets
 
@@ -402,10 +399,10 @@ def _cached(cache: collections.OrderedDict, z, compute):
     return value
 
 
-def _regular_h11(h11: float, t: float, point=None) -> None:
+def _regular_h11(h11: float, t: float, point) -> None:
     if h11 == 0.0 or not math.isfinite(h11):
         raise NonRegularError(f"temporal metric h11 = {h11} at t = {t}",
-                              point=None if point is None else tuple(point))
+                              point=tuple(point))
 
 
 def _non_finite(what: str, z) -> NonRegularError:
@@ -438,25 +435,6 @@ def _christoffel(g_inv: np.ndarray, A: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def fundamental_metric(sp: LagrangeSpace, point):
-    """(g, g_inv, h11, h_inv) at a point; raises NonRegularError if degenerate."""
-    geo = sp.geometry_at(point)
-    return geo.g, geo.g_inv, geo.h11, geo.h_inv
-
-
-def temporal_christoffel(h11: ScalarField, t: float) -> float:
-    """The single Christoffel coefficient of h11(t): (1/2) h^11 dh11/dt."""
-    extra = h11.variables() - {0}
-    if extra:
-        raise ValueError("h11 must depend only on t")
-    z = np.zeros(2 * h11.n + 1)
-    z[0] = t
-    v = h11.evaluate(z)
-    _regular_h11(v, t)
-    hdot = h11.differentiate(_unit_index(h11.n, 0)).evaluate(z)
-    return 0.5 * hdot / v
-
-
 def canonical_spray(sp: LagrangeSpace, point) -> SprayValue:
     geo = sp.geometry_at(point)
     try:
@@ -474,25 +452,6 @@ def canonical_nonlinear_connection(sp: LagrangeSpace, point) -> NonlinearConnect
 
 def cartan_connection(sp: LagrangeSpace, point) -> CartanCoefficients:
     return sp.geometry_at(point).cartan
-
-
-def berwald_connection(h11: ScalarField, g_fields, point) -> CartanCoefficients:
-    """Connection (H, 0, gamma, 0) of the metric pair (h11, g): gamma are the
-    Christoffel symbols of the spatial metric fields."""
-    n = len(g_fields)
-    z = _point_array(point, n)
-    g = np.empty((n, n))
-    dg_x = np.empty((n, n, n))  # dg_x[k, i, j] = dg_ij/dx^k
-    for i in range(n):
-        for j in range(n):
-            f = g_fields[i][j]
-            g[i, j] = f.evaluate(z)
-            for k in range(n):
-                dg_x[k, i, j] = f.differentiate(_unit_index(n, 1 + k)).evaluate(z)
-    g_inv = _regular_inverse(g, z, "spatial metric degenerate")
-    gamma = _christoffel(g_inv, np.transpose(dg_x, (1, 2, 0)))
-    H = temporal_christoffel(h11, float(z[0]))
-    return CartanCoefficients(H, np.zeros((n, n)), gamma, np.zeros((n, n, n)))
 
 
 def torsion(sp: LagrangeSpace, point) -> TorsionTable:

@@ -31,10 +31,3 @@ def partial(fn, z, axis: int):
     d_h2 = (-f1 + 8.0 * fh - 8.0 * fmh + fm1) / (6.0 * h)
     return (16.0 * d_h2 - d_h) / 15.0
 
-
-def gradient(fn, z, axes):
-    """Stack of partials along the given axes, of shape
-    (len(axes),) + fn(z).shape."""
-    z = np.asarray(z, dtype=float)
-    return np.stack([partial(fn, z, a) for a in axes])
-

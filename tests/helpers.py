@@ -6,27 +6,36 @@ agreement between the two is evidence, not circularity.  The same holds
 for ``fd_adapted_gradient``, the package's derivative seam taken by finite
 differences (with this oracle or with ``jetlag.numdiff``, the package's
 former 5-point stencil).  The metric oracles build Christoffel/Riemann
-data straight from user-level metric component fields.  The slot-rule
-oracles take the package's own connection jets and write out only the
-connection corrections, one einsum per slot.  The field-identity oracles
-take one covariant derivative per field and kind, where the package
-differentiates all of an identity's fields at one dual point.  The RK4
-loop on two arrays is the curve integrator's bit-for-bit oracle.
+data straight from user-level metric component fields, and the Berwald
+connection from the metric pair (h11, g).  ``jet_partials`` tabulates
+every mixed partial of a field at a point.  The slot-rule oracles take
+the package's own connection jets and write out only the connection
+corrections, one einsum per slot.  ``covariant_derivative`` takes one
+covariant derivative of one field of one kind, with the field's value
+from a float call; the field-identity oracles are built on it, where the
+package differentiates all of an identity's fields at one dual point and
+reads their values off it.  The RK4 loop on two arrays is the curve
+integrator's bit-for-bit oracle, and ``transform_curve`` pushes a sampled
+curve through a chart map sample by sample.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import numpy as np
 
 from jetlag import fields
-from jetlag.dtensor import DTensorField, SlotKind, covariant_derivative
-from jetlag.dual import Dual
-from jetlag.dynamics import harmonic_rhs
-from jetlag.expr import Const, Node, Var, add, call, div, mul, neg, power
-from jetlag.geometry import (LagrangeSpace, NonRegularError, _Geo,
+from jetlag.dtensor import (CartanCoefficients, SlotKind, adapted_gradient,
+                            add_connection_terms, transform_point)
+from jetlag.dual import Dual, as_array
+from jetlag.dynamics import Curve, harmonic_rhs
+from jetlag.expr import (Const, Node, Var, _point_array, add, call, div,
+                         evaluate_fields, mul, neg, power)
+from jetlag.geometry import (LagrangeSpace, NonRegularError, _christoffel,
+                             _Geo, _regular_inverse, _unit_index,
                              canonical_nonlinear_connection,
                              cartan_connection, curvature, torsion)
 
@@ -99,17 +108,19 @@ def fd_gradient(fn, z):
 def fd_adapted_gradient(partial):
     """dtensor.adapted_gradient taken by finite differences along every
     axis with the one-axis derivative partial(fn, z, axis): the same
-    arrays, from fn evaluated at float points only."""
+    pairs of value and derivatives, from fn evaluated at float points
+    only."""
 
     def gradient(fn, z, nl, kinds):
         z = np.asarray(z, dtype=float)
         n = (len(z) - 1) // 2
-        shapes = [np.shape(a) for a in fn(z)]
+        values = fn(z)
+        shapes = [np.shape(a) for a in values]
         grads = np.stack([
             partial(lambda q: np.concatenate([np.ravel(a) for a in fn(q)]),
                     z, axis) for axis in range(len(z))])
-        derivs = []
-        for shape, g in zip(shapes, np.split(
+        pairs = []
+        for value, shape, g in zip(values, shapes, np.split(
                 grads, np.cumsum([np.prod(s, dtype=int) for s in shapes])[:-1],
                 axis=1)):
             g = g.reshape((-1,) + shape)
@@ -117,14 +128,30 @@ def fd_adapted_gradient(partial):
             out = {"time": (g[0] - np.einsum("m,m...->...", nl.M, d_y))[None],
                    "space": g[1:n + 1] - np.einsum("mi,m...->i...", nl.N, d_y),
                    "vert": d_y}
-            derivs.append([np.moveaxis(out[k], 0, -1) for k in kinds])
-        return derivs
+            pairs.append((value, [np.moveaxis(out[k], 0, -1) for k in kinds]))
+        return pairs
 
     return gradient
 
 
 # ---------------------------------------------------------------------------
-# metric oracles: gamma / Riemann / Ricci from component ScalarFields
+# the table of a field's partials at a point
+# ---------------------------------------------------------------------------
+
+
+def jet_partials(f, point, max_order: int) -> dict:
+    """Every mixed partial of f of total order <= max_order at the point,
+    multi-index -> value, from one evaluate_fields call."""
+    indices = [idx for idx in itertools.product(range(max_order + 1),
+                                                repeat=2 * f.n + 1)
+               if sum(idx) <= max_order]
+    values = evaluate_fields([f.differentiate(idx) for idx in indices], point)
+    return dict(zip(indices, values))
+
+
+# ---------------------------------------------------------------------------
+# metric oracles: gamma / Riemann / Ricci and the Berwald connection from
+# component ScalarFields
 # ---------------------------------------------------------------------------
 
 
@@ -176,6 +203,39 @@ def riemann_oracle(g_fields, z):
 def ricci_oracle(g_fields, z):
     r = riemann_oracle(g_fields, z)
     return np.einsum("mijm->ij", r)
+
+
+def temporal_christoffel(h11, t: float) -> float:
+    """The single Christoffel coefficient of h11(t): (1/2) h^11 dh11/dt."""
+    extra = h11.variables() - {0}
+    if extra:
+        raise ValueError("h11 must depend only on t")
+    z = np.zeros(2 * h11.n + 1)
+    z[0] = t
+    v = h11.evaluate(z)
+    if v == 0.0 or not math.isfinite(v):
+        raise NonRegularError(f"temporal metric h11 = {v} at t = {t}")
+    hdot = h11.differentiate(_unit_index(h11.n, 0)).evaluate(z)
+    return 0.5 * hdot / v
+
+
+def berwald_connection(h11, g_fields, point) -> CartanCoefficients:
+    """Connection (H, 0, gamma, 0) of the metric pair (h11, g): gamma are the
+    Christoffel symbols of the spatial metric fields."""
+    n = len(g_fields)
+    z = _point_array(point, n)
+    g = np.empty((n, n))
+    dg_x = np.empty((n, n, n))  # dg_x[k, i, j] = dg_ij/dx^k
+    for i in range(n):
+        for j in range(n):
+            f = g_fields[i][j]
+            g[i, j] = f.evaluate(z)
+            for k in range(n):
+                dg_x[k, i, j] = f.differentiate(_unit_index(n, 1 + k)).evaluate(z)
+    g_inv = _regular_inverse(g, z, "spatial metric degenerate")
+    gamma = _christoffel(g_inv, np.transpose(dg_x, (1, 2, 0)))
+    H = temporal_christoffel(h11, float(z[0]))
+    return CartanCoefficients(H, np.zeros((n, n)), gamma, np.zeros((n, n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,12 +329,21 @@ VU, VD = SlotKind.VERT_UP, SlotKind.VERT_DOWN
 KINDS = ("time", "space", "vert")
 
 
+def covariant_derivative(fn, signature, point, cartan, nl, kind):
+    """Components of the covariant derivative of one kind of the d-tensor
+    field q -> fn(q) of the given signature, in the connection (cartan,
+    nl) at the point: one adapted_gradient call for the derivative, one
+    float call of fn for the value the slot rule corrects with."""
+    z = _point_array(point, cartan.n)
+    ((_, (derivs,)),) = adapted_gradient(lambda q: (fn(q),), z, nl, [kind])
+    return add_connection_terms(derivs, as_array(fn(z)), signature, cartan,
+                                kind)
+
+
 def cov_alone(sp, z, signature, fn, kind):
     """Components of one field's covariant derivative of one kind."""
-    return covariant_derivative(DTensorField(signature, sp.n, fn), z,
-                                cartan_connection(sp, z),
-                                canonical_nonlinear_connection(sp, z),
-                                kind).components
+    return covariant_derivative(fn, signature, z, cartan_connection(sp, z),
+                                canonical_nonlinear_connection(sp, z), kind)
 
 
 def maxwell_oracle(sp, z):
@@ -403,7 +472,8 @@ def great_circle(x0, y0, s):
 
 
 # ---------------------------------------------------------------------------
-# the RK4 loop on two arrays, the bit-for-bit oracle of integrate_harmonic
+# curves: the RK4 loop on two arrays, the bit-for-bit oracle of
+# integrate_harmonic, and the chart push of a sampled curve
 # ---------------------------------------------------------------------------
 
 
@@ -447,6 +517,19 @@ def rk4_two_arrays(sp, x0, y0, t0, t1, step):
         xs.append(x)
         ys.append(y)
     return np.array(ts), np.array(xs), np.array(ys)
+
+
+def transform_curve(curve: Curve, chart) -> Curve:
+    """Push a sampled curve through a jet chart map sample by sample."""
+    ts = np.empty(len(curve))
+    xs = np.empty_like(curve.x)
+    ys = np.empty_like(curve.y)
+    for k in range(len(curve)):
+        p = transform_point(chart, curve.point(k))
+        ts[k] = p.t
+        xs[k] = p.x
+        ys[k] = p.y
+    return Curve(t=ts, x=xs, y=ys, step=curve.step)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import random
 import numpy as np
 
 from helpers import (
+    berwald_connection,
+    covariant_derivative,
     fd_partial,
     great_circle,
     random_ast,
@@ -21,9 +23,7 @@ from helpers import (
 from jetlag.checks import random_affine_chart, sample_points
 from jetlag.cli import load_config
 from jetlag.dtensor import (
-    DTensorField,
     SlotKind,
-    covariant_derivative,
     transform_nonlinear,
     transform_point,
     transform_spatial_spray,
@@ -46,12 +46,10 @@ from jetlag.fields import (
     ricci_and_scalar,
 )
 from jetlag.geometry import (
-    berwald_connection,
     canonical_nonlinear_connection,
     canonical_spray,
     cartan_connection,
     curvature,
-    fundamental_metric,
     torsion,
     transformed_space,
 )
@@ -78,19 +76,17 @@ def verdict(num, label, ok, detail):
 
 
 def engine_cov_g(sp, z, kind):
-    cart = lambda q: cartan_connection(sp, q)
-    nl = lambda q: canonical_nonlinear_connection(sp, q)
-    gfield = DTensorField((SlotKind.SPACE_DOWN, SlotKind.SPACE_DOWN), sp.n,
-                          lambda q: fundamental_metric(sp, q)[0])
-    return covariant_derivative(gfield, z, cart, nl, kind).components
+    return covariant_derivative(
+        lambda q: sp.geometry_at(q).g,
+        (SlotKind.SPACE_DOWN, SlotKind.SPACE_DOWN), z,
+        cartan_connection(sp, z), canonical_nonlinear_connection(sp, z), kind)
 
 
 def engine_cov_h(sp, z, kind):
-    cart = lambda q: cartan_connection(sp, q)
-    nl = lambda q: canonical_nonlinear_connection(sp, q)
-    hfield = DTensorField((SlotKind.TIME_DOWN, SlotKind.TIME_DOWN), sp.n,
-                          lambda q: sp.h11.evaluate(q) * np.ones((1, 1)))
-    return covariant_derivative(hfield, z, cart, nl, kind).components
+    return covariant_derivative(
+        lambda q: sp.h11.evaluate(q) * np.ones((1, 1)),
+        (SlotKind.TIME_DOWN, SlotKind.TIME_DOWN), z,
+        cartan_connection(sp, z), canonical_nonlinear_connection(sp, z), kind)
 
 
 def test_criterion_1_cartan_metricity():
@@ -141,7 +137,7 @@ def test_criterion_3_torsion_curvature_specialization():
         cur = curvature(sp, z)
         worst_riemann = max(worst_riemann, float(np.max(np.abs(
             cur.R_ijk - riemann_oracle(sp.g_fields, z)))))
-        g = fundamental_metric(sp, z)[0]
+        g = sp.geometry_at(z).g
         low = np.einsum("ip,pmjk->mijk", g, cur.R_ijk)
         worst_sphere = max(worst_sphere,
                            abs(low[0, 1, 0, 1] - np.sin(z[1]) ** 2))
@@ -176,7 +172,7 @@ def test_criterion_5_einstein_ricci_specialization():
     worst_ric = worst_sc = worst_e2 = 0.0
     for z in pts:
         ric = ricci_and_scalar(sp, z)
-        g = fundamental_metric(sp, z)[0]
+        g = sp.geometry_at(z).g
         worst_ric = max(worst_ric, float(np.max(np.abs(ric.R_ij - g))))
         worst_sc = max(worst_sc, abs(ric.Sc - 2.0))
         ein = einstein_system(sp, z, with_conservation=False)

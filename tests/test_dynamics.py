@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (christoffel_oracle, count_calls, great_circle,
-                     rk4_two_arrays)
+                     rk4_two_arrays, transform_curve)
 from jetlag import dynamics, expr, geometry
 from jetlag.cli import BUILTIN_CONFIGS, load_config
 from jetlag.dtensor import ChartMap
@@ -18,7 +18,6 @@ from jetlag.dynamics import (
     el_residual,
     harmonic_rhs,
     integrate_harmonic,
-    transform_curve,
 )
 from jetlag.expr import parse
 from jetlag.geometry import LagrangeSpace, NonRegularError, transformed_space

@@ -20,7 +20,8 @@ from helpers import (
 from jetlag import fields, geometry, numdiff
 from jetlag.checks import _metricity_residuals, run_checks, sample_points
 from jetlag.cli import BUILTIN_CONFIGS, load_config, main
-from jetlag.dtensor import SlotKind
+from jetlag.dtensor import SlotKind, adapted_gradient
+from jetlag.dual import Dual, as_array
 from jetlag.expr import EvalDomainError, _point_array, parse
 from jetlag.fields import (
     conservation_residuals,
@@ -37,9 +38,9 @@ from jetlag.fields import (
 from jetlag.geometry import (
     LagrangeSpace,
     bianchi_residuals,
+    canonical_nonlinear_connection,
     cartan_connection,
     curvature,
-    fundamental_metric,
     torsion,
 )
 
@@ -161,7 +162,8 @@ class TestDeflections:
         # collapses to the potential curl contracted with the metric
         sp = edyn_sphere_space()
         for z in random_points(3):
-            _, g_inv, h11, _ = fundamental_metric(sp, z)
+            geo = sp.geometry_at(z)
+            g_inv, h11 = geo.g_inv, geo.h11
             defl = deflections(sp, z)
             expect = -0.25 * h11 * g_inv @ potential_curl(sp, z)
             assert np.allclose(defl.Dbar, 0.0, atol=1e-10)
@@ -176,7 +178,8 @@ class TestDeflections:
     def test_metrical_is_contraction_of_plain(self):
         sp = quartic_space()
         z = GEN_Z
-        g, _, _, h_inv = fundamental_metric(sp, z)
+        geo = sp.geometry_at(z)
+        g, h_inv = geo.g, geo.h_inv
         defl = deflections(sp, z)
         assert np.allclose(defl.Dbar_low, h_inv * g @ defl.Dbar, atol=1e-12)
         assert np.allclose(defl.D_low, h_inv * g @ defl.D, atol=1e-12)
@@ -292,6 +295,11 @@ class TestMaxwell:
 BUILTINS = ["sphere_l1", "electrodynamics_l2", "nonautonomous_l3"]
 
 
+def _bits(a) -> bytes:
+    return a.tobytes() if isinstance(a, Dual) \
+        else np.asarray(a, dtype=float).tobytes()
+
+
 def _builtin_point(name):
     cfg = load_config(name)
     return cfg.space, sample_points(cfg.space, cfg.ranges, 1, seed=5)[0]
@@ -349,11 +357,46 @@ class TestDifferentiatedWork:
         assert stencils == []
 
     def test_conservation_builds_ricci_once_per_point(self, monkeypatch):
-        # once at the base point and once at the dual point
+        # at the dual point only: its value part is Ricci at the base point
         sp, z = _builtin_point("sphere_l1")
         calls = count_calls(monkeypatch, fields.ricci_and_scalar, fields)
         conservation_residuals(sp, z)
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_covd_calls_its_field_once(self):
+        sp, z = _builtin_point("sphere_l1")
+        calls = []
+
+        def fn(q):
+            calls.append(q)
+            return (q[1 + N:],)
+
+        fields._covd(sp, z, [(SlotKind.VERT_UP,)], fn)
+        assert len(calls) == 1 and isinstance(calls[0], Dual)
+
+    @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
+    def test_value_parts_are_the_fields_bit_for_bit(self, monkeypatch, name):
+        # every field an identity differentiates: the value part of its
+        # dual evaluation is its own evaluation, at a float point and at a
+        # first-order dual point alike (but for conservation's fields,
+        # which read the connection jets: differentiated at a dual point
+        # they would need partials beyond the order cap)
+        sp, z = _builtin_point(name)
+        covd, seen = fields._covd, []
+        monkeypatch.setattr(fields, "_covd", lambda sp_, z_, sigs, fn:
+                            seen.append(fn) or covd(sp_, z_, sigs, fn))
+        for identity in (maxwell_residuals, maxwell_simple_residuals,
+                         deflection_identities, deflection_route,
+                         conservation_residuals):
+            identity(sp, z)
+        assert len(seen) == 5
+        for q, fns in ((z, seen), (Dual(z, np.eye(len(z))), seen[:-1])):
+            nl = canonical_nonlinear_connection(sp, q)
+            for fn in fns:
+                pairs = adapted_gradient(fn, q, nl, ("vert",))
+                for (value, _), want in zip(pairs, fn(q), strict=True):
+                    assert as_array(value).shape == as_array(want).shape
+                    assert _bits(value) == _bits(want)
 
     @pytest.mark.parametrize("name", BUILTINS)
     def test_tables_at_a_cold_point_compute_the_jets_once(self, monkeypatch,
@@ -583,7 +626,7 @@ class TestRicci:
     def test_unit_sphere(self):
         sp = sphere_space()
         ric = ricci_and_scalar(sp, SPHERE_Z)
-        g, _, _, _ = fundamental_metric(sp, SPHERE_Z)
+        g = sp.geometry_at(SPHERE_Z).g
         assert np.allclose(ric.R_ij, g, atol=1e-12)
         assert abs(ric.Sc - 2.0) < 1e-12
         assert np.allclose(ric.R_i1, 0.0, atol=1e-12)
@@ -628,7 +671,8 @@ class TestEinstein:
         sp = edyn_sphere_space()
         z = SPHERE_Z
         rep = einstein_system(sp, z, with_conservation=False)
-        g, _, _, h_inv = fundamental_metric(sp, z)
+        geo = sp.geometry_at(z)
+        g, h_inv = geo.g, geo.h_inv
         r_ij = ricci_oracle(sp.g_fields, z)
         r = float(np.trace(np.linalg.inv(g) @ r_ij))
         assert np.allclose(rep.e1_ij, r_ij - 0.5 * r * g, atol=1e-6)

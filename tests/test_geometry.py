@@ -12,18 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    berwald_connection,
     christoffel_oracle,
     count_calls,
+    covariant_derivative,
     fd_partial,
     riemann_oracle,
     sphere_gamma_closed,
+    temporal_christoffel,
 )
 from jetlag.dtensor import (
     ChartMap,
-    DTensorField,
-    DTensorValue,
     SlotKind,
-    covariant_derivative,
     transform_nonlinear,
     transform_point,
     transform_spatial_spray,
@@ -46,15 +46,12 @@ from jetlag.expr import (
 from jetlag.geometry import (
     LagrangeSpace,
     NonRegularError,
-    berwald_connection,
     bianchi_residuals,
     canonical_nonlinear_connection,
     canonical_spray,
     cartan_connection,
     curvature,
-    fundamental_metric,
     metric_signature,
-    temporal_christoffel,
     torsion,
     transformed_space,
 )
@@ -146,38 +143,39 @@ def random_points(count, t_lo=0.0, t_hi=1.0):
 
 class TestFundamentalMetric:
     def test_flat_identity(self):
-        g, g_inv, h11, h_inv = fundamental_metric(flat_space(), GEN_Z)
+        geo = flat_space().geometry_at(GEN_Z)
+        g, g_inv, h11, h_inv = geo.g, geo.g_inv, geo.h11, geo.h_inv
         assert np.allclose(g, np.eye(N), atol=1e-14)
         assert np.allclose(g_inv, np.eye(N), atol=1e-14)
         assert h11 == 1.0 and h_inv == 1.0
 
     def test_sphere_values(self):
-        g, _, _, _ = fundamental_metric(sphere_space(), SPHERE_Z)
+        g = sphere_space().geometry_at(SPHERE_Z).g
         assert np.allclose(g, np.diag([1.0, 0.5]), atol=1e-12)
 
     def test_constant_h_cancels(self):
         # L carries 1/h11 and g carries h11/2 * L_yy: constant h drops out
         g = sphere_g_fields()
         sp2 = LagrangeSpace.from_family("quadratic", N, parse("2", N), g)
-        g1, _, _, _ = fundamental_metric(sphere_space(), SPHERE_Z)
-        g2, _, _, _ = fundamental_metric(sp2, SPHERE_Z)
+        g1 = sphere_space().geometry_at(SPHERE_Z).g
+        g2 = sp2.geometry_at(SPHERE_Z).g
         assert np.allclose(g1, g2, atol=1e-12)
 
     def test_symmetry_exact(self):
-        g, _, _, _ = fundamental_metric(quartic_space(), GEN_Z)
+        g = quartic_space().geometry_at(GEN_Z).g
         assert np.array_equal(g, g.T)
 
     def test_velocity_term_drops_out(self):
         # a term linear in y has vanishing second vertical derivative
-        g1, _, _, _ = fundamental_metric(sphere_space(), SPHERE_Z)
-        g2, _, _, _ = fundamental_metric(edyn_space(), SPHERE_Z)
+        g1 = sphere_space().geometry_at(SPHERE_Z).g
+        g2 = edyn_space().geometry_at(SPHERE_Z).g
         assert np.allclose(g1, g2, atol=1e-14)
 
     def test_degenerate_raises(self):
         sp = LagrangeSpace(N, parse("y1^3 + y2^3", N), const_one())
         z = np.array([0.0, 0.5, 0.5, 0.0, 0.0])
         with pytest.raises(NonRegularError) as err:
-            fundamental_metric(sp, z)
+            sp.geometry_at(z)
         assert err.value.det is not None
         assert abs(err.value.det) < 1e-10
 
@@ -185,17 +183,17 @@ class TestFundamentalMetric:
         sp = LagrangeSpace(N, parse("y1^2 + y2^2", N), parse("t", N))
         z = np.zeros(2 * N + 1)
         with pytest.raises(NonRegularError):
-            fundamental_metric(sp, z)
+            sp.geometry_at(z)
 
 
 class TestMetricSignature:
     def test_flat_positive(self):
-        g, _, _, _ = fundamental_metric(flat_space(), GEN_Z)
+        g = flat_space().geometry_at(GEN_Z).g
         assert metric_signature(g) == (2, 0)
 
     def test_indefinite(self):
         sp = LagrangeSpace(N, parse("y1^2 - y2^2", N), const_one())
-        g, _, _, _ = fundamental_metric(sp, GEN_Z)
+        g = sp.geometry_at(GEN_Z).g
         assert metric_signature(g) == (1, 1)
 
     def test_near_singular_raises(self):
@@ -248,8 +246,9 @@ class TestCanonicalSpray:
         for z in random_points(5):
             gamma = christoffel_oracle(sp.g_fields, z)
             y = z[N + 1:]
-            g_mat, g_inv, h11, _ = fundamental_metric(sp, z)
-            dg_t = fd_partial(lambda q: fundamental_metric(sp, q)[0], z, 0)
+            geo = sp.geometry_at(z)
+            g_mat, g_inv, h11 = geo.g, geo.g_inv, geo.h11
+            dg_t = fd_partial(lambda q: sp.geometry_at(q).g, z, 0)
             pure = (0.5 * np.einsum("ijk,j,k->i", gamma, y, y)
                     + 0.5 * g_inv @ dg_t @ y)
             U = sp.U_fields
@@ -270,7 +269,8 @@ class TestCanonicalSpray:
         for z in random_points(5):
             y = z[N + 1:]
             gamma = christoffel_oracle(sp.g_fields, z)
-            g_mat, g_inv, h11, _ = fundamental_metric(sp, z)
+            geo = sp.geometry_at(z)
+            g_mat, g_inv, h11 = geo.g, geo.g_inv, geo.h11
             U = sp.U_fields
             Uv = np.array([u.evaluate(z) for u in U])
             dU_x = np.array([[fd_partial(lambda q, uu=U[l]: uu.evaluate(q),
@@ -335,7 +335,8 @@ class TestNonlinearConnection:
         for z in random_points(4):
             y = z[N + 1:]
             gamma = christoffel_oracle(sp.g_fields, z)
-            _, g_inv, h11, _ = fundamental_metric(sp, z)
+            geo = sp.geometry_at(z)
+            g_inv, h11 = geo.g_inv, geo.h11
             U = sp.U_fields
             dU_x = np.array([[fd_partial(lambda q, uu=U[k]: uu.evaluate(q),
                                          z, 1 + j) for j in range(N)]
@@ -367,20 +368,20 @@ class TestNonlinearConnection:
 # Cartan connection
 # ---------------------------------------------------------------------------
 
-def engine_metric_derivative(sp, z, kind):
-    cart = lambda q: cartan_connection(sp, q)
-    nl = lambda q: canonical_nonlinear_connection(sp, q)
-    gfield = DTensorField((SlotKind.SPACE_DOWN, SlotKind.SPACE_DOWN), N,
-                          lambda q: fundamental_metric(sp, q)[0])
-    return covariant_derivative(gfield, z, cart, nl, kind).components
+SD, TD = SlotKind.SPACE_DOWN, SlotKind.TIME_DOWN
+
+
+def engine_metric_derivative(sp, z, kind, cart=None):
+    return covariant_derivative(lambda q: sp.geometry_at(q).g, (SD, SD), z,
+                                cart or cartan_connection(sp, z),
+                                canonical_nonlinear_connection(sp, z), kind)
 
 
 def engine_h_derivative(sp, z, kind):
-    cart = lambda q: cartan_connection(sp, q)
-    nl = lambda q: canonical_nonlinear_connection(sp, q)
-    hfield = DTensorField((SlotKind.TIME_DOWN, SlotKind.TIME_DOWN), N,
-                          lambda q: sp.h11.evaluate(q) * np.ones((1, 1)))
-    return covariant_derivative(hfield, z, cart, nl, kind).components
+    return covariant_derivative(
+        lambda q: sp.h11.evaluate(q) * np.ones((1, 1)), (TD, TD), z,
+        cartan_connection(sp, z), canonical_nonlinear_connection(sp, z),
+        kind)
 
 
 class TestCartanConnection:
@@ -409,14 +410,16 @@ class TestCartanConnection:
         # Gt = (1/2) g^-1 dg/dt for a velocity-independent metric
         sp = nonaut_space()
         for z in random_points(3):
-            g_mat, g_inv, _, _ = fundamental_metric(sp, z)
-            dg_t = fd_partial(lambda q: fundamental_metric(sp, q)[0], z, 0)
+            geo = sp.geometry_at(z)
+            g_mat, g_inv = geo.g, geo.g_inv
+            dg_t = fd_partial(lambda q: sp.geometry_at(q).g, z, 0)
             cart = cartan_connection(sp, z)
             assert np.allclose(cart.Gt, 0.5 * g_inv @ dg_t, atol=1e-7)
 
     def test_lower_index_symmetry(self):
         cart = cartan_connection(quartic_space(), GEN_Z)
-        assert cart.symmetry_residual() == 0.0
+        assert np.array_equal(cart.L, np.swapaxes(cart.L, 1, 2))
+        assert np.array_equal(cart.C, np.swapaxes(cart.C, 1, 2))
 
     @pytest.mark.parametrize("kind,tol", [("space", 1e-9), ("vert", 1e-9),
                                           ("time", 1e-10)])
@@ -440,22 +443,16 @@ class TestCartanConnection:
         z = GEN_Z
         base = cartan_connection(sp, z)
         bumped = type(base)(base.H, base.Gt, base.L + 1e-3, base.C)
-        nl = lambda q: canonical_nonlinear_connection(sp, q)
-        gfield = DTensorField((SlotKind.SPACE_DOWN, SlotKind.SPACE_DOWN), N,
-                              lambda q: fundamental_metric(sp, q)[0])
-        out = covariant_derivative(gfield, z, lambda q: bumped, nl, "space")
-        assert np.max(np.abs(out.components)) > 1e-4
+        out = engine_metric_derivative(sp, z, "space", bumped)
+        assert np.max(np.abs(out)) > 1e-4
 
     def test_uniqueness_probe_vertical(self):
         sp = quartic_space()
         z = GEN_Z
         base = cartan_connection(sp, z)
         bumped = type(base)(base.H, base.Gt, base.L, base.C + 1e-3)
-        nl = lambda q: canonical_nonlinear_connection(sp, q)
-        gfield = DTensorField((SlotKind.SPACE_DOWN, SlotKind.SPACE_DOWN), N,
-                              lambda q: fundamental_metric(sp, q)[0])
-        out = covariant_derivative(gfield, z, lambda q: bumped, nl, "vert")
-        assert np.max(np.abs(out.components)) > 1e-4
+        out = engine_metric_derivative(sp, z, "vert", bumped)
+        assert np.max(np.abs(out)) > 1e-4
 
 
 class TestBerwald:
@@ -520,7 +517,8 @@ class TestTorsion:
         # time-space mixed block: -(h11 g^mk / 4)(H U_(k)j + dU_(k)j/dt)
         sp = edyn_rich_space()
         for z in random_points(3):
-            _, g_inv, h11, _ = fundamental_metric(sp, z)
+            geo = sp.geometry_at(z)
+            g_inv, h11 = geo.g_inv, geo.h11
             H = temporal_christoffel(sp.h11, z[0])
             U = sp.U_fields
 
@@ -543,7 +541,8 @@ class TestTorsion:
         sp = edyn_rich_space()
         for z in random_points(3):
             y = z[N + 1:]
-            _, g_inv, h11, _ = fundamental_metric(sp, z)
+            geo = sp.geometry_at(z)
+            g_inv, h11 = geo.g_inv, geo.h11
             gamma = christoffel_oracle(sp.g_fields, z)
             r = riemann_oracle(sp.g_fields, z)
             U = sp.U_fields
@@ -605,7 +604,7 @@ class TestCurvature:
         cur = curvature(sphere_space(), SPHERE_Z)
         # r^2_{112} = 1 everywhere on the unit sphere
         assert cur.R_ijk[1, 0, 0, 1] == pytest.approx(1.0, abs=1e-9)
-        g, _, _, _ = fundamental_metric(sphere_space(), SPHERE_Z)
+        g = sphere_space().geometry_at(SPHERE_Z).g
         # lowered[m, i, j, k] = g_ip R^p_mjk; cell (1,2,1,2) is sin^2(x1)
         lowered = np.einsum("ip,pmjk->mijk", g, cur.R_ijk)
         assert lowered[0, 1, 0, 1] == pytest.approx(0.5, abs=1e-9)
@@ -638,7 +637,7 @@ class TestCurvature:
         sp = quartic_space()
         for z in random_points(3):
             cur = curvature(sp, z)
-            g, _, _, _ = fundamental_metric(sp, z)
+            g = sp.geometry_at(z).g
             low_R1 = np.einsum("ip,pmk->imk", g, cur.R_i1k)
             low_R = np.einsum("ip,pmjk->imjk", g, cur.R_ijk)
             low_P = np.einsum("ip,pmjk->imjk", g, cur.P_ijk)
@@ -662,17 +661,15 @@ class TestCurvature:
 def _engine_bianchi(sp, z):
     # same residuals assembled through the generic d-tensor engine instead
     # of the adapted connection jets; cross-validates both routes
-    cart = lambda q: cartan_connection(sp, q)
-    nl = lambda q: canonical_nonlinear_connection(sp, q)
-    C = cart(z).C
+    cart = cartan_connection(sp, z)
+    nl = canonical_nonlinear_connection(sp, z)
+    C = cart.C
     tor = torsion(sp, z)
     cur = curvature(sp, z)
 
-    T1field = DTensorField(
-        (SlotKind.SPACE_UP, SlotKind.TIME_DOWN, SlotKind.SPACE_DOWN), N,
-        lambda q: torsion(sp, q).T_1j[:, None, :])
-    T1_cov = covariant_derivative(T1field, z, cart, nl,
-                                  "space").components[:, 0, :, :]
+    T1_cov = covariant_derivative(
+        lambda q: torsion(sp, q).T_1j[:, None, :],
+        (SlotKind.SPACE_UP, TD, SD), z, cart, nl, "space")[:, 0, :, :]
     term = cur.R_i1k + T1_cov + np.einsum("lkm,mj->ljk", C, tor.R_1j)
     b1 = term - np.transpose(term, (0, 2, 1))
 
@@ -680,10 +677,9 @@ def _engine_bianchi(sp, z):
     b2 = (t2 + np.transpose(t2, (0, 2, 3, 1))
           + np.transpose(t2, (0, 3, 1, 2)))
 
-    Cfield = DTensorField(
-        (SlotKind.SPACE_UP, SlotKind.SPACE_DOWN, SlotKind.VERT_DOWN), N,
-        lambda q: cartan_connection(sp, q).C)
-    C_cov = covariant_derivative(Cfield, z, cart, nl, "space").components
+    C_cov = covariant_derivative(lambda q: cartan_connection(sp, q).C,
+                                 (SlotKind.SPACE_UP, SD, SlotKind.VERT_DOWN),
+                                 z, cart, nl, "space")
     t3 = (cur.P_ijk + np.transpose(C_cov, (0, 1, 3, 2))
           + np.einsum("lkm,mjp->ljkp", C, tor.P_i))
     b3 = t3 - np.transpose(t3, (0, 2, 1, 3))
@@ -754,15 +750,12 @@ class TestGaugeTwoPath:
         z = GEN_Z
         p = JetPoint(z[0], tuple(z[1:N + 1]), tuple(z[N + 1:]))
         q = transform_point(ch, p)
-        g, _, h11, _ = fundamental_metric(sp, p)
-        gv = DTensorValue((SlotKind.SPACE_DOWN, SlotKind.SPACE_DOWN), g, N)
-        hv = DTensorValue((SlotKind.TIME_DOWN, SlotKind.TIME_DOWN),
-                          np.array([[h11]]), N)
-        g2, _, h2, _ = fundamental_metric(sp_t, q)
-        assert np.allclose(transform_tensor(gv, ch, p).components, g2,
+        geo, moved = sp.geometry_at(p), sp_t.geometry_at(q)
+        assert np.allclose(transform_tensor(geo.g, (SD, SD), ch, p), moved.g,
                            atol=1e-10)
-        assert np.allclose(transform_tensor(hv, ch, p).components,
-                           np.array([[h2]]), atol=1e-10)
+        assert np.allclose(transform_tensor(np.array([[geo.h11]]), (TD, TD),
+                                            ch, p),
+                           np.array([[moved.h11]]), atol=1e-10)
 
     def test_requires_inverse(self):
         ch = ChartMap(parse("exp(t)", N), np.eye(N), np.zeros(N))
@@ -911,7 +904,7 @@ class TestConnectionLevel:
         assert len(curve) == 21
         z = np.array([0.3, 1.2, 0.4, 0.5, -0.7])
         canonical_spray(sp, z)
-        fundamental_metric(sp, z + 0.01)
+        sp.geometry_at(z + 0.01)
         el_acceleration(sp, z + 0.02)
         el_residual(sp, curve)
         assert christoffel == []

@@ -1,0 +1,70 @@
+"""The package's public surface is what its code, benchmark, demos and
+README use.
+
+A function or class in a module's ``__all__`` must be read as a name or
+an attribute in some module of the package, or be named by a script
+under ``perfbench/`` or ``demos/`` (read, or written in a string literal,
+as the benchmark's tracer names its spans), or be read in a Python code
+block of the README.  Import lines, docstrings and comments do not count,
+so a name that only tests call, or that only its module's ``__all__``
+lists, fails here: it belongs in ``tests/helpers.py`` or nowhere.
+"""
+
+import ast
+import importlib
+import inspect
+import re
+from pathlib import Path
+
+import jetlag
+
+PACKAGE = Path(jetlag.__file__).parent
+REPO = PACKAGE.parent.parent
+
+
+def _read_names(tree) -> set:
+    """Identifiers the code reads: a Name, or the attribute of an
+    Attribute, in load context."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def _string_words(tree) -> set:
+    """Words of the string literals that are not docstrings."""
+    docs = {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and ast.get_docstring(node, clean=False) is not None}
+    return {word for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in docs
+            for word in re.findall(r"\w+", node.value)}
+
+
+def _used_names() -> set:
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        used |= _read_names(ast.parse(path.read_text()))
+    for folder in ("perfbench", "demos"):
+        for path in (REPO / folder).glob("*.py"):
+            tree = ast.parse(path.read_text())
+            used |= _read_names(tree) | _string_words(tree)
+    readme = (REPO / "README.md").read_text()
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        used |= _read_names(ast.parse(block))
+    return used
+
+
+def test_every_public_function_and_class_has_a_caller():
+    used = _used_names()
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = "jetlag" if path.stem == "__init__" else f"jetlag.{path.stem}"
+        mod = importlib.import_module(module)
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) \
+                    and name not in used:
+                unused.append(f"{module}.{name}")
+    assert unused == [], f"public but never used: {', '.join(unused)}"
