@@ -31,6 +31,7 @@ from .fields import (
     deflection_identities,
     maxwell_residuals,
     maxwell_simple_residuals,
+    worst_residual,
 )
 from .geometry import (
     LagrangeSpace,
@@ -87,17 +88,6 @@ class CheckResult:
         if self.tol > 0 and not math.isnan(self.worst):
             return self.worst / self.tol
         return float("inf")
-
-
-def _worst(residuals) -> float:
-    """Largest |entry| over an iterable of residual arrays and scalars.
-
-    np.max propagates NaN where the builtin max drops it, so one NaN
-    residual makes the result NaN, and NaN fails every `worst < tol`
-    gate.  The leading zero keeps an empty sweep at 0.
-    """
-    flat = [np.zeros(1)] + [np.ravel(r) for r in residuals]
-    return float(np.max(np.abs(np.concatenate(flat))))
 
 
 def default_tolerances(_family=None) -> dict:
@@ -179,7 +169,8 @@ def _metric_dependence(sp: LagrangeSpace, points) -> tuple:
     dg_t or dg_y reaches the cutoff somewhere, or is not a number."""
     geos = [sp.geometry_at(z) for z in points]
     return tuple(v for v in ("t", "y")
-                 if not _worst(getattr(geo, f"dg_{v}") for geo in geos)
+                 if not worst_residual(getattr(geo, f"dg_{v}")
+                                       for geo in geos)
                  < TIME_INDEPENDENT_CUTOFF)
 
 
@@ -201,8 +192,9 @@ def _metricity_residuals(geo, corrupt=False) -> list:
 
 
 def _metricity_worst(sp, points, corrupt):
-    return _worst(r for z in points
-                  for r in _metricity_residuals(sp.geometry_at(z), corrupt))
+    return worst_residual(
+        r for z in points
+        for r in _metricity_residuals(sp.geometry_at(z), corrupt))
 
 
 def _h_metricity_worst(sp, points):
@@ -214,11 +206,12 @@ def _h_metricity_worst(sp, points):
     for z in points:
         geo = sp.geometry_at(z)
         res.append(hdot.evaluate(z) - 2.0 * geo.H * geo.h11)
-    return _worst(res)
+    return worst_residual(res)
 
 
 def _el_spray_worst(sp, points):
-    return _worst(el_acceleration(sp, z) - harmonic_rhs(sp, z) for z in points)
+    return worst_residual(el_acceleration(sp, z) - harmonic_rhs(sp, z)
+                          for z in points)
 
 
 def _antisymmetry_worst(sp, points):
@@ -231,26 +224,27 @@ def _antisymmetry_worst(sp, points):
         for block in (cur.R_ijk, cur.P_ijk, cur.S_ijk):
             low = np.einsum("ip,pmjk->imjk", g, block)
             res.append(low + low.transpose(1, 0, 2, 3))
-    return _worst(res)
+    return worst_residual(res)
 
 
 def _bianchi_worst(sp, points):
-    return _worst(v for z in points for v in bianchi_residuals(sp, z).values())
+    return worst_residual(v for z in points
+                          for v in bianchi_residuals(sp, z).values())
 
 
 def _deflection_worst(sp, points):
-    return _worst(v for z in points
-                  for v in deflection_identities(sp, z).values())
+    return worst_residual(v for z in points
+                          for v in deflection_identities(sp, z).values())
 
 
 def _maxwell_worst(sp, points, simple):
     fn = maxwell_simple_residuals if simple else maxwell_residuals
-    return _worst(v for z in points for v in fn(sp, z).worst().values())
+    return worst_residual(v for z in points for v in fn(sp, z).values())
 
 
 def _conservation_worst(sp, points):
-    return _worst(v for z in points
-                  for v in conservation_residuals(sp, z).values())
+    return worst_residual(v for z in points
+                          for v in conservation_residuals(sp, z).values())
 
 
 def _gauge_worst(sp, points, seed):
@@ -269,23 +263,20 @@ def _gauge_worst(sp, points, seed):
                  (transform_spatial_spray(s.Gspat, chart, z), s2.Gspat),
                  (pushed_nl.M, nl2.M), (pushed_nl.N, nl2.N))
         res += [(a - b) / max(1.0, np.max(np.abs(b))) for a, b in pairs]
-    return _worst(res)
+    return worst_residual(res)
 
 
 # -- driver ------------------------------------------------------------------
 
 def run_checks(sp: LagrangeSpace, points, *, tolerances=None,
                tol_scale: float = 1.0, gauge_seed: int = 0,
-               corrupt_connection: bool = False,
-               conservation_gate: bool | None = None) -> list:
+               corrupt_connection: bool = False) -> list:
     """Run every identity suite over the sampled points.
 
     tolerances overrides individual suite bounds before tol_scale is
     applied.  Two rows hold only for a metric g(x), and which of t and y
     the metric moves with is read off the sample: maxwell-simple runs only
     when it moves with neither, and conservation gates only then.
-    conservation_gate=True or False forces that verdict to count or to
-    be report-only.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2 * sp.n + 1:
@@ -301,11 +292,7 @@ def run_checks(sp: LagrangeSpace, points, *, tolerances=None,
     tols = {k: v * tol_scale for k, v in tols.items()}
 
     deps = _metric_dependence(sp, points)
-    if conservation_gate is None:
-        gate = not deps
-        note = f"metric depends on {' and '.join(deps)}; reported only"
-    else:
-        gate, note = conservation_gate, "forced report-only"
+    note = f"metric depends on {' and '.join(deps)}; reported only"
 
     # the suite functions are read at call time, so a wrapper installed
     # on the module (the benchmark's tracer) sees every call
@@ -327,7 +314,7 @@ def run_checks(sp: LagrangeSpace, points, *, tolerances=None,
             continue
         pts = _subset(points, _BUDGETS.get(name, len(points)))
         worst = call(pts)
-        gated = gate or name != "conservation"
+        gated = not deps or name != "conservation"
         # a report-only row still fails on a residual that is not a number
         passed = worst < tols[name] if gated else math.isfinite(worst)
         out.append(CheckResult(name, worst, tols[name], bool(passed),

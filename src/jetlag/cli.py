@@ -30,7 +30,6 @@ from pathlib import Path
 import numpy as np
 
 from .checks import (
-    _worst,
     default_tolerances,
     run_checks,
     sample_points,
@@ -45,6 +44,7 @@ from .fields import (
     einstein_system,
     em_form,
     maxwell_residuals,
+    worst_residual,
 )
 from .geometry import (
     LagrangeSpace,
@@ -357,12 +357,13 @@ def point_record(sp: LagrangeSpace, z, kappa: float = 1.0) -> dict:
     cur = curvature(sp, z)
     defl = deflections(sp, z)
     em = em_form(sp, z)
-    ein = einstein_system(sp, z, kappa=kappa, with_conservation=False)
+    ein = einstein_system(sp, z, kappa=kappa)
     ric = ein.ricci
-    bia = bianchi_residuals(sp, z)
-    mx = maxwell_residuals(sp, z)
-    ids = deflection_identities(sp, z)
     n = sp.n
+
+    def per_key(residuals):
+        return {k: worst_residual([v]) for k, v in residuals.items()}
+
     record = {
         "point": {"t": float(z[0]), "x": z[1:n + 1], "y": z[n + 1:]},
         "metric": {"g": geo.g, "g_inv": geo.g_inv, "h11": geo.h11,
@@ -389,10 +390,10 @@ def point_record(sp: LagrangeSpace, z, kappa: float = 1.0) -> dict:
                      "stress": ein.stress,
                      "forced_zero": list(ein.forced_zero),
                      "kappa": ein.kappa},
-        "residuals": {"maxwell": mx.worst(),
-                      "bianchi": {k: _worst([v]) for k, v in bia.items()},
-                      "deflection_identities": {k: _worst([v])
-                                                for k, v in ids.items()},
+        "residuals": {"maxwell": per_key(maxwell_residuals(sp, z)),
+                      "bianchi": per_key(bianchi_residuals(sp, z)),
+                      "deflection_identities":
+                          per_key(deflection_identities(sp, z)),
                       "deflection_route": deflection_route(sp, z),
                       "em_route": em.route_residual},
     }

@@ -153,12 +153,12 @@ class CartanCoefficients:
 _KINDS = ("time", "space", "vert")
 
 
-def adapted_gradient(fn, z, nl, kinds) -> list:
+def adapted_gradient(fn, z, nl) -> list:
     """Adapted derivatives of the point function fn, which returns a tuple
-    of arrays, at z: per array, the pair (its value at z, one derivative
-    array per kind), each derivative with its axis last, of 'time'
+    of arrays, at z: per array, the pair (its value at z, [time, space,
+    vert] derivatives), each derivative with its axis last, of 'time'
     d/dt - M^j d/dy^j (an axis of extent 1), 'space' d/dx^i - N^j_i d/dy^j
-    and 'vert' d/dy^i; nl gives M, N.
+    and 'vert' d/dy^i; nl is any object with the arrays M and N at z.
 
     Forward mode: fn is called once, at z seeded with the identity tangent
     (a ``jetlag.dual.Dual``; z may be one already, which nests); each
@@ -171,10 +171,6 @@ def adapted_gradient(fn, z, nl, kinds) -> list:
     einsums, which round every entry by itself, so an array's bits do not
     depend on the arrays beside it.
     """
-    for kind in kinds:
-        if kind not in _KINDS:
-            raise ValueError(f"kind must be 'time', 'space' or 'vert'; "
-                             f"got {kind!r}")
     n = (len(z) - 1) // 2
     point = Dual(z, np.eye(len(z)))
     pairs = []
@@ -186,15 +182,12 @@ def adapted_gradient(fn, z, nl, kinds) -> list:
         g = a.tan
         d_y = g[n + 1:]
         flat = d_y.reshape(n, -1)
-        out = {"vert": d_y}
-        if "time" in kinds:
-            out["time"] = (g[0] - np.einsum("m,mk->k", nl.M, flat)
-                           .reshape(a.shape))[np.newaxis]
-        if "space" in kinds:
-            out["space"] = (g[1:n + 1] - np.einsum("mi,mk->ik", nl.N, flat)
-                            .reshape(g[1:n + 1].shape))
+        d_t = (g[0] - np.einsum("m,mk->k", nl.M, flat)
+               .reshape(a.shape))[np.newaxis]
+        d_x = (g[1:n + 1] - np.einsum("mi,mk->ik", nl.N, flat)
+               .reshape(g[1:n + 1].shape))
         last = (*range(1, a.ndim + 1), 0)    # the derivative axis last
-        pairs.append((a.val, [out[k].transpose(last) for k in kinds]))
+        pairs.append((a.val, [d.transpose(last) for d in (d_t, d_x, d_y)]))
     return pairs
 
 

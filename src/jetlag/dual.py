@@ -15,12 +15,12 @@ at that level.
 
 The dual-transparency contract: a function differentiated this way must
 build its arrays from the point it is given using only arithmetic
-(+, -, *, /, ** by a constant, @), indexing, ``reshape``, ``transpose``,
-``swapaxes``, ``copy`` and ``.T``, and the numpy functions ``einsum``,
-``transpose``, ``swapaxes``, ``moveaxis``, ``linalg.inv``, ``outer`` and
-``stack``.  ``float()``, ``np.array([...])`` of entries and ``math``
-functions would drop the tangent, so they raise a TypeError that names
-this contract; a ufunc (``np.sin``) raises numpy's own TypeError.  Only
+(+, -, *, /, @), indexing, ``reshape``, ``transpose``, ``swapaxes``,
+``copy`` and ``.T``, and the numpy functions ``einsum``, ``transpose``,
+``swapaxes`` and ``linalg.inv``.  ``float()``, ``np.array([...])`` of
+entries and ``math`` functions would drop the tangent, so they raise a
+TypeError that names this contract, as ``**`` and any other numpy
+function do; a ufunc (``np.sin``) raises numpy's own TypeError.  Only
 ``np.asarray(dual, dtype=...)`` converts, to the innermost value, for
 callers that want the base point.
 """
@@ -34,11 +34,9 @@ import numpy as np
 __all__ = ["Dual", "CONTRACT", "depth", "base", "as_array", "scalar"]
 
 CONTRACT = ("a differentiated point function must be dual-transparent: "
-            "build its arrays from the point with arithmetic, @, indexing "
-            "and the numpy functions einsum, transpose, swapaxes, moveaxis, "
-            "linalg.inv, outer and stack, never through float(), "
-            "np.array([...]) of entries, ufuncs or math functions, and "
-            "return arrays that carry the point's tangent (see jetlag.dual)")
+            "build its arrays from the point with +, -, *, /, @, indexing, "
+            "einsum, transpose, swapaxes and linalg.inv only, and return "
+            "arrays that carry the point's tangent (see jetlag.dual)")
 
 
 def depth(x) -> int:
@@ -262,7 +260,7 @@ class Dual:
             raise TypeError(f"numpy.{func.__name__} on a Dual: {CONTRACT}")
         return impl(*args, **kwargs)
 
-    __float__ = __int__ = __index__ = __bool__ = _refuse
+    __float__ = __int__ = __index__ = __bool__ = __pow__ = _refuse
     __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _refuse
     __hash__ = None
 
@@ -304,15 +302,6 @@ class Dual:
     def __neg__(self):
         return Dual(-self.val, -self.tan, self.depth)
 
-    def __pow__(self, p):
-        if isinstance(p, Dual):
-            raise TypeError(f"a Dual exponent: {CONTRACT}")
-        if p == 2:
-            return _mul(self, self)
-        return Dual(self.val ** p,
-                    _lift(self.tan, self.ndim) * (p * self.val ** (p - 1)),
-                    self.depth)
-
 
 # -- the numpy functions a Dual supports --------------------------------------
 
@@ -343,13 +332,6 @@ def _einsum(subscripts, *operands):
     return Dual(np.einsum(subscripts, *vals), tan, level)
 
 
-def _moveaxis(a, source: int, destination: int):
-    nd = a.ndim
-    order = [i for i in range(nd) if i != source % nd]
-    order.insert(destination % nd, source % nd)
-    return a.transpose(order)
-
-
 def _inv(a):
     # d(A^-1) = -A^-1 dA A^-1
     level = depth(a)
@@ -358,27 +340,9 @@ def _inv(a):
     return Dual(inv, -(inv @ at @ inv), level)
 
 
-def _outer(a, b):
-    def flat(x):
-        return x.reshape(-1) if isinstance(x, Dual) else np.ravel(x)
-    return flat(a)[:, None] * flat(b)[None, :]
-
-
-def _stack(arrays, axis: int = 0):
-    level = max(depth(a) for a in arrays)
-    parts = [_split(a, level) for a in arrays]
-    val = np.stack([v for v, _ in parts], axis)
-    k = next(t.shape[0] for _, t in parts if t is not None)
-    tans = [np.zeros((k,) + _shape(v)) if t is None else t for v, t in parts]
-    return Dual(val, np.stack(tans, axis % len(_shape(val)) + 1), level)
-
-
 _FUNCTIONS = {
     np.einsum: _einsum,
     np.transpose: lambda a, axes=None: a.transpose(axes),
     np.swapaxes: lambda a, axis1, axis2: a.swapaxes(axis1, axis2),
-    np.moveaxis: _moveaxis,
     np.linalg.inv: _inv,
-    np.outer: _outer,
-    np.stack: _stack,
 }

@@ -97,13 +97,6 @@ class JetPoint:
     def as_array(self) -> np.ndarray:
         return np.array([self.t, *self.x, *self.y], dtype=float)
 
-    @classmethod
-    def from_array(cls, z, n: int) -> "JetPoint":
-        z = np.asarray(z, dtype=float)
-        if z.shape != (2 * n + 1,):
-            raise ValueError(f"expected {2 * n + 1} coordinates, got shape {z.shape}")
-        return cls(float(z[0]), tuple(z[1 : n + 1]), tuple(z[n + 1 :]))
-
 
 def _point_array(point, n: int) -> np.ndarray:
     """The (2n+1,) coordinate array of a JetPoint or array-like point; a
@@ -760,10 +753,6 @@ class ScalarField:
         return self._table.n
 
     @property
-    def order(self) -> int:
-        return sum(self._offset)
-
-    @property
     def ast(self) -> Node:
         return self._table.ast_for(self._offset)
 
@@ -780,11 +769,6 @@ class ScalarField:
                 f"total derivative order {total} exceeds cap {DEFAULT_MAX_ORDER}"
             )
         return self._table.field(tuple(a + b for a, b in zip(self._offset, idx)))
-
-    def substitute(self, mapping: dict[int, Node]) -> "ScalarField":
-        """New field with variables replaced by expression nodes."""
-        new_ast = self.ast.substitute(mapping)
-        return ScalarField(new_ast, self.n)
 
     def to_source(self) -> str:
         return to_source(self.ast, self.n)

@@ -19,7 +19,6 @@ from .dual import as_array, scalar
 from .expr import _point_array
 from .geometry import (
     LagrangeSpace,
-    canonical_nonlinear_connection,
     cartan_connection,
     curvature,
     torsion,
@@ -28,7 +27,6 @@ from .geometry import (
 __all__ = [
     "DeflectionSet",
     "EMForm",
-    "MaxwellResiduals",
     "RicciSet",
     "EinsteinReport",
     "deflections",
@@ -37,15 +35,26 @@ __all__ = [
     "maxwell_residuals",
     "maxwell_simple_residuals",
     "deflection_identities",
-    "vertical_source_tensor",
     "ricci_and_scalar",
     "einstein_system",
     "conservation_residuals",
+    "worst_residual",
 ]
 
 
 _SU, _SD, _TD = SlotKind.SPACE_UP, SlotKind.SPACE_DOWN, SlotKind.TIME_DOWN
 _VU, _VD = SlotKind.VERT_UP, SlotKind.VERT_DOWN
+
+
+def worst_residual(residuals) -> float:
+    """Largest |entry| over an iterable of residual arrays and scalars.
+
+    np.max propagates NaN where the builtin max drops it, so one NaN
+    residual makes the result NaN, and NaN fails every `worst < tol`
+    gate.  The leading zero keeps an empty sweep at 0.
+    """
+    flat = [np.zeros(1)] + [np.ravel(r) for r in residuals]
+    return float(np.max(np.abs(np.concatenate(flat))))
 
 
 def _covd(sp: LagrangeSpace, z, signatures, fn) -> list:
@@ -63,12 +72,10 @@ def _covd(sp: LagrangeSpace, z, signatures, fn) -> list:
                              f"{[a.shape for a in arrays]}, expected {shapes}")
         return arrays
 
-    kinds = ("time", "space", "vert")
-    pairs = adapted_gradient(checked, z,
-                             canonical_nonlinear_connection(sp, z), kinds)
-    cart = cartan_connection(sp, z)
-    return [[add_connection_terms(d, arr, sig, cart, kind)
-             for d, kind in zip(derivs, kinds)]
+    geo = sp.geometry_at(z)
+    pairs = adapted_gradient(checked, z, geo)
+    return [[add_connection_terms(d, arr, sig, geo.cartan, kind)
+             for d, kind in zip(derivs, ("time", "space", "vert"))]
             for (arr, derivs), sig in zip(pairs, signatures)]
 
 
@@ -117,10 +124,8 @@ def deflection_route(sp: LagrangeSpace, point) -> float:
     z = _point_array(point, n)
     defl = deflections(sp, z)
     ((eng_t, eng_x, eng_y),) = _covd(sp, z, [(_VU,)], lambda q: (q[1 + n:],))
-    # np.max keeps a NaN from any route; the builtin max would drop it
-    return float(np.max([np.max(np.abs(eng_t[:, 0] - defl.Dbar)),
-                         np.max(np.abs(eng_x - defl.D)),
-                         np.max(np.abs(eng_y - defl.d))]))
+    return worst_residual([eng_t[:, 0] - defl.Dbar, eng_x - defl.D,
+                           eng_y - defl.d])
 
 
 # ---------------------------------------------------------------------------
@@ -161,42 +166,22 @@ def em_form(sp: LagrangeSpace, point):
     F_alt = 0.5 * (defl.D_low - defl.D_low.T)
     f = 0.5 * (defl.d_low - defl.d_low.T)
     return EMForm(F=F, f=f, F_alt=F_alt,
-                  route_residual=float(np.max(np.abs(F - F_alt))))
+                  route_residual=worst_residual([F - F_alt]))
 
 
 # ---------------------------------------------------------------------------
 # Maxwell closure equations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaxwellResiduals:
-    """Residual arrays of the three closure equations; zero when satisfied."""
-
-    eq1: np.ndarray       # (n, n)    time equation
-    eq2: np.ndarray       # (n, n, n) horizontal cyclic equation
-    eq3: np.ndarray       # (n, n, n) vertical cyclic equation
-
-    def worst(self) -> dict:
-        return {"eq1": float(np.max(np.abs(self.eq1))),
-                "eq2": float(np.max(np.abs(self.eq2))),
-                "eq3": float(np.max(np.abs(self.eq3)))}
-
-
 def _cyclic(a: np.ndarray) -> np.ndarray:
     # sum over cyclic permutations of all three axes of a (n,n,n) array
     return (a + np.transpose(a, (1, 2, 0)) + np.transpose(a, (2, 0, 1)))
 
 
-def vertical_source_tensor(geo) -> np.ndarray:
-    """Totally symmetric tensor h^11 * dg_il/dy^m feeding the cyclic equation.
-
-    Equals half the third vertical derivative of the Lagrangian, so it
-    vanishes for any family quadratic in y.
-    """
-    return 0.5 * geo.Lyyy
-
-
-def maxwell_residuals(sp: LagrangeSpace, point) -> MaxwellResiduals:
+def maxwell_residuals(sp: LagrangeSpace, point) -> dict:
+    """Residual arrays of the three closure equations, zero when satisfied:
+    eq1 the time equation (n, n), eq2 the horizontal and eq3 the vertical
+    cyclic equation (n, n, n)."""
     n = sp.n
     z = _point_array(point, n)
     geo = sp.geometry_at(z)
@@ -218,19 +203,18 @@ def maxwell_residuals(sp: LagrangeSpace, point) -> MaxwellResiduals:
             - np.einsum("pik,p->ik", bracket, y_low))
     eq1 = F_t[:, :, 0] - 0.5 * (core - core.T)
 
-    # Source tensor h^11 * dg_il/dy^m == (1/2) d^3L/dy^i dy^l dy^m.  An
+    # The source tensor h^11 * dg_il/dy^m == (1/2) d^3L/dy^i dy^l dy^m is
+    # totally symmetric and vanishes for any family quadratic in y.  An
     # extra h^11 dressing here breaks the cyclic identity on any space
     # whose metric depends on y while h11 != 1; the undressed form keeps
     # the residual at discretization level (both agree when L is
     # quadratic in y, where the term vanishes identically).
-    c3 = vertical_source_tensor(geo)
-    source = np.einsum("ilm,mjk,l->ijk", c3, tor.R_ij, y)
+    source = np.einsum("ilm,mjk,l->ijk", 0.5 * geo.Lyyy, tor.R_ij, y)
     eq2 = _cyclic(F_x) + 0.5 * _cyclic(source)
-    eq3 = _cyclic(F_y)
-    return MaxwellResiduals(eq1=eq1, eq2=eq2, eq3=eq3)
+    return {"eq1": eq1, "eq2": eq2, "eq3": _cyclic(F_y)}
 
 
-def maxwell_simple_residuals(sp: LagrangeSpace, point):
+def maxwell_simple_residuals(sp: LagrangeSpace, point) -> dict:
     """Closure residuals in the reduced form valid for metrics g(x).
 
     The sources drop out and the time equation closes on the mixed
@@ -246,7 +230,7 @@ def maxwell_simple_residuals(sp: LagrangeSpace, point):
                                lambda q: (_em_F_closed(sp, q),))
     term = geo.h_inv * (geo.g @ tor.R_1j)
     eq1 = F_t[:, :, 0] - 0.5 * (term - term.T)
-    return MaxwellResiduals(eq1=eq1, eq2=_cyclic(F_x), eq3=_cyclic(F_y))
+    return {"eq1": eq1, "eq2": _cyclic(F_x), "eq3": _cyclic(F_y)}
 
 
 def deflection_identities(sp: LagrangeSpace, point) -> dict:
@@ -340,8 +324,8 @@ class EinsteinReport:
     slot pair.  stress contains the source components obtained by
     dividing each left side by the coupling constant; the two entries
     listed in forced_zero have no curvature side at all, so consistency
-    demands those source components vanish identically.  conservation
-    carries the three divergence residuals, or None when skipped.
+    demands those source components vanish identically.  The divergence
+    laws of these equations are ``conservation_residuals``.
     """
 
     e1_tt: float
@@ -352,11 +336,10 @@ class EinsteinReport:
     forced_zero: tuple
     kappa: float
     ricci: RicciSet
-    conservation: dict | None
 
 
-def einstein_system(sp: LagrangeSpace, point, kappa: float = 1.0,
-                    with_conservation: bool = True) -> EinsteinReport:
+def einstein_system(sp: LagrangeSpace, point,
+                    kappa: float = 1.0) -> EinsteinReport:
     if kappa == 0.0 or not np.isfinite(kappa):
         raise ValueError("coupling constant must be finite and nonzero")
     z = _point_array(point, sp.n)
@@ -379,11 +362,10 @@ def einstein_system(sp: LagrangeSpace, point, kappa: float = 1.0,
     }
     for key, value in e2.items():
         stress[key] = value / kappa
-    cons = conservation_residuals(sp, z) if with_conservation else None
     return EinsteinReport(e1_tt=e1_tt, e1_ij=e1_ij, e1_vert=e1_vert,
                           e2=e2, stress=stress,
                           forced_zero=("time-space", "time-vert"),
-                          kappa=kappa, ricci=ric, conservation=cons)
+                          kappa=kappa, ricci=ric)
 
 
 # ---------------------------------------------------------------------------

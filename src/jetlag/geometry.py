@@ -214,9 +214,10 @@ class _Geo:
         Gt = 0.5 * g_inv @ del_t_g
         Lblock = _christoffel(g_inv, del_x_g)
         Cblock = _christoffel(g_inv, dg_y)
-        # one isfinite call over all four blocks: the cheapest form
+        # one isfinite call over M and the four blocks: the cheapest form
         if not np.isfinite(np.concatenate(
-                [base(a).ravel() for a in (N, Gt, Lblock, Cblock)])).all():
+                [base(a).ravel()
+                 for a in (self.M, N, Gt, Lblock, Cblock)])).all():
             raise _non_finite("connection coefficients", z)
         self.cartan = CartanCoefficients(H, Gt, Lblock, Cblock)
         self._pending = None
@@ -380,7 +381,7 @@ class LagrangeSpace:
 
         geo.jets = _ConnJets(*(
             _JetBlock(t[..., 0], x, y) for _, (t, x, y) in
-            adapted_gradient(blocks, z, geo, ("time", "space", "vert"))))
+            adapted_gradient(blocks, z, geo)))
         return geo.jets
 
 

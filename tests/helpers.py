@@ -16,7 +16,8 @@ from a float call; the field-identity oracles are built on it, where the
 package differentiates all of an identity's fields at one dual point and
 reads their values off it.  The RK4 loop on two arrays is the curve
 integrator's bit-for-bit oracle, and ``transform_curve`` pushes a sampled
-curve through a chart map sample by sample.
+curve through a chart map sample by sample.  ``jet_point`` turns a
+coordinate array into the equivalent JetPoint.
 """
 
 from __future__ import annotations
@@ -32,12 +33,18 @@ from jetlag.dtensor import (CartanCoefficients, SlotKind, adapted_gradient,
                             add_connection_terms, transform_point)
 from jetlag.dual import Dual, as_array
 from jetlag.dynamics import Curve, harmonic_rhs
-from jetlag.expr import (Const, Node, Var, _point_array, add, call, div,
-                         evaluate_fields, mul, neg, power)
+from jetlag.expr import (Const, JetPoint, Node, Var, _point_array, add, call,
+                         div, evaluate_fields, mul, neg, power)
 from jetlag.geometry import (LagrangeSpace, NonRegularError, _christoffel,
                              _Geo, _regular_inverse, _unit_index,
                              canonical_nonlinear_connection,
                              cartan_connection, curvature, torsion)
+
+
+def jet_point(z, n: int) -> JetPoint:
+    """The JetPoint with the (2n+1,) coordinates z."""
+    z = np.asarray(z, dtype=float)
+    return JetPoint(z[0], tuple(z[1:n + 1]), tuple(z[n + 1:]))
 
 
 def count_calls(monkeypatch, fn, *owners):
@@ -111,7 +118,7 @@ def fd_adapted_gradient(partial):
     pairs of value and derivatives, from fn evaluated at float points
     only."""
 
-    def gradient(fn, z, nl, kinds):
+    def gradient(fn, z, nl):
         z = np.asarray(z, dtype=float)
         n = (len(z) - 1) // 2
         values = fn(z)
@@ -125,10 +132,10 @@ def fd_adapted_gradient(partial):
                 axis=1)):
             g = g.reshape((-1,) + shape)
             d_y = g[n + 1:]
-            out = {"time": (g[0] - np.einsum("m,m...->...", nl.M, d_y))[None],
-                   "space": g[1:n + 1] - np.einsum("mi,m...->i...", nl.N, d_y),
-                   "vert": d_y}
-            pairs.append((value, [np.moveaxis(out[k], 0, -1) for k in kinds]))
+            out = ((g[0] - np.einsum("m,m...->...", nl.M, d_y))[None],
+                   g[1:n + 1] - np.einsum("mi,m...->i...", nl.N, d_y),
+                   d_y)
+            pairs.append((value, [np.moveaxis(d, 0, -1) for d in out]))
         return pairs
 
     return gradient
@@ -335,9 +342,9 @@ def covariant_derivative(fn, signature, point, cartan, nl, kind):
     nl) at the point: one adapted_gradient call for the derivative, one
     float call of fn for the value the slot rule corrects with."""
     z = _point_array(point, cartan.n)
-    ((_, (derivs,)),) = adapted_gradient(lambda q: (fn(q),), z, nl, [kind])
-    return add_connection_terms(derivs, as_array(fn(z)), signature, cartan,
-                                kind)
+    ((_, derivs),) = adapted_gradient(lambda q: (fn(q),), z, nl)
+    return add_connection_terms(derivs[KINDS.index(kind)], as_array(fn(z)),
+                                signature, cartan, kind)
 
 
 def cov_alone(sp, z, signature, fn, kind):
@@ -347,7 +354,7 @@ def cov_alone(sp, z, signature, fn, kind):
 
 
 def maxwell_oracle(sp, z):
-    """fields.maxwell_residuals as a dict, one call per field and kind."""
+    """fields.maxwell_residuals, one call per field and kind."""
     n = sp.n
     geo = sp.geometry_at(z)
     y = z[1 + n:]
@@ -368,8 +375,7 @@ def maxwell_oracle(sp, z):
     core = (Dbar_cov + defl.D_low @ tor.T_1j + defl.d_low @ tor.R_1j
             - np.einsum("pik,p->ik", bracket, y_low))
     eq1 = F_t[:, :, 0] - 0.5 * (core - core.T)
-    c3 = fields.vertical_source_tensor(geo)
-    source = np.einsum("ilm,mjk,l->ijk", c3, tor.R_ij, y)
+    source = np.einsum("ilm,mjk,l->ijk", 0.5 * geo.Lyyy, tor.R_ij, y)
     eq2 = fields._cyclic(F_x) + 0.5 * fields._cyclic(source)
     eq3 = fields._cyclic(F_y)
     return {"eq1": eq1, "eq2": eq2, "eq3": eq3}

@@ -167,20 +167,27 @@ class TestConservationGate:
         assert rows["conservation"].note == "metric depends on y; reported only"
         assert "maxwell-simple" not in rows
 
-    def test_forced_gate_fails_honestly(self):
+    def test_forced_gate_fails_honestly(self, monkeypatch):
+        # the probe alone decides the gate: read as a metric g(x), the
+        # t-dependent metric's conservation residual fails
+        monkeypatch.setattr(checks, "_metric_dependence", lambda sp, p: ())
         sp = space("nonautonomous_l3")
         pts = sample_points(sp, ranges("nonautonomous_l3"), 6, seed=1)
-        res = run_checks(sp, pts, conservation_gate=True)
+        res = run_checks(sp, pts)
         row = [r for r in res if r.name == "conservation"][0]
-        assert not row.passed
+        assert not row.passed and row.note == ""
         assert worst_offender(res).name == "conservation"
 
-    def test_forced_report_only(self):
+    def test_forced_report_only(self, monkeypatch):
+        monkeypatch.setattr(checks, "_metric_dependence",
+                            lambda sp, p: ("t",))
         sp = space("flat")
         pts = sample_points(sp, ranges("flat"), 4, seed=1)
-        res = run_checks(sp, pts, conservation_gate=False)
+        res = run_checks(sp, pts)
         row = [r for r in res if r.name == "conservation"][0]
-        assert row.passed and row.note == "forced report-only"
+        assert row.passed
+        assert row.note == "metric depends on t; reported only"
+        assert "maxwell-simple" not in [r.name for r in res]
 
 
 class TestMaxwellSimpleRow:
@@ -343,10 +350,13 @@ class TestNaNResiduals:
     def test_nan_fails_report_only_rows_too(self, monkeypatch):
         monkeypatch.setattr(checks, "conservation_residuals",
                             lambda sp, z: {"law1": np.nan})
+        monkeypatch.setattr(checks, "_metric_dependence",
+                            lambda sp, p: ("t",))
         sp = space("sphere_l1")
         pts = sample_points(sp, ranges("sphere_l1"), 4, seed=0)
-        row = run_checks(sp, pts, conservation_gate=False)[-1]
+        row = run_checks(sp, pts)[-1]
         assert row.name == "conservation" and not row.passed
+        assert row.note == "metric depends on t; reported only"
 
     def test_nan_ratio_is_infinite(self):
         assert CheckResult("a", float("nan"), 1e-6, False, 5).ratio == math.inf

@@ -18,21 +18,21 @@ A0 = np.array([[1.5, 0.2], [-0.3, 0.9]])
 
 CASES = {
     "scalar plus matrix": lambda q: q[0] * q[1] + A0,
-    "matrix minus scalar": lambda q: A0 - q[2] ** 2,
+    "matrix minus scalar": lambda q: A0 - q[2] * q[2],
     "matrix times vector": lambda q: (A0 * q[0]) @ q[1:3],
     "vector times matrix": lambda q: q[2:4] @ (A0 + q[3]),
     "vector dot vector": lambda q: q[0:2] @ q[2:4],
-    "batched matmul": lambda q: np.stack([A0 * q[0], A0 * q[1]]) @ (A0 * q[2]),
+    "batched matmul": lambda q: (q[0:2][:, None, None] * A0) @ (A0 * q[2]),
     "quotient": lambda q: q[0:2] / (2.0 + q[2] * q[3]),
     "reciprocal": lambda q: 1.0 / (1.5 + q[0:2] * q[1]),
-    "inverse": lambda q: np.linalg.inv(A0 + np.outer(q[0:2], q[2:4])),
+    "inverse": lambda q: np.linalg.inv(A0 + q[0:2][:, None] * q[2:4]),
     "einsum": lambda q: np.einsum("i,ij,j->", q[0:2], A0 * q[3], q[2:4]),
-    "einsum trace": lambda q: np.einsum("ii->i", np.outer(q[0:2], q[1:3])),
+    "einsum trace": lambda q: np.einsum("ii->i", q[0:2][:, None] * q[1:3]),
     "transpose and swapaxes": lambda q: np.swapaxes(
-        np.stack([np.outer(q[0:2], q[2:4]), (A0 * q[1]).T]), 0, 2),
-    "moveaxis": lambda q: np.moveaxis(np.stack([q[0:2], q[2:4]]), 0, -1),
-    "indexing": lambda q: np.outer(q, q)[[0, 2], 1:][..., None],
-    "power": lambda q: q[0:3] ** 3 - 2.0 * q[3] ** 2,
+        q[0:2][:, None, None] * (A0 * q[1]).T + q[2:4][:, None] * q[0:2],
+        0, 2),
+    "indexing": lambda q: (q[:, None] * q)[[0, 2], 1:][..., None],
+    "power": lambda q: q[0:3] * q[0:3] * q[0:3] - 2.0 * q[3] * q[3],
 }
 
 
@@ -91,3 +91,13 @@ def test_only_an_explicit_dtype_converts_to_the_base_point():
             convert(point if convert is np.asarray else point[0])
     with pytest.raises(TypeError, match="dual-transparent"):
         np.concatenate([point, point])
+
+
+def test_operations_the_engine_does_not_run_are_refused():
+    point = _point(1)
+    for op in (lambda q: np.moveaxis(q, 0, -1),
+               lambda q: np.outer(q, q),
+               lambda q: np.stack([q, q]),
+               lambda q: q ** 3):
+        with pytest.raises(TypeError, match="dual-transparent"):
+            op(point)

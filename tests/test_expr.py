@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fd_partial, jet_partials, random_ast, usable_test_points
+from helpers import (fd_partial, jet_partials, jet_point, random_ast,
+                     usable_test_points)
 from jetlag import expr
 from jetlag.dual import Dual
 from jetlag.expr import (
@@ -597,7 +598,7 @@ class TestNodes:
 class TestJetPoint:
     def test_round_trip_array(self):
         p = JetPoint(0.5, (1.0, 2.0), (3.0, 4.0))
-        q = JetPoint.from_array(p.as_array(), 2)
+        q = jet_point(p.as_array(), 2)
         assert p == q
 
     def test_rejects_nonfinite(self):

@@ -10,6 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from helpers import jet_point
 from jetlag import dtensor, dynamics, fields, geometry
 from jetlag.checks import random_affine_chart
 from jetlag.cli import load_config
@@ -76,7 +77,7 @@ CALLS.update({
 def test_array_and_jetpoint_agree(name):
     call = CALLS[name]
     from_array = leaves(call(fresh_space(), Z.copy()))
-    from_point = leaves(call(fresh_space(), JetPoint.from_array(Z, N)))
+    from_point = leaves(call(fresh_space(), jet_point(Z, N)))
     assert len(from_array) == len(from_point)
     for a, b in zip(from_array, from_point):
         assert np.array_equal(a, b), name
@@ -97,6 +98,6 @@ def test_wrong_dimension_rejected_either_way(name):
 def test_domain_error_is_the_same_for_both_forms(source):
     f = parse(source, 1)
     z = np.array([0.0, 0.0, 1.0])
-    for q in (z, JetPoint.from_array(z, 1)):
+    for q in (z, jet_point(z, 1)):
         with pytest.raises(EvalDomainError):
             f.evaluate(q)

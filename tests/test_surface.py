@@ -7,13 +7,16 @@ under ``perfbench/`` or ``demos/`` (read, or written in a string literal,
 as the benchmark's tracer names its spans), or be read in a Python code
 block of the README.  Import lines, docstrings and comments do not count,
 so a name that only tests call, or that only its module's ``__all__``
-lists, fails here: it belongs in ``tests/helpers.py`` or nowhere.
+lists, fails here: it belongs in ``tests/helpers.py`` or nowhere.  The
+same holds one level down: every public method, property or classmethod
+of such a class must be read as an attribute in those places.
 """
 
 import ast
 import importlib
 import inspect
 import re
+import types
 from pathlib import Path
 
 import jetlag
@@ -22,13 +25,12 @@ PACKAGE = Path(jetlag.__file__).parent
 REPO = PACKAGE.parent.parent
 
 
-def _read_names(tree) -> set:
+def _read_names(tree, kinds=(ast.Name, ast.Attribute)) -> set:
     """Identifiers the code reads: a Name, or the attribute of an
     Attribute, in load context."""
     return {node.id if isinstance(node, ast.Name) else node.attr
             for node in ast.walk(tree)
-            if isinstance(node, (ast.Name, ast.Attribute))
-            and isinstance(node.ctx, ast.Load)}
+            if isinstance(node, kinds) and isinstance(node.ctx, ast.Load)}
 
 
 def _string_words(tree) -> set:
@@ -42,29 +44,44 @@ def _string_words(tree) -> set:
             for word in re.findall(r"\w+", node.value)}
 
 
-def _used_names() -> set:
+def _used_names(kinds=(ast.Name, ast.Attribute)) -> set:
     used = set()
     for path in PACKAGE.glob("*.py"):
-        used |= _read_names(ast.parse(path.read_text()))
+        used |= _read_names(ast.parse(path.read_text()), kinds)
     for folder in ("perfbench", "demos"):
         for path in (REPO / folder).glob("*.py"):
             tree = ast.parse(path.read_text())
-            used |= _read_names(tree) | _string_words(tree)
+            used |= _read_names(tree, kinds) | _string_words(tree)
     readme = (REPO / "README.md").read_text()
     for block in re.findall(r"```python\n(.*?)```", readme, re.S):
-        used |= _read_names(ast.parse(block))
+        used |= _read_names(ast.parse(block), kinds)
     return used
 
 
-def test_every_public_function_and_class_has_a_caller():
-    used = _used_names()
-    unused = []
+def _public():
+    """(qualified name, name, object) of each name in a module's __all__."""
     for path in sorted(PACKAGE.glob("*.py")):
         module = "jetlag" if path.stem == "__init__" else f"jetlag.{path.stem}"
         mod = importlib.import_module(module)
         for name in getattr(mod, "__all__", ()):
-            obj = getattr(mod, name)
-            if (inspect.isfunction(obj) or inspect.isclass(obj)) \
-                    and name not in used:
-                unused.append(f"{module}.{name}")
+            yield f"{module}.{name}", name, getattr(mod, name)
+
+
+def test_every_public_function_and_class_has_a_caller():
+    used = _used_names()
+    unused = [qual for qual, name, obj in _public()
+              if (inspect.isfunction(obj) or inspect.isclass(obj))
+              and name not in used]
+    assert unused == [], f"public but never used: {', '.join(unused)}"
+
+
+def test_every_public_method_of_a_public_class_has_a_caller():
+    used = _used_names(ast.Attribute)
+    unused = sorted({f"{obj.__module__}.{obj.__qualname__}.{attr}"
+                     for _, _, obj in _public() if inspect.isclass(obj)
+                     for attr, member in vars(obj).items()
+                     if not attr.startswith("_")
+                     and isinstance(member, (types.FunctionType, property,
+                                             classmethod, staticmethod))
+                     and attr not in used})
     assert unused == [], f"public but never used: {', '.join(unused)}"
