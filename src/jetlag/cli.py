@@ -23,7 +23,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -348,48 +348,35 @@ def _jsonable(value):
     return value
 
 
+def _fields_of(obj, *skip) -> dict:
+    """The dataclass fields of obj by name, but those in skip."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if f.name not in skip}
+
+
 def point_record(sp: LagrangeSpace, z, kappa: float = 1.0) -> dict:
     """Every computed object at one jet point, JSON-ready."""
-    z = np.asarray(z, dtype=float)
     geo = sp.geometry_at(z)
-    cart = geo.cartan
-    tor = torsion(sp, z)
-    cur = curvature(sp, z)
-    defl = deflections(sp, z)
+    z = geo.z
     em = em_form(sp, z)
     ein = einstein_system(sp, z, kappa=kappa)
-    ric = ein.ricci
-    n = sp.n
 
     def per_key(residuals):
         return {k: worst_residual([v]) for k, v in residuals.items()}
 
     record = {
-        "point": {"t": float(z[0]), "x": z[1:n + 1], "y": z[n + 1:]},
+        "point": {"t": float(z[0]), "x": z[1:sp.n + 1], "y": z[sp.n + 1:]},
         "metric": {"g": geo.g, "g_inv": geo.g_inv, "h11": geo.h11,
                    "signature": list(metric_signature(geo.g))},
         "spray": {"temporal": geo.Htemp, "spatial": geo.Gspat},
         "nonlinear": {"M": geo.M, "N": geo.N},
-        "cartan": {"H": cart.H, "Gt": cart.Gt, "L": cart.L, "C": cart.C},
-        "torsion": {"T_1j": tor.T_1j, "T_ij": tor.T_ij, "P_1": tor.P_1,
-                    "P_c": tor.P_c, "P_i": tor.P_i, "R_1j": tor.R_1j,
-                    "R_ij": tor.R_ij, "S": tor.S},
-        "curvature": {"R_i1k": cur.R_i1k, "R_ijk": cur.R_ijk,
-                      "P_i1k": cur.P_i1k, "P_ijk": cur.P_ijk,
-                      "S_ijk": cur.S_ijk},
-        "deflections": {"Dbar": defl.Dbar, "D": defl.D, "d": defl.d,
-                        "Dbar_low": defl.Dbar_low, "D_low": defl.D_low,
-                        "d_low": defl.d_low},
+        "cartan": _fields_of(geo.cartan),
+        "torsion": _fields_of(torsion(sp, z)),
+        "curvature": _fields_of(curvature(sp, z)),
+        "deflections": _fields_of(deflections(sp, z)),
         "em_form": {"F": em.F, "f": em.f},
-        "ricci": {"H11": ric.H11, "R_i1": ric.R_i1, "R_ij": ric.R_ij,
-                  "P_i_j": ric.P_i_j, "P_i1": ric.P_i1, "P_ij": ric.P_ij,
-                  "S_ij": ric.S_ij, "H": ric.H, "R": ric.R, "S": ric.S,
-                  "Sc": ric.Sc},
-        "einstein": {"e1_tt": ein.e1_tt, "e1_ij": ein.e1_ij,
-                     "e1_vert": ein.e1_vert, "e2": ein.e2,
-                     "stress": ein.stress,
-                     "forced_zero": list(ein.forced_zero),
-                     "kappa": ein.kappa},
+        "ricci": _fields_of(ein.ricci),
+        "einstein": _fields_of(ein, "ricci"),
         "residuals": {"maxwell": per_key(maxwell_residuals(sp, z)),
                       "bianchi": per_key(bianchi_residuals(sp, z)),
                       "deflection_identities":

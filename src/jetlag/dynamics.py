@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import _point_array
 from .geometry import LagrangeSpace, NonRegularError
 
 __all__ = [
@@ -69,23 +68,16 @@ class Curve:
         return np.concatenate([[self.t[k]], self.x[k], self.y[k]])
 
     def to_csv(self, target) -> None:
-        """Write `t,x1..xn,y1..yn` rows at full double precision."""
-        close = False
-        if hasattr(target, "write"):
-            fh = target
-        else:
-            fh = open(target, "w")
-            close = True
-        try:
-            names = ([f"x{i + 1}" for i in range(self.n)]
-                     + [f"y{i + 1}" for i in range(self.n)])
-            fh.write("t," + ",".join(names) + "\n")
-            for k in range(len(self)):
-                row = np.concatenate([[self.t[k]], self.x[k], self.y[k]])
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        finally:
-            if close:
-                fh.close()
+        """Write `t,x1..xn,y1..yn` rows at full double precision to an
+        open text file or a path."""
+        if not hasattr(target, "write"):
+            with open(target, "w") as fh:
+                return self.to_csv(fh)
+        names = ([f"x{i + 1}" for i in range(self.n)]
+                 + [f"y{i + 1}" for i in range(self.n)])
+        target.write("t," + ",".join(names) + "\n")
+        for k in range(len(self)):
+            target.write(",".join(f"{v:.17g}" for v in self.point(k)) + "\n")
 
 
 def harmonic_rhs(sp: LagrangeSpace, point) -> np.ndarray:
@@ -185,9 +177,8 @@ def el_acceleration(sp: LagrangeSpace, point) -> np.ndarray:
     expression assembled purely from Lagrangian partials, with none of
     the metric contractions the spray route uses.
     """
-    z = _point_array(point, sp.n)
-    geo = sp.geometry_at(z)
-    return -np.linalg.solve(geo.Lyy, _el_source(geo, z[1 + sp.n:]))
+    geo = sp.geometry_at(point)
+    return -np.linalg.solve(geo.Lyy, _el_source(geo, geo.z[1 + sp.n:]))
 
 
 def _el_source(geo, y) -> np.ndarray:
@@ -212,8 +203,7 @@ def el_residual(sp: LagrangeSpace, curve: Curve) -> np.ndarray:
         # nonuniform 3-point second derivative
         xdd = 2.0 * (dt0 * curve.x[k + 1] - (dt0 + dt1) * curve.x[k]
                      + dt1 * curve.x[k - 1]) / (dt0 * dt1 * (dt0 + dt1))
-        z = curve.point(k)
-        geo = sp.geometry_at(z)
+        geo = sp.geometry_at(curve.point(k))
         out[k - 1] = geo.Lyy @ xdd + _el_source(geo, curve.y[k])
     return out
 

@@ -16,7 +16,6 @@ import numpy as np
 from .dtensor import (SlotKind, _shape_for, adapted_gradient,
                       add_connection_terms)
 from .dual import as_array, scalar
-from .expr import _point_array
 from .geometry import (
     LagrangeSpace,
     cartan_connection,
@@ -73,7 +72,7 @@ def _covd(sp: LagrangeSpace, z, signatures, fn) -> list:
         return arrays
 
     geo = sp.geometry_at(z)
-    pairs = adapted_gradient(checked, z, geo)
+    pairs = adapted_gradient(checked, geo.z, geo)
     return [[add_connection_terms(d, arr, sig, geo.cartan, kind)
              for d, kind in zip(derivs, ("time", "space", "vert"))]
             for (arr, derivs), sig in zip(pairs, signatures)]
@@ -104,9 +103,8 @@ class DeflectionSet:
 def deflections(sp: LagrangeSpace, point):
     """Closed forms from the connection coefficients."""
     n = sp.n
-    z = _point_array(point, n)
-    y = z[1 + n:]
-    geo = sp.geometry_at(z)
+    geo = sp.geometry_at(point)
+    y = geo.z[1 + n:]
     cart = geo.cartan
     Dbar = cart.Gt @ y
     D = -geo.N + np.einsum("ijm,m->ij", cart.L, y)
@@ -121,7 +119,7 @@ def deflection_route(sp: LagrangeSpace, point) -> float:
     covariant-derivative engine applied to y^i as a vertical vector.
     Report-only: no suite reads it, so it is computed once per record."""
     n = sp.n
-    z = _point_array(point, n)
+    z = sp.geometry_at(point).z
     defl = deflections(sp, z)
     ((eng_t, eng_x, eng_y),) = _covd(sp, z, [(_VU,)], lambda q: (q[1 + n:],))
     return worst_residual([eng_t[:, 0] - defl.Dbar, eng_x - defl.D,
@@ -149,18 +147,15 @@ class EMForm:
 
 def _em_F_closed(sp: LagrangeSpace, q):
     # F_(i)j = h^11/2 [g_jm N^m_i - g_im N^m_j + (g L_j. - g L_i.) y]
-    n = sp.n
-    z = _point_array(q, n)
-    geo = sp.geometry_at(z)
-    y = z[1 + n:]
+    geo = sp.geometry_at(q)
+    y = geo.z[1 + sp.n:]
     gN = geo.g @ geo.N
     gLy = geo.g @ np.einsum("kjm,m->kj", geo.cartan.L, y)
     return 0.5 * geo.h_inv * ((gN.T - gN) + (gLy - gLy.T))
 
 
 def em_form(sp: LagrangeSpace, point):
-    n = sp.n
-    z = _point_array(point, n)
+    z = sp.geometry_at(point).z
     F = _em_F_closed(sp, z)
     defl = deflections(sp, z)
     F_alt = 0.5 * (defl.D_low - defl.D_low.T)
@@ -182,10 +177,9 @@ def maxwell_residuals(sp: LagrangeSpace, point) -> dict:
     """Residual arrays of the three closure equations, zero when satisfied:
     eq1 the time equation (n, n), eq2 the horizontal and eq3 the vertical
     cyclic equation (n, n, n)."""
-    n = sp.n
-    z = _point_array(point, n)
-    geo = sp.geometry_at(z)
-    y = z[1 + n:]
+    geo = sp.geometry_at(point)
+    z = geo.z
+    y = z[1 + sp.n:]
     y_low = geo.h_inv * (geo.g @ y)
     tor = torsion(sp, z)
     C = geo.cartan.C
@@ -222,9 +216,8 @@ def maxwell_simple_residuals(sp: LagrangeSpace, point) -> dict:
     no t or y dependence; on other spaces the residuals are honest
     measurements of how far the reduction fails.
     """
-    n = sp.n
-    z = _point_array(point, n)
-    geo = sp.geometry_at(z)
+    geo = sp.geometry_at(point)
+    z = geo.z
     tor = torsion(sp, z)
     ((F_t, F_x, F_y),) = _covd(sp, z, [(_VD, _SD)],
                                lambda q: (_em_F_closed(sp, q),))
@@ -239,11 +232,9 @@ def deflection_identities(sp: LagrangeSpace, point) -> dict:
     These are the lemmas behind the closure equations; each ties mixed
     second covariant derivatives of y_i to torsion and curvature blocks.
     """
-    n = sp.n
-    z = _point_array(point, n)
-    geo = sp.geometry_at(z)
-    y = z[1 + n:]
-    y_low = geo.h_inv * (geo.g @ y)
+    geo = sp.geometry_at(point)
+    z = geo.z
+    y_low = geo.h_inv * (geo.g @ z[1 + sp.n:])
     tor = torsion(sp, z)
     cur = curvature(sp, z)
     C = geo.cartan.C
@@ -295,9 +286,8 @@ class RicciSet:
 
 
 def ricci_and_scalar(sp: LagrangeSpace, point) -> RicciSet:
-    z = _point_array(point, sp.n)
-    geo = sp.geometry_at(z)
-    cur = curvature(sp, z)
+    geo = sp.geometry_at(point)
+    cur = curvature(sp, geo.z)
     R_i1 = np.einsum("mim->i", cur.R_i1k)
     R_ij = np.einsum("mijm->ij", cur.R_ijk)
     # sign asymmetry is forced by the vertical index sitting up in the
@@ -342,9 +332,8 @@ def einstein_system(sp: LagrangeSpace, point,
                     kappa: float = 1.0) -> EinsteinReport:
     if kappa == 0.0 or not np.isfinite(kappa):
         raise ValueError("coupling constant must be finite and nonzero")
-    z = _point_array(point, sp.n)
-    geo = sp.geometry_at(z)
-    ric = ricci_and_scalar(sp, z)
+    geo = sp.geometry_at(point)
+    ric = ricci_and_scalar(sp, geo.z)
     half = 0.5 * ric.Sc
     e1_tt = -half * geo.h11
     e1_ij = ric.R_ij - half * geo.g
@@ -380,7 +369,6 @@ def conservation_residuals(sp: LagrangeSpace, point) -> dict:
     rise with g^im, vertical-origin blocks carry the extra h11 factor.
     """
     n = sp.n
-    z = _point_array(point, n)
 
     def raised(q):
         geo = sp.geometry_at(q)
@@ -395,8 +383,8 @@ def conservation_residuals(sp: LagrangeSpace, point) -> dict:
 
     ((lhs1, _, _), (_, rup1_cov, _), (_, _, pup1_cov), (_, mixed_R, _),
      (_, _, mixed_P), (_, _, mixed_S), (_, mixed_Pv, _)) = _covd(
-        sp, z, [(), (_SU, _TD), (_VU, _TD), (_SU, _SD), (_VU, _SD),
-                (_VU, _VD), (_SU, _VD)], raised)
+        sp, point, [(), (_SU, _TD), (_VU, _TD), (_SU, _SD), (_VU, _SD),
+                    (_VU, _VD), (_SU, _VD)], raised)
     law1 = float(lhs1[0]) - (np.trace(rup1_cov[:, 0, :])
                              - np.trace(pup1_cov[:, 0, :]))
     law2 = np.einsum("mjm->j", mixed_R) + np.einsum("mjm->j", mixed_P)

@@ -22,11 +22,14 @@ connection blocks (torsion, curvature) are exact too, by forward mode:
 partials one order up, two when nested.  The dual geometry is cached like
 any other, so the connection jets and every covariant derivative at a
 point share it; their connection corrections come from
-``dtensor.add_connection_terms``.  The per-point tables, the connection
-jets, torsion and curvature, are built once per cached geometry, float or
-dual, on their first call, and kept on it: every later call at the point
-reads them back.  A spray or connection that overflows the floats at a
-finite point raises NonRegularError where it is read.
+``dtensor.add_connection_terms``.  The cached geometry is the one
+per-point object: it holds its space and its point, and every level above
+the spray (the connection level, then the connection jets, torsion and
+curvature) is a lazy slot of it, built on its first read, float or dual,
+and read back after that.  The public operations normalise their point
+once, in ``geometry_at``, and read the rest off the geometry.  A spray or
+connection that overflows the floats at a finite point raises
+NonRegularError where it is read.
 """
 
 from __future__ import annotations
@@ -166,36 +169,40 @@ class CurvatureTable:
         }
 
 
-class _Geo:
-    """Per-point geometry bundle; all entries exact up to matrix inversion.
+# Each lazy slot of _Geo and the name of the method that sets it: a name,
+# not the function, so that a method patched on the class is the one run.
+_LAZY = {**dict.fromkeys(("N", "cartan", "dg_t", "dg_x", "dg_y"), "_connect"),
+         "jets": "_jets", "torsion": "_torsion", "curvature": "_curvature"}
 
-    ``LagrangeSpace._compute_geo`` sets the spray level; ``_connect`` builds
-    the connection level, the ``_CONNECTION`` slots, from ``_pending`` on
-    the first read of one, through ``__getattr__`` (run on unset slots only).
-    The per-point tables ``jets``, ``torsion`` and ``curvature`` are set by
-    ``LagrangeSpace.connection_jets``, ``torsion`` and ``curvature`` on
-    their first call at the point; until then reading one raises
-    AttributeError.
+
+class _Geo:
+    """The per-point geometry of a space, every entry exact up to matrix
+    inversion.  ``LagrangeSpace._compute_geo`` sets its spray level and
+    records the space and a copy of the point (float or dual).  Every
+    level above the spray is a lazy slot (see ``_LAZY``): its first read
+    runs the method that sets it, through ``__getattr__`` (run on unset
+    slots only), so each level is built once per cached geometry and read
+    back after that.
     """
 
-    _CONNECTION = ("N", "cartan", "dg_t", "dg_x", "dg_y")
-    __slots__ = ("h11", "h_inv", "H", "g", "g_inv", "Htemp", "Gspat", "M",
-                 "Lyyy", "Ly", "Lx", "Lty", "Lxy", "Lyy", "_pending",
-                 *_CONNECTION, "jets", "torsion", "curvature")
+    __slots__ = ("space", "z", "h11", "h_inv", "H", "g", "g_inv", "Htemp",
+                 "Gspat", "M", "hdot", "B", "Ly", "Lx", "Lty", "Lxy", "Lyy",
+                 "Ltyy", "Lxyy", "Lyyy", *_LAZY)
 
     def __getattr__(self, name):
-        if name not in _Geo._CONNECTION or self._pending is None:
+        build = _LAZY.get(name)
+        if build is None:
             raise AttributeError(f"'_Geo' object has no attribute {name!r}")
-        self._connect()
+        getattr(self, build)()
         return getattr(self, name)
 
     def _connect(self) -> None:
-        hdot, z, B, Ltyy, Lxyy = self._pending
         h11, h_inv, H, g_inv = self.h11, self.h_inv, self.H, self.g_inv
-        y = z[1 + len(B):]
+        Ltyy, Lxyy = self.Ltyy, self.Lxyy
+        y = self.z[1 + self.space.n:]
 
         # exact partials of g
-        dg_t = 0.5 * (hdot * self.Lyy + h11 * Ltyy)
+        dg_t = 0.5 * (self.hdot * self.Lyy + h11 * Ltyy)
         dg_x = 0.5 * h11 * Lxyy              # dg_x[k, i, j] = dg_ij/dx^k
         dg_y = 0.5 * h11 * self.Lyyy         # dg_y[i, j, k] = dg_ij/dy^k
 
@@ -206,7 +213,8 @@ class _Geo:
         dB_y = (np.einsum("mkj,m->kj", Lxyy, y) + self.Lxy.T - self.Lxy
                 + Ltyy + self.Lyy * H
                 + 2.0 * h_inv * H * (np.einsum("klj,l->kj", dg_y, y) + self.g))
-        N = 0.25 * h11 * (np.einsum("ikj,k->ij", dginv_y, B) + g_inv @ dB_y)
+        N = 0.25 * h11 * (np.einsum("ikj,k->ij", dginv_y, self.B)
+                          + g_inv @ dB_y)
         self.N, self.dg_t, self.dg_x, self.dg_y = N, dg_t, dg_x, dg_y
 
         # metric linear connection blocks from adapted derivatives of g
@@ -218,9 +226,8 @@ class _Geo:
         if not np.isfinite(np.concatenate(
                 [base(a).ravel()
                  for a in (self.M, N, Gt, Lblock, Cblock)])).all():
-            raise _non_finite("connection coefficients", z)
+            raise _non_finite("connection coefficients", self.z)
         self.cartan = CartanCoefficients(H, Gt, Lblock, Cblock)
-        self._pending = None
 
     def adapted_dg(self) -> tuple:
         """Adapted time and spatial derivatives of g, derivative axis last:
@@ -228,6 +235,62 @@ class _Geo:
         return (self.dg_t - np.einsum("ijm,m->ij", self.dg_y, self.M),
                 self.dg_x.transpose((1, 2, 0))
                 - np.einsum("ijm,mk->ijk", self.dg_y, self.N))
+
+    def _jets(self) -> None:
+        self.jets = self.space.connection_jets(self.z)
+
+    def _torsion(self) -> None:
+        jets, cart, H = self.jets, self.cartan, self.H
+        eye = np.eye(self.space.n)
+        dM_dy = -H * eye                          # M^m = -H y^m, exact
+        T_1j = -cart.Gt
+        T_ij = cart.L - np.swapaxes(cart.L, 1, 2)
+        P_1 = dM_dy - cart.Gt + H * eye
+        P_i = jets.N.d_y - np.transpose(cart.L, (0, 2, 1))
+        # delta M / delta x^j = -N^k_j dM^m/dy^k = H N^m_j (M has no x
+        # dependence)
+        R_1j = H * self.N - jets.N.del_t
+        R_ij = jets.N.del_x - np.swapaxes(jets.N.del_x, 1, 2)
+        S = cart.C - np.swapaxes(cart.C, 1, 2)
+        self.torsion = TorsionTable(T_1j=T_1j, T_ij=T_ij, P_1=P_1,
+                                    P_c=cart.C.copy(), P_i=P_i, R_1j=R_1j,
+                                    R_ij=R_ij, S=S)
+
+    def _curvature(self) -> None:
+        jets, cart, tors = self.jets, self.cartan, self.torsion
+        Gt, L, C = cart.Gt, cart.L, cart.C
+
+        R_i1k = (jets.Gt.del_x
+                 - jets.L.del_t
+                 + np.einsum("mi,lmk->lik", Gt, L)
+                 - np.einsum("mik,lm->lik", L, Gt)
+                 + np.einsum("lim,mk->lik", C, tors.R_1j))
+
+        dL_del_x = jets.L.del_x                   # [l, i, j, k]
+        R_ijk = (dL_del_x
+                 - np.transpose(dL_del_x, (0, 1, 3, 2))
+                 + np.einsum("mij,lmk->lijk", L, L)
+                 - np.einsum("mik,lmj->lijk", L, L)
+                 + np.einsum("lim,mjk->lijk", C, tors.R_ij))
+
+        P_i1k = (jets.Gt.d_y
+                 - _cov_C(cart, jets, "time")
+                 + np.einsum("lim,mk->lik", C, tors.P_1))
+
+        covC_x = _cov_C(cart, jets, "space")       # [l, i, k, j]
+        P_ijk = (jets.L.d_y
+                 - np.transpose(covC_x, (0, 1, 3, 2))
+                 + np.einsum("lim,mjk->lijk", C, tors.P_i))
+
+        dC_y = jets.C.d_y
+        S_ijk = (dC_y
+                 - np.transpose(dC_y, (0, 1, 3, 2))
+                 + np.einsum("mij,lmk->lijk", C, C)
+                 - np.einsum("mik,lmj->lijk", C, C))
+
+        self.curvature = CurvatureTable(R_i1k=R_i1k, R_ijk=R_ijk,
+                                        P_i1k=P_i1k, P_ijk=P_ijk,
+                                        S_ijk=S_ijk)
 
 
 # Adapted first derivatives of one connection block at one point: del_t is
@@ -353,36 +416,32 @@ class LagrangeSpace:
         B = Lxy.T @ y - Lx + Lty + Ly * H + 2.0 * h_inv * H * (g @ y)
 
         geo = _Geo()
+        geo.space, geo.z = self, z.copy()     # z may be the caller's buffer
         geo.h11, geo.h_inv, geo.H, geo.g, geo.g_inv = h11, h_inv, H, g, g_inv
+        geo.hdot, geo.B = hdot, B
         geo.Htemp = -0.5 * H * y
         geo.Gspat = 0.25 * h11 * (g_inv @ B)
         geo.M = -H * y
         # raw Lagrangian partials, kept for the Euler-Lagrange assembly
         # (an algebraic route independent of the g-contracted spray)
-        geo.Ly, geo.Lx, geo.Lty, geo.Lxy, geo.Lyy, geo.Lyyy = (
-            Ly, Lx, Lty, Lxy, Lyy, Lyyy)
-        geo._pending = (hdot, z.copy(), B, Ltyy, Lxyy)   # z may be the caller's
+        geo.Ly, geo.Lx, geo.Lty, geo.Lxy, geo.Lyy = Ly, Lx, Lty, Lxy, Lyy
+        geo.Ltyy, geo.Lxyy, geo.Lyyy = Ltyy, Lxyy, Lyyy
         return geo
 
     # -- derivative bundles for torsion/curvature ----------------------------
 
     def connection_jets(self, point) -> _ConnJets:
         """Adapted first derivatives of (Gt, L, C, N) at a point, read off
-        the geometry at one dual point; built once per cached geometry."""
-        z = _point_array(point, self.n)
-        geo = self.geometry_at(z)
-        jets = getattr(geo, "jets", None)
-        if jets is not None:
-            return jets
+        the geometry at one dual point.  Built on every call; the cached
+        geometry keeps the ones it reads as ``geometry_at(point).jets``."""
+        geo = self.geometry_at(point)
 
         def blocks(q):
             dual = self.geometry_at(q)
             return dual.cartan.Gt, dual.cartan.L, dual.cartan.C, dual.N
 
-        geo.jets = _ConnJets(*(
-            _JetBlock(t[..., 0], x, y) for _, (t, x, y) in
-            adapted_gradient(blocks, z, geo)))
-        return geo.jets
+        return _ConnJets(*(_JetBlock(t[..., 0], x, y) for _, (t, x, y) in
+                           adapted_gradient(blocks, geo.z, geo)))
 
 
 def _cached(cache: collections.OrderedDict, z, compute):
@@ -442,8 +501,7 @@ def canonical_spray(sp: LagrangeSpace, point) -> SprayValue:
         return SprayValue(Htemp=geo.Htemp, Gspat=geo.Gspat)
     except ValueError:
         # the shapes are the geometry's own: an entry is not finite
-        raise _non_finite("spray coefficients",
-                          _point_array(point, sp.n)) from None
+        raise _non_finite("spray coefficients", geo.z) from None
 
 
 def canonical_nonlinear_connection(sp: LagrangeSpace, point) -> NonlinearConnectionValue:
@@ -456,29 +514,7 @@ def cartan_connection(sp: LagrangeSpace, point) -> CartanCoefficients:
 
 
 def torsion(sp: LagrangeSpace, point) -> TorsionTable:
-    n = sp.n
-    z = _point_array(point, n)
-    geo = sp.geometry_at(z)
-    tors = getattr(geo, "torsion", None)
-    if tors is not None:
-        return tors
-    jets = sp.connection_jets(z)
-    cart = geo.cartan
-    eye = np.eye(n)
-
-    dM_dy = -geo.H * eye                      # M^m = -H y^m, exact
-    T_1j = -cart.Gt
-    T_ij = cart.L - np.swapaxes(cart.L, 1, 2)
-    P_1 = dM_dy - cart.Gt + geo.H * eye
-    P_i = jets.N.d_y - np.transpose(cart.L, (0, 2, 1))
-    # delta M / delta x^j = -N^k_j dM^m/dy^k = H N^m_j (M has no x dependence)
-    R_1j = geo.H * geo.N - jets.N.del_t
-    R_ij = jets.N.del_x - np.swapaxes(jets.N.del_x, 1, 2)
-    S = cart.C - np.swapaxes(cart.C, 1, 2)
-    geo.torsion = TorsionTable(T_1j=T_1j, T_ij=T_ij, P_1=P_1,
-                               P_c=cart.C.copy(), P_i=P_i, R_1j=R_1j,
-                               R_ij=R_ij, S=S)
-    return geo.torsion
+    return sp.geometry_at(point).torsion
 
 
 # slots of the vertical block C^l_i(k) and of the mixed torsion T^m_1j
@@ -496,48 +532,7 @@ def _cov_C(cart: CartanCoefficients, jets: _ConnJets, kind: str) -> np.ndarray:
 
 
 def curvature(sp: LagrangeSpace, point) -> CurvatureTable:
-    n = sp.n
-    z = _point_array(point, n)
-    geo = sp.geometry_at(z)
-    cur = getattr(geo, "curvature", None)
-    if cur is not None:
-        return cur
-    jets = sp.connection_jets(z)
-    cart = geo.cartan
-    tors = torsion(sp, z)
-    Gt, L, C = cart.Gt, cart.L, cart.C
-
-    R_i1k = (jets.Gt.del_x
-             - jets.L.del_t
-             + np.einsum("mi,lmk->lik", Gt, L)
-             - np.einsum("mik,lm->lik", L, Gt)
-             + np.einsum("lim,mk->lik", C, tors.R_1j))
-
-    dL_del_x = jets.L.del_x                   # [l, i, j, k]
-    R_ijk = (dL_del_x
-             - np.transpose(dL_del_x, (0, 1, 3, 2))
-             + np.einsum("mij,lmk->lijk", L, L)
-             - np.einsum("mik,lmj->lijk", L, L)
-             + np.einsum("lim,mjk->lijk", C, tors.R_ij))
-
-    P_i1k = (jets.Gt.d_y
-             - _cov_C(cart, jets, "time")
-             + np.einsum("lim,mk->lik", C, tors.P_1))
-
-    covC_x = _cov_C(cart, jets, "space")       # [l, i, k, j]
-    P_ijk = (jets.L.d_y
-             - np.transpose(covC_x, (0, 1, 3, 2))
-             + np.einsum("lim,mjk->lijk", C, tors.P_i))
-
-    dC_y = jets.C.d_y
-    S_ijk = (dC_y
-             - np.transpose(dC_y, (0, 1, 3, 2))
-             + np.einsum("mij,lmk->lijk", C, C)
-             - np.einsum("mik,lmj->lijk", C, C))
-
-    geo.curvature = CurvatureTable(R_i1k=R_i1k, R_ijk=R_ijk, P_i1k=P_i1k,
-                                   P_ijk=P_ijk, S_ijk=S_ijk)
-    return geo.curvature
+    return sp.geometry_at(point).curvature
 
 
 def bianchi_residuals(sp: LagrangeSpace, point) -> dict:
@@ -548,14 +543,9 @@ def bianchi_residuals(sp: LagrangeSpace, point) -> dict:
     the canonical metric connection, so the values measure numeric noise
     (or a corrupted connection).
     """
-    n = sp.n
-    z = _point_array(point, n)
-    geo = sp.geometry_at(z)
-    jets = sp.connection_jets(z)
-    cart = geo.cartan
+    geo = sp.geometry_at(point)
+    jets, cart, tors, cur = geo.jets, geo.cartan, geo.torsion, geo.curvature
     C = cart.C
-    tors = torsion(sp, z)
-    cur = curvature(sp, z)
 
     # spatial covariant derivative of the time-mixed torsion block -Gt
     T1_cov = add_connection_terms(-jets.Gt.del_x, tors.T_1j, _T1_SLOTS,

@@ -919,8 +919,9 @@ class TestConnectionLevel:
                                   geometry)
         first = getattr(geo, attr)
         assert (len(evals), len(christoffel)) == (0, 2)
-        for name in geometry._Geo._CONNECTION:
-            getattr(geo, name)
+        for name, build in geometry._LAZY.items():
+            if build == "_connect":
+                getattr(geo, name)
         assert getattr(geo, attr) is first
         assert (len(evals), len(christoffel)) == (0, 2)
 
@@ -950,6 +951,32 @@ class TestConnectionLevel:
         geo = sphere_space().geometry_at(z)
         z[1 + N:] = [2.0, -3.0]         # the caller moves to its next point
         assert np.array_equal(geo.N, sphere_space()._compute_geo(SPHERE_Z).N)
+
+    @pytest.mark.parametrize("order", [("curvature", "torsion", "jets", "N"),
+                                       ("N", "jets", "torsion", "curvature")])
+    def test_each_lazy_level_is_built_once_per_geometry(self, monkeypatch,
+                                                        order):
+        # the float geometry and the dual one its jets read: each builder
+        # runs once per geometry, whichever slot is read first
+        sp = load_config("electrodynamics_l2").space
+        built = []
+        for owner, name in ((geometry._Geo, "_connect"),
+                            (geometry._Geo, "_torsion"),
+                            (geometry._Geo, "_curvature"),
+                            (LagrangeSpace, "connection_jets")):
+            def recorded(self, *args, name=name, run=getattr(owner, name)):
+                built.append((name, id(self)))
+                return run(self, *args)
+            monkeypatch.setattr(owner, name, recorded)
+        geo = sp.geometry_at([0.3, 0.2, -0.4, 0.7, 0.5])
+        first = [getattr(geo, slot) for slot in order]
+        assert all(getattr(geo, slot) is value
+                   for slot, value in zip(order, first))
+        assert len(set(built)) == len(built)
+        assert sorted(name for name, owner in built if owner == id(geo)) \
+            == ["_connect", "_curvature", "_torsion"]
+        assert [name for name, _ in built].count("connection_jets") == 1
+        assert [name for name, _ in built].count("_connect") == 2
 
     def test_unknown_attribute_raises(self):
         geo = sphere_space().geometry_at(SPHERE_Z)

@@ -38,8 +38,9 @@ def leaves(obj):
     if isinstance(obj, (list, tuple)):
         return [leaf for item in obj for leaf in leaves(item)]
     if hasattr(type(obj), "__slots__") and not isinstance(obj, np.ndarray):
+        # a geometry's space is where it came from, not a result
         return leaves([getattr(obj, a) for a in type(obj).__slots__
-                       if hasattr(obj, a)])
+                       if a != "space" and hasattr(obj, a)])
     return [obj]
 
 

@@ -9,7 +9,9 @@ block of the README.  Import lines, docstrings and comments do not count,
 so a name that only tests call, or that only its module's ``__all__``
 lists, fails here: it belongs in ``tests/helpers.py`` or nowhere.  The
 same holds one level down: every public method, property or classmethod
-of such a class must be read as an attribute in those places.
+of such a class must be read as an attribute in those places (a word in
+a string does not count there).  One point normaliser: only the modules
+that need it import ``expr._point_array``.
 """
 
 import ast
@@ -44,14 +46,16 @@ def _string_words(tree) -> set:
             for word in re.findall(r"\w+", node.value)}
 
 
-def _used_names(kinds=(ast.Name, ast.Attribute)) -> set:
+def _used_names(kinds=(ast.Name, ast.Attribute), strings=True) -> set:
     used = set()
     for path in PACKAGE.glob("*.py"):
         used |= _read_names(ast.parse(path.read_text()), kinds)
     for folder in ("perfbench", "demos"):
         for path in (REPO / folder).glob("*.py"):
             tree = ast.parse(path.read_text())
-            used |= _read_names(tree, kinds) | _string_words(tree)
+            used |= _read_names(tree, kinds)
+            if strings:
+                used |= _string_words(tree)
     readme = (REPO / "README.md").read_text()
     for block in re.findall(r"```python\n(.*?)```", readme, re.S):
         used |= _read_names(ast.parse(block), kinds)
@@ -76,7 +80,7 @@ def test_every_public_function_and_class_has_a_caller():
 
 
 def test_every_public_method_of_a_public_class_has_a_caller():
-    used = _used_names(ast.Attribute)
+    used = _used_names(ast.Attribute, strings=False)
     unused = sorted({f"{obj.__module__}.{obj.__qualname__}.{attr}"
                      for _, _, obj in _public() if inspect.isclass(obj)
                      for attr, member in vars(obj).items()
@@ -85,3 +89,15 @@ def test_every_public_method_of_a_public_class_has_a_caller():
                                              classmethod, staticmethod))
                      and attr not in used})
     assert unused == [], f"public but never used: {', '.join(unused)}"
+
+
+def test_only_expr_geometry_and_dtensor_normalise_points():
+    # geometry_at normalises a point once, and evaluate_fields and the
+    # chart laws take raw points; every other module reads the point off
+    # the geometry.  A module names _point_array by importing or reading it
+    users = {path.stem for path in PACKAGE.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text()))
+             if "_point_array" in (getattr(node, "name", None),
+                                   getattr(node, "id", None),
+                                   getattr(node, "attr", None))}
+    assert users <= {"expr", "geometry", "dtensor"}, sorted(users)

@@ -105,9 +105,9 @@ def test_tree_size_counts_every_node_field():
 
 
 def test_traced_check_times_curvature_and_the_jets():
-    # curvature and connection_jets read their tables off the cached
-    # geometry; the tracer still wraps both by name, and curvature's own
-    # time (geometry.curvature_s) is its work on a miss, so it reads > 0
+    # curvature reads its table off the cached geometry; a first read
+    # builds it, and the jets by one connection_jets call, inside the
+    # curvature span, so curvature's own time (curvature_s) reads > 0
     spans = _spans_module()
     cfg = load_config("electrodynamics_l2")
     points = checks.sample_points(cfg.space, cfg.ranges, 10, seed=cfg.seed)
