@@ -11,9 +11,12 @@ L_xy, L_yy, L_tyy, L_xyy, L_yyy) is exact and symbolic.  ``geometry_at``
 evaluates the distinct ones in two fused ``expr.evaluate_fields`` calls
 (the L_yy head first, so the regularity check runs before any other
 partial; h11 and its t-derivative are a third), so every domain and
-regularity error raises there.  It builds the spray level, all a harmonic
-curve reads; the connection level (partials of g, N and the Cartan
-blocks) is built on its first read.  N is semi-analytic (symbolic
+regularity error raises there.  Regularity is decided by the one inversion
+of g (see ``_regular_inverse``).  It builds the spray level, all a
+harmonic curve reads; the connection level (partials of g, N and the
+Cartan blocks) is built on its first read, and it is there that the
+third-order partials L_tyy, L_xyy and L_yyy are split out of the fused
+values the spray level keeps.  N is semi-analytic (symbolic
 L-partials plus a numeric matrix inverse), so N = dG/dy is cross-checked
 against finite differences of G as a genuine test.  Derivatives OF
 connection blocks (torsion, curvature) are exact too, by forward mode:
@@ -69,7 +72,7 @@ __all__ = [
     "transformed_space",
 ]
 
-DET_THRESHOLD = 1e-10
+COND_LIMIT = 1e10
 SIGNATURE_CUTOFF = 1e-10
 GEO_CACHE_SIZE = 4096
 
@@ -171,7 +174,8 @@ class CurvatureTable:
 
 # Each lazy slot of _Geo and the name of the method that sets it: a name,
 # not the function, so that a method patched on the class is the one run.
-_LAZY = {**dict.fromkeys(("N", "cartan", "dg_t", "dg_x", "dg_y"), "_connect"),
+_LAZY = {**dict.fromkeys(("N", "cartan", "dg_t", "dg_x", "dg_y", "Ltyy",
+                          "Lxyy", "Lyyy"), "_connect"),
          "jets": "_jets", "torsion": "_torsion", "curvature": "_curvature"}
 
 
@@ -187,7 +191,7 @@ class _Geo:
 
     __slots__ = ("space", "z", "h11", "h_inv", "H", "g", "g_inv", "Htemp",
                  "Gspat", "M", "hdot", "B", "Ly", "Lx", "Lty", "Lxy", "Lyy",
-                 "Ltyy", "Lxyy", "Lyyy", *_LAZY)
+                 "rest", *_LAZY)
 
     def __getattr__(self, name):
         build = _LAZY.get(name)
@@ -198,13 +202,14 @@ class _Geo:
 
     def _connect(self) -> None:
         h11, h_inv, H, g_inv = self.h11, self.h_inv, self.H, self.g_inv
-        Ltyy, Lxyy = self.Ltyy, self.Lxyy
+        Ltyy, Lxyy, Lyyy = (self.rest[i] for i in self.space._connect_idx)
+        self.Ltyy, self.Lxyy, self.Lyyy = Ltyy, Lxyy, Lyyy
         y = self.z[1 + self.space.n:]
 
         # exact partials of g
         dg_t = 0.5 * (self.hdot * self.Lyy + h11 * Ltyy)
         dg_x = 0.5 * h11 * Lxyy              # dg_x[k, i, j] = dg_ij/dx^k
-        dg_y = 0.5 * h11 * self.Lyyy         # dg_y[i, j, k] = dg_ij/dy^k
+        dg_y = 0.5 * h11 * Lyyy              # dg_y[i, j, k] = dg_ij/dy^k
 
         # N^i_j = dG^i/dy^j, semi-analytic: differentiate the closed form of G
         dginv_y = -np.einsum("im,mlk,lj->ijk", g_inv, dg_y, g_inv)
@@ -351,7 +356,10 @@ class LagrangeSpace:
             blocks.append(np.array(idx).reshape(
                 [len(a) for a in axes if a is not t]))
         head = n * (n + 1) // 2
-        self._lyy_idx, self._rest_idx = blocks[0], [b - head for b in blocks[1:]]
+        rest_idx = [b - head for b in blocks[1:]]
+        self._lyy_idx = blocks[0]
+        # the spray level reads four blocks, the connection level three
+        self._spray_idx, self._connect_idx = rest_idx[:4], rest_idx[4:]
         partials = tuple(L.differentiate(idx) for idx in slots)
         self._lyy_head, self._rest = partials[:head], partials[head:]
         self._h11_pair = (h11, h11.differentiate(_unit_index(n, 0)))
@@ -405,11 +413,9 @@ class LagrangeSpace:
 
         Lyy = as_array(evaluate_fields(self._lyy_head, z))[self._lyy_idx]
         g = 0.5 * h11 * Lyy
-        if not np.isfinite(base(g)).all():
-            raise NonRegularError("non-finite metric entries", point=tuple(zb))
         g_inv = _regular_inverse(g, zb, "vertical Hessian metric is degenerate")
-        vals = as_array(evaluate_fields(self._rest, z))
-        Ly, Lx, Lty, Lxy, Ltyy, Lxyy, Lyyy = (vals[i] for i in self._rest_idx)
+        rest = as_array(evaluate_fields(self._rest, z))
+        Ly, Lx, Lty, Lxy = (rest[i] for i in self._spray_idx)
 
         # spray source term: B_k = L_{x^m y^k} y^m - L_{x^k} + L_{t y^k}
         #                        + L_{y^k} H + 2 h^inv H g_{kl} y^l
@@ -425,7 +431,7 @@ class LagrangeSpace:
         # raw Lagrangian partials, kept for the Euler-Lagrange assembly
         # (an algebraic route independent of the g-contracted spray)
         geo.Ly, geo.Lx, geo.Lty, geo.Lxy, geo.Lyy = Ly, Lx, Lty, Lxy, Lyy
-        geo.Ltyy, geo.Lxyy, geo.Lyyy = Ltyy, Lxyy, Lyyy
+        geo.rest = rest     # _connect reads L_tyy, L_xyy and L_yyy off it
         return geo
 
     # -- derivative bundles for torsion/curvature ----------------------------
@@ -472,15 +478,26 @@ def _non_finite(what: str, z) -> NonRegularError:
 
 
 def _regular_inverse(g, z: np.ndarray, what: str):
-    """Inverse of a metric block, or NonRegularError when the |det| of its
-    value is below DET_THRESHOLD relative to the block's scale."""
-    n, value = len(g), base(g)
+    """Inverse of a metric block, or NonRegularError when the block is not
+    finite, singular or conditioned beyond COND_LIMIT.  The condition
+    estimate (sum |g_ij|)(sum |g^ij|), of the values, is scale-free and at
+    least the 1-norm condition number; a non-finite entry makes it
+    non-finite.  The determinant is computed for the error only."""
+    value = base(g)
+    try:
+        g_inv = np.linalg.inv(g)
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    else:
+        cond = (sum(map(abs, value.ravel().tolist()))
+                * sum(map(abs, base(g_inv).ravel().tolist())))
+        if cond <= COND_LIMIT:
+            return g_inv
+    if not np.isfinite(value).all():
+        raise NonRegularError("non-finite metric entries", point=tuple(z))
     det = float(np.linalg.det(value))
-    scale = max(1.0, float(np.abs(value).max()))
-    if abs(det) < DET_THRESHOLD * scale**n:
-        raise NonRegularError(f"{what} (det = {det:.3e})",
-                              point=tuple(z), det=det)
-    return np.linalg.inv(g)
+    raise NonRegularError(f"{what} (cond ~ {cond:.1e}, det = {det:.3e})",
+                          point=tuple(z), det=det)
 
 
 def _christoffel(g_inv: np.ndarray, A: np.ndarray) -> np.ndarray:

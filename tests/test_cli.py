@@ -407,6 +407,31 @@ class TestCheck:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_well_conditioned_n6_metric_is_regular(self, tmp_path, seed,
+                                                   capsys):
+        # a bound on |det| that grew as max|g|^n called the gauge suite's
+        # chart-moved metric degenerate here (exit 3, det = 11.2 at seed 0)
+        n = 6
+        L = (" + ".join(f"(1 + 0.1*sin(x{i}))*y{i}^2" for i in range(1, n + 1))
+             + " + 0.05*(" + " + ".join(f"y{i}^2" for i in range(1, n + 1))
+             + ")^2 + x1*y2 + t*x4*y3")
+        ranges = "".join(f"{v}{i} = -1.0 1.0\n" for v in "xy"
+                         for i in range(1, n + 1))
+        cfg = write_cfg(tmp_path, f"""
+[problem]
+name = generic_n6
+n = {n}
+h11 = "1 + t/2"
+lagrangian = "{L}"
+
+[ranges]
+t = 0.1 0.9
+{ranges}""")
+        code = main(["check", "--config", cfg, "--points", "10",
+                     "--seed", str(seed)])
+        assert code == 0, capsys.readouterr().err
+
     def test_unwritable_out_exits_two(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.json"
         assert main(["check", "--config", "flat", "--points", "3",

@@ -186,6 +186,70 @@ class TestFundamentalMetric:
             sp.geometry_at(z)
 
 
+class TestRegularity:
+    """Regularity is the existence of g^-1, decided by one inversion and a
+    scale-free condition estimate."""
+
+    L4 = "(2 + sin(x1))*y1^2 + y2^2 + y3^2 + y4^2 + y1*y2"
+
+    def test_scaled_lagrangian_stays_regular(self):
+        # g = 1e-3 g0 has det ~ 1e-12, but it is as well conditioned as g0,
+        # and scaling L leaves the spray as it is
+        z = np.full(9, 0.3)
+        geo0 = LagrangeSpace(4, parse(self.L4, 4),
+                             parse("1", 4)).geometry_at(z)
+        geo = LagrangeSpace(4, parse(f"0.001*({self.L4})", 4),
+                            parse("1", 4)).geometry_at(z)
+        assert abs(np.linalg.det(geo.g)) < 1e-10
+        assert np.allclose(geo.g_inv @ geo.g, np.eye(4), atol=1e-12)
+        assert np.allclose(geo.Gspat, geo0.Gspat, rtol=1e-12, atol=1e-15)
+
+    def test_ill_conditioned_metric_raises(self):
+        z = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        LagrangeSpace(N, parse("y1^2 + 1e-9*y2^2", N),
+                      const_one()).geometry_at(z)       # cond ~ 1e9
+        sp = LagrangeSpace(N, parse("y1^2 + 1e-11*y2^2", N), const_one())
+        with pytest.raises(NonRegularError) as err:
+            sp.geometry_at(z)
+        assert "(cond ~ 1.0e+11, det = 1.000e-11)" in str(err.value)
+        assert err.value.det == pytest.approx(1e-11)
+        assert err.value.point == tuple(z)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_singular_metric_raises_no_linalg_error(self, dual):
+        # g = [[1, 1], [1, 1]] exactly: the inversion itself fails
+        sp = LagrangeSpace(N, parse("(y1 + y2)^2", N), const_one())
+        z = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        with pytest.raises(NonRegularError, match="cond ~ inf") as err:
+            sp.geometry_at(Dual(z, np.eye(5)) if dual else z)
+        assert err.value.det == 0.0
+        assert err.value.point == tuple(z)
+
+    def test_non_finite_entries_are_named(self):
+        z = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(NonRegularError,
+                           match="^non-finite metric entries$"):
+            geometry._regular_inverse(nan, z, "degenerate")
+        # h11 L_yy overflows to inf
+        sp = LagrangeSpace(N, parse("1e200*(y1^2 + y2^2)", N),
+                           parse("1e200", N))
+        with np.errstate(over="ignore"), pytest.raises(
+                NonRegularError, match="^non-finite metric entries$"):
+            sp.geometry_at(z)
+
+    @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
+    def test_one_inversion_and_no_determinant_per_build(self, monkeypatch,
+                                                         name):
+        cfg = load_config(name)
+        inv = count_calls(monkeypatch, np.linalg.inv, np.linalg)
+        det = count_calls(monkeypatch, np.linalg.det, np.linalg)
+        for z in sample_points(cfg.space, cfg.ranges, 3, seed=5):
+            before = len(inv)
+            cfg.space._compute_geo(z)
+            assert (len(inv) - before, len(det)) == (1, 0)
+
+
 class TestMetricSignature:
     def test_flat_positive(self):
         g = flat_space().geometry_at(GEN_Z).g
@@ -899,6 +963,8 @@ class TestConnectionLevel:
         sp = load_config("sphere_l1").space
         christoffel = count_calls(monkeypatch, geometry._christoffel,
                                   geometry)
+        connects = count_calls(monkeypatch, geometry._Geo._connect,
+                               geometry._Geo)
         curve = integrate_harmonic(sp, [np.pi / 2, 0.0], [0.0, 1.0],
                                    0.0, 0.2, 0.01)
         assert len(curve) == 21
@@ -907,9 +973,10 @@ class TestConnectionLevel:
         sp.geometry_at(z + 0.01)
         el_acceleration(sp, z + 0.02)
         el_residual(sp, curve)
-        assert christoffel == []
+        assert christoffel == connects == []
 
-    @pytest.mark.parametrize("attr", ["N", "cartan", "dg_y"])
+    @pytest.mark.parametrize("attr", ["N", "cartan", "dg_y", "Ltyy", "Lxyy",
+                                      "Lyyy"])
     def test_first_read_builds_the_level_once(self, monkeypatch, attr):
         sp = load_config("electrodynamics_l2").space
         geo = sp.geometry_at([0.3, 0.2, -0.4, 0.7, 0.5])
@@ -937,13 +1004,13 @@ class TestConnectionLevel:
             for z in zs:
                 z = expr._point_array(z, sp.n)
                 seen = set()
-                for first in ("N", "cartan", "dg_t"):
+                for first in ("N", "cartan", "dg_t", "Lyyy"):
                     geo = sp._compute_geo(z)      # a fresh, uncached bundle
                     getattr(geo, first)
                     c = geo.cartan
                     seen.add(tuple(a.tobytes() for a in (
                         geo.N, c.Gt, c.L, c.C, geo.dg_t, geo.dg_x,
-                        geo.dg_y)))
+                        geo.dg_y, geo.Ltyy, geo.Lxyy, geo.Lyyy)))
                 assert len(seen) == 1
 
     def test_reusing_the_point_array_leaves_the_level(self):
@@ -952,8 +1019,10 @@ class TestConnectionLevel:
         z[1 + N:] = [2.0, -3.0]         # the caller moves to its next point
         assert np.array_equal(geo.N, sphere_space()._compute_geo(SPHERE_Z).N)
 
-    @pytest.mark.parametrize("order", [("curvature", "torsion", "jets", "N"),
-                                       ("N", "jets", "torsion", "curvature")])
+    @pytest.mark.parametrize("order", [
+        ("curvature", "torsion", "jets", "N", "Ltyy", "Lxyy", "Lyyy"),
+        ("N", "jets", "torsion", "curvature", "Lyyy", "Lxyy", "Ltyy"),
+        ("Lyyy", "curvature", "Ltyy", "torsion", "jets", "N", "Lxyy")])
     def test_each_lazy_level_is_built_once_per_geometry(self, monkeypatch,
                                                         order):
         # the float geometry and the dual one its jets read: each builder
