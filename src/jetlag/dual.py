@@ -1,23 +1,37 @@
 """Forward-mode dual numbers over numpy arrays.
 
-A :class:`Dual` holds a value and a tangent: ``tan`` has a leading axis
-over the seeded directions, then the value's shape, so ``tan[i]`` is the
-derivative of the value along direction i.  ``dtensor.adapted_gradient``
-seeds a point with the identity tangent, calls its point function once and
-reads the tangents off what it returns (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., SIAM 2008).
+A :class:`Dual` is one float array, ``stack``, whose leading ``depth``
+axes are jet axes, outermost level first, and whose other axes are the
+value's shape.  Along a jet axis, index 0 is the value part of that level
+and 1..k are its k seeded directions.  So at depth 1 ``stack[0]`` is the
+value and ``stack[1 + i]`` its derivative along direction i; at depth 2
+``stack[0, 0]`` is the value, ``stack[1 + i, 0]`` and ``stack[0, 1 + j]``
+its first derivatives along the outer and the inner directions, and
+``stack[1 + i, 1 + j]`` the second derivative.  ``val`` and ``tan`` are
+read-only views of the stack: the value part, and the tangent, with the
+outer direction axis first and then the value's shape, each a Dual one
+level shallower when nested.  ``dtensor.adapted_gradient`` seeds a point
+as ``Dual(z, eye)``, calls its point function once and reads the tangents
+off what it returns (Griewank & Walther, *Evaluating Derivatives*, 2nd
+ed., SIAM 2008).
 
-Duals nest: the value and tangent of a Dual may be Duals themselves, so a
-dual of duals carries second derivatives.  Each Dual has a depth, one more
-than the deepest of its parts; in an operation, the operands of the
-highest depth are differentiated and any shallower operand is a constant
-at that level.
+Each operation works on the stacks: a sum, a scaling, indexing,
+``reshape``, ``transpose`` and ``copy`` are one numpy call each; a product
+(``*``, ``/``, ``@``, ``linalg.inv``) applies its rule level by level, each
+jet axis of an outer level acting as a batch axis of the inner ones.  The
+operands of an operation with the highest depth are differentiated; a
+plain array is a constant, and a shallower Dual is a constant at the
+outer levels it lacks (its derivatives there are zero).  Every value part
+comes from the operation that computes it without the Dual, elementwise or
+as one matrix of a batched matmul, so it has the same bits; an ``einsum``
+takes its value part and each operand's tangent term in separate calls,
+since an einsum with an extra axis may sum in another order.
 
 The dual-transparency contract: a function differentiated this way must
 build its arrays from the point it is given using only arithmetic
-(+, -, *, /, @), indexing, ``reshape``, ``transpose``, ``swapaxes``,
-``copy`` and ``.T``, and the numpy functions ``einsum``, ``transpose``,
-``swapaxes`` and ``linalg.inv``.  ``float()``, ``np.array([...])`` of
+(+, -, *, /, @), indexing, ``reshape``, ``transpose``, ``copy`` and
+``.T``, and the numpy functions ``einsum``, ``transpose``, ``swapaxes``
+and ``linalg.inv``.  ``float()``, ``np.array([...])`` of
 entries and ``math`` functions would drop the tangent, so they raise a
 TypeError that names this contract, as ``**`` and any other numpy
 function do; a ufunc (``np.sin``) raises numpy's own TypeError.  Only
@@ -30,6 +44,14 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+
+try:
+    # what np.einsum runs (its default is optimize=False), without the
+    # Python wrapper and dispatch that cost as much as the contraction on
+    # arrays of a few entries
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:     # numpy 1.x
+    _c_einsum = np.einsum
 
 __all__ = ["Dual", "CONTRACT", "depth", "base", "as_array", "scalar"]
 
@@ -46,9 +68,7 @@ def depth(x) -> int:
 
 def base(x):
     """The innermost value of x (x itself when it is not a Dual)."""
-    while isinstance(x, Dual):
-        x = x.val
-    return x
+    return x.stack[(0,) * x.depth] if isinstance(x, Dual) else x
 
 
 _FLOAT = np.dtype(float)
@@ -72,181 +92,311 @@ def _refuse(*args, **kwargs):
     raise TypeError(CONTRACT)
 
 
-def _shape(x) -> tuple:
-    return getattr(x, "shape", ())
+_ALL = slice(None)
 
 
-def _split(x, level: int):
-    """(value, tangent) of x at this depth; the tangent is None for an
-    operand that is constant there."""
-    if isinstance(x, Dual) and x.depth == level:
-        return x.val, x.tan
-    return x, None
+def _wrap(stack, level: int) -> "Dual":
+    """The Dual of depth level over stack; the one constructor of the
+    operations."""
+    x = object.__new__(Dual)
+    x.stack = stack
+    x.depth = level
+    return x
 
 
-def _lift(t, ndim: int):
-    """Tangent t with singleton axes after its leading one, so that it
-    broadcasts against a value of ndim axes."""
-    extra = ndim + 1 - t.ndim
+def _promote(x, level: int, jets: tuple) -> np.ndarray:
+    """The stack of x, a Dual or a plain value, at this level: the outer
+    jet axes it lacks (of extents jets) hold it as their value part and
+    zeros as its derivatives."""
+    d = depth(x)
+    a = x.stack if d else np.asarray(x, dtype=float)
+    if d == level:
+        return a
+    out = np.zeros(jets[:level - d] + a.shape)
+    out[(0,) * (level - d)] = a
+    return out
+
+
+def _lift(stack, level: int, nd: int):
+    """stack with singleton value axes after its jet axes, so that it
+    broadcasts against a value of nd axes."""
+    extra = nd + level - stack.ndim
     if extra <= 0:
-        return t
-    return t.reshape((t.shape[0],) + (1,) * extra + t.shape[1:])
+        return stack
+    return stack.reshape(stack.shape[:level] + (1,) * extra
+                         + stack.shape[level:])
 
 
-def _broadcast(x, shape: tuple):
-    """x, an array or a Dual, broadcast to shape."""
-    if x.shape == shape:
-        return x
-    if isinstance(x, Dual):
-        return Dual(_broadcast(x.val, shape),
-                    _broadcast(x.tan, x.tan.shape[:1] + shape), x.depth)
-    return np.broadcast_to(x, shape)
+def _ndim(c) -> int:
+    """The number of axes of a plain operand (np.ndim is slow on floats)."""
+    return 0 if type(c) is float else np.ndim(c)
 
 
-def _add(x, y, sign: float):
-    if type(x) is Dual and type(y) is Dual and x.depth == y.depth \
-            and x.shape == y.shape:
-        # the direct route: both differentiated, nothing to broadcast
-        if sign > 0:
-            return Dual(x.val + y.val, x.tan + y.tan, x.depth)
-        return Dual(x.val - y.val, x.tan - y.tan, x.depth)
-    level = max(depth(x), depth(y))
-    xv, xt = _split(x, level)
-    yv, yt = _split(y, level)
-    val = xv + yv if sign > 0 else xv - yv
-    nd = len(_shape(val))
-    if yt is not None:
-        yt = _lift(yt, nd) if sign > 0 else -_lift(yt, nd)
-    if xt is None:
-        tan = yt
-    elif yt is None:
-        tan = _lift(xt, nd)
+def _common(x, y):
+    """x and y with a shallower Dual promoted to the other's depth, and
+    that depth."""
+    dx, dy = depth(x), depth(y)
+    if dx and dy and dx != dy:
+        level = max(dx, dy)
+        jets = (x if dx > dy else y).stack.shape[:level]
+        if dx < dy:
+            x = _wrap(_promote(x, level, jets), level)
+        else:
+            y = _wrap(_promote(y, level, jets), level)
+    return x, y, max(dx, dy)
+
+
+def _align(x, y):
+    """The stacks of two Duals of one depth, lifted to one value rank."""
+    xs, ys, d = x.stack, y.stack, x.depth
+    if xs.ndim < ys.ndim:
+        xs = _lift(xs, d, ys.ndim - d)
+    elif ys.ndim < xs.ndim:
+        ys = _lift(ys, d, xs.ndim - d)
+    return xs, ys
+
+
+@functools.lru_cache(maxsize=None)
+def _slices(level: int, top: int) -> tuple:
+    """The indices of the value slot and of the tangent slots of jet axis
+    level of a stack with top jet axes.  The value slot keeps its axis, as
+    the batch axes of the levels below need; at depth 1 it drops it, so
+    that a scalar's value is a numpy scalar."""
+    if top == 1:
+        return 0, slice(1, None)
+    head = (_ALL,) * level
+    return head + (slice(0, 1),), head + (slice(1, None),)
+
+
+def _rule(op, x, y, level: int, top: int):
+    """The bilinear op (multiply or matmul) of the stacks x and y by the
+    product rule over their jet axes level..top-1; the axes before level
+    are batch axes.  Per level, one call gives the value and the first
+    operand's tangent, and the second operand's tangent is added."""
+    if level == top:
+        return op(x, y)
+    value, tangent = _slices(level, top)
+    if level + 1 == top:
+        out = op(x, y[value])
+        tan = out[tangent]
+        tan += op(x[value], y[tangent])
+        return out
+    out = _rule(op, x, y[value], level + 1, top)
+    tan = out[tangent]
+    tan += _rule(op, x[value], y[tangent], level + 1, top)
+    return out
+
+
+def _quotient(x, y, level: int, top: int):
+    """x / y of the stacks by the quotient rule: the derivative of x / y
+    is dx / y - (x / y) dy / y."""
+    if level == top:
+        return x / y
+    value, tangent = _slices(level, top)
+    y0 = y[value]
+    out = _quotient(x, y0, level + 1, top)
+    tan = out[tangent]
+    tan -= _quotient(_rule(np.multiply, out[value], y[tangent], level + 1,
+                           top), y0, level + 1, top)
+    return out
+
+
+def _reciprocal(c, y, level: int, top: int):
+    """c / y for a constant c and the stack y: the derivative is
+    -(c / y) dy / y.  The rule runs over the whole stack, and the value
+    slot it fills is then overwritten."""
+    if level == top:
+        return c / y
+    value = _slices(level, top)[0]
+    y0 = y[value]
+    val = _reciprocal(c, y0, level + 1, top)
+    out = _quotient(_rule(np.multiply, val, y, level + 1, top), y0,
+                    level + 1, top)
+    np.negative(out, out=out)
+    out[value] = val
+    return out
+
+
+def _inverse(a, level: int, top: int):
+    """The matrix inverse of the stack a: the derivative of A^-1 is
+    -A^-1 dA A^-1, taken over the whole stack as in _reciprocal."""
+    if level == top:
+        return np.linalg.inv(a)
+    value = _slices(level, top)[0]
+    inv = _inverse(a[value], level + 1, top)
+    out = _rule(np.matmul, _rule(np.matmul, inv, a, level + 1, top), inv,
+                level + 1, top)
+    np.negative(out, out=out)
+    out[value] = inv
+    return out
+
+
+def _add(x, y, sign: float = 1.0):
+    if type(x) is not Dual or type(y) is not Dual or x.depth != y.depth:
+        x, y, level = _common(x, y)
+        if type(x) is not Dual or type(y) is not Dual:
+            return _add_constant(x, y, sign, level)
+    xs, ys = x.stack, y.stack
+    if xs.ndim != ys.ndim:
+        xs, ys = _align(x, y)
+    return _wrap(xs + ys if sign > 0 else xs - ys, x.depth)
+
+
+def _add_constant(x, y, sign: float, level: int):
+    """x + y or x - y where one operand is plain: it adds to the value
+    part only."""
+    dual, const = (x, y) if type(x) is Dual else (y, x)
+    s = dual.stack
+    shape = () if type(const) is float else np.shape(const)
+    if shape and (len(shape) > s.ndim - level
+                  or shape != s.shape[s.ndim - len(shape):]):
+        # the constant widens the value: broadcast the stack first
+        shape = np.broadcast_shapes(shape, s.shape[level:])
+        s = np.broadcast_to(_lift(s, level, len(shape)),
+                            s.shape[:level] + shape)
+    out = -s if sign < 0 and dual is y else s.copy()
+    # c - x is c + (-x) in floating point, bit for bit
+    value = out[(0,) * level + (...,)]
+    if sign < 0 and dual is x:
+        value -= const
     else:
-        tan = _lift(xt, nd) + yt
-    return Dual(val, _broadcast(tan, tan.shape[:1] + _shape(val)), level)
+        value += const
+    return _wrap(out, level)
 
 
 def _mul(x, y):
+    if type(x) is Dual and type(y) is Dual and x.depth == y.depth:
+        xs, ys = _align(x, y)
+        return _wrap(_rule(np.multiply, xs, ys, 0, x.depth), x.depth)
     # the direct route for a Python float scaling a Dual
     if type(x) is float:
-        return Dual(x * y.val, x * y.tan, y.depth)
+        return _wrap(x * y.stack, y.depth)
     if type(y) is float:
-        return Dual(x.val * y, x.tan * y, x.depth)
-    level = max(depth(x), depth(y))
-    xv, xt = _split(x, level)
-    yv, yt = _split(y, level)
-    val = xv * yv
-    nd = len(_shape(val))
-    tan = None if xt is None else _lift(xt, nd) * yv
-    if yt is not None:
-        term = xv * _lift(yt, nd)
-        tan = term if tan is None else tan + term
-    return Dual(val, tan, level)
+        return _wrap(x.stack * y, x.depth)
+    x, y, level = _common(x, y)
+    if type(x) is not Dual:
+        return _wrap(x * _lift(y.stack, level, _ndim(x)), level)
+    if type(y) is not Dual:
+        return _wrap(_lift(x.stack, level, _ndim(y)) * y, level)
+    return _mul(x, y)
 
 
 def _div(x, y):
-    level = max(depth(x), depth(y))
-    xv, xt = _split(x, level)
-    yv, yt = _split(y, level)
-    val = xv / yv
-    nd = len(_shape(val))
-    tan = None if xt is None else _lift(xt, nd) / yv
-    if yt is not None:
-        term = (val * _lift(yt, nd)) / yv
-        tan = -term if tan is None else tan - term
-    return Dual(val, tan, level)
+    x, y, level = _common(x, y)
+    if type(y) is not Dual:
+        return _wrap(_lift(x.stack, level, _ndim(y)) / y, level)
+    if type(x) is not Dual:
+        return _wrap(_reciprocal(x, _lift(y.stack, level, _ndim(x)),
+                                 0, level), level)
+    xs, ys = _align(x, y)
+    return _wrap(_quotient(xs, ys, 0, level), level)
 
 
 def _matmul(x, y):
-    level = max(depth(x), depth(y))
-    xv, xt = _split(x, level)
-    yv, yt = _split(y, level)
-    val = xv @ yv
-    # the tangents take a vector operand as a one-row or one-column matrix,
-    # so that the leading tangent axis batches like any other
-    vx, vy = len(_shape(xv)) == 1, len(_shape(yv)) == 1
+    x, y, level = _common(x, y)
+    xs = x.stack if type(x) is Dual else x
+    ys = y.stack if type(y) is Dual else y
+    nx = _ndim(x) if xs is x else x.ndim
+    ny = _ndim(y) if ys is y else y.ndim
+    # a vector operand is a one-row or one-column matrix, so that the jet
+    # axes batch like any other
+    vx, vy = nx == 1, ny == 1
     if vx:
-        xv, xt = xv[None], (None if xt is None else xt[:, None])
+        xs, nx = xs[..., None, :], 2
     if vy:
-        yv, yt = yv[:, None], (None if yt is None else yt[..., None])
-    nd = max(len(_shape(xv)), len(_shape(yv)))
-    tan = None if xt is None else _lift(xt, nd) @ yv
-    if yt is not None:
-        term = xv @ _lift(yt, nd)
-        tan = term if tan is None else tan + term
+        ys, ny = ys[..., None], 2
+    if xs is not x:
+        xs = _lift(xs, level, ny)
+    if ys is not y:
+        ys = _lift(ys, level, nx)
+    if type(x) is Dual and type(y) is Dual:
+        out = _rule(np.matmul, xs, ys, 0, level)
+    else:
+        out = xs @ ys
     if vx:
-        tan = tan[..., 0, :]
+        out = out[..., 0, :]
     if vy:
-        tan = tan[..., 0]
-    return Dual(val, tan, level)
+        out = out[..., 0]
+    return _wrap(out, level)
 
 
 class Dual:
-    """A value with a tangent of shape (k,) + value shape; see the module
-    docstring for the operations it supports."""
+    """One array of jet axes, then the value's shape; see the module
+    docstring for the layout and the operations it supports."""
 
-    __slots__ = ("val", "tan", "depth")
+    __slots__ = ("stack", "depth")
     # numpy defers every binary operator to the Dual's reflected method
     __array_ufunc__ = None
 
-    def __init__(self, val, tan, level=None):
-        self.val = val
-        self.tan = tan
-        # an operation passes the depth it already knows
-        self.depth = 1 + max(depth(val), depth(tan)) if level is None \
-            else level
+    def __init__(self, val, tan):
+        """The Dual with value part val and tangent tan, whose leading axis
+        runs over the seeded directions; either may be a Dual, and a part
+        shallower than the other has zero derivatives at the levels it
+        lacks."""
+        inner = max(depth(val), depth(tan))
+        if inner:
+            jets = (val if depth(val) == inner else tan).stack.shape
+            val = _wrap(_promote(val, inner, jets), inner)
+            tan = _wrap(_promote(tan, inner, jets), inner)
+        self.stack = _join(val, tan, inner + 1)
+        self.depth = inner + 1
 
     # -- array protocol ------------------------------------------------------
 
     @property
     def shape(self) -> tuple:
-        return _shape(self.val)
+        return self.stack.shape[self.depth:]
 
     @property
     def ndim(self) -> int:
-        return len(self.shape)
+        return self.stack.ndim - self.depth
+
+    @property
+    def val(self):
+        """The value part: a read-only view of the stack."""
+        return _read_only(self.stack[0, ...], self.depth - 1)
+
+    @property
+    def tan(self):
+        """The tangent, seeded directions first: a read-only view of the
+        stack."""
+        return _read_only(_move(self.stack[1:], 0, self.depth - 1),
+                          self.depth - 1)
 
     def __len__(self):
-        return len(self.val)
+        return len(base(self))
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
     def __getitem__(self, key):
         key = key if isinstance(key, tuple) else (key,)
-        return Dual(self.val[key], self.tan[(slice(None),) + key],
-                    self.depth)
+        return _wrap(self.stack[(_ALL,) * self.depth + key], self.depth)
 
     def reshape(self, *shape):
         shape = shape[0] if len(shape) == 1 else shape
-        val = self.val.reshape(shape)
-        return Dual(val, self.tan.reshape((self.tan.shape[0],) + _shape(val)),
-                    self.depth)
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
+        return _wrap(self.stack.reshape(self.stack.shape[:self.depth]
+                                        + shape), self.depth)
 
     def transpose(self, *axes):
         axes = axes[0] if len(axes) == 1 else axes
-        nd = self.ndim
-        axes = tuple(reversed(range(nd))) if axes in (None, ()) \
-            else tuple(a % nd for a in axes)
-        return Dual(self.val.transpose(axes),
-                    self.tan.transpose((0,) + tuple(a + 1 for a in axes)),
-                    self.depth)
+        nd, d = self.ndim, self.depth
+        axes = reversed(range(nd)) if axes in (None, ()) \
+            else (a % nd for a in axes)
+        return _wrap(self.stack.transpose((*range(d), *(a + d for a in axes))),
+                     d)
 
     @property
     def T(self):
         return self.transpose()
 
-    def swapaxes(self, a, b):
-        nd = self.ndim
-        return Dual(self.val.swapaxes(a, b),
-                    self.tan.swapaxes(a % nd + 1, b % nd + 1), self.depth)
-
     def copy(self):
-        return Dual(self.val.copy(), self.tan.copy(), self.depth)
+        return _wrap(self.stack.copy(), self.depth)
 
     def tobytes(self) -> bytes:
-        """The bytes of every leaf, value first: a cache key."""
-        return self.val.tobytes() + self.tan.tobytes()
+        """The bytes of the stack: a cache key."""
+        return self.stack.tobytes()
 
     def __array__(self, dtype=None, copy=None):
         # only an explicit request for a dtype converts, to the base value
@@ -269,8 +419,7 @@ class Dual:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def __add__(self, other):
-        return _add(self, other, 1.0)
+    __add__ = _add
 
     def __radd__(self, other):
         return _add(other, self, 1.0)
@@ -281,26 +430,58 @@ class Dual:
     def __rsub__(self, other):
         return _add(other, self, -1.0)
 
-    def __mul__(self, other):
-        return _mul(self, other)
+    __mul__ = _mul
 
     def __rmul__(self, other):
         return _mul(other, self)
 
-    def __truediv__(self, other):
-        return _div(self, other)
+    __truediv__ = _div
 
     def __rtruediv__(self, other):
         return _div(other, self)
 
-    def __matmul__(self, other):
-        return _matmul(self, other)
+    __matmul__ = _matmul
 
     def __rmatmul__(self, other):
         return _matmul(other, self)
 
     def __neg__(self):
-        return Dual(-self.val, -self.tan, self.depth)
+        return _wrap(-self.stack, self.depth)
+
+
+def _move(a: np.ndarray, source: int, target: int) -> np.ndarray:
+    """a with its axis source moved to target (a view)."""
+    if source == target:
+        return a
+    axes = list(range(a.ndim))
+    axes.insert(target, axes.pop(source))
+    return a.transpose(axes)
+
+
+def _join(val, tan, level: int) -> np.ndarray:
+    """The stack of the given level with value part val and tangent tan,
+    arrays at level 1 and Duals one level shallower above it."""
+    if level > 1:
+        val, tan = val.stack, _move(tan.stack, level - 1, 0)
+    stack = np.empty((1 + len(tan),) + np.shape(val))
+    stack[0] = val
+    stack[1:] = tan
+    return stack
+
+
+def _parts(stack: np.ndarray, level: int) -> tuple:
+    """(value part, tangent) of a stack of this level, as the arrays or
+    Duals one level shallower that ``val`` and ``tan`` return."""
+    if level == 1:
+        return stack[0, ...], stack[1:]
+    return (_wrap(stack[0], level - 1),
+            _wrap(_move(stack[1:], 0, level - 1), level - 1))
+
+
+def _read_only(view: np.ndarray, level: int):
+    """view, made read-only, as an array or a Dual of this level."""
+    view.setflags(write=False)
+    return _wrap(view, level) if level else view
 
 
 # -- the numpy functions a Dual supports --------------------------------------
@@ -319,30 +500,42 @@ def _tangent_subscripts(subscripts: str) -> tuple:
 
 
 def _einsum(subscripts, *operands):
+    """The value part and each operand's tangent term as separate einsums:
+    an einsum with an extra axis may sum in another order."""
     level = max(depth(op) for op in operands)
-    parts = [_split(op, level) for op in operands]
-    vals = [v for v, _ in parts]
+    if level > 1:
+        jets = next(op.stack.shape for op in operands if depth(op) == level)
+        operands = [_wrap(_promote(op, level, jets), level)
+                    if type(op) is Dual else op for op in operands]
+    # a nested operand's parts are Duals, one level shallower
+    einsum = _einsum if level > 1 else _c_einsum
+    parts = [_parts(op.stack, level) if type(op) is Dual else None
+             for op in operands]
+    vals = [op if p is None else p[0] for op, p in zip(operands, parts)]
     tan = None
-    for i, ((_, t), spec) in enumerate(zip(parts,
-                                           _tangent_subscripts(subscripts))):
-        if t is None:
-            continue
-        term = np.einsum(spec, *vals[:i], t, *vals[i + 1:])
-        tan = term if tan is None else tan + term
-    return Dual(np.einsum(subscripts, *vals), tan, level)
+    for i, (p, spec) in enumerate(zip(parts,
+                                      _tangent_subscripts(subscripts))):
+        if p is not None:
+            term = einsum(spec, *vals[:i], p[1], *vals[i + 1:])
+            if tan is None:
+                tan = term
+            else:
+                tan += term
+    return _wrap(_join(einsum(subscripts, *vals), tan, level), level)
+
+
+def _swapaxes(a, axis1, axis2):
+    nd, d = a.ndim, a.depth
+    return _wrap(a.stack.swapaxes(axis1 % nd + d, axis2 % nd + d), d)
 
 
 def _inv(a):
-    # d(A^-1) = -A^-1 dA A^-1
-    level = depth(a)
-    av, at = _split(a, level)
-    inv = np.linalg.inv(av)
-    return Dual(inv, -(inv @ at @ inv), level)
+    return _wrap(_inverse(a.stack, 0, a.depth), a.depth)
 
 
 _FUNCTIONS = {
     np.einsum: _einsum,
     np.transpose: lambda a, axes=None: a.transpose(axes),
-    np.swapaxes: lambda a, axis1, axis2: a.swapaxes(axis1, axis2),
+    np.swapaxes: _swapaxes,
     np.linalg.inv: _inv,
 }

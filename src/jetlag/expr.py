@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.dual import _FLOAT, Dual, base
+from jetlag.dual import _FLOAT, Dual, _wrap, base
 
 __all__ = [
     "JetPoint",
@@ -818,20 +818,29 @@ def evaluate_fields(fields, point) -> tuple:
 
 
 def _taylor_values(table: _DerivTable, offsets, point: Dual) -> Dual:
-    fn, values, orders = table.taylor_plan(offsets, point.depth)
+    level = point.depth
+    fn, values, orders = table.taylor_plan(offsets, level)
     z = base(point)
     n, zl = table.n, z.tolist()
     try:
-        partials = np.array(fn(zl[0], zl[1:n + 1], zl[n + 1:]))
+        partials = np.fromiter(fn(zl[0], zl[1:n + 1], zl[n + 1:]), float)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise _domain_error(fn, exc, n) from None
-    delta = point - z
-    out = partials[values]
-    mono = None
+    # the perturbation point - z: the point's stack with a zero value part
+    v = (0,) * level
+    delta = point.copy()
+    delta.stack[v] -= z
+    out = mono = None
     for idx, weight, prefix, var in orders:
         mono = delta[var] if mono is None else mono[prefix] * delta[var]
-        out = out + (partials[idx] * weight) @ mono
-    return out
+        # every jet slot of the monomials in one matmul, a column each
+        term = ((partials[idx] * weight) @ mono.stack[..., None])[..., 0]
+        if out is None:
+            out = term
+            out[v] += partials[values]
+        else:
+            out += term
+    return _wrap(out, level)
 
 
 def _domain_error(fn, exc: Exception, n: int) -> EvalDomainError:

@@ -10,18 +10,26 @@ so a name that only tests call, or that only its module's ``__all__``
 lists, fails here: it belongs in ``tests/helpers.py`` or nowhere.  The
 same holds one level down: every public method, property or classmethod
 of such a class must be read as an attribute in those places (a word in
-a string does not count there).  One point normaliser: only the modules
-that need it import ``expr._point_array``.
+a string does not count there).  The name rule cannot tell a method of
+``Dual`` from the ndarray method of the same name, so every public member
+of ``Dual`` and every numpy function it implements must also be called by
+the engine at run time.  One point normaliser: only the modules that need
+it import ``expr._point_array``.
 """
 
 import ast
 import importlib
 import inspect
 import re
+import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import jetlag
+from jetlag import checks, cli, dual
+from jetlag.dual import Dual
 
 PACKAGE = Path(jetlag.__file__).parent
 REPO = PACKAGE.parent.parent
@@ -89,6 +97,46 @@ def test_every_public_method_of_a_public_class_has_a_caller():
                                              classmethod, staticmethod))
                      and attr not in used})
     assert unused == [], f"public but never used: {', '.join(unused)}"
+
+
+def test_every_public_member_of_dual_has_an_engine_caller(monkeypatch):
+    # a method or property counts when code outside jetlag.dual calls it; a
+    # numpy function when code outside jetlag.dual calls numpy with a Dual
+    # (the frame above Dual.__array_function__, as numpy's dispatch has
+    # none of its own)
+    called = set()
+
+    def note(name, frames_up):
+        if sys._getframe(frames_up).f_code.co_filename != dual.__file__:
+            called.add(name)
+
+    def counted(name, fn, frames_up):
+        def wrapper(*args, **kwargs):
+            note(name, frames_up)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    members = {name: member for name, member in vars(Dual).items()
+               if not name.startswith("_")
+               and isinstance(member, (types.FunctionType, property))}
+    for name, member in members.items():
+        if isinstance(member, property):
+            member = property(counted(name, member.fget, 2))
+        else:
+            member = counted(name, member, 2)
+        monkeypatch.setattr(Dual, name, member)
+    functions = {f"numpy.{func.__name__}": func for func in dual._FUNCTIONS}
+    for name, func in functions.items():
+        monkeypatch.setitem(dual._FUNCTIONS, func,
+                            counted(name, dual._FUNCTIONS[func], 3))
+
+    cfg = cli.load_config("electrodynamics_l2")
+    lo, hi = cfg.ranges[:, 0], cfg.ranges[:, 1]
+    points = lo + (hi - lo) * np.random.default_rng(0).random((4, len(lo)))
+    checks.run_checks(cfg.space, points)
+    cli.point_record(cfg.space, points[0])
+    unused = sorted((set(members) | set(functions)) - called)
+    assert unused == [], f"no engine caller: {', '.join(unused)}"
 
 
 def test_only_expr_geometry_and_dtensor_normalise_points():
