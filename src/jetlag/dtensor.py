@@ -30,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.dual import (CONTRACT, Dual, _c_einsum, as_array, base, depth,
-                         scalar)
+from jetlag.dual import CONTRACT, Dual, as_array, base, depth, scalar
 from jetlag.expr import JetPoint, ScalarField, _point_array
 
 __all__ = [
@@ -174,8 +173,6 @@ def adapted_gradient(fn, z, nl) -> list:
     """
     n = (len(z) - 1) // 2
     point = Dual(z, np.eye(len(z)))
-    # at a float z the corrections are einsums of plain arrays
-    einsum = np.einsum if isinstance(nl.M, Dual) else _c_einsum
     pairs = []
     for a in fn(point):
         if depth(a) != point.depth:
@@ -185,9 +182,9 @@ def adapted_gradient(fn, z, nl) -> list:
         g = a.tan
         d_y = g[n + 1:]
         flat = d_y.reshape(n, -1)
-        d_t = (g[0] - einsum("m,mk->k", nl.M, flat)
+        d_t = (g[0] - np.einsum("m,mk->k", nl.M, flat)
                .reshape(a.shape))[np.newaxis]
-        d_x = (g[1:n + 1] - einsum("mi,mk->ik", nl.N, flat)
+        d_x = (g[1:n + 1] - np.einsum("mi,mk->ik", nl.N, flat)
                .reshape(g[1:n + 1].shape))
         last = (*range(1, a.ndim + 1), 0)    # the derivative axis last
         pairs.append((a.val, [d.transpose(last) for d in (d_t, d_x, d_y)]))

@@ -176,11 +176,6 @@ def _rule(op, x, y, level: int, top: int):
     if level == top:
         return op(x, y)
     value, tangent = _slices(level, top)
-    if level + 1 == top:
-        out = op(x, y[value])
-        tan = out[tangent]
-        tan += op(x[value], y[tangent])
-        return out
     out = _rule(op, x, y[value], level + 1, top)
     tan = out[tangent]
     tan += _rule(op, x[value], y[tangent], level + 1, top)
@@ -305,9 +300,10 @@ def _matmul(x, y):
         xs, nx = xs[..., None, :], 2
     if vy:
         ys, ny = ys[..., None], 2
-    if xs is not x:
+    # only a stack has jet axes to keep clear of the other's value axes
+    if type(x) is Dual:
         xs = _lift(xs, level, ny)
-    if ys is not y:
+    if type(y) is Dual:
         ys = _lift(ys, level, nx)
     if type(x) is Dual and type(y) is Dual:
         out = _rule(np.matmul, xs, ys, 0, level)
@@ -329,16 +325,15 @@ class Dual:
     __array_ufunc__ = None
 
     def __init__(self, val, tan):
-        """The Dual with value part val and tangent tan, whose leading axis
-        runs over the seeded directions; either may be a Dual, and a part
-        shallower than the other has zero derivatives at the levels it
-        lacks."""
-        inner = max(depth(val), depth(tan))
-        if inner:
-            jets = (val if depth(val) == inner else tan).stack.shape
-            val = _wrap(_promote(val, inner, jets), inner)
-            tan = _wrap(_promote(tan, inner, jets), inner)
-        self.stack = _join(val, tan, inner + 1)
+        """The Dual with value part val and tangent tan, a plain array whose
+        leading axis runs over the seeded directions; when val is a Dual,
+        tan is a constant at its levels (its derivatives there are zero)."""
+        inner = depth(val)
+        stack = np.zeros((1 + len(tan),) + (val.stack.shape if inner
+                                            else np.shape(val)))
+        stack[0] = val.stack if inner else val
+        stack[(slice(1, None),) + (0,) * inner] = tan
+        self.stack = stack
         self.depth = inner + 1
 
     # -- array protocol ------------------------------------------------------
@@ -354,14 +349,13 @@ class Dual:
     @property
     def val(self):
         """The value part: a read-only view of the stack."""
-        return _read_only(self.stack[0, ...], self.depth - 1)
+        return _read_only(_part(self.stack, self.depth, False))
 
     @property
     def tan(self):
         """The tangent, seeded directions first: a read-only view of the
         stack."""
-        return _read_only(_move(self.stack[1:], 0, self.depth - 1),
-                          self.depth - 1)
+        return _read_only(_part(self.stack, self.depth, True))
 
     def __len__(self):
         return len(base(self))
@@ -469,19 +463,18 @@ def _join(val, tan, level: int) -> np.ndarray:
     return stack
 
 
-def _parts(stack: np.ndarray, level: int) -> tuple:
-    """(value part, tangent) of a stack of this level, as the arrays or
-    Duals one level shallower that ``val`` and ``tan`` return."""
-    if level == 1:
-        return stack[0, ...], stack[1:]
-    return (_wrap(stack[0], level - 1),
-            _wrap(_move(stack[1:], 0, level - 1), level - 1))
+def _part(stack: np.ndarray, level: int, tangent: bool):
+    """The value part or the tangent of a stack of this level, as ``val``
+    and ``tan`` return them: an array at level 1, a Dual one level
+    shallower above it."""
+    part = _move(stack[1:], 0, level - 1) if tangent else stack[0, ...]
+    return _wrap(part, level - 1) if level > 1 else part
 
 
-def _read_only(view: np.ndarray, level: int):
-    """view, made read-only, as an array or a Dual of this level."""
-    view.setflags(write=False)
-    return _wrap(view, level) if level else view
+def _read_only(part):
+    """part, an array or a Dual over a view of a stack, made read-only."""
+    (part.stack if type(part) is Dual else part).setflags(write=False)
+    return part
 
 
 # -- the numpy functions a Dual supports --------------------------------------
@@ -509,14 +502,14 @@ def _einsum(subscripts, *operands):
                     if type(op) is Dual else op for op in operands]
     # a nested operand's parts are Duals, one level shallower
     einsum = _einsum if level > 1 else _c_einsum
-    parts = [_parts(op.stack, level) if type(op) is Dual else None
-             for op in operands]
-    vals = [op if p is None else p[0] for op, p in zip(operands, parts)]
+    vals = [_part(op.stack, level, False) if type(op) is Dual else op
+            for op in operands]
     tan = None
-    for i, (p, spec) in enumerate(zip(parts,
-                                      _tangent_subscripts(subscripts))):
-        if p is not None:
-            term = einsum(spec, *vals[:i], p[1], *vals[i + 1:])
+    for i, (op, spec) in enumerate(zip(operands,
+                                       _tangent_subscripts(subscripts))):
+        if type(op) is Dual:
+            term = einsum(spec, *vals[:i], _part(op.stack, level, True),
+                          *vals[i + 1:])
             if tan is None:
                 tan = term
             else:

@@ -21,6 +21,7 @@ from jetlag.dual import Dual
 
 Z = np.array([0.3, -0.7, 0.5, 1.1])
 A0 = np.array([[1.5, 0.2], [-0.3, 0.9]])
+C = np.array([0.4, -1.2])
 EYE = np.eye(len(Z))
 
 CASES = {
@@ -32,6 +33,8 @@ CASES = {
     "vector times matrix": lambda q: q[2:4] @ (A0 + q[3]),
     "vector dot vector": lambda q: q[0:2] @ q[2:4],
     "constant matrix times vector": lambda q: A0 @ q[1:3] + q[0:2] @ A0,
+    "matrix times constant vector": lambda q: (A0 * q[0]) @ C + q[0:2] @ C,
+    "constant vector times matrix": lambda q: C @ (A0 * q[1]) + C @ q[2:4],
     "batched matmul": lambda q: (q[0:2][:, None, None] * A0) @ (A0 * q[2]),
     "quotient": lambda q: q[0:2] / (2.0 + q[2] * q[3]),
     "quotient by a constant": lambda q: (q[0:2] * q[3]) / A0,
@@ -237,4 +240,4 @@ def test_dual_work_counts_are_pinned(monkeypatch):
     assert len(made) == 94
     sp, z = fresh()
     fields.conservation_residuals(sp, z)
-    assert len(made) == 449
+    assert len(made) == 447
