@@ -238,24 +238,18 @@ def _add(x, y, sign: float = 1.0):
 
 
 def _add_constant(x, y, sign: float, level: int):
-    """x + y or x - y where one operand is plain: it adds to the value
-    part only."""
+    """x + y or x - y where one operand is plain: it moves the value part
+    only, which is computed as on floats."""
     dual, const = (x, y) if type(x) is Dual else (y, x)
-    s = dual.stack
-    shape = () if type(const) is float else np.shape(const)
-    if shape and (len(shape) > s.ndim - level
-                  or shape != s.shape[s.ndim - len(shape):]):
-        # the constant widens the value: broadcast the stack first
-        shape = np.broadcast_shapes(shape, s.shape[level:])
-        s = np.broadcast_to(_lift(s, level, len(shape)),
-                            s.shape[:level] + shape)
-    out = -s if sign < 0 and dual is y else s.copy()
-    # c - x is c + (-x) in floating point, bit for bit
-    value = out[(0,) * level + (...,)]
-    if sign < 0 and dual is x:
-        value -= const
+    s, v = dual.stack, dual.stack[(0,) * level]
+    if sign > 0:
+        value = v + const if dual is x else const + v
     else:
-        value += const
+        value = v - const if dual is x else const - v
+        s = s if dual is x else -s
+    out = np.empty(s.shape[:level] + np.shape(value))
+    out[...] = _lift(s, level, np.ndim(value))
+    out[(0,) * level] = value
     return _wrap(out, level)
 
 
@@ -457,10 +451,7 @@ def _join(val, tan, level: int) -> np.ndarray:
     arrays at level 1 and Duals one level shallower above it."""
     if level > 1:
         val, tan = val.stack, _move(tan.stack, level - 1, 0)
-    stack = np.empty((1 + len(tan),) + np.shape(val))
-    stack[0] = val
-    stack[1:] = tan
-    return stack
+    return np.concatenate((val[None], tan))
 
 
 def _part(stack: np.ndarray, level: int, tangent: bool):
