@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from jetlag.dual import CONTRACT, Dual, as_array, base, depth, scalar
-from jetlag.expr import JetPoint, ScalarField, _point_array
+from jetlag.expr import JetPoint, ScalarField, _point_array, evaluate_fields
 
 __all__ = [
     "SlotKind",
@@ -235,7 +235,8 @@ class ChartMap:
     derivative wherever the chart is used.  ``t_inverse``, when supplied,
     is tau^-1 written in the same DSL (as a function of its single time
     argument); it is only needed to re-express a Lagrange space in the new
-    chart, never for forward transformation of values.
+    chart, never for forward transformation of values.  The laws read
+    tau, tau' and tau'' through ``t_jet``, one fused evaluation.
     """
 
     t_map: ScalarField
@@ -260,65 +261,57 @@ class ChartMap:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "A_inv", np.linalg.inv(A))
+        # tau' leads the group, so that its domain error is the one raised
+        dt = (1,) + (0,) * (2 * self.t_map.n)
+        tprime = self.t_map.differentiate(dt)
+        object.__setattr__(self, "_t_fields", (tprime, self.t_map,
+                                               tprime.differentiate(dt)))
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
-    def _t_eval(self, f: ScalarField, t: float) -> float:
-        z = np.zeros(2 * f.n + 1)
+    def t_jet(self, t: float) -> tuple:
+        """(tau, tau', tau'') at t, from one fused evaluation; ChartError
+        where tau' is zero or not finite."""
+        z = np.zeros(2 * self.t_map.n + 1)
         z[0] = t
-        return f.evaluate(z)
-
-    def t_new(self, t: float) -> float:
-        return self._t_eval(self.t_map, t)
-
-    def tprime(self, t: float) -> float:
-        idx = (1,) + (0,) * (2 * self.t_map.n)
-        v = self._t_eval(self.t_map.differentiate(idx), t)
-        if v == 0.0 or not math.isfinite(v):
-            raise ChartError(f"dt~/dt = {v} at t = {t}")
-        return v
-
-    def tsecond(self, t: float) -> float:
-        idx = (2,) + (0,) * (2 * self.t_map.n)
-        return self._t_eval(self.t_map.differentiate(idx), t)
+        tp, tau, ts = evaluate_fields(self._t_fields, z)
+        if tp == 0.0 or not math.isfinite(tp):
+            raise ChartError(f"dt~/dt = {tp} at t = {t}")
+        return tau, tp, ts
 
 
 def transform_point(chart: ChartMap, point) -> JetPoint:
     n = chart.n
     z = _point_array(point, n)
-    t = float(z[0])
-    tp = chart.tprime(t)
+    tau, tp, _ = chart.t_jet(float(z[0]))
     x_new = chart.A @ z[1:n + 1] + chart.c
     y_new = (chart.A @ z[n + 1:]) / tp
-    return JetPoint(chart.t_new(t), tuple(x_new), tuple(y_new))
-
-
-def _inhomogeneous_terms(chart: ChartMap, point) -> tuple:
-    """(tau', tau'', A y) at the point, for the inhomogeneous laws."""
-    z = _point_array(point, chart.n)
-    t = float(z[0])
-    return chart.tprime(t), chart.tsecond(t), chart.A @ z[chart.n + 1:]
+    return JetPoint(tau, tuple(x_new), tuple(y_new))
 
 
 def transform_temporal_spray(H: np.ndarray, chart: ChartMap, point) -> np.ndarray:
     """Inhomogeneous law for the temporal spray coefficients H^k."""
-    tp, ts, Ay = _inhomogeneous_terms(chart, point)
+    z = _point_array(point, chart.n)
+    _, tp, ts = chart.t_jet(float(z[0]))
+    Ay = chart.A @ z[chart.n + 1:]
     return (chart.A @ np.asarray(H)) / tp**2 + Ay * ts / (2.0 * tp**3)
 
 
 def transform_spatial_spray(G: np.ndarray, chart: ChartMap, point) -> np.ndarray:
     """Law for the spatial spray coefficients G^k; affine spatial maps make
     the inhomogeneous term vanish, leaving the tensorial part."""
-    tp = chart.tprime(float(_point_array(point, chart.n)[0]))
+    _, tp, _ = chart.t_jet(float(_point_array(point, chart.n)[0]))
     return (chart.A @ np.asarray(G)) / tp**2
 
 
 def transform_nonlinear(nl: NonlinearConnectionValue, chart: ChartMap, point
                         ) -> NonlinearConnectionValue:
     """Laws for nonlinear connection coefficients (M^j, N^j_k)."""
-    tp, ts, Ay = _inhomogeneous_terms(chart, point)
+    z = _point_array(point, chart.n)
+    _, tp, ts = chart.t_jet(float(z[0]))
+    Ay = chart.A @ z[chart.n + 1:]
     M_new = (chart.A @ nl.M) / tp**2 + Ay * ts / tp**3
     N_new = (chart.A @ nl.N @ chart.A_inv) / tp
     return NonlinearConnectionValue(M_new, N_new)
@@ -337,7 +330,7 @@ def transform_tensor(components: np.ndarray, signature, chart: ChartMap,
     if arr.shape != _shape_for(signature, chart.n):
         raise ValueError(f"components shape {arr.shape} does not match "
                          f"the signature's {_shape_for(signature, chart.n)}")
-    tp = chart.tprime(float(_point_array(point, chart.n)[0]))
+    _, tp, _ = chart.t_jet(float(_point_array(point, chart.n)[0]))
     # family -> (up, down) slot rule: (matrix or None, power of tp)
     rules = {"time": ((None, 1), (None, -1)),
              "space": ((chart.A, 0), (chart.A_inv.T, 0)),

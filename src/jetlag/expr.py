@@ -631,7 +631,6 @@ class _DerivTable:
         self.n = n
         zero = (0,) * (2 * n + 1)
         self._asts: dict[tuple[int, ...], Node] = {zero: ast}
-        self._fns: dict[tuple[tuple[int, ...], ...], object] = {}
         self._plans: dict = {}
         self._fields = {zero: root}     # offset -> the one field at it
         self._groups: dict = {}         # tuple of fields -> [offsets, fn]
@@ -640,14 +639,14 @@ class _DerivTable:
         """The one field at an offset: a tuple of fields is a group's key."""
         f = self._fields.get(offset)
         if f is None:
-            f = self._fields[offset] = ScalarField(None, self.n, _table=self,
-                                                   _offset=offset)
+            f = self._fields[offset] = object.__new__(ScalarField)
+            f._table, f._offset = self, offset
         return f
 
     def group(self, fields: tuple) -> list:
-        """[offsets, fused float function] of a tuple of this table's
-        fields; the function is compiled on the group's first float
-        evaluation, as a dual point reads a Taylor plan's instead."""
+        """[offsets, fused function] of a tuple of this table's fields, the
+        one owner of compiled code; the function is compiled on the group's
+        first evaluation (see ``values``)."""
         group = self._groups.get(fields)
         if group is None:
             offsets = tuple([f._offset for f in fields if f._table is self])
@@ -669,21 +668,30 @@ class _DerivTable:
             raise ExprError("expression nested too deeply to differentiate") from None
         return self._asts.setdefault(idx, node)
 
-    def fn_for(self, offsets: tuple[tuple[int, ...], ...]):
-        """The fused compiled function of the partials at these offsets."""
-        fn = self._fns.get(offsets)
+    def values(self, group: list, z: list) -> tuple:
+        """The values of a group's fields at the float coordinates z (a
+        list), compiling its function on first use: the only place a
+        compiled function is called.  A domain error raises EvalDomainError
+        naming the node of the line that failed: the first failing
+        subexpression of the first failing field, the one that field
+        evaluated alone names."""
+        fn = group[1]
         if fn is None:
-            fn = compile_node([self.ast_for(idx) for idx in offsets], self.n)
-            self._fns[offsets] = fn
-        return fn
+            fn = group[1] = compile_node([self.ast_for(o) for o in group[0]],
+                                         self.n)
+        n = self.n
+        try:
+            return fn(z[0], z[1:n + 1], z[n + 1:])
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise _domain_error(fn, exc, n) from None
 
     def taylor_plan(self, offsets: tuple[tuple[int, ...], ...], order: int):
         """How to take the Taylor polynomials of the partials at these
-        offsets to this order, from one fused function over the distinct
-        multi-indices they read: (that function, the index of each partial's
+        offsets to this order, from one group over the distinct
+        multi-indices they read: (that group, the index of each partial's
         value, and per order r the coefficient indices [partial, monomial],
         the 1/alpha! weights, and each monomial of order r as a monomial of
-        order r - 1 times one variable).  Compiles on its first use."""
+        order r - 1 times one variable)."""
         key = (offsets, order)
         plan = self._plans.get(key)
         if plan is not None:
@@ -708,7 +716,8 @@ class _DerivTable:
                            np.array([prev[m[:-1]] for m in monos]),
                            np.array([m[-1] for m in monos])))
             prev = {m: i for i, m in enumerate(monos)}
-        plan = (self.fn_for(tuple(slots)), np.array(values), orders)
+        plan = (self.group(tuple(map(self.field, slots))), np.array(values),
+                orders)
         self._plans[key] = plan
         return plan
 
@@ -730,13 +739,9 @@ class ScalarField:
     matter how it was reached.
     """
 
-    def __init__(self, ast: Node, n: int, *, _table=None, _offset=None):
+    def __init__(self, ast: Node, n: int):
         if n < 1:
             raise ValueError("n must be >= 1")
-        if _table is not None:
-            self._table = _table
-            self._offset = _offset
-            return
         if not isinstance(ast, Node):
             raise TypeError("ast must be an expression Node (see parse())")
         top = max(ast.variables(), default=-1)
@@ -781,12 +786,8 @@ class ScalarField:
 
 
 def evaluate_fields(fields, point) -> tuple:
-    """Values of fields of one derivative table at one point, in order.
-
-    One call of a fused compiled function, the only place a compiled
-    function is called.  A domain error raises EvalDomainError naming the
-    node of the line that failed: the first failing subexpression of the
-    first failing field, the one that field evaluated alone names.
+    """Values of fields of one derivative table at one point, in order,
+    from one call of their group's fused function (see _DerivTable.values).
 
     At a dual point of depth d (see jetlag.dual) the values come back as
     one Dual of shape (len(fields),): each field's Taylor polynomial to
@@ -798,34 +799,24 @@ def evaluate_fields(fields, point) -> tuple:
     if not fields:
         return ()
     table = fields[0]._table
-    group = table.group(fields)
+    # the group of a tuple met before, without a call: this is the hot path
+    group = table._groups.get(fields) or table.group(fields)
     n = table.n
     if not (type(point) is np.ndarray and point.dtype is _FLOAT
             and point.shape == (2 * n + 1,)):
         point = _point_array(point, n)
         if isinstance(point, Dual):
             return _taylor_values(table, group[0], point)
-    fn = group[1]
-    if fn is None:
-        fn = group[1] = table.fn_for(group[0])
     # plain Python floats, whatever the point type: float arithmetic
     # raises on a domain error where numpy scalars return inf or nan
-    z = point.tolist()
-    try:
-        return fn(z[0], z[1:n + 1], z[n + 1:])
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise _domain_error(fn, exc, n) from None
+    return table.values(group, point.tolist())
 
 
 def _taylor_values(table: _DerivTable, offsets, point: Dual) -> Dual:
     level = point.depth
-    fn, values, orders = table.taylor_plan(offsets, level)
+    group, values, orders = table.taylor_plan(offsets, level)
     z = base(point)
-    n, zl = table.n, z.tolist()
-    try:
-        partials = np.fromiter(fn(zl[0], zl[1:n + 1], zl[n + 1:]), float)
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise _domain_error(fn, exc, n) from None
+    partials = np.fromiter(table.values(group, z.tolist()), float)
     # the perturbation point - z: the point's stack with a zero value part
     v = (0,) * level
     delta = point.copy()

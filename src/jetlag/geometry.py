@@ -26,13 +26,13 @@ partials one order up, two when nested.  The dual geometry is cached like
 any other, so the connection jets and every covariant derivative at a
 point share it; their connection corrections come from
 ``dtensor.add_connection_terms``.  The cached geometry is the one
-per-point object: it holds its space and its point, and every level above
-the spray (the connection level, then the connection jets, torsion and
-curvature) is a lazy slot of it, built on its first read, float or dual,
-and read back after that.  The public operations normalise their point
-once, in ``geometry_at``, and read the rest off the geometry.  A spray or
-connection that overflows the floats at a finite point raises
-NonRegularError where it is read.
+per-point object: it holds its point and a weak reference to its space
+(whose cache holds it), and every level above the spray (the connection
+level, then the connection jets, torsion and curvature) is a lazy slot of
+it, built on its first read, float or dual, and read back after that.  The
+public operations normalise their point once, in ``geometry_at``, and read
+the rest off the geometry.  A spray or connection that overflows the
+floats at a finite point raises NonRegularError where it is read.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,8 @@ class TorsionTable:
     Index conventions (first index is always the contravariant one):
     T_1j[m, j], T_ij[m, i, j], P_1[m, j], P_c[m, i, j] (equals the vertical
     connection block), P_i[m, i, j], R_1j[m, j], R_ij[m, i, j], S[m, i, j].
-    Cells of the torsion block-table not covered here vanish identically,
-    see STRUCTURAL_ZERO_CELLS.
+    Cells of the torsion block-table that ``cells()`` does not list vanish
+    identically.
     """
 
     T_1j: np.ndarray
@@ -123,15 +124,6 @@ class TorsionTable:
     R_1j: np.ndarray
     R_ij: np.ndarray
     S: np.ndarray
-
-    STRUCTURAL_ZERO_CELLS = (
-        ("time-time", "time"), ("time-time", "space"), ("time-time", "vert"),
-        ("space-time", "time"),
-        ("space-space", "time"),
-        ("vert-time", "time"), ("vert-time", "space"),
-        ("vert-space", "time"),
-        ("vert-vert", "time"), ("vert-vert", "space"),
-    )
 
     def cells(self) -> dict:
         """Nonzero-capable cells of the block table, keyed (row, column)."""
@@ -182,16 +174,18 @@ _LAZY = {**dict.fromkeys(("N", "cartan", "dg_t", "dg_x", "dg_y", "Ltyy",
 class _Geo:
     """The per-point geometry of a space, every entry exact up to matrix
     inversion.  ``LagrangeSpace._compute_geo`` sets its spray level and
-    records the space and a copy of the point (float or dual).  Every
-    level above the spray is a lazy slot (see ``_LAZY``): its first read
-    runs the method that sets it, through ``__getattr__`` (run on unset
-    slots only), so each level is built once per cached geometry and read
-    back after that.
+    records a copy of the point (float or dual) and, for the jets, its
+    space: a weak reference, since the space's cache holds the geometry,
+    with the L and h11 to rebuild it from once its caller has dropped it.
+    Every level above the spray is a lazy slot (see ``_LAZY``): its first
+    read runs the method that sets it, through ``__getattr__`` (run on
+    unset slots only), so each level is built once per cached geometry and
+    read back after that.
     """
 
     __slots__ = ("space", "z", "h11", "h_inv", "H", "g", "g_inv", "Htemp",
                  "Gspat", "M", "hdot", "B", "Ly", "Lx", "Lty", "Lxy", "Lyy",
-                 "rest", *_LAZY)
+                 "rest", "connect_idx", *_LAZY)
 
     def __getattr__(self, name):
         build = _LAZY.get(name)
@@ -202,9 +196,9 @@ class _Geo:
 
     def _connect(self) -> None:
         h11, h_inv, H, g_inv = self.h11, self.h_inv, self.H, self.g_inv
-        Ltyy, Lxyy, Lyyy = (self.rest[i] for i in self.space._connect_idx)
+        Ltyy, Lxyy, Lyyy = (self.rest[i] for i in self.connect_idx)
         self.Ltyy, self.Lxyy, self.Lyyy = Ltyy, Lxyy, Lyyy
-        y = self.z[1 + self.space.n:]
+        y = self.z[1 + len(self.g):]
 
         # exact partials of g
         dg_t = 0.5 * (self.hdot * self.Lyy + h11 * Ltyy)
@@ -242,11 +236,14 @@ class _Geo:
                 - np.einsum("ijm,mk->ijk", self.dg_y, self.N))
 
     def _jets(self) -> None:
-        self.jets = self.space.connection_jets(self.z)
+        ref, L, h11 = self.space
+        # a space its caller has dropped is rebuilt, with an empty cache
+        space = ref() or LagrangeSpace(len(self.g), L, h11)
+        self.jets = space.connection_jets(self.z)
 
     def _torsion(self) -> None:
         jets, cart, H = self.jets, self.cartan, self.H
-        eye = np.eye(self.space.n)
+        eye = np.eye(len(self.g))
         dM_dy = -H * eye                          # M^m = -H y^m, exact
         T_1j = -cart.Gt
         T_ij = cart.L - np.swapaxes(cart.L, 1, 2)
@@ -364,6 +361,8 @@ class LagrangeSpace:
         self._lyy_head, self._rest = partials[:head], partials[head:]
         self._h11_pair = (h11, h11.differentiate(_unit_index(n, 0)))
         self._geo_cache: collections.OrderedDict = collections.OrderedDict()
+        # what each geometry holds of its space (see _Geo), made once
+        self._handle = (weakref.ref(self), L, h11)
 
     # -- family constructors ------------------------------------------------
 
@@ -422,7 +421,8 @@ class LagrangeSpace:
         B = Lxy.T @ y - Lx + Lty + Ly * H + 2.0 * h_inv * H * (g @ y)
 
         geo = _Geo()
-        geo.space, geo.z = self, z.copy()     # z may be the caller's buffer
+        geo.space = self._handle
+        geo.z = z.copy()                     # z may be the caller's buffer
         geo.h11, geo.h_inv, geo.H, geo.g, geo.g_inv = h11, h_inv, H, g, g_inv
         geo.hdot, geo.B = hdot, B
         geo.Htemp = -0.5 * H * y
@@ -431,7 +431,8 @@ class LagrangeSpace:
         # raw Lagrangian partials, kept for the Euler-Lagrange assembly
         # (an algebraic route independent of the g-contracted spray)
         geo.Ly, geo.Lx, geo.Lty, geo.Lxy, geo.Lyy = Ly, Lx, Lty, Lxy, Lyy
-        geo.rest = rest     # _connect reads L_tyy, L_xyy and L_yyy off it
+        # _connect reads L_tyy, L_xyy and L_yyy off rest
+        geo.rest, geo.connect_idx = rest, self._connect_idx
         return geo
 
     # -- derivative bundles for torsion/curvature ----------------------------

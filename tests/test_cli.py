@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from jetlag import cli
+from jetlag import cli, expr
 from jetlag.cli import (
     BUILTIN_CONFIGS,
     MAX_N,
@@ -454,6 +454,19 @@ t = 0.1 0.9
         capsys.readouterr()
         summary = json.loads(out.read_text())["summary"]
         assert summary["maxwell"]["tol"] == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
+    def test_compile_work_is_pinned(self, monkeypatch, capsys, name):
+        # every builtin is n = 2, so a check compiles the same root
+        # partials whatever L is: 14 fused functions, one per field group
+        # (the chart's tau, tau' and tau'' are one of them), over 434 roots
+        roots = []
+        compile_fn = expr.compile_node
+        monkeypatch.setattr(expr, "compile_node", lambda nodes, n:
+                            roots.append(len(nodes)) or compile_fn(nodes, n))
+        assert main(["check", "--config", name]) == 0
+        capsys.readouterr()
+        assert (len(roots), sum(roots)) == (14, 434)
 
 
 class TestCurve:

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import jetlag
-from helpers import covariant_derivative
+from helpers import count_calls, covariant_derivative
+from jetlag import dtensor
 from jetlag.dtensor import (
     CartanCoefficients,
     ChartError,
@@ -25,7 +26,7 @@ from jetlag.dtensor import (
     transform_tensor,
 )
 from jetlag.dual import CONTRACT, Dual
-from jetlag.expr import JetPoint, parse
+from jetlag.expr import JetPoint, ScalarField, evaluate_fields, parse
 
 N = 2
 RNG = np.random.default_rng(20240817)
@@ -423,14 +424,15 @@ class TestChartMap:
 
     def test_derivatives(self):
         ch = exp_chart()
-        assert ch.tprime(0.5) == pytest.approx(np.exp(0.5))
-        assert ch.tsecond(0.5) == pytest.approx(np.exp(0.5))
-        assert ch.t_new(1.2) == pytest.approx(np.exp(1.2))
+        _, tp, ts = ch.t_jet(0.5)
+        assert tp == pytest.approx(np.exp(0.5))
+        assert ts == pytest.approx(np.exp(0.5))
+        assert ch.t_jet(1.2)[0] == pytest.approx(np.exp(1.2))
 
     def test_degenerate_tprime(self):
         ch = ChartMap(parse("t^2", N), np.eye(N), np.zeros(N))
-        with pytest.raises(ChartError):
-            ch.tprime(0.0)
+        with pytest.raises(ChartError, match="dt~/dt = 0.0 at t = 0.0"):
+            ch.t_jet(0.0)
 
 
 class TestTransforms:
@@ -490,10 +492,28 @@ class TestTransforms:
               @ transform_tensor(Xu, (SlotKind.VERT_UP,), ch, p))
         assert s1 == pytest.approx(Wd @ Xu, rel=1e-12)
 
+    @pytest.mark.parametrize("law", [
+        lambda ch, p: transform_point(ch, p),
+        lambda ch, p: transform_temporal_spray(np.ones(N), ch, p),
+        lambda ch, p: transform_spatial_spray(np.ones(N), ch, p),
+        lambda ch, p: transform_nonlinear(zero_nl(), ch, p),
+        lambda ch, p: transform_tensor(np.ones((N, 1)), (SU, TD), ch, p),
+    ], ids=["point", "temporal_spray", "spatial_spray", "nonlinear",
+            "tensor"])
+    def test_each_law_makes_one_fused_evaluation(self, monkeypatch, law):
+        # tau, tau' and tau'' are one field group, built with the chart
+        ch = exp_chart(seed=11)
+        evals = count_calls(monkeypatch, evaluate_fields, dtensor)
+        derivs = count_calls(monkeypatch, ScalarField.differentiate,
+                             ScalarField)
+        for k in range(3):
+            law(ch, rand_point())
+            assert (len(evals), len(derivs)) == (k + 1, 0)
+
     def test_time_slots_scale(self):
         ch = exp_chart(seed=5)
         p = rand_point()
-        tp = ch.tprime(p.t)
+        tp = ch.t_jet(p.t)[1]
         up = transform_tensor(np.array([2.0]), (SlotKind.TIME_UP,), ch, p)
         dn = transform_tensor(np.array([2.0]), (TD,), ch, p)
         assert up[0] == pytest.approx(2.0 * tp)

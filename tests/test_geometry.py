@@ -6,6 +6,9 @@ code differentiates exactly by forward mode, so agreement is evidence rather
 than tautology.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -949,7 +952,7 @@ class TestPartialTable:
         moved = transformed_space(cfg.space, chart)
         moved.geometry_at(transform_point(chart, cfg.midpoint()))
         sizes = [fn.__code__.co_nlocals
-                 for fn in moved.L._table._fns.values()]
+                 for _, fn in moved.L._table._groups.values()]
         assert len(sizes) == 2                  # the Lyy head and the rest
         assert max(sizes) < 200
 
@@ -1098,6 +1101,25 @@ class TestCaching:
         z2 = SPHERE_Z.copy()
         z2[3] = 0.5
         assert sp.geometry_at(z2) is not a
+
+    def test_dropped_space_is_freed_without_the_collector(self):
+        # the cache holds each geometry, so a geometry holds its space
+        # weakly: with the cycle collector off, del frees the space, and a
+        # geometry kept after it still builds its jets, bit for bit
+        cfg = load_config("sphere_l1")
+        z = cfg.midpoint()
+        gc.disable()
+        try:
+            sp = load_config("sphere_l1").space
+            sp.geometry_at(z).curvature      # float and dual geometries
+            kept = sp.geometry_at(z + 0.01)
+            ref = weakref.ref(sp)
+            del sp
+            assert ref() is None
+        finally:
+            gc.enable()
+        want = cfg.space.geometry_at(z + 0.01).curvature
+        assert _table_bytes(kept.curvature) == _table_bytes(want)
 
 
 # ---------------------------------------------------------------------------
