@@ -24,8 +24,8 @@ __all__ = [
 ]
 
 # step-count cap of integrate_harmonic: every sample is kept in memory, and
-# at 0.3-0.4 ms per step (n = 2 builtins, 2-core x86-64 VM) the cap is under
-# a minute of work
+# at 0.13-0.32 ms per step (n = 2 builtins, 2-core x86-64 VM) the cap is
+# under a minute of work
 MAX_STEPS = 100_000
 
 

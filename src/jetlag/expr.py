@@ -4,8 +4,8 @@ A deliberately small expression language: the variables are the jet
 coordinates of a curve (one time variable, n positions, n velocities),
 the functions are a fixed whitelist, and differentiation is exact and
 cached.  Nothing here knows about tensors; the rest of the package
-builds on ScalarField evaluation (evaluate_fields takes several partials
-of one field in one compiled call) and ScalarField.differentiate.
+builds on ScalarField evaluation (evaluate_fields takes any fields of
+one n in one compiled call) and ScalarField.differentiate.
 Every value comes from one evaluator, the function compile_node emits,
 and a domain error is named from the line of that function that raised.
 
@@ -633,7 +633,7 @@ class _DerivTable:
         self._asts: dict[tuple[int, ...], Node] = {zero: ast}
         self._plans: dict = {}
         self._fields = {zero: root}     # offset -> the one field at it
-        self._groups: dict = {}         # tuple of fields -> [offsets, fn]
+        self._groups: dict = {}         # tuple of fields -> [fields, fn]
 
     def field(self, offset: tuple[int, ...]) -> "ScalarField":
         """The one field at an offset: a tuple of fields is a group's key."""
@@ -644,15 +644,15 @@ class _DerivTable:
         return f
 
     def group(self, fields: tuple) -> list:
-        """[offsets, fused function] of a tuple of this table's fields, the
-        one owner of compiled code; the function is compiled on the group's
-        first evaluation (see ``values``)."""
+        """[fields, fused function] of fields of one n, kept by this table
+        (``evaluate_fields`` uses the last field's: a space's group ends
+        with L-partials, so an h11 that spaces share keeps none): the one
+        owner of compiled code, compiled on its first evaluation."""
         group = self._groups.get(fields)
         if group is None:
-            offsets = tuple([f._offset for f in fields if f._table is self])
-            if len(offsets) != len(fields):
-                raise ValueError("evaluate_fields needs partials of one root field")
-            group = self._groups[fields] = [offsets, None]
+            if any(f.n != self.n for f in fields):
+                raise ValueError("evaluate_fields needs fields of one n")
+            group = self._groups[fields] = [fields, None]
         return group
 
     def ast_for(self, idx: tuple[int, ...]) -> Node:
@@ -677,47 +677,41 @@ class _DerivTable:
         evaluated alone names."""
         fn = group[1]
         if fn is None:
-            fn = group[1] = compile_node([self.ast_for(o) for o in group[0]],
-                                         self.n)
+            fn = group[1] = compile_node([f.ast for f in group[0]], self.n)
         n = self.n
         try:
             return fn(z[0], z[1:n + 1], z[n + 1:])
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise _domain_error(fn, exc, n) from None
 
-    def taylor_plan(self, offsets: tuple[tuple[int, ...], ...], order: int):
-        """How to take the Taylor polynomials of the partials at these
-        offsets to this order, from one group over the distinct
-        multi-indices they read: (that group, the index of each partial's
-        value, and per order r the coefficient indices [partial, monomial],
+    def taylor_plan(self, fields: tuple, order: int):
+        """How to take the Taylor polynomials of fields of one n to this
+        order, from one group over the partials they read (``differentiate``
+        refuses one above the cap): (that group, the index of each field's
+        value, and per order r the coefficient indices [field, monomial],
         the 1/alpha! weights, and each monomial of order r as a monomial of
         order r - 1 times one variable)."""
-        key = (offsets, order)
+        key = (fields, order)
         plan = self._plans.get(key)
         if plan is not None:
             return plan
-        top = max(map(sum, offsets)) + order
-        if top > DEFAULT_MAX_ORDER:
-            raise DerivativeOrderError(
-                f"total derivative order {top} exceeds cap {DEFAULT_MAX_ORDER}")
-        slots: dict = {}
-        values = [slots.setdefault(o, len(slots)) for o in offsets]
+        slots: dict = {}        # field -> its slot in the plan's group
+        values = [slots.setdefault(f, len(slots)) for f in fields]
         orders = []
         prev = {(): 0}      # monomials as sorted variable tuples -> position
+        axes = range(2 * self.n + 1)
         for _ in range(order):
-            monos = [m + (v,) for m in prev
-                     for v in range(m[-1] if m else 0, 2 * self.n + 1)]
-            idx = [[slots.setdefault(tuple(o[i] + m.count(i)
-                                           for i in range(len(o))), len(slots))
-                    for m in monos] for o in offsets]
+            monos = [m + (v,) for m in prev for v in axes[m[-1] if m else 0:]]
+            idx = [[slots.setdefault(f.differentiate(map(m.count, axes)),
+                                     len(slots)) for m in monos]
+                   for f in fields]
             weight = [1.0 / math.prod(math.factorial(m.count(v))
                                       for v in set(m)) for m in monos]
             orders.append((np.array(idx), np.array(weight),
                            np.array([prev[m[:-1]] for m in monos]),
                            np.array([m[-1] for m in monos])))
             prev = {m: i for i, m in enumerate(monos)}
-        plan = (self.group(tuple(map(self.field, slots))), np.array(values),
-                orders)
+        plan = (self.group(tuple(slots)), np.array(values), orders)
         self._plans[key] = plan
         return plan
 
@@ -786,8 +780,8 @@ class ScalarField:
 
 
 def evaluate_fields(fields, point) -> tuple:
-    """Values of fields of one derivative table at one point, in order,
-    from one call of their group's fused function (see _DerivTable.values).
+    """Values of fields of one n at one point, in order, from one call of
+    their group's fused function (see _DerivTable.values).
 
     At a dual point of depth d (see jetlag.dual) the values come back as
     one Dual of shape (len(fields),): each field's Taylor polynomial to
@@ -798,7 +792,7 @@ def evaluate_fields(fields, point) -> tuple:
     fields = tuple(fields)
     if not fields:
         return ()
-    table = fields[0]._table
+    table = fields[-1]._table
     # the group of a tuple met before, without a call: this is the hot path
     group = table._groups.get(fields) or table.group(fields)
     n = table.n
@@ -812,9 +806,9 @@ def evaluate_fields(fields, point) -> tuple:
     return table.values(group, point.tolist())
 
 
-def _taylor_values(table: _DerivTable, offsets, point: Dual) -> Dual:
+def _taylor_values(table: _DerivTable, fields: tuple, point: Dual) -> Dual:
     level = point.depth
-    group, values, orders = table.taylor_plan(offsets, level)
+    group, values, orders = table.taylor_plan(fields, level)
     z = base(point)
     partials = np.fromiter(table.values(group, z.tolist()), float)
     # the perturbation point - z: the point's stack with a zero value part

@@ -134,9 +134,9 @@ def deflection_route(sp: LagrangeSpace, point) -> float:
 class EMForm:
     """Antisymmetric parts of the lowered deflections.
 
-    F comes from the connection closed form; F_alt rebuilds it from the
-    engine-computed deflections.  f vanishes identically because the
-    lowered vertical deflection is symmetric; it is reported, not assumed.
+    F comes from the connection closed form and F_alt from the closed-form
+    ``deflections`` (not ``deflection_route``); f vanishes identically, the
+    lowered vertical deflection being symmetric: reported, not assumed.
     """
 
     F: np.ndarray         # (n, n)

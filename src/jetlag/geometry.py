@@ -8,10 +8,10 @@ curvature tables of that connection.
 
 Derivative strategy: every L-partial the geometry reads (L_y, L_x, L_ty,
 L_xy, L_yy, L_tyy, L_xyy, L_yyy) is exact and symbolic.  ``geometry_at``
-evaluates the distinct ones in two fused ``expr.evaluate_fields`` calls
-(the L_yy head first, so the regularity check runs before any other
-partial; h11 and its t-derivative are a third), so every domain and
-regularity error raises there.  Regularity is decided by the one inversion
+evaluates h11, its t-derivative and the distinct L-partials in one fused
+``expr.evaluate_fields`` call, so every domain and regularity error raises
+there, in the order of the fields read alone (the raising path re-reads
+h11, then the head up to L_yy).  Regularity is decided by the one inversion
 of g (see ``_regular_inverse``).  It builds the spray level, all a
 harmonic curve reads; the connection level (partials of g, N and the
 Cartan blocks) is built on its first read, and it is there that the
@@ -185,7 +185,7 @@ class _Geo:
 
     __slots__ = ("space", "z", "h11", "h_inv", "H", "g", "g_inv", "Htemp",
                  "Gspat", "M", "hdot", "B", "Ly", "Lx", "Lty", "Lxy", "Lyy",
-                 "rest", "connect_idx", *_LAZY)
+                 "values", "connect_idx", *_LAZY)
 
     def __getattr__(self, name):
         build = _LAZY.get(name)
@@ -196,7 +196,7 @@ class _Geo:
 
     def _connect(self) -> None:
         h11, h_inv, H, g_inv = self.h11, self.h_inv, self.H, self.g_inv
-        Ltyy, Lxyy, Lyyy = (self.rest[i] for i in self.connect_idx)
+        Ltyy, Lxyy, Lyyy = (self.values[i] for i in self.connect_idx)
         self.Ltyy, self.Lxyy, self.Lyyy = Ltyy, Lxyy, Lyyy
         y = self.z[1 + len(self.g):]
 
@@ -332,34 +332,29 @@ class LagrangeSpace:
             raise ValueError("n must be >= 1")
         if L.n != n or h11.n != n:
             raise ValueError("L and h11 must be built with the same n")
-        extra = h11.variables() - {0}
-        if extra:
+        if h11.variables() - {0}:
             raise ValueError("h11 must depend only on t")
         self.n = n
         self.L = L
         self.h11 = h11
 
-        # the distinct L-partials _compute_geo reads, as two field groups
-        # in evaluation order: the Lyy head (so the regularity check runs
-        # before any other partial) and the rest, whose slots follow the
-        # head's; per block an index array gathers it from its group's values
+        # the one field group _compute_geo evaluates: h11, its t-derivative
+        # and the distinct L-partials, the Lyy head first; per block an
+        # index array gathers it from the group's values
         t, x, y = [0], range(1, n + 1), range(1 + n, 2 * n + 1)
         slots: dict = {}
         blocks = []             # Lyy, then Ly Lx Lty Lxy Ltyy Lxyy Lyyy
         for axes in ((y, y), (y,), (x,), (t, y), (x, y), (t, y, y),
                      (x, y, y), (y, y, y)):
-            idx = [slots.setdefault(_unit_index(n, *ax), len(slots))
+            idx = [slots.setdefault(_unit_index(n, *ax), len(slots) + 2)
                    for ax in itertools.product(*axes)]
             blocks.append(np.array(idx).reshape(
                 [len(a) for a in axes if a is not t]))
-        head = n * (n + 1) // 2
-        rest_idx = [b - head for b in blocks[1:]]
-        self._lyy_idx = blocks[0]
-        # the spray level reads four blocks, the connection level three
-        self._spray_idx, self._connect_idx = rest_idx[:4], rest_idx[4:]
-        partials = tuple(L.differentiate(idx) for idx in slots)
-        self._lyy_head, self._rest = partials[:head], partials[head:]
-        self._h11_pair = (h11, h11.differentiate(_unit_index(n, 0)))
+        # the spray level reads five blocks, the connection level three
+        self._lyy_idx, self._spray_idx = blocks[0], blocks[1:5]
+        self._connect_idx = blocks[5:]
+        self._fields = (h11, h11.differentiate(_unit_index(n, 0)),
+                        *map(L.differentiate, slots))
         self._geo_cache: collections.OrderedDict = collections.OrderedDict()
         # what each geometry holds of its space (see _Geo), made once
         self._handle = (weakref.ref(self), L, h11)
@@ -401,20 +396,19 @@ class LagrangeSpace:
         zb = base(z)
         y = z[1 + self.n:]
         try:
-            h11, hdot = evaluate_fields(self._h11_pair, z)
+            fused = evaluate_fields(self._fields, z)
         except EvalDomainError:
-            # a singular h11 is reported before a pole of its derivative
+            # the error of the fields read alone, in order: a singular h11,
+            # a pole of the head (hdot, Lyy), a degenerate g, any other pole
             _regular_h11(self.h11.evaluate(zb), zb[0], zb)
+            head = self._fields[:self._lyy_idx.max() + 1]
+            self._metric(evaluate_fields(head, z), zb)
             raise
-        _regular_h11(base(h11), zb[0], zb)
+        values, h11, Lyy, g, g_inv = self._metric(fused, zb)
+        hdot = fused[1]
         h_inv = 1.0 / h11
         H = 0.5 * h_inv * hdot
-
-        Lyy = as_array(evaluate_fields(self._lyy_head, z))[self._lyy_idx]
-        g = 0.5 * h11 * Lyy
-        g_inv = _regular_inverse(g, zb, "vertical Hessian metric is degenerate")
-        rest = as_array(evaluate_fields(self._rest, z))
-        Ly, Lx, Lty, Lxy = (rest[i] for i in self._spray_idx)
+        Ly, Lx, Lty, Lxy = (values[i] for i in self._spray_idx)
 
         # spray source term: B_k = L_{x^m y^k} y^m - L_{x^k} + L_{t y^k}
         #                        + L_{y^k} H + 2 h^inv H g_{kl} y^l
@@ -431,9 +425,20 @@ class LagrangeSpace:
         # raw Lagrangian partials, kept for the Euler-Lagrange assembly
         # (an algebraic route independent of the g-contracted spray)
         geo.Ly, geo.Lx, geo.Lty, geo.Lxy, geo.Lyy = Ly, Lx, Lty, Lxy, Lyy
-        # _connect reads L_tyy, L_xyy and L_yyy off rest
-        geo.rest, geo.connect_idx = rest, self._connect_idx
+        # _connect reads L_tyy, L_xyy and L_yyy off the fused values
+        geo.values, geo.connect_idx = values, self._connect_idx
         return geo
+
+    def _metric(self, fused, zb) -> tuple:
+        """(values as one array, h11, Lyy, g, g^-1) from fused values that
+        start with the head, or NonRegularError at the base point zb."""
+        h11 = fused[0]                  # a float at a float point
+        _regular_h11(base(h11), zb[0], zb)
+        values = as_array(fused)
+        Lyy = values[self._lyy_idx]
+        g = 0.5 * h11 * Lyy
+        return values, h11, Lyy, g, _regular_inverse(
+            g, zb, "vertical Hessian metric is degenerate")
 
     # -- derivative bundles for torsion/curvature ----------------------------
 

@@ -458,15 +458,18 @@ t = 0.1 0.9
     @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
     def test_compile_work_is_pinned(self, monkeypatch, capsys, name):
         # every builtin is n = 2, so a check compiles the same root
-        # partials whatever L is: 14 fused functions, one per field group
-        # (the chart's tau, tau' and tau'' are one of them), over 434 roots
+        # partials whatever L is: 6 fused functions over 367 roots, one per
+        # field group: the space's one group (h11, hdot and the L-partials)
+        # at float, depth-1 and depth-2 points, its chart-moved twin's at
+        # float points, the chart's tau, tau' and tau'', and the hdot that
+        # the metricity suite reads alone
         roots = []
         compile_fn = expr.compile_node
         monkeypatch.setattr(expr, "compile_node", lambda nodes, n:
                             roots.append(len(nodes)) or compile_fn(nodes, n))
         assert main(["check", "--config", name]) == 0
         capsys.readouterr()
-        assert (len(roots), sum(roots)) == (14, 434)
+        assert (len(roots), sum(roots)) == (6, 367)
 
 
 class TestCurve:

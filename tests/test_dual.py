@@ -237,7 +237,7 @@ def test_dual_work_counts_are_pinned(monkeypatch):
 
     sp, z = fresh()
     sp.connection_jets(z)
-    assert len(made) == 94
+    assert len(made) == 88
     sp, z = fresh()
     fields.conservation_residuals(sp, z)
-    assert len(made) == 447
+    assert len(made) == 429

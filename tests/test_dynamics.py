@@ -211,9 +211,9 @@ class TestStateVector:
         sp = load_config("sphere_l1").space
         c = integrate_harmonic(sp, [1.2, 0.1], [0.3, 0.8], 0.0, 0.1, 0.1)
         assert len(c) == 2
-        # one geometry per stage, three fused evaluations per geometry
-        # (the h11 pair, the Lyy head, the rest), no connection level
-        assert (len(geo), len(evals), len(christoffel)) == (4, 12, 0)
+        # one geometry per stage, one fused evaluation per geometry (h11,
+        # its derivative and the L-partials), no connection level
+        assert (len(geo), len(evals), len(christoffel)) == (4, 4, 0)
 
     def test_group_lookup_is_bounded_by_distinct_groups(self):
         L = parse("sin(x1)*y1^2 + t*x2*y2^3", N)

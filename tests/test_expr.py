@@ -405,6 +405,33 @@ class TestDualPoints:
         assert len(compiles) == after_dual
 
 
+class TestFieldGroups:
+    """A field group is any tuple of fields of one n, in one compiled call."""
+
+    def test_mixed_fields_keep_their_own_bits(self):
+        # partials of L with h11 and its derivative, as a space reads them
+        L = parse(TestDualPoints.F, n=2)
+        h11 = parse("1 + t^2*sqrt(t)", n=2)
+        fields = (L.differentiate((0, 0, 0, 2, 0)), h11,
+                  h11.differentiate((1, 0, 0, 0, 0)), L,
+                  L.differentiate((1, 0, 1, 0, 1)))
+        q = TestDualPoints.Z
+        fused = expr.evaluate_fields(fields, q)
+        assert [v.hex() for v in fused] == [f.evaluate(q).hex()
+                                            for f in fields]
+        for depth in (1, 2):
+            q = Dual(q, np.eye(5))
+            fused = expr.evaluate_fields(fields, q)
+            for k, f in enumerate(fields):
+                assert fused[k].depth == depth
+                assert fused[k].tobytes() == f.evaluate(q).tobytes(), f
+
+    def test_fields_of_different_n_are_refused(self):
+        fields = (parse("y1^2", n=1), parse("y1^2", n=2))
+        with pytest.raises(ValueError, match="fields of one n"):
+            expr.evaluate_fields(fields, [0.0, 1.0, 1.0])
+
+
 class TestJetPartials:
     def test_table_of_second_order(self):
         f = parse("y1^2", n=1)

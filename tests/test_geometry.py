@@ -893,11 +893,18 @@ class TestPartialTable:
                            (moved, [transform_point(chart, z) for z in
                                     sample_points(cfg.space, cfg.ranges,
                                                   2, seed=6)])):
-            groups = (sp._h11_pair, sp._lyy_head, sp._rest)
             for z in points:
-                fused = sum((evaluate_fields(g, z) for g in groups), ())
-                alone = [f.evaluate(z) for g in groups for f in g]
+                fused = evaluate_fields(sp._fields, z)
+                alone = [f.evaluate(z) for f in sp._fields]
                 assert [v.hex() for v in fused] == [v.hex() for v in alone]
+            # at a dual point each value is a Taylor value of its own field
+            q = expr._point_array(points[0], sp.n)
+            for depth in (1, 2):
+                q = Dual(q, np.eye(2 * sp.n + 1))
+                fused = evaluate_fields(sp._fields, q)
+                for k, f in enumerate(sp._fields):
+                    assert fused[k].depth == depth
+                    assert fused[k].tobytes() == f.evaluate(q).tobytes(), f
 
     def test_tail_domain_error_names_the_failing_partial(self):
         # L_y and L_yy are regular at x1 = 0; L_x1 = -x1^(-2) has a pole
@@ -931,7 +938,7 @@ class TestPartialTable:
         cfg = load_config(name)
         moved = transformed_space(cfg.space,
                                   random_affine_chart(cfg.space, seed=3))
-        for f in moved._lyy_head + moved._rest + moved._h11_pair:
+        for f in moved._fields:
             for node in f.ast.walk():
                 assert not (isinstance(node, Div)
                             and isinstance(node.num, Const)
@@ -944,17 +951,43 @@ class TestPartialTable:
         with pytest.raises(NonRegularError, match="h11 = 0.0 at t = 0.0"):
             sp.geometry_at([0.0, 0.3, 1.0])
 
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_a_pole_of_hdot_is_reported_before_a_pole_of_lyy(self, dual):
+        # h11 = 1 + sqrt(t) is 1 at t = 0, where its derivative divides by
+        # sqrt(t); L_y1y1 = 2/x1 has a pole at x1 = 0; all are one group
+        sp = LagrangeSpace(1, parse("y1^2/x1", 1), parse("1 + sqrt(t)", 1))
+        z = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(EvalDomainError) as err:
+            sp.geometry_at(Dual(z, np.eye(3)) if dual else z)
+        assert "'1/(2*sqrt(t))'" in str(err.value)
+
     def test_transformed_table_compiles_each_subexpression_once(self):
         # the chart-transformed nonautonomous_l3 partials hold about 4.4k
-        # tree nodes; fused, its largest table has under two hundred locals
+        # tree nodes; fused into the one group of the space, with h11 and
+        # its derivative, its function has under two hundred locals
         cfg = load_config("nonautonomous_l3")
         chart = random_affine_chart(cfg.space, seed=3)
         moved = transformed_space(cfg.space, chart)
         moved.geometry_at(transform_point(chart, cfg.midpoint()))
+        assert moved.h11._table._groups == {}
         sizes = [fn.__code__.co_nlocals
                  for _, fn in moved.L._table._groups.values()]
-        assert len(sizes) == 2                  # the Lyy head and the rest
+        assert len(sizes) == 1
         assert max(sizes) < 200
+
+    def test_spaces_that_share_h11_keep_no_group_of_each_other(self):
+        # the group of a space lives with its L, so a dropped space's
+        # compiled group goes with its L and not with the h11 it shared
+        h11 = parse("1 + t^2", N)
+        tables = []
+        for k in range(3):
+            L = parse(f"y1^2 + y2^2 + {k + 1}*x1*y1", N)
+            LagrangeSpace(N, L, h11).geometry_at(SPHERE_Z)
+            tables.append(weakref.ref(L._table))
+            del L
+        gc.collect()
+        assert h11._table._groups == {}
+        assert [t() for t in tables] == [None] * 3
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ def test_tree_size_counts_every_node_field():
     spans = _spans_module()
     for name in BUILTIN_CONFIGS:
         sp = load_config(name).space
-        for f in (sp.L,) + sp._lyy_head + sp._rest + sp._h11_pair:
+        for f in (sp.L,) + sp._fields:
             assert spans._tree_size(f.ast, {}) == _repeat_count(f.ast, {}), \
                 (name, f)
 
