@@ -24,6 +24,7 @@ from .dtensor import (
     transform_spatial_spray,
     transform_temporal_spray,
 )
+from .dual import einsum
 from .dynamics import el_acceleration, harmonic_rhs
 from .expr import EvalDomainError
 from .fields import (
@@ -184,11 +185,11 @@ def _metricity_residuals(geo, corrupt=False) -> list:
     derivative axis last; corrupt bumps the spatial block L by 1e-3."""
     cart = geo.cartan
     bumped = replace(cart, L=cart.L + 1e-3) if corrupt else cart
-    del_t_g, del_x_g = geo.adapted_dg()
-    return [add_connection_terms(del_x_g, geo.g, _G_SLOTS, bumped, "space"),
+    return [add_connection_terms(geo.del_x_g, geo.g, _G_SLOTS, bumped,
+                                 "space"),
             add_connection_terms(geo.dg_y, geo.g, _G_SLOTS, cart, "vert"),
-            add_connection_terms(del_t_g[..., np.newaxis], geo.g, _G_SLOTS,
-                                 cart, "time")]
+            add_connection_terms(geo.del_t_g[..., np.newaxis], geo.g,
+                                 _G_SLOTS, cart, "time")]
 
 
 def _metricity_worst(sp, points, corrupt):
@@ -219,10 +220,10 @@ def _antisymmetry_worst(sp, points):
     for z in points:
         g = sp.geometry_at(z).g
         cur = curvature(sp, z)
-        low1 = np.einsum("ip,pjk->ijk", g, cur.R_i1k)
+        low1 = einsum("ip,pjk->ijk", g, cur.R_i1k)
         res.append(low1 + low1.transpose(1, 0, 2))
         for block in (cur.R_ijk, cur.P_ijk, cur.S_ijk):
-            low = np.einsum("ip,pmjk->imjk", g, block)
+            low = einsum("ip,pmjk->imjk", g, block)
             res.append(low + low.transpose(1, 0, 2, 3))
     return worst_residual(res)
 

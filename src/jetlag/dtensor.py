@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.dual import CONTRACT, Dual, as_array, base, depth, scalar
+from jetlag.dual import (CONTRACT, Dual, as_array, base, depth, einsum,
+                         scalar)
 from jetlag.expr import JetPoint, ScalarField, _point_array, evaluate_fields
 
 __all__ = [
@@ -182,9 +183,9 @@ def adapted_gradient(fn, z, nl) -> list:
         g = a.tan
         d_y = g[n + 1:]
         flat = d_y.reshape(n, -1)
-        d_t = (g[0] - np.einsum("m,mk->k", nl.M, flat)
+        d_t = (g[0] - einsum("m,mk->k", nl.M, flat)
                .reshape(a.shape))[np.newaxis]
-        d_x = (g[1:n + 1] - np.einsum("mi,mk->ik", nl.N, flat)
+        d_x = (g[1:n + 1] - einsum("mi,mk->ik", nl.N, flat)
                .reshape(g[1:n + 1].shape))
         last = (*range(1, a.ndim + 1), 0)    # the derivative axis last
         pairs.append((a.val, [d.transpose(last) for d in (d_t, d_x, d_y)]))
@@ -216,9 +217,9 @@ def add_connection_terms(derivs: np.ndarray, arr: np.ndarray, signature,
         in_sub = base[:ax] + "z" + base[ax + 1:]
         K = cartan.slot_block(kind, slot.family)
         if slot.is_up:
-            out = out + np.einsum(f"{in_sub},{base[ax]}zp->{base}p", arr, K)
+            out = out + einsum(f"{in_sub},{base[ax]}zp->{base}p", arr, K)
         else:
-            out = out - np.einsum(f"{in_sub},z{base[ax]}p->{base}p", arr, K)
+            out = out - einsum(f"{in_sub},z{base[ax]}p->{base}p", arr, K)
     return out
 
 

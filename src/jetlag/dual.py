@@ -25,7 +25,8 @@ outer levels it lacks (its derivatives there are zero).  Every value part
 comes from the operation that computes it without the Dual, elementwise or
 as one matrix of a batched matmul, so it has the same bits; an ``einsum``
 takes its value part and each operand's tangent term in separate calls,
-since an einsum with an extra axis may sum in another order.
+since an einsum with an extra axis may sum in another order.  The
+package's own einsums, float or dual, go through :func:`einsum`.
 
 The dual-transparency contract: a function differentiated this way must
 build its arrays from the point it is given using only arithmetic
@@ -53,7 +54,8 @@ try:
 except ImportError:     # numpy 1.x
     _c_einsum = np.einsum
 
-__all__ = ["Dual", "CONTRACT", "depth", "base", "as_array", "scalar"]
+__all__ = ["Dual", "CONTRACT", "depth", "base", "as_array", "scalar",
+           "einsum"]
 
 CONTRACT = ("a differentiated point function must be dual-transparent: "
             "build its arrays from the point with +, -, *, /, @, indexing, "
@@ -506,6 +508,16 @@ def _einsum(subscripts, *operands):
             else:
                 tan += term
     return _wrap(_join(einsum(subscripts, *vals), tan, level), level)
+
+
+def einsum(subscripts, *operands):
+    """``np.einsum(subscripts, *operands)`` with its bits: a Dual operand
+    takes the product rule, and plain operands go straight to numpy's own
+    ``optimize=False`` kernel, without the wrapper and the dispatch."""
+    for op in operands:
+        if type(op) is Dual:
+            return _einsum(subscripts, *operands)
+    return _c_einsum(subscripts, *operands)
 
 
 def _swapaxes(a, axis1, axis2):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dtensor import (SlotKind, _shape_for, adapted_gradient,
                       add_connection_terms)
-from .dual import as_array, scalar
+from .dual import as_array, einsum, scalar
 from .geometry import (
     LagrangeSpace,
     cartan_connection,
@@ -107,8 +107,8 @@ def deflections(sp: LagrangeSpace, point):
     y = geo.z[1 + n:]
     cart = geo.cartan
     Dbar = cart.Gt @ y
-    D = -geo.N + np.einsum("ijm,m->ij", cart.L, y)
-    d = np.eye(n) + np.einsum("imj,m->ij", cart.C, y)
+    D = -geo.N + einsum("ijm,m->ij", cart.L, y)
+    d = np.eye(n) + einsum("imj,m->ij", cart.C, y)
     low = geo.h_inv * geo.g
     return DeflectionSet(Dbar=Dbar, D=D, d=d,
                          Dbar_low=low @ Dbar, D_low=low @ D, d_low=low @ d)
@@ -150,7 +150,7 @@ def _em_F_closed(sp: LagrangeSpace, q):
     geo = sp.geometry_at(q)
     y = geo.z[1 + sp.n:]
     gN = geo.g @ geo.N
-    gLy = geo.g @ np.einsum("kjm,m->kj", geo.cartan.L, y)
+    gLy = geo.g @ einsum("kjm,m->kj", geo.cartan.L, y)
     return 0.5 * geo.h_inv * ((gN.T - gN) + (gLy - gLy.T))
 
 
@@ -192,9 +192,9 @@ def maxwell_residuals(sp: LagrangeSpace, point) -> dict:
                    -cartan_connection(sp, q).Gt[:, None, :]))
     Dbar_cov, T1_cov = Dbar_cov[:, 0, :], T1_cov[:, 0, :, :]
 
-    bracket = T1_cov + np.einsum("pkm,mi->pik", C, tor.R_1j)
+    bracket = T1_cov + einsum("pkm,mi->pik", C, tor.R_1j)
     core = (Dbar_cov + defl.D_low @ tor.T_1j + defl.d_low @ tor.R_1j
-            - np.einsum("pik,p->ik", bracket, y_low))
+            - einsum("pik,p->ik", bracket, y_low))
     eq1 = F_t[:, :, 0] - 0.5 * (core - core.T)
 
     # The source tensor h^11 * dg_il/dy^m == (1/2) d^3L/dy^i dy^l dy^m is
@@ -203,7 +203,7 @@ def maxwell_residuals(sp: LagrangeSpace, point) -> dict:
     # whose metric depends on y while h11 != 1; the undressed form keeps
     # the residual at discretization level (both agree when L is
     # quadratic in y, where the term vanishes identically).
-    source = np.einsum("ilm,mjk,l->ijk", 0.5 * geo.Lyyy, tor.R_ij, y)
+    source = einsum("ilm,mjk,l->ijk", 0.5 * geo.Lyyy, tor.R_ij, y)
     eq2 = _cyclic(F_x) + 0.5 * _cyclic(source)
     return {"eq1": eq1, "eq2": eq2, "eq3": _cyclic(F_y)}
 
@@ -248,15 +248,15 @@ def deflection_identities(sp: LagrangeSpace, point) -> dict:
         sp, z, [(_VD, _TD), (_VD, _SD), (_VD, _VD)], lowered)
     Dbar_x = Dbar_x[:, 0, :]
 
-    d1 = (Dbar_x - D_t[:, :, 0] + np.einsum("m,mik->ik", y_low, cur.R_i1k)
+    d1 = (Dbar_x - D_t[:, :, 0] + einsum("m,mik->ik", y_low, cur.R_i1k)
           + defl.D_low @ tor.T_1j + defl.d_low @ tor.R_1j)
     d2 = (D_x - np.transpose(D_x, (0, 2, 1))
-          + np.einsum("m,mijk->ijk", y_low, cur.R_ijk)
-          + np.einsum("im,mjk->ijk", defl.d_low, tor.R_ij))
+          + einsum("m,mijk->ijk", y_low, cur.R_ijk)
+          + einsum("im,mjk->ijk", defl.d_low, tor.R_ij))
     d3 = (D_y - np.transpose(d_x, (0, 2, 1))
-          + np.einsum("m,mijk->ijk", y_low, cur.P_ijk)
-          + np.einsum("im,mjk->ijk", defl.D_low, C)
-          + np.einsum("im,mjk->ijk", defl.d_low, tor.P_i))
+          + einsum("m,mijk->ijk", y_low, cur.P_ijk)
+          + einsum("im,mjk->ijk", defl.D_low, C)
+          + einsum("im,mjk->ijk", defl.d_low, tor.P_i))
     return {"d1": d1, "d2": d2, "d3": d3}
 
 
@@ -288,16 +288,16 @@ class RicciSet:
 def ricci_and_scalar(sp: LagrangeSpace, point) -> RicciSet:
     geo = sp.geometry_at(point)
     cur = curvature(sp, geo.z)
-    R_i1 = np.einsum("mim->i", cur.R_i1k)
-    R_ij = np.einsum("mijm->ij", cur.R_ijk)
+    R_i1 = einsum("mim->i", cur.R_i1k)
+    R_ij = einsum("mijm->ij", cur.R_ijk)
     # sign asymmetry is forced by the vertical index sitting up in the
     # contraction slot for the mixed block
-    P_i_j = -np.einsum("mimj->ij", cur.P_ijk)
-    P_i1 = np.einsum("mim->i", cur.P_i1k)
-    P_ij = np.einsum("mijm->ij", cur.P_ijk)
-    S_ij = np.einsum("mijm->ij", cur.S_ijk)
-    R = scalar(np.einsum("ij,ij->", geo.g_inv, R_ij))
-    S = scalar(geo.h11 * np.einsum("ij,ij->", geo.g_inv, S_ij))
+    P_i_j = -einsum("mimj->ij", cur.P_ijk)
+    P_i1 = einsum("mim->i", cur.P_i1k)
+    P_ij = einsum("mijm->ij", cur.P_ijk)
+    S_ij = einsum("mijm->ij", cur.S_ijk)
+    R = scalar(einsum("ij,ij->", geo.g_inv, R_ij))
+    S = scalar(geo.h11 * einsum("ij,ij->", geo.g_inv, S_ij))
     return RicciSet(H11=0.0, R_i1=R_i1, R_ij=R_ij, P_i_j=P_i_j, P_i1=P_i1,
                     P_ij=P_ij, S_ij=S_ij, H=0.0, R=R, S=S, Sc=R + S)
 
@@ -387,6 +387,6 @@ def conservation_residuals(sp: LagrangeSpace, point) -> dict:
                     (_VU, _VD), (_SU, _VD)], raised)
     law1 = float(lhs1[0]) - (np.trace(rup1_cov[:, 0, :])
                              - np.trace(pup1_cov[:, 0, :]))
-    law2 = np.einsum("mjm->j", mixed_R) + np.einsum("mjm->j", mixed_P)
-    law3 = np.einsum("mjm->j", mixed_S) + np.einsum("mjm->j", mixed_Pv)
+    law2 = einsum("mjm->j", mixed_R) + einsum("mjm->j", mixed_P)
+    law3 = einsum("mjm->j", mixed_S) + einsum("mjm->j", mixed_Pv)
     return {"law1": law1, "law2": law2, "law3": law3}

@@ -13,26 +13,30 @@ evaluates h11, its t-derivative and the distinct L-partials in one fused
 there, in the order of the fields read alone (the raising path re-reads
 h11, then the head up to L_yy).  Regularity is decided by the one inversion
 of g (see ``_regular_inverse``).  It builds the spray level, all a
-harmonic curve reads; the connection level (partials of g, N and the
-Cartan blocks) is built on its first read, and it is there that the
-third-order partials L_tyy, L_xyy and L_yyy are split out of the fused
-values the spray level keeps.  N is semi-analytic (symbolic
-L-partials plus a numeric matrix inverse), so N = dG/dy is cross-checked
-against finite differences of G as a genuine test.  Derivatives OF
-connection blocks (torsion, curvature) are exact too, by forward mode:
-``dtensor.adapted_gradient`` runs the same code on a dual point (see
-``jetlag.dual``), whose L-partials are Taylor values from the exact
-partials one order up, two when nested.  The dual geometry is cached like
-any other, so the connection jets and every covariant derivative at a
-point share it; their connection corrections come from
-``dtensor.add_connection_terms``.  The cached geometry is the one
-per-point object: it holds its point and a weak reference to its space
-(whose cache holds it), and every level above the spray (the connection
-level, then the connection jets, torsion and curvature) is a lazy slot of
-it, built on its first read, float or dual, and read back after that.  The
-public operations normalise their point once, in ``geometry_at``, and read
-the rest off the geometry.  A spray or connection that overflows the
-floats at a finite point raises NonRegularError where it is read.
+harmonic curve reads.  The connection comes in two levels, as in the
+paper's Section 2, each built on its first read: the nonlinear
+connection level splits the third-order partials L_tyy, L_xyy and L_yyy
+out of the fused values the spray level keeps and builds dg/dy and N,
+all that a gauge comparison reads; the Cartan level reads it and builds
+dg/dt, dg/dx, the adapted derivatives of g and the Cartan blocks (Gt, L,
+C).  N is semi-analytic (symbolic L-partials plus a numeric matrix
+inverse), so N = dG/dy is cross-checked against finite differences of G as
+a genuine test.  Derivatives OF connection blocks (torsion, curvature) are
+exact too, by forward mode: ``dtensor.adapted_gradient`` runs the same
+code on a dual point (see ``jetlag.dual``), whose L-partials are Taylor
+values from the exact partials one order up, two when nested.  The dual
+geometry is cached like any other, so the connection jets and every
+covariant derivative at a point share it; their connection corrections
+come from ``dtensor.add_connection_terms``.  The cached geometry is the
+one per-point object: it holds its point and a weak reference to its space
+(whose cache holds it), and every level above the spray (the nonlinear and
+Cartan connection levels, then the connection jets, torsion and curvature)
+is a lazy slot of it, built on its first read, float or dual, and read
+back after that.  The public operations normalise their point once, in
+``geometry_at``, and read the rest off the geometry.  A spray or
+connection that overflows the floats at a finite point raises
+NonRegularError where it is read: each connection level checks its own
+blocks.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.dual import as_array, base
+from jetlag.dual import as_array, base, einsum
 from jetlag.expr import (Const, EvalDomainError, ScalarField, Var, _point_array,
                          add, evaluate_fields, mul, power)
 from jetlag.dtensor import (
@@ -166,8 +170,11 @@ class CurvatureTable:
 
 # Each lazy slot of _Geo and the name of the method that sets it: a name,
 # not the function, so that a method patched on the class is the one run.
-_LAZY = {**dict.fromkeys(("N", "cartan", "dg_t", "dg_x", "dg_y", "Ltyy",
-                          "Lxyy", "Lyyy"), "_connect"),
+# The nonlinear connection level (N and the partials it needs) is built
+# without the Cartan level, which reads it.
+_LAZY = {**dict.fromkeys(("N", "dg_y", "Ltyy", "Lxyy", "Lyyy"), "_nonlinear"),
+         **dict.fromkeys(("cartan", "dg_t", "dg_x", "del_t_g", "del_x_g"),
+                         "_cartan"),
          "jets": "_jets", "torsion": "_torsion", "curvature": "_curvature"}
 
 
@@ -180,12 +187,15 @@ class _Geo:
     Every level above the spray is a lazy slot (see ``_LAZY``): its first
     read runs the method that sets it, through ``__getattr__`` (run on
     unset slots only), so each level is built once per cached geometry and
-    read back after that.
+    read back after that.  ``_nonlinear`` sets the nonlinear connection N
+    and the partials it reads; ``_cartan`` reads them and sets the Cartan
+    blocks and the adapted derivatives of g.  A level whose blocks leave
+    the floats raises and sets nothing, so every later read raises too.
     """
 
     __slots__ = ("space", "z", "h11", "h_inv", "H", "g", "g_inv", "Htemp",
                  "Gspat", "M", "hdot", "B", "Ly", "Lx", "Lty", "Lxy", "Lyy",
-                 "values", "connect_idx", *_LAZY)
+                 "values", "third_idx", *_LAZY)
 
     def __getattr__(self, name):
         build = _LAZY.get(name)
@@ -194,46 +204,42 @@ class _Geo:
         getattr(self, build)()
         return getattr(self, name)
 
-    def _connect(self) -> None:
+    def _nonlinear(self) -> None:
         h11, h_inv, H, g_inv = self.h11, self.h_inv, self.H, self.g_inv
-        Ltyy, Lxyy, Lyyy = (self.values[i] for i in self.connect_idx)
-        self.Ltyy, self.Lxyy, self.Lyyy = Ltyy, Lxyy, Lyyy
+        Ltyy, Lxyy, Lyyy = (self.values[i] for i in self.third_idx)
         y = self.z[1 + len(self.g):]
-
-        # exact partials of g
-        dg_t = 0.5 * (self.hdot * self.Lyy + h11 * Ltyy)
-        dg_x = 0.5 * h11 * Lxyy              # dg_x[k, i, j] = dg_ij/dx^k
         dg_y = 0.5 * h11 * Lyyy              # dg_y[i, j, k] = dg_ij/dy^k
 
         # N^i_j = dG^i/dy^j, semi-analytic: differentiate the closed form of G
-        dginv_y = -np.einsum("im,mlk,lj->ijk", g_inv, dg_y, g_inv)
+        dginv_y = -einsum("im,mlk,lj->ijk", g_inv, dg_y, g_inv)
         # dB_k/dy^j: the y^m factor contributes L_{x^j y^k}, the -L_{x^k}
         # term contributes -L_{x^k y^j}; note the index order flip
-        dB_y = (np.einsum("mkj,m->kj", Lxyy, y) + self.Lxy.T - self.Lxy
+        dB_y = (einsum("mkj,m->kj", Lxyy, y) + self.Lxy.T - self.Lxy
                 + Ltyy + self.Lyy * H
-                + 2.0 * h_inv * H * (np.einsum("klj,l->kj", dg_y, y) + self.g))
-        N = 0.25 * h11 * (np.einsum("ikj,k->ij", dginv_y, self.B)
+                + 2.0 * h_inv * H * (einsum("klj,l->kj", dg_y, y) + self.g))
+        N = 0.25 * h11 * (einsum("ikj,k->ij", dginv_y, self.B)
                           + g_inv @ dB_y)
-        self.N, self.dg_t, self.dg_x, self.dg_y = N, dg_t, dg_x, dg_y
+        _finite((self.M, N), self.z)
+        self.Ltyy, self.Lxyy, self.Lyyy, self.dg_y, self.N = (
+            Ltyy, Lxyy, Lyyy, dg_y, N)
 
-        # metric linear connection blocks from adapted derivatives of g
-        del_t_g, del_x_g = self.adapted_dg()
+    def _cartan(self) -> None:
+        h11, g_inv, dg_y, N = self.h11, self.g_inv, self.dg_y, self.N
+        dg_t = 0.5 * (self.hdot * self.Lyy + h11 * self.Ltyy)
+        dg_x = 0.5 * h11 * self.Lxyy         # dg_x[k, i, j] = dg_ij/dx^k
+
+        # metric linear connection blocks from the adapted derivatives of g,
+        # derivative axis last: delta g_ij / delta t, delta g_ij / delta x^k
+        del_t_g = dg_t - einsum("ijm,m->ij", dg_y, self.M)
+        del_x_g = (dg_x.transpose((1, 2, 0))
+                   - einsum("ijm,mk->ijk", dg_y, N))
         Gt = 0.5 * g_inv @ del_t_g
         Lblock = _christoffel(g_inv, del_x_g)
         Cblock = _christoffel(g_inv, dg_y)
-        # one isfinite call over M and the four blocks: the cheapest form
-        if not np.isfinite(np.concatenate(
-                [base(a).ravel()
-                 for a in (self.M, N, Gt, Lblock, Cblock)])).all():
-            raise _non_finite("connection coefficients", self.z)
-        self.cartan = CartanCoefficients(H, Gt, Lblock, Cblock)
-
-    def adapted_dg(self) -> tuple:
-        """Adapted time and spatial derivatives of g, derivative axis last:
-        (delta g_ij / delta t, delta g_ij / delta x^k as [i, j, k])."""
-        return (self.dg_t - np.einsum("ijm,m->ij", self.dg_y, self.M),
-                self.dg_x.transpose((1, 2, 0))
-                - np.einsum("ijm,mk->ijk", self.dg_y, self.N))
+        _finite((Gt, Lblock, Cblock), self.z)
+        self.dg_t, self.dg_x, self.del_t_g, self.del_x_g = (
+            dg_t, dg_x, del_t_g, del_x_g)
+        self.cartan = CartanCoefficients(self.H, Gt, Lblock, Cblock)
 
     def _jets(self) -> None:
         ref, L, h11 = self.space
@@ -264,31 +270,31 @@ class _Geo:
 
         R_i1k = (jets.Gt.del_x
                  - jets.L.del_t
-                 + np.einsum("mi,lmk->lik", Gt, L)
-                 - np.einsum("mik,lm->lik", L, Gt)
-                 + np.einsum("lim,mk->lik", C, tors.R_1j))
+                 + einsum("mi,lmk->lik", Gt, L)
+                 - einsum("mik,lm->lik", L, Gt)
+                 + einsum("lim,mk->lik", C, tors.R_1j))
 
         dL_del_x = jets.L.del_x                   # [l, i, j, k]
         R_ijk = (dL_del_x
                  - np.transpose(dL_del_x, (0, 1, 3, 2))
-                 + np.einsum("mij,lmk->lijk", L, L)
-                 - np.einsum("mik,lmj->lijk", L, L)
-                 + np.einsum("lim,mjk->lijk", C, tors.R_ij))
+                 + einsum("mij,lmk->lijk", L, L)
+                 - einsum("mik,lmj->lijk", L, L)
+                 + einsum("lim,mjk->lijk", C, tors.R_ij))
 
         P_i1k = (jets.Gt.d_y
                  - _cov_C(cart, jets, "time")
-                 + np.einsum("lim,mk->lik", C, tors.P_1))
+                 + einsum("lim,mk->lik", C, tors.P_1))
 
         covC_x = _cov_C(cart, jets, "space")       # [l, i, k, j]
         P_ijk = (jets.L.d_y
                  - np.transpose(covC_x, (0, 1, 3, 2))
-                 + np.einsum("lim,mjk->lijk", C, tors.P_i))
+                 + einsum("lim,mjk->lijk", C, tors.P_i))
 
         dC_y = jets.C.d_y
         S_ijk = (dC_y
                  - np.transpose(dC_y, (0, 1, 3, 2))
-                 + np.einsum("mij,lmk->lijk", C, C)
-                 - np.einsum("mik,lmj->lijk", C, C))
+                 + einsum("mij,lmk->lijk", C, C)
+                 - einsum("mik,lmj->lijk", C, C))
 
         self.curvature = CurvatureTable(R_i1k=R_i1k, R_ijk=R_ijk,
                                         P_i1k=P_i1k, P_ijk=P_ijk,
@@ -350,9 +356,10 @@ class LagrangeSpace:
                    for ax in itertools.product(*axes)]
             blocks.append(np.array(idx).reshape(
                 [len(a) for a in axes if a is not t]))
-        # the spray level reads five blocks, the connection level three
+        # the spray level reads five blocks, the nonlinear connection level
+        # the three third-order ones
         self._lyy_idx, self._spray_idx = blocks[0], blocks[1:5]
-        self._connect_idx = blocks[5:]
+        self._third_idx = blocks[5:]
         self._fields = (h11, h11.differentiate(_unit_index(n, 0)),
                         *map(L.differentiate, slots))
         self._geo_cache: collections.OrderedDict = collections.OrderedDict()
@@ -425,8 +432,8 @@ class LagrangeSpace:
         # raw Lagrangian partials, kept for the Euler-Lagrange assembly
         # (an algebraic route independent of the g-contracted spray)
         geo.Ly, geo.Lx, geo.Lty, geo.Lxy, geo.Lyy = Ly, Lx, Lty, Lxy, Lyy
-        # _connect reads L_tyy, L_xyy and L_yyy off the fused values
-        geo.values, geo.connect_idx = values, self._connect_idx
+        # _nonlinear reads L_tyy, L_xyy and L_yyy off the fused values
+        geo.values, geo.third_idx = values, self._third_idx
         return geo
 
     def _metric(self, fused, zb) -> tuple:
@@ -483,6 +490,14 @@ def _non_finite(what: str, z) -> NonRegularError:
     return NonRegularError(f"non-finite {what} at point {point}", point=point)
 
 
+def _finite(blocks, z) -> None:
+    """NonRegularError unless every entry of the blocks is finite: one
+    isfinite call over them all, the cheapest form."""
+    if not np.isfinite(np.concatenate([base(a).ravel()
+                                       for a in blocks])).all():
+        raise _non_finite("connection coefficients", z)
+
+
 def _regular_inverse(g, z: np.ndarray, what: str):
     """Inverse of a metric block, or NonRegularError when the block is not
     finite, singular or conditioned beyond COND_LIMIT.  The condition
@@ -510,7 +525,7 @@ def _christoffel(g_inv: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Christoffel symbols 1/2 g^im (A_jmk + A_kmj - A_jkm) of the metric
     derivatives A[j, m, k] = d g_jm / d u^k."""
     sym = A + A.transpose((2, 1, 0)) - A.transpose((0, 2, 1))
-    return 0.5 * np.einsum("im,jmk->ijk", g_inv, sym)
+    return 0.5 * einsum("im,jmk->ijk", g_inv, sym)
 
 
 # ---------------------------------------------------------------------------
@@ -573,16 +588,16 @@ def bianchi_residuals(sp: LagrangeSpace, point) -> dict:
     # spatial covariant derivative of the time-mixed torsion block -Gt
     T1_cov = add_connection_terms(-jets.Gt.del_x, tors.T_1j, _T1_SLOTS,
                                   cart, "space")
-    term = cur.R_i1k + T1_cov + np.einsum("lkm,mj->ljk", C, tors.R_1j)
+    term = cur.R_i1k + T1_cov + einsum("lkm,mj->ljk", C, tors.R_1j)
     b1 = term - np.transpose(term, (0, 2, 1))
 
-    t2 = cur.R_ijk - np.einsum("lkm,mij->lijk", C, tors.R_ij)
+    t2 = cur.R_ijk - einsum("lkm,mij->lijk", C, tors.R_ij)
     b2 = (t2 + np.transpose(t2, (0, 2, 3, 1))
           + np.transpose(t2, (0, 3, 1, 2)))
 
     covC_x = _cov_C(cart, jets, "space")        # [l, i, k, j]
     t3 = (cur.P_ijk + np.transpose(covC_x, (0, 1, 3, 2))
-          + np.einsum("lkm,mjp->ljkp", C, tors.P_i))
+          + einsum("lkm,mjp->ljkp", C, tors.P_i))
     b3 = t3 - np.transpose(t3, (0, 2, 1, 3))
     return {"b1": b1, "b2": b2, "b3": b3}
 

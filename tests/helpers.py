@@ -31,7 +31,7 @@ import numpy as np
 from jetlag import fields
 from jetlag.dtensor import (CartanCoefficients, SlotKind, adapted_gradient,
                             add_connection_terms, transform_point)
-from jetlag.dual import Dual, as_array
+from jetlag.dual import Dual, as_array, depth
 from jetlag.dynamics import Curve, harmonic_rhs
 from jetlag.expr import (Const, JetPoint, Node, Var, _point_array, add, call,
                          div, evaluate_fields, mul, neg, power)
@@ -61,25 +61,41 @@ def count_calls(monkeypatch, fn, *owners):
     return calls
 
 
+def connection_levels(monkeypatch) -> list:
+    """Record each connection level built, as ("nonlinear", depth) or
+    ("cartan", depth), depth 0 at a float point, in the order its builder
+    is entered (the Cartan level enters the nonlinear one it reads)."""
+    seen = []
+    for level in ("nonlinear", "cartan"):
+        def built(self, level=level, build=getattr(_Geo, f"_{level}")):
+            seen.append((level, depth(self.H)))
+            return build(self)
+
+        monkeypatch.setattr(_Geo, f"_{level}", built)
+    return seen
+
+
 def dual_levels(monkeypatch):
     """Record the depth of every dual point whose geometry is computed
     (a geometry_at miss) and of every dual connection level built, as
-    ("geo", depth) and ("connect", depth); float points are not recorded."""
+    ("geo", depth), ("nonlinear", depth) and ("cartan", depth); float
+    points are not recorded."""
     seen = []
-    compute, connect = LagrangeSpace._compute_geo, _Geo._connect
+    compute = LagrangeSpace._compute_geo
 
     def computed(self, z):
         if isinstance(z, Dual):
             seen.append(("geo", z.depth))
         return compute(self, z)
 
-    def connected(self):
-        if isinstance(self.H, Dual):
-            seen.append(("connect", self.H.depth))
-        return connect(self)
-
     monkeypatch.setattr(LagrangeSpace, "_compute_geo", computed)
-    monkeypatch.setattr(_Geo, "_connect", connected)
+    for level in ("nonlinear", "cartan"):
+        def built(self, level=level, build=getattr(_Geo, f"_{level}")):
+            if isinstance(self.H, Dual):
+                seen.append((level, self.H.depth))
+            return build(self)
+
+        monkeypatch.setattr(_Geo, f"_{level}", built)
     return seen
 
 

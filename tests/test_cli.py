@@ -9,12 +9,16 @@ import json
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from jetlag import cli, expr
+from helpers import connection_levels
+from jetlag import cli, expr, geometry
+from jetlag.checks import random_affine_chart, sample_points
+from jetlag.dtensor import transform_point
 from jetlag.cli import (
     BUILTIN_CONFIGS,
     MAX_N,
@@ -470,6 +474,29 @@ t = 0.1 0.9
         assert main(["check", "--config", name]) == 0
         capsys.readouterr()
         assert (len(roots), sum(roots)) == (6, 367)
+
+    @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
+    def test_connection_work_is_pinned(self, monkeypatch, capsys, name):
+        # connection levels built, by dual depth: a check samples 100
+        # float points and its gauge suite moves 6 of them to a chart,
+        # where it reads N alone; the jets and the covariant derivatives
+        # read 61 first-order dual points, and conservation nests 4 more.
+        # A loop that reads N on a chart-moved space builds no Cartan level
+        built = connection_levels(monkeypatch)
+        assert main(["check", "--config", name]) == 0
+        capsys.readouterr()
+        assert Counter(built) == {
+            ("nonlinear", 0): 106, ("cartan", 0): 100,
+            ("nonlinear", 1): 61, ("cartan", 1): 61,
+            ("nonlinear", 2): 4, ("cartan", 2): 4}
+        cfg = load_config(name)
+        chart = random_affine_chart(cfg.space, seed=3)
+        moved = geometry.transformed_space(cfg.space, chart)
+        built.clear()
+        for z in sample_points(cfg.space, cfg.ranges, 10, seed=5):
+            geometry.canonical_nonlinear_connection(
+                moved, transform_point(chart, z))
+        assert built == [("nonlinear", 0)] * 10
 
 
 class TestCurve:

@@ -357,8 +357,9 @@ class TestDifferentiatedWork:
         seen = dual_levels(monkeypatch)
         stencils = count_calls(monkeypatch, numdiff.partial, numdiff)
         fn(sp, z)
-        assert sorted(seen) == [("connect", d) for d in levels] \
-            + [("geo", d) for d in levels]
+        assert sorted(seen) == [(level, d) for level in ("cartan", "geo",
+                                                         "nonlinear")
+                                for d in levels]
         assert stencils == []
 
     def test_conservation_builds_ricci_once_per_point(self, monkeypatch):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import (
     berwald_connection,
     christoffel_oracle,
+    connection_levels,
     count_calls,
     covariant_derivative,
     fd_partial,
@@ -991,16 +992,24 @@ class TestPartialTable:
 
 
 # ---------------------------------------------------------------------------
-# the connection level of a point, built on its first read
+# the two connection levels of a point, each built on its first read
 # ---------------------------------------------------------------------------
+
+def _is_set(geo, slot) -> bool:
+    """Whether a slot of the geometry is set, without building it."""
+    try:
+        getattr(type(geo), slot).__get__(geo)
+    except AttributeError:
+        return False
+    return True
+
 
 class TestConnectionLevel:
     def test_spray_readers_build_no_connection(self, monkeypatch):
         sp = load_config("sphere_l1").space
         christoffel = count_calls(monkeypatch, geometry._christoffel,
                                   geometry)
-        connects = count_calls(monkeypatch, geometry._Geo._connect,
-                               geometry._Geo)
+        built = connection_levels(monkeypatch)
         curve = integrate_harmonic(sp, [np.pi / 2, 0.0], [0.0, 1.0],
                                    0.0, 0.2, 0.01)
         assert len(curve) == 21
@@ -1009,28 +1018,77 @@ class TestConnectionLevel:
         sp.geometry_at(z + 0.01)
         el_acceleration(sp, z + 0.02)
         el_residual(sp, curve)
-        assert christoffel == connects == []
+        assert christoffel == built == []
 
     @pytest.mark.parametrize("attr", ["N", "cartan", "dg_y", "Ltyy", "Lxyy",
-                                      "Lyyy"])
+                                      "Lyyy", "dg_t", "dg_x", "del_t_g",
+                                      "del_x_g"])
     def test_first_read_builds_the_level_once(self, monkeypatch, attr):
+        # a slot of the nonlinear level builds it alone, with no
+        # Christoffel; a slot of the Cartan level builds the nonlinear
+        # level once, then its own two Christoffels
         sp = load_config("electrodynamics_l2").space
         geo = sp.geometry_at([0.3, 0.2, -0.4, 0.7, 0.5])
         evals = count_calls(monkeypatch, expr.evaluate_fields, expr,
                             geometry)
         christoffel = count_calls(monkeypatch, geometry._christoffel,
                                   geometry)
+        built = connection_levels(monkeypatch)
+        level = geometry._LAZY[attr]
+        want = (0, 0, [("nonlinear", 0)]) if level == "_nonlinear" \
+            else (0, 2, [("cartan", 0), ("nonlinear", 0)])
         first = getattr(geo, attr)
-        assert (len(evals), len(christoffel)) == (0, 2)
+        assert (len(evals), len(christoffel), built) == want
         for name, build in geometry._LAZY.items():
-            if build == "_connect":
+            if build == level:
                 getattr(geo, name)
         assert getattr(geo, attr) is first
-        assert (len(evals), len(christoffel)) == (0, 2)
+        assert (len(evals), len(christoffel), built) == want
+        assert _is_set(geo, "cartan") == (level == "_cartan")
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_dual_read_of_N_builds_no_cartan(self, monkeypatch, depth):
+        sp = load_config("electrodynamics_l2").space
+        z = np.array([0.3, 0.2, -0.4, 0.7, 0.5])
+        for _ in range(depth):
+            z = Dual(z, np.eye(5))
+        geo = sp.geometry_at(z)
+        christoffel = count_calls(monkeypatch, geometry._christoffel,
+                                  geometry)
+        built = connection_levels(monkeypatch)
+        canonical_nonlinear_connection(sp, z)
+        assert (christoffel, built) == ([], [("nonlinear", depth)])
+        assert not _is_set(geo, "cartan")
+        geo.cartan
+        assert (len(christoffel), built) \
+            == (2, [("nonlinear", depth), ("cartan", depth)])
+
+    def test_overflow_raises_at_each_level(self):
+        # L_y = 2y overflows and meets H = 0 in B, so N is NaN: the
+        # nonlinear level raises and sets nothing, so it raises again on
+        # the next read of N (a NaN N kept from the first read used to
+        # fail NonlinearConnectionValue's own check with a ValueError) and
+        # when the Cartan level reads it
+        sp = flat_space()
+        z = (0.0, 0.0, 0.0, 1e308, 1e308)
+        message = (r"non-finite connection coefficients at point "
+                   r"\(0\.0, 0\.0, 0\.0, 1e\+308, 1e\+308\)")
+        with np.errstate(invalid="ignore", over="ignore"):
+            for _ in range(2):
+                with pytest.raises(NonRegularError, match=message):
+                    canonical_nonlinear_connection(sp, z)
+            geo = sp.geometry_at(z)
+            assert not any(_is_set(geo, slot) for slot in geometry._LAZY)
+            with pytest.raises(NonRegularError, match=message):
+                geo.cartan
+            with pytest.raises(NonRegularError, match=message):
+                cartan_connection(sp, z)
 
     @pytest.mark.parametrize("name", ["sphere_l1", "electrodynamics_l2",
                                       "nonautonomous_l3"])
     def test_read_order_leaves_every_block_bitwise_equal(self, name):
+        # on the space and on a chart-moved one, whichever slot is read
+        # first; N read alone, with no Cartan level, has the same bits
         cfg = load_config(name)
         chart = random_affine_chart(cfg.space, seed=3)
         moved = transformed_space(cfg.space, chart)
@@ -1039,15 +1097,20 @@ class TestConnectionLevel:
                        (moved, [transform_point(chart, z) for z in points])):
             for z in zs:
                 z = expr._point_array(z, sp.n)
+                alone = sp._compute_geo(z)    # a fresh, uncached bundle
+                n_alone = alone.N.tobytes()
+                assert not _is_set(alone, "cartan")
                 seen = set()
-                for first in ("N", "cartan", "dg_t", "Lyyy"):
-                    geo = sp._compute_geo(z)      # a fresh, uncached bundle
+                for first in ("N", "cartan", "dg_t", "Lyyy", "del_x_g"):
+                    geo = sp._compute_geo(z)
                     getattr(geo, first)
                     c = geo.cartan
                     seen.add(tuple(a.tobytes() for a in (
                         geo.N, c.Gt, c.L, c.C, geo.dg_t, geo.dg_x,
-                        geo.dg_y, geo.Ltyy, geo.Lxyy, geo.Lyyy)))
+                        geo.dg_y, geo.Ltyy, geo.Lxyy, geo.Lyyy,
+                        geo.del_t_g, geo.del_x_g)))
                 assert len(seen) == 1
+                assert seen.pop()[0] == n_alone
 
     def test_reusing_the_point_array_leaves_the_level(self):
         z = SPHERE_Z.copy()
@@ -1065,7 +1128,8 @@ class TestConnectionLevel:
         # runs once per geometry, whichever slot is read first
         sp = load_config("electrodynamics_l2").space
         built = []
-        for owner, name in ((geometry._Geo, "_connect"),
+        for owner, name in ((geometry._Geo, "_nonlinear"),
+                            (geometry._Geo, "_cartan"),
                             (geometry._Geo, "_torsion"),
                             (geometry._Geo, "_curvature"),
                             (LagrangeSpace, "connection_jets")):
@@ -1079,9 +1143,10 @@ class TestConnectionLevel:
                    for slot, value in zip(order, first))
         assert len(set(built)) == len(built)
         assert sorted(name for name, owner in built if owner == id(geo)) \
-            == ["_connect", "_curvature", "_torsion"]
-        assert [name for name, _ in built].count("connection_jets") == 1
-        assert [name for name, _ in built].count("_connect") == 2
+            == ["_cartan", "_curvature", "_nonlinear", "_torsion"]
+        names = [name for name, _ in built]
+        assert names.count("connection_jets") == 1
+        assert names.count("_nonlinear") == names.count("_cartan") == 2
 
     def test_unknown_attribute_raises(self):
         geo = sphere_space().geometry_at(SPHERE_Z)
