@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.dual import (CONTRACT, Dual, as_array, base, depth, einsum,
+from jetlag.dual import (CONTRACT, Dual, as_array, base, depth, einsum, inv,
                          scalar)
 from jetlag.expr import JetPoint, ScalarField, _point_array, evaluate_fields
 
@@ -261,7 +261,7 @@ class ChartMap:
                 raise ValueError("t_inverse must depend only on t")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A_inv", np.linalg.inv(A))
+        object.__setattr__(self, "A_inv", inv(A))
         # tau' leads the group, so that its domain error is the one raised
         dt = (1,) + (0,) * (2 * self.t_map.n)
         tprime = self.t_map.differentiate(dt)

@@ -26,7 +26,8 @@ comes from the operation that computes it without the Dual, elementwise or
 as one matrix of a batched matmul, so it has the same bits; an ``einsum``
 takes its value part and each operand's tangent term in separate calls,
 since an einsum with an extra axis may sum in another order.  The
-package's own einsums, float or dual, go through :func:`einsum`.
+package's own einsums, float or dual, go through :func:`einsum`, and its
+inverses through :func:`inv`.
 
 The dual-transparency contract: a function differentiated this way must
 build its arrays from the point it is given using only arithmetic
@@ -54,8 +55,23 @@ try:
 except ImportError:     # numpy 1.x
     _c_einsum = np.einsum
 
+try:
+    # the LAPACK kernel np.linalg.inv runs and the callback with which its
+    # error state raises LinAlgError, without the wrapper's checks and
+    # casts, which cost as much as the kernel on a block of a few entries
+    from numpy.linalg._linalg import _raise_linalgerror_singular
+    from numpy.linalg._umath_linalg import inv as _inv_kernel
+except ImportError:     # another numpy layout: np.linalg.inv, which sets
+    _inv_kernel = np.linalg.inv     # its own error state inside this one
+    _INV_STATE = {"over": "ignore", "divide": "ignore", "under": "ignore"}
+else:
+    # np.linalg.inv's error state: a singular block raises LinAlgError, and
+    # an overflow, a division by zero or an underflow is silent
+    _INV_STATE = {"call": _raise_linalgerror_singular, "invalid": "call",
+                  "over": "ignore", "divide": "ignore", "under": "ignore"}
+
 __all__ = ["Dual", "CONTRACT", "depth", "base", "as_array", "scalar",
-           "einsum"]
+           "einsum", "inv"]
 
 CONTRACT = ("a differentiated point function must be dual-transparent: "
             "build its arrays from the point with +, -, *, /, @, indexing, "
@@ -218,13 +234,13 @@ def _inverse(a, level: int, top: int):
     """The matrix inverse of the stack a: the derivative of A^-1 is
     -A^-1 dA A^-1, taken over the whole stack as in _reciprocal."""
     if level == top:
-        return np.linalg.inv(a)
+        return inv(a)
     value = _slices(level, top)[0]
-    inv = _inverse(a[value], level + 1, top)
-    out = _rule(np.matmul, _rule(np.matmul, inv, a, level + 1, top), inv,
+    a_inv = _inverse(a[value], level + 1, top)
+    out = _rule(np.matmul, _rule(np.matmul, a_inv, a, level + 1, top), a_inv,
                 level + 1, top)
     np.negative(out, out=out)
-    out[value] = inv
+    out[value] = a_inv
     return out
 
 
@@ -525,13 +541,29 @@ def _swapaxes(a, axis1, axis2):
     return _wrap(a.stack.swapaxes(axis1 % nd + d, axis2 % nd + d), d)
 
 
-def _inv(a):
-    return _wrap(_inverse(a.stack, 0, a.depth), a.depth)
+def inv(a, scale=None):
+    """``np.linalg.inv(a)`` with its bits and its LinAlgError.  A float
+    block goes straight to numpy's LAPACK kernel, in the error state that
+    np.linalg.inv sets, and a Dual takes the rule of ``_inverse``, whose
+    innermost level is that float inverse.  Given a scale, it returns the
+    pair (scale * a, its inverse): at a float block the product is formed
+    in the same error state, so that an entry that overflows is an inf
+    and no numpy warning, and the scale costs the product alone."""
+    if type(a) is Dual or type(scale) is Dual:
+        if scale is not None:
+            a = scale * a
+        inverse = _wrap(_inverse(a.stack, 0, a.depth), a.depth)
+    else:
+        with np.errstate(**_INV_STATE):
+            if scale is not None:
+                a = scale * a
+            inverse = _inv_kernel(a)
+    return inverse if scale is None else (a, inverse)
 
 
 _FUNCTIONS = {
     np.einsum: _einsum,
     np.transpose: lambda a, axes=None: a.transpose(axes),
     np.swapaxes: _swapaxes,
-    np.linalg.inv: _inv,
+    np.linalg.inv: inv,
 }

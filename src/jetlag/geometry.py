@@ -12,8 +12,10 @@ evaluates h11, its t-derivative and the distinct L-partials in one fused
 ``expr.evaluate_fields`` call, so every domain and regularity error raises
 there, in the order of the fields read alone (the raising path re-reads
 h11, then the head up to L_yy).  Regularity is decided by the one inversion
-of g (see ``_regular_inverse``).  It builds the spray level, all a
-harmonic curve reads.  The connection comes in two levels, as in the
+of g (see ``_regular_inverse``); every inverse of the package, float or
+dual, goes through ``jetlag.dual.inv``.  It builds the spray level, all a
+harmonic curve reads, whose blocks L_y, L_x and L_ty are views of the
+fused values.  The connection comes in two levels, as in the
 paper's Section 2, each built on its first read: the nonlinear
 connection level splits the third-order partials L_tyy, L_xyy and L_yyy
 out of the fused values the spray level keeps and builds dg/dy and N,
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.dual import as_array, base, einsum
+from jetlag.dual import as_array, base, einsum, inv
 from jetlag.expr import (Const, EvalDomainError, ScalarField, Var, _point_array,
                          add, evaluate_fields, mul, power)
 from jetlag.dtensor import (
@@ -357,8 +359,11 @@ class LagrangeSpace:
             blocks.append(np.array(idx).reshape(
                 [len(a) for a in axes if a is not t]))
         # the spray level reads five blocks, the nonlinear connection level
-        # the three third-order ones
-        self._lyy_idx, self._spray_idx = blocks[0], blocks[1:5]
+        # the three third-order ones.  Ly, Lx and Lty take new slots in
+        # turn, so each is a run of the values, read as a view; Lxy stays
+        # a gather, as a slice and a reshape would make two Duals of it
+        self._lyy_idx, self._lxy_idx = blocks[0], blocks[4]
+        self._spray_runs = [slice(b[0], b[-1] + 1) for b in blocks[1:4]]
         self._third_idx = blocks[5:]
         self._fields = (h11, h11.differentiate(_unit_index(n, 0)),
                         *map(L.differentiate, slots))
@@ -415,7 +420,9 @@ class LagrangeSpace:
         hdot = fused[1]
         h_inv = 1.0 / h11
         H = 0.5 * h_inv * hdot
-        Ly, Lx, Lty, Lxy = (values[i] for i in self._spray_idx)
+        ly, lx, lty = self._spray_runs
+        Ly, Lx, Lty, Lxy = (values[ly], values[lx], values[lty],
+                            values[self._lxy_idx])
 
         # spray source term: B_k = L_{x^m y^k} y^m - L_{x^k} + L_{t y^k}
         #                        + L_{y^k} H + 2 h^inv H g_{kl} y^l
@@ -443,9 +450,9 @@ class LagrangeSpace:
         _regular_h11(base(h11), zb[0], zb)
         values = as_array(fused)
         Lyy = values[self._lyy_idx]
-        g = 0.5 * h11 * Lyy
-        return values, h11, Lyy, g, _regular_inverse(
-            g, zb, "vertical Hessian metric is degenerate")
+        g, g_inv = _regular_inverse(Lyy, 0.5 * h11, zb,
+                                    "vertical Hessian metric is degenerate")
+        return values, h11, Lyy, g, g_inv
 
     # -- derivative bundles for torsion/curvature ----------------------------
 
@@ -498,22 +505,28 @@ def _finite(blocks, z) -> None:
         raise _non_finite("connection coefficients", z)
 
 
-def _regular_inverse(g, z: np.ndarray, what: str):
-    """Inverse of a metric block, or NonRegularError when the block is not
-    finite, singular or conditioned beyond COND_LIMIT.  The condition
-    estimate (sum |g_ij|)(sum |g^ij|), of the values, is scale-free and at
-    least the 1-norm condition number; a non-finite entry makes it
-    non-finite.  The determinant is computed for the error only."""
-    value = base(g)
+def _regular_inverse(block, scale, z: np.ndarray, what: str):
+    """The metric block g = scale * block and its inverse, or
+    NonRegularError when g is not finite, singular or conditioned beyond
+    COND_LIMIT.  g is formed in the error state of the inversion (see
+    ``dual.inv``), so a g that overflows raises the NonRegularError alone,
+    with no numpy warning.  The condition estimate (sum |g_ij|)(sum |g^ij|),
+    of the values, is scale-free and at least the 1-norm condition number;
+    a non-finite entry makes it non-finite.  The determinant is computed
+    for the error only."""
     try:
-        g_inv = np.linalg.inv(g)
+        g, g_inv = inv(block, scale)
     except np.linalg.LinAlgError:
+        # the error path forms g again, as quietly as the inversion did
+        with np.errstate(over="ignore"):
+            g = scale * block
         cond = math.inf
     else:
-        cond = (sum(map(abs, value.ravel().tolist()))
+        cond = (sum(map(abs, base(g).ravel().tolist()))
                 * sum(map(abs, base(g_inv).ravel().tolist())))
         if cond <= COND_LIMIT:
-            return g_inv
+            return g, g_inv
+    value = base(g)
     if not np.isfinite(value).all():
         raise NonRegularError("non-finite metric entries", point=tuple(z))
     det = float(np.linalg.det(value))

@@ -255,7 +255,7 @@ def berwald_connection(h11, g_fields, point) -> CartanCoefficients:
             g[i, j] = f.evaluate(z)
             for k in range(n):
                 dg_x[k, i, j] = f.differentiate(_unit_index(n, 1 + k)).evaluate(z)
-    g_inv = _regular_inverse(g, z, "spatial metric degenerate")
+    _, g_inv = _regular_inverse(g, 1.0, z, "spatial metric degenerate")
     gamma = _christoffel(g_inv, np.transpose(dg_x, (1, 2, 0)))
     H = temporal_christoffel(h11, float(z[0]))
     return CartanCoefficients(H, np.zeros((n, n)), gamma, np.zeros((n, n, n)))

@@ -40,6 +40,8 @@ CASES = {
     "quotient by a constant": lambda q: (q[0:2] * q[3]) / A0,
     "reciprocal": lambda q: 1.0 / (1.5 + q[0:2] * q[1]),
     "inverse": lambda q: np.linalg.inv(A0 + q[0:2][:, None] * q[2:4]),
+    "inverse through dual.inv": lambda q: dual.inv(A0 * q[1] + q[0:2]),
+    "scaled inverse": lambda q: dual.inv(A0 + q[0:2], q[3])[1],
     "einsum": lambda q: np.einsum("i,ij,j->", q[0:2], A0 * q[3], q[2:4]),
     "einsum trace": lambda q: np.einsum("ii->i", q[0:2][:, None] * q[1:3]),
     "einsum with a constant": lambda q: np.einsum("ij,jk->ik", A0,
@@ -206,6 +208,46 @@ def test_operations_the_engine_does_not_run_are_refused():
                lambda q: q ** 3):
         with pytest.raises(TypeError, match="dual-transparent"):
             op(point)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_the_float_inverse_is_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((n, n)) + n * np.eye(n)
+    batch = rng.standard_normal((3, n, n)) + n * np.eye(n)
+    for a in (block, batch):
+        assert _bits(dual.inv(a)) == _bits(np.linalg.inv(a))
+    scaled, inverse = dual.inv(block, 0.7)
+    assert _bits(scaled) == _bits(0.7 * block)
+    assert _bits(inverse) == _bits(np.linalg.inv(0.7 * block))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_singular_float_block_raises_numpys_error():
+    for a in (np.zeros((2, 2)), np.ones((3, 3))):
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            np.linalg.inv(a)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            dual.inv(a)
+        assert str(got.value) == str(want.value)
+    # a scaled product that overflows is an inf, with no warning
+    scaled, inverse = dual.inv(np.full((2, 2), 1e300), 1e300)
+    assert np.isinf(scaled).all()
+    assert _bits(inverse) == _bits(np.linalg.inv(scaled))
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+def test_the_dual_inverse_is_the_level_rule(depth):
+    a = A0 * _point(depth)[1] + _point(depth)[0:2]
+    got = dual.inv(a)
+    assert got.depth == depth
+    assert _bits(got.stack) == _bits(np.linalg.inv(a).stack)
+    if depth == 1:
+        # -A^-1 dA A^-1 on the tangents, with the value part A^-1
+        value = np.linalg.inv(a.stack[0])
+        want = -(value @ a.stack @ value)
+        want[0] = value
+        assert _bits(got.stack) == _bits(want)
 
 
 def test_dual_work_counts_are_pinned(monkeypatch):

@@ -177,6 +177,28 @@ class TestIntegrate:
         with pytest.raises(NonRegularError, match="t = 1"):
             integrate_harmonic(sp, [0.0, 0.0], [1.0, 0.0], 0.0, 2.0, 0.125)
 
+    def test_a_stage_state_that_overflows_is_named(self):
+        # on the flat space x moves at the speed 1e307 from 1.7e308, so
+        # the last stage of the first unit step, x0 + 1 * y, leaves the
+        # floats (the midpoint stages, x0 + y / 2, do not)
+        with np.errstate(over="ignore"), pytest.raises(
+                NonRegularError, match=r"^non-finite state at t = 1$") as err:
+            integrate_harmonic(flat_space(), [1.7e308, 0.0], [1e307, 0.0],
+                               0.0, 2.0, 1.0)
+        assert err.value.point == (1.0, np.inf, 0.0, 1e307, 0.0)
+
+    def test_a_stage_state_that_turns_nan_is_named(self, monkeypatch):
+        # a spray that leaves the floats without raising: the next stage
+        # state is NaN, and the step stops there
+        monkeypatch.setattr(dynamics, "harmonic_rhs",
+                            lambda sp, z: np.full(N, np.nan))
+        with pytest.raises(NonRegularError,
+                           match=r"^non-finite state at t = 0.25$") as err:
+            integrate_harmonic(flat_space(), [0.0, 0.0], [1.0, 0.0],
+                               0.0, 1.0, 0.5)
+        assert err.value.point[:3] == (0.25, 0.25, 0.0)
+        assert np.isnan(err.value.point[3:]).all()
+
 
 class TestStateVector:
     """integrate_harmonic runs RK4 on one state vector (x, y), written into
@@ -266,6 +288,17 @@ class TestCurveType:
 # ---------------------------------------------------------------------------
 
 class TestAction:
+    def test_samples_are_read_as_the_curve_points(self):
+        # the stacked samples give each point's values bit for bit
+        sp = sphere_space()
+        c = integrate_harmonic(sp, TILT_X0, TILT_Y0, 0.0, 0.5, 1e-2)
+        vals = np.array([sp.L.evaluate(c.point(k))
+                         * np.sqrt(abs(sp.h11.evaluate(c.point(k))))
+                         for k in range(len(c))])
+        w = np.ones(len(c))
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+        assert action(sp, c) == float((c.t[1] - c.t[0]) / 3.0 * (w @ vals))
+
     def test_straight_line_unit(self):
         c = integrate_harmonic(flat_space(), [0.0, 0.0], [1.0, 0.0],
                                0.0, 1.0, 1e-3)

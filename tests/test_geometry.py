@@ -34,7 +34,7 @@ from jetlag.dtensor import (
     transform_temporal_spray,
     transform_tensor,
 )
-from jetlag import expr, geometry
+from jetlag import dual, expr, geometry
 from jetlag.checks import random_affine_chart, sample_points
 from jetlag.cli import BUILTIN_CONFIGS, load_config
 from jetlag.dual import Dual
@@ -234,24 +234,44 @@ class TestRegularity:
         nan = np.array([[1.0, np.nan], [np.nan, 1.0]])
         with pytest.raises(NonRegularError,
                            match="^non-finite metric entries$"):
-            geometry._regular_inverse(nan, z, "degenerate")
-        # h11 L_yy overflows to inf
+            geometry._regular_inverse(nan, 1.0, z, "degenerate")
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_metric_raises_no_numpy_warning(self):
+        # g = h11 L_yy / 2 overflows to inf; it is formed in the error
+        # state of its inversion, so the NonRegularError is all that shows
+        z = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
         sp = LagrangeSpace(N, parse("1e200*(y1^2 + y2^2)", N),
                            parse("1e200", N))
-        with np.errstate(over="ignore"), pytest.raises(
-                NonRegularError, match="^non-finite metric entries$"):
+        for _ in range(2):
+            with pytest.raises(NonRegularError,
+                               match="^non-finite metric entries$"):
+                sp.geometry_at(z)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_singular_metric_raises_no_numpy_warning(self):
+        z = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        with pytest.raises(NonRegularError,
+                           match=r"^degenerate \(cond ~ inf, det = 0"):
+            geometry._regular_inverse(np.array([[1.0, 2.0], [2.0, 4.0]]),
+                                      1.0, z, "degenerate")
+        sp = LagrangeSpace(N, parse("(y1 + y2)^2", N), parse("1", N))
+        with pytest.raises(NonRegularError, match="^vertical Hessian metric "
+                                                  r"is degenerate \(cond ~ inf"):
             sp.geometry_at(z)
 
     @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
     def test_one_inversion_and_no_determinant_per_build(self, monkeypatch,
                                                          name):
+        # every inverse goes through jetlag.dual.inv, never numpy's wrapper
         cfg = load_config(name)
-        inv = count_calls(monkeypatch, np.linalg.inv, np.linalg)
+        inv = count_calls(monkeypatch, dual.inv, geometry)
+        np_inv = count_calls(monkeypatch, np.linalg.inv, np.linalg)
         det = count_calls(monkeypatch, np.linalg.det, np.linalg)
         for z in sample_points(cfg.space, cfg.ranges, 3, seed=5):
             before = len(inv)
             cfg.space._compute_geo(z)
-            assert (len(inv) - before, len(det)) == (1, 0)
+            assert (len(inv) - before, len(np_inv), len(det)) == (1, 0, 0)
 
 
 class TestMetricSignature:

@@ -13,8 +13,9 @@ of such a class must be read as an attribute in those places (a word in
 a string does not count there).  The name rule cannot tell a method of
 ``Dual`` from the ndarray method of the same name, so every public member
 of ``Dual`` and every numpy function it implements must also be called by
-the engine at run time (einsum through ``jetlag.dual.einsum``, the entry
-point of the package's einsums).  One point normaliser: only the modules
+the engine at run time (einsum through ``jetlag.dual.einsum`` and
+``linalg.inv`` through ``jetlag.dual.inv``, the entry points of the
+package's einsums and inverses).  One point normaliser: only the modules
 that need it import ``expr._point_array``.
 """
 
@@ -127,20 +128,22 @@ def test_every_public_member_of_dual_has_an_engine_caller(monkeypatch):
             member = counted(name, member, 2)
         monkeypatch.setattr(Dual, name, member)
     functions = {f"numpy.{func.__name__}": func for func in dual._FUNCTIONS
-                 if func is not np.einsum}
+                 if func not in (np.einsum, np.linalg.inv)}
     for name, func in functions.items():
         monkeypatch.setitem(dual._FUNCTIONS, func,
                             counted(name, dual._FUNCTIONS[func], 3))
-    # the engine's einsums go through dual.einsum, which hands an einsum
-    # with a Dual operand to the rule that np.einsum dispatches to
-    rule = dual._einsum
+    # the engine's einsums and inverses go through dual.einsum and dual.inv,
+    # which hand a Dual operand to the rules np.einsum and np.linalg.inv
+    # dispatch to
+    def route(entry, rule):
+        def routed(*args):
+            if sys._getframe(1).f_code is entry.__code__:
+                note(f"jetlag.dual.{entry.__name__}", 3)
+            return rule(*args)
+        monkeypatch.setattr(dual, rule.__name__, routed)
 
-    def routed(*args):
-        if sys._getframe(1).f_code is dual.einsum.__code__:
-            note("jetlag.dual.einsum", 3)
-        return rule(*args)
-
-    monkeypatch.setattr(dual, "_einsum", routed)
+    route(dual.einsum, dual._einsum)
+    route(dual.inv, dual._inverse)
 
     cfg = cli.load_config("electrodynamics_l2")
     lo, hi = cfg.ranges[:, 0], cfg.ranges[:, 1]
@@ -148,7 +151,7 @@ def test_every_public_member_of_dual_has_an_engine_caller(monkeypatch):
     checks.run_checks(cfg.space, points)
     cli.point_record(cfg.space, points[0])
     unused = sorted((set(members) | set(functions)
-                     | {"jetlag.dual.einsum"}) - called)
+                     | {"jetlag.dual.einsum", "jetlag.dual.inv"}) - called)
     assert unused == [], f"no engine caller: {', '.join(unused)}"
 
 
