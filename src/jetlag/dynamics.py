@@ -139,21 +139,28 @@ def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
 
     t = ts[0] = t0
     states[0, :n], states[0, n:] = x0, y0
-    for i in range(count):
-        s, new = states[i], states[i + 1]
-        h = min(step, t1 - t)
-        slope(0, t, s, None)
-        slope(1, t + 0.5 * h, s, 0.5 * h)
-        slope(2, t + 0.5 * h, s, 0.5 * h)
-        slope(3, t + h, s, h)
-        # new = s + (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
-        k[1:3] *= 2.0
-        np.add(k[0], k[1], out=new)
-        np.add(new, k[2], out=new)
-        np.add(new, k[3], out=new)
-        np.multiply(new, h / 6.0, out=new)
-        np.add(s, new, out=new)
-        t = ts[i + 1] = t1 if i == count - 1 else t + h
+    # a state that leaves the floats raises at its check: no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(count):
+            s, new = states[i], states[i + 1]
+            h = min(step, t1 - t)
+            slope(0, t, s, None)
+            slope(1, t + 0.5 * h, s, 0.5 * h)
+            slope(2, t + 0.5 * h, s, 0.5 * h)
+            slope(3, t + h, s, h)
+            # new = s + (h / 6) (k1 + 2 k2 + 2 k3 + k4), summed in that order
+            k[1:3] *= 2.0
+            np.add(k[0], k[1], out=new)
+            np.add(new, k[2], out=new)
+            np.add(new, k[3], out=new)
+            np.multiply(new, h / 6.0, out=new)
+            np.add(s, new, out=new)
+            t = ts[i + 1] = t1 if i == count - 1 else t + h
+    # the last state starts no step, so the stage points' check is here
+    z[0], stage_s[:] = t, states[-1]
+    if not all(map(math.isfinite, z.tolist())):
+        raise NonRegularError(f"non-finite state at t = {t:.6g}",
+                              point=tuple(z))
     return Curve(t=ts, x=states[:, :n], y=states[:, n:], step=step)
 
 

@@ -3,7 +3,9 @@
 A deliberately small expression language: the variables are the jet
 coordinates of a curve (one time variable, n positions, n velocities),
 the functions are a fixed whitelist, and differentiation is exact and
-cached.  Nothing here knows about tensors; the rest of the package
+cached: a derivative table differentiates each shared subtree once per
+variable, and the Taylor plans of its dual points compile each partial
+once.  Nothing here knows about tensors; the rest of the package
 builds on ScalarField evaluation (evaluate_fields takes any fields of
 one n in one compiled call) and ScalarField.differentiate.
 Every value comes from one evaluator, the function compile_node emits,
@@ -16,7 +18,9 @@ A multi-index is a tuple of 2n+1 derivative orders in that same order.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -143,16 +147,17 @@ class Node:
         return ()
 
     def diff(self, var: int, memo: dict | None = None) -> "Node":
-        """The derivative in variable var.  memo maps id(node) to the
-        derivative of each subtree already taken in this call, so a
-        subtree shared across the tree is differentiated once: without it,
-        a chain of k quotients costs O(k^r) at order r."""
+        """The derivative in variable var.  memo maps id(node) to the node
+        and its derivative for each subtree already taken, so a shared
+        subtree is differentiated once (a chain of k quotients would cost
+        O(k^r) at order r).  A table keeps one memo per variable for its
+        life; holding each node keeps its id from being reused."""
         if memo is None:
             memo = {}
         got = memo.get(id(self))
         if got is None:
-            got = memo[id(self)] = self._diff(var, memo)
-        return got
+            got = memo[id(self)] = (self, self._diff(var, memo))
+        return got[1]
 
     def _diff(self, var: int, memo: dict) -> "Node":
         raise NotImplementedError
@@ -246,11 +251,14 @@ class Mul(Node):
         return self.factors
 
     def _diff(self, var, memo):
-        # product rule over an n-ary product
+        # product rule over an n-ary product, less the pieces mul folds to 0
+        finite = all(math.isfinite(f.value) for f in self.factors
+                     if isinstance(f, Const))
         pieces = []
         for i, f in enumerate(self.factors):
             df = f.diff(var, memo)
-            pieces.append(mul(*self.factors[:i], df, *self.factors[i + 1 :]))
+            if not (finite and isinstance(df, Const) and df.value == 0.0):
+                pieces.append(mul(*self.factors[:i], df, *self.factors[i + 1 :]))
         return add(*pieces)
 
     def substitute(self, mapping):
@@ -624,13 +632,15 @@ class _DerivTable:
 
     Derivatives are always built in a canonical order (highest variable
     index peeled off first), so any request order converges onto the same
-    cached AST objects; mixed partials are identical by construction.
+    cached AST objects; mixed partials are identical by construction.  A
+    subtree shared by several partials is differentiated once per variable.
     """
 
     def __init__(self, root: "ScalarField", ast: Node, n: int):
         self.n = n
         zero = (0,) * (2 * n + 1)
         self._asts: dict[tuple[int, ...], Node] = {zero: ast}
+        self._memos = [{} for _ in zero]    # per variable, see Node.diff
         self._plans: dict = {}
         self._fields = {zero: root}     # offset -> the one field at it
         self._groups: dict = {}         # tuple of fields -> [fields, fn]
@@ -663,7 +673,7 @@ class _DerivTable:
         var = max(i for i, o in enumerate(idx) if o > 0)
         parent_idx = tuple(o - 1 if i == var else o for i, o in enumerate(idx))
         try:    # diff recurses per level, and a/b/c/... nests past MAX_NESTING
-            node = self.ast_for(parent_idx).diff(var)
+            node = self.ast_for(parent_idx).diff(var, self._memos[var])
         except RecursionError:
             raise ExprError("expression nested too deeply to differentiate") from None
         return self._asts.setdefault(idx, node)
@@ -686,34 +696,38 @@ class _DerivTable:
 
     def taylor_plan(self, fields: tuple, order: int):
         """How to take the Taylor polynomials of fields of one n to this
-        order, from one group over the partials they read (``differentiate``
-        refuses one above the cap): (that group, the index of each field's
-        value, and per order r the coefficient indices [field, monomial],
-        the 1/alpha! weights, and each monomial of order r as a monomial of
-        order r - 1 times one variable)."""
-        key = (fields, order)
-        plan = self._plans.get(key)
-        if plan is not None:
-            return plan
-        slots: dict = {}        # field -> its slot in the plan's group
-        values = [slots.setdefault(f, len(slots)) for f in fields]
-        orders = []
-        prev = {(): 0}      # monomials as sorted variable tuples -> position
+        order: (a chain of groups, the fields' own and then per order r the
+        partials of order r no earlier group holds, which deeper plans
+        share; and per order r the coefficient indices [field, monomial]
+        into the groups' values read in order, the 1/alpha! weights, and
+        each monomial of order r as one of order r - 1 times a variable)."""
+        groups, orders = self._plans.get(fields) or self._plans.setdefault(
+            fields, ([self.group(fields)], []))
+        if len(orders) >= order:
+            return groups[:order + 1], orders[:order]
+        # field -> a place of it in the groups' values, read in order
+        slots = {f: i for i, f in enumerate(f for g in groups for f in g[0])}
         axes = range(2 * self.n + 1)
-        for _ in range(order):
-            monos = [m + (v,) for m in prev for v in axes[m[-1] if m else 0:]]
-            idx = [[slots.setdefault(f.differentiate(map(m.count, axes)),
-                                     len(slots)) for m in monos]
-                   for f in fields]
-            weight = [1.0 / math.prod(math.factorial(m.count(v))
-                                      for v in set(m)) for m in monos]
-            orders.append((np.array(idx), np.array(weight),
+        for r in range(len(orders) + 1, order + 1):
+            total = r + max(sum(f._offset) for f in fields)
+            if total > DEFAULT_MAX_ORDER:
+                raise DerivativeOrderError(
+                    f"total derivative order {total} exceeds cap {DEFAULT_MAX_ORDER}")
+            prev = {m: i for i, m in enumerate(
+                itertools.combinations_with_replacement(axes, r - 1))}
+            monos = list(itertools.combinations_with_replacement(axes, r))
+            steps = [tuple(map(m.count, axes)) for m in monos]
+            parts = [[f._table.field(tuple(map(operator.add, f._offset, step)))
+                      for step in steps] for f in fields]
+            new = dict.fromkeys(p for row in parts for p in row if p not in slots)
+            slots.update(zip(new, itertools.count(sum(len(g[0]) for g in groups))))
+            groups.append(self.group(tuple(new)))
+            orders.append((np.array([[slots[p] for p in row] for row in parts]),
+                           np.array([1.0 / math.prod(map(math.factorial, s))
+                                     for s in steps]),
                            np.array([prev[m[:-1]] for m in monos]),
                            np.array([m[-1] for m in monos])))
-            prev = {m: i for i, m in enumerate(monos)}
-        plan = (self.group(tuple(slots)), np.array(values), orders)
-        self._plans[key] = plan
-        return plan
+        return groups[:order + 1], orders[:order]
 
 
 def _validate_multi_index(idx, n: int) -> tuple[int, ...]:
@@ -808,9 +822,10 @@ def evaluate_fields(fields, point) -> tuple:
 
 def _taylor_values(table: _DerivTable, fields: tuple, point: Dual) -> Dual:
     level = point.depth
-    group, values, orders = table.taylor_plan(fields, level)
+    groups, orders = table.taylor_plan(fields, level)
     z = base(point)
-    partials = np.fromiter(table.values(group, z.tolist()), float)
+    partials = np.fromiter(itertools.chain.from_iterable(
+        table.values(g, z.tolist()) for g in groups), float)
     # the perturbation point - z: the point's stack with a zero value part
     v = (0,) * level
     delta = point.copy()
@@ -822,7 +837,7 @@ def _taylor_values(table: _DerivTable, fields: tuple, point: Dual) -> Dual:
         term = ((partials[idx] * weight) @ mono.stack[..., None])[..., 0]
         if out is None:
             out = term
-            out[v] += partials[values]
+            out[v] += partials[:len(fields)]
         else:
             out += term
     return _wrap(out, level)

@@ -462,18 +462,19 @@ t = 0.1 0.9
     @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
     def test_compile_work_is_pinned(self, monkeypatch, capsys, name):
         # every builtin is n = 2, so a check compiles the same root
-        # partials whatever L is: 6 fused functions over 367 roots, one per
-        # field group: the space's one group (h11, hdot and the L-partials)
-        # at float, depth-1 and depth-2 points, its chart-moved twin's at
-        # float points, the chart's tau, tau' and tau'', and the hdot that
-        # the metricity suite reads alone
+        # partials whatever L is: 6 fused functions over 250 roots, one per
+        # field group: the space's one group (h11, hdot and the L-partials),
+        # then the new partials its depth-1 and depth-2 Taylor plans add,
+        # order by order (each partial compiled once), its chart-moved
+        # twin's group at float points, the chart's tau, tau' and tau'', and
+        # the hdot that the h-metricity suite reads alone
         roots = []
         compile_fn = expr.compile_node
         monkeypatch.setattr(expr, "compile_node", lambda nodes, n:
                             roots.append(len(nodes)) or compile_fn(nodes, n))
         assert main(["check", "--config", name]) == 0
         capsys.readouterr()
-        assert (len(roots), sum(roots)) == (6, 367)
+        assert (len(roots), sum(roots)) == (6, 250)
 
     @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
     def test_connection_work_is_pinned(self, monkeypatch, capsys, name):

@@ -177,15 +177,30 @@ class TestIntegrate:
         with pytest.raises(NonRegularError, match="t = 1"):
             integrate_harmonic(sp, [0.0, 0.0], [1.0, 0.0], 0.0, 2.0, 0.125)
 
+    @pytest.mark.filterwarnings("error")
     def test_a_stage_state_that_overflows_is_named(self):
         # on the flat space x moves at the speed 1e307 from 1.7e308, so
         # the last stage of the first unit step, x0 + 1 * y, leaves the
-        # floats (the midpoint stages, x0 + y / 2, do not)
-        with np.errstate(over="ignore"), pytest.raises(
+        # floats (the midpoint stages, x0 + y / 2, do not), with no numpy
+        # warning on the way
+        with pytest.raises(
                 NonRegularError, match=r"^non-finite state at t = 1$") as err:
             integrate_harmonic(flat_space(), [1.7e308, 0.0], [1e307, 0.0],
                                0.0, 2.0, 1.0)
         assert err.value.point == (1.0, np.inf, 0.0, 1e307, 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_last_state_that_turns_nan_is_named(self, monkeypatch):
+        # a spray that turns NaN only at the last stage of the last step
+        # leaves only the final state non-finite, which starts no step
+        monkeypatch.setattr(dynamics, "harmonic_rhs", lambda sp, z:
+                            np.full(N, np.nan if z[0] == 1.0 else 0.0))
+        with pytest.raises(NonRegularError,
+                           match=r"^non-finite state at t = 1$") as err:
+            integrate_harmonic(flat_space(), [0.0, 0.0], [1.0, 0.0],
+                               0.0, 1.0, 0.5)
+        assert err.value.point[:3] == (1.0, 1.0, 0.0)
+        assert np.isnan(err.value.point[3:]).all()
 
     def test_a_stage_state_that_turns_nan_is_named(self, monkeypatch):
         # a spray that leaves the floats without raising: the next stage

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import (fd_partial, jet_partials, jet_point, random_ast,
                      usable_test_points)
 from jetlag import expr
+from jetlag.cli import load_config
 from jetlag.dual import Dual
 from jetlag.expr import (
     MAX_NESTING,
@@ -336,6 +337,22 @@ class TestDifferentiate:
         assert d.evaluate(pt(0.0, 0.7, 0.0)) \
             == pytest.approx(-38 * -39 * -40 * 0.7 ** -41)
 
+    def test_product_rule_leaves_out_only_pieces_mul_folds_to_zero(self):
+        # a piece whose factor derivative is 0 is left out, as mul folds it
+        # to 0; beside an overflowed constant inf*0 is nan, so it stays
+        f = parse("1e308*y1^5*cos(y2) + 3*x1*y1^2*sin(t*y2) + y2", 2)
+        trees = [f.ast, f.differentiate((0, 0, 0, 1, 0)).ast]
+        products = [nd for tree in trees for nd in tree.walk()
+                    if isinstance(nd, Mul)]
+        assert any(isinstance(c, Const) and math.isinf(c.value)
+                   for nd in products for c in nd.factors)
+        for nd in products:
+            for var in range(5):
+                every = expr.add(*(
+                    expr.mul(*nd.factors[:i], fi.diff(var), *nd.factors[i + 1:])
+                    for i, fi in enumerate(nd.factors)))
+                assert to_source(nd.diff(var), 2) == to_source(every, 2)
+
     def test_derivative_cache_is_thread_safe(self):
         f = parse("sin(x1*y1)*exp(t) + y1^4/(2+x1^2)", n=1)
         results = []
@@ -382,10 +399,14 @@ class TestDualPoints:
         np.testing.assert_array_equal(v.tan.val, v.val.tan)
 
     def test_order_above_the_cap_is_refused(self):
+        # the order-1 partials of the order-4 field pass the cap, and its
+        # order-2 ones are the first past it, beside a field of order 0
         f = parse("y1^6", n=1).differentiate((0, 0, 4))
         point = Dual(Dual(np.zeros(3), np.eye(3)), np.eye(3))
-        with pytest.raises(DerivativeOrderError):
-            f.evaluate(point)
+        for fields in ((f,), (parse("y1^6", n=1), f)):
+            with pytest.raises(DerivativeOrderError,
+                               match="^total derivative order 6 exceeds cap 5$"):
+                expr.evaluate_fields(fields, point)
 
     def test_tables_compile_on_the_first_dual_read(self, monkeypatch):
         from jetlag.geometry import LagrangeSpace, curvature
@@ -430,6 +451,69 @@ class TestFieldGroups:
         fields = (parse("y1^2", n=1), parse("y1^2", n=2))
         with pytest.raises(ValueError, match="fields of one n"):
             expr.evaluate_fields(fields, [0.0, 1.0, 1.0])
+
+
+class TestTaylorPlans:
+    """A depth-d plan is a chain of groups, the fields' own and then the
+    new partials of each order, so each partial is derived and compiled
+    once however many depths read it."""
+
+    @staticmethod
+    def count_diffs(monkeypatch) -> list:
+        calls = []
+        for cls in (Const, Var, Neg, Add, Mul, Div, Pow, Call):
+            monkeypatch.setattr(cls, "_diff", lambda self, var, memo, _d=cls._diff:
+                                calls.append(var) or _d(self, var, memo))
+        return calls
+
+    @staticmethod
+    def partials(sp) -> list:
+        groups = []
+        for depth in (1, 2):
+            groups, _ = sp.L._table.taylor_plan(sp._fields, depth)
+        return [f for g in groups for f in g[0]]
+
+    def test_each_partial_is_derived_once(self, monkeypatch):
+        # one diff memo per table and variable: 786 _diff calls, where a
+        # fresh memo per derivative took 1,543
+        sp = load_config("electrodynamics_l2").space
+        calls = self.count_diffs(monkeypatch)
+        fields = self.partials(sp)
+        asts = [f.ast for f in fields]
+        assert len(calls) == 786
+        assert len(set(fields)) == len(fields)
+        # a second request meets the same plan and builds nothing
+        assert self.partials(sp) == fields
+        assert [f.ast for f in fields] == asts and len(calls) == 786
+        # each tree is the one a fresh memo per diff call derives along the
+        # same canonical path, the lowest variable first
+        for f in fields:
+            node = f._table.field((0,) * len(f._offset)).ast
+            for var, order in enumerate(f._offset):
+                for _ in range(order):
+                    node = node.diff(var)
+            assert to_source(node, f.n) == f.to_source(), f._offset
+
+    @pytest.mark.parametrize("depth, x1", [(1, 1e-200), (2, 1e-120)])
+    def test_a_higher_segment_names_the_error_of_one_group(self, depth, x1):
+        # 1/x1 and its partials up to depth - 1 are finite at x1, and the
+        # next one divides by x1^(2 depth), which underflows to 0
+        fields = (parse("sin(x1)*y1", 1), parse("1/x1 + y1^2", 1))
+        z = point = np.array([0.0, x1, 0.5])
+        for _ in range(depth):      # every lower segment is in its domain
+            expr.evaluate_fields(fields, point)
+            lower, point = point, Dual(point, np.eye(3))
+        with pytest.raises(EvalDomainError) as got:
+            expr.evaluate_fields(fields, point)
+        expr.evaluate_fields(fields, lower)     # which reads no higher one
+        table = fields[-1]._table
+        groups, _ = table.taylor_plan(fields, depth)
+        assert len(groups) == depth + 1
+        one = [tuple(f for g in groups for f in g[0]), None]
+        with pytest.raises(EvalDomainError) as want:
+            table.values(one, z.tolist())
+        assert str(got.value) == str(want.value)
+        assert "division by zero" in str(got.value)
 
 
 class TestJetPartials:
