@@ -70,6 +70,24 @@ else:
     _INV_STATE = {"call": _raise_linalgerror_singular, "invalid": "call",
                   "over": "ignore", "divide": "ignore", "under": "ignore"}
 
+try:
+    # np.errstate(**_INV_STATE) made once: numpy's error-state object, set
+    # and reset around each float inverse, since building an errstate per
+    # call costs half as much as the kernel on a block of a few entries
+    from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
+except ImportError:     # another numpy layout: an np.errstate per call
+    def _enter_inv_state():
+        state = np.errstate(**_INV_STATE)
+        state.__enter__()
+        return state
+
+    def _exit_inv_state(state):
+        state.__exit__(None, None, None)
+else:
+    _enter_inv_state = functools.partial(_extobj_contextvar.set,
+                                         _make_extobj(**_INV_STATE))
+    _exit_inv_state = _extobj_contextvar.reset
+
 __all__ = ["Dual", "CONTRACT", "depth", "base", "as_array", "scalar",
            "einsum", "inv"]
 
@@ -554,10 +572,13 @@ def inv(a, scale=None):
             a = scale * a
         inverse = _wrap(_inverse(a.stack, 0, a.depth), a.depth)
     else:
-        with np.errstate(**_INV_STATE):
+        state = _enter_inv_state()
+        try:
             if scale is not None:
                 a = scale * a
             inverse = _inv_kernel(a)
+        finally:
+            _exit_inv_state(state)
     return inverse if scale is None else (a, inverse)
 
 

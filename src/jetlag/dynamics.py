@@ -4,6 +4,11 @@ The curve equation solved here is h^11 { d2x/dt2 + 2 Gspat + 2 Htemp } = 0;
 since h^11 never vanishes on a regular space the integrated form is simply
 d2x/dt2 = -2 Gspat - 2 Htemp.  A fixed-step classical Runge-Kutta scheme
 keeps convergence studies reproducible.
+
+The integrator and ``el_residual`` read each point's geometry once, through
+``geometry_at``, and leave the space's geometry cache as they found it (see
+``LagrangeSpace._read_once``): no later read meets those points, so the
+cache keeps none of them, and a curve costs its samples alone.
 """
 
 import math
@@ -23,9 +28,11 @@ __all__ = [
     "el_residual",
 ]
 
-# step-count cap of integrate_harmonic: every sample is kept in memory, and
-# at 0.12-0.16 ms per step (n = 2 builtins, best of five 1,000-step runs on
-# a 2-core x86-64 VM) the cap is under a minute of work
+# step-count cap of integrate_harmonic: every sample is kept in memory, at
+# 8 (2n + 1) bytes a step (4 MB at the cap for n = 2; the geometry cache
+# keeps none of a step's four stage points), and at 0.12-0.16 ms per step
+# (n = 2 builtins, best of five 1,000-step runs on a 2-core x86-64 VM) the
+# cap is under a minute of work
 MAX_STEPS = 100_000
 
 
@@ -131,7 +138,7 @@ def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
                                   point=tuple(z))
         k[stage, :n] = stage_s[n:]
         try:
-            k[stage, n:] = harmonic_rhs(sp, z)
+            k[stage, n:] = sp._read_once(harmonic_rhs, z)
         except NonRegularError as err:
             raise NonRegularError(
                 f"{err} (reached at t = {t:.6g} along the curve)",
@@ -223,7 +230,7 @@ def el_residual(sp: LagrangeSpace, curve: Curve) -> np.ndarray:
         # nonuniform 3-point second derivative
         xdd = 2.0 * (dt0 * curve.x[k + 1] - (dt0 + dt1) * curve.x[k]
                      + dt1 * curve.x[k - 1]) / (dt0 * dt1 * (dt0 + dt1))
-        geo = sp.geometry_at(curve.point(k))
+        geo = sp._read_once(LagrangeSpace.geometry_at, curve.point(k))
         out[k - 1] = geo.Lyy @ xdd + _el_source(geo, curve.y[k])
     return out
 

@@ -35,10 +35,14 @@ one per-point object: it holds its point and a weak reference to its space
 Cartan connection levels, then the connection jets, torsion and curvature)
 is a lazy slot of it, built on its first read, float or dual, and read
 back after that.  The public operations normalise their point once, in
-``geometry_at``, and read the rest off the geometry.  A spray or
-connection that overflows the floats at a finite point raises
-NonRegularError where it is read: each connection level checks its own
-blocks.
+``geometry_at``, and read the rest off the geometry.  Each space's cache
+is an LRU of GEO_CACHE_SIZE geometries, enough for a sweep at the largest
+point count, so every suite of a ``check`` reads the sampled points back.
+A harmonic curve reads each stage point and sample once, through
+``LagrangeSpace._read_once``, which leaves the cache as it found it: a
+curve keeps no geometry.  A spray or connection that overflows the floats
+at a finite point raises NonRegularError where it is read: each connection
+level checks its own blocks.
 """
 
 from __future__ import annotations
@@ -81,7 +85,11 @@ __all__ = [
 
 COND_LIMIT = 1e10
 SIGNATURE_CUTOFF = 1e-10
-GEO_CACHE_SIZE = 4096
+# bound of each space's geometry cache, sized for a full sweep: a `check`
+# at the largest --points (10,000) caches 10,075 geometries on its space,
+# every sampled float point and 75 dual points of the budgeted suites, so
+# each suite reads back the geometries the sampler built
+GEO_CACHE_SIZE = 16_384
 
 
 class NonRegularError(Exception):
@@ -402,6 +410,26 @@ class LagrangeSpace:
         z = _point_array(point, self.n)
         return _cached(self._geo_cache, z, self._compute_geo)
 
+    def _read_once(self, read, point):
+        """read(self, point) for a point that is read once, as a curve's
+        stage points and samples are, with the cache left as the read
+        found it: the geometry the read added is dropped and the entry its
+        insertion evicted is put back.  A point cached before stays cached
+        (and the read moves it to the LRU end, as any hit does)."""
+        cache = self._geo_cache
+        key = _point_array(point, self.n).tobytes()
+        if key in cache:
+            return read(self, point)
+        victim = (next(iter(cache.items()))
+                  if len(cache) >= GEO_CACHE_SIZE else None)
+        try:
+            return read(self, point)
+        finally:
+            cache.pop(key, None)
+            if victim is not None:
+                cache.setdefault(*victim)
+                cache.move_to_end(victim[0], last=False)
+
     def _compute_geo(self, z) -> _Geo:
         """The spray level at z, a float point or a dual one; the checks
         read the base point and values."""
@@ -472,7 +500,11 @@ class LagrangeSpace:
 
 def _cached(cache: collections.OrderedDict, z, compute):
     """compute(z) through an LRU cache keyed on the bytes of z (of every
-    leaf of a dual point)."""
+    leaf of a dual point).  It keeps every geometry read through
+    ``geometry_at``, up to GEO_CACHE_SIZE, with its lazy levels as they
+    get built: about 2.5 KB for a float spray level at n = 2, more once a
+    connection level is read.  The points a curve reads once go through
+    ``LagrangeSpace._read_once``, which keeps none of them."""
     key = z.tobytes()
     hit = cache.get(key)
     if hit is not None:

@@ -1,6 +1,7 @@
 """Curve integration, the energy action, and extremal-equation checks."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,41 @@ class TestStateVector:
         # one geometry per stage, one fused evaluation per geometry (h11,
         # its derivative and the L-partials), no connection level
         assert (len(geo), len(evals), len(christoffel)) == (4, 4, 0)
+
+    def test_a_curve_and_its_residual_keep_no_geometry(self):
+        # each stage point and sample is read once, so the cache is left as
+        # the curve found it: a point cached before stays (here the first
+        # stage point, a hit), and the traced peak is little more than the
+        # samples, where 4,001 stage geometries would take 9.9 MB
+        cfg = load_config("electrodynamics_l2")
+        sp, z = cfg.space, cfg.midpoint()
+        kept = sp.geometry_at(z)
+        sp.geometry_at(z + 0.01)
+        before = dict(sp._geo_cache)
+        tracemalloc.start()
+        try:
+            c = integrate_harmonic(sp, z[1:3], z[3:], z[0], z[0] + 1.0, 1e-3)
+            el_residual(sp, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(c) == 1001
+        assert dict(sp._geo_cache) == before
+        assert sp.geometry_at(z) is kept
+        assert peak < 1_000_000
+
+    def test_a_curve_through_a_full_cache_evicts_nothing(self, monkeypatch):
+        # each stage point's insertion evicts the oldest entry, and the
+        # read puts it back in its place
+        monkeypatch.setattr(geometry, "GEO_CACHE_SIZE", 3)
+        cfg = load_config("sphere_l1")
+        sp, z = cfg.space, cfg.midpoint()
+        for shift in (0.01, 0.02, 0.03):
+            sp.geometry_at(z + shift)
+        before = list(sp._geo_cache.items())
+        c = integrate_harmonic(sp, z[1:3], z[3:], z[0], z[0] + 0.1, 0.01)
+        el_residual(sp, c)
+        assert list(sp._geo_cache.items()) == before
 
     def test_group_lookup_is_bounded_by_distinct_groups(self):
         L = parse("sin(x1)*y1^2 + t*x2*y2^3", N)

@@ -34,7 +34,7 @@ from jetlag.dtensor import (
     transform_temporal_spray,
     transform_tensor,
 )
-from jetlag import dual, expr, geometry
+from jetlag import cli, dual, expr, geometry
 from jetlag.checks import random_affine_chart, sample_points
 from jetlag.cli import BUILTIN_CONFIGS, load_config
 from jetlag.dual import Dual
@@ -1219,6 +1219,21 @@ class TestCaching:
         z2 = SPHERE_Z.copy()
         z2[3] = 0.5
         assert sp.geometry_at(z2) is not a
+
+    def test_a_full_sweep_builds_each_float_point_once(self, monkeypatch):
+        # every suite reads the sampled points back, so a cache smaller
+        # than the sweep would rebuild each float geometry per suite
+        built = []
+        compute = LagrangeSpace._compute_geo
+
+        def counted(self, z):
+            if type(z) is not Dual:
+                built.append((id(self), z.tobytes()))
+            return compute(self, z)
+
+        monkeypatch.setattr(LagrangeSpace, "_compute_geo", counted)
+        assert cli.main(["check", "--config", "flat", "--points", "4200"]) == 0
+        assert len(built) == len(set(built)) > 4200
 
     def test_dropped_space_is_freed_without_the_collector(self):
         # the cache holds each geometry, so a geometry holds its space
