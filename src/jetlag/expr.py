@@ -252,12 +252,10 @@ class Mul(Node):
 
     def _diff(self, var, memo):
         # product rule over an n-ary product, less the pieces mul folds to 0
-        finite = all(math.isfinite(f.value) for f in self.factors
-                     if isinstance(f, Const))
         pieces = []
         for i, f in enumerate(self.factors):
             df = f.diff(var, memo)
-            if not (finite and isinstance(df, Const) and df.value == 0.0):
+            if not (isinstance(df, Const) and df.value == 0.0):
                 pieces.append(mul(*self.factors[:i], df, *self.factors[i + 1 :]))
         return add(*pieces)
 
@@ -387,6 +385,10 @@ def mul(*factors: Node) -> Node:
                 else:
                     flat.append(sub)
         elif isinstance(f, Const):
+            # a zero factor folds to 0 before it can meet an inf, so a
+            # partial that is identically 0 is never nan
+            if f.value == 0.0:
+                return Const(0.0)
             cprod *= f.value
         else:
             flat.append(f)

@@ -86,8 +86,8 @@ __all__ = [
 COND_LIMIT = 1e10
 SIGNATURE_CUTOFF = 1e-10
 # bound of each space's geometry cache, sized for a full sweep: a `check`
-# at the largest --points (10,000) caches 10,075 geometries on its space,
-# every sampled float point and 75 dual points of the budgeted suites, so
+# at the largest --points (10,000) caches 10,044 geometries on its space,
+# every sampled float point and 44 dual points of the budgeted suites, so
 # each suite reads back the geometries the sampler built
 GEO_CACHE_SIZE = 16_384
 

@@ -121,6 +121,27 @@ class TestBudgets:
         pts = sample_points(sp, ranges("flat"), 3, seed=2)
         assert all(r.points == 3 for r in run_checks(sp, pts))
 
+    def test_budgeted_suites_read_nested_prefixes(self, monkeypatch):
+        # a budgeted suite reads the first `budget` points, so whatever a
+        # suite builds at a point is cached for every smaller budget;
+        # run_checks reads the suite functions at call time
+        sp = space("flat")
+        pts = sample_points(sp, ranges("flat"), 60, seed=2)
+        seen = {}
+        for attr in ("_antisymmetry_worst", "_bianchi_worst",
+                     "_deflection_worst", "_maxwell_worst", "_gauge_worst",
+                     "_conservation_worst"):
+            def recorded(sp, points, *args, _fn=getattr(checks, attr),
+                         _name=attr[1:-len("_worst")], **kwargs):
+                name = _name + ("-simple" if kwargs.get("simple") else "")
+                seen[name] = points
+                return _fn(sp, points, *args, **kwargs)
+            monkeypatch.setattr(checks, attr, recorded)
+        run_checks(sp, pts)
+        assert seen.keys() == checks._BUDGETS.keys()
+        for name, points in seen.items():
+            assert np.array_equal(points, pts[:checks._BUDGETS[name]]), name
+
 
 # electrodynamics_l2 written out as one Lagrangian: no family tag, same L
 ELECTRODYNAMICS_AS_LAGRANGIAN = """\
@@ -214,6 +235,14 @@ class TestTolerances:
         pts = sample_points(sp, ranges("flat"), 3, seed=0)
         with pytest.raises(ValueError, match="unknown tolerance"):
             run_checks(sp, pts, tolerances={"bogus": 1.0})
+
+    @pytest.mark.parametrize("bound", [math.inf, math.nan, 0.0, -1e-8])
+    def test_bad_override_rejected(self, bound):
+        # an inf bound would pass any residual; the others fail every one
+        sp = space("flat")
+        pts = sample_points(sp, ranges("flat"), 3, seed=0)
+        with pytest.raises(ValueError, match="'gauge'"):
+            run_checks(sp, pts, tolerances={"gauge": bound})
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
     def test_bad_scale_rejected(self, scale):

@@ -339,7 +339,7 @@ class TestDifferentiate:
 
     def test_product_rule_leaves_out_only_pieces_mul_folds_to_zero(self):
         # a piece whose factor derivative is 0 is left out, as mul folds it
-        # to 0; beside an overflowed constant inf*0 is nan, so it stays
+        # to 0, even beside an overflowed constant
         f = parse("1e308*y1^5*cos(y2) + 3*x1*y1^2*sin(t*y2) + y2", 2)
         trees = [f.ast, f.differentiate((0, 0, 0, 1, 0)).ast]
         products = [nd for tree in trees for nd in tree.walk()
@@ -352,6 +352,13 @@ class TestDifferentiate:
                     expr.mul(*nd.factors[:i], fi.diff(var), *nd.factors[i + 1:])
                     for i, fi in enumerate(nd.factors)))
                 assert to_source(nd.diff(var), 2) == to_source(every, 2)
+
+    def test_identically_zero_partial_beside_an_overflow_is_zero(self):
+        # d/dy1 is inf*y1^4, whose d/dy2 multiplies inf by the 0 of
+        # y1^4's derivative
+        f = parse("1e308*y1^5 + y2", 2)
+        d = f.differentiate((0, 0, 0, 1, 1))
+        assert isinstance(d.ast, Const) and d.ast.value == 0.0
 
     def test_derivative_cache_is_thread_safe(self):
         f = parse("sin(x1*y1)*exp(t) + y1^4/(2+x1^2)", n=1)

@@ -4,9 +4,17 @@ A change that only makes the engine faster must leave every output bit
 as it was.  These digests were recorded with the numpy version below;
 another numpy may round an einsum or an inverse differently, so on any
 other version the test skips instead of failing.
+
+`PYTHONPATH=src python tests/test_golden.py` prints every case's current
+digest beside its pinned one, for re-pinning a recorded output change.
 """
 
+import contextlib
 import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,25 +59,25 @@ y3 = -1.0 1.0
 GOLDEN = {
     "check_electrodynamics_l2": (
         ["check", "--config", "electrodynamics_l2"],
-        "6c890347dd056c4e58e81294791c6c960e9341bd98e57ac10faa3f8a57a81944"),
+        "17a1166d3806d61231bffeb141d824572cf4eb0d9ef8ffa86bc426cec2f80b4f"),
     "check_nonautonomous_l3": (
         ["check", "--config", "nonautonomous_l3"],
-        "aa593fb5473ca2e58fe77747f83c6a88f8532a197314e72819665a556996f528"),
+        "0cc95347385a06a89f2419304b6c1912ce35400b832931357c234fa8c74ca96d"),
     "check_sphere_l1": (
         ["check", "--config", "sphere_l1", "--points", "10"],
-        "ca82017587cd5b4abe293deff227a428068300aa61a7427b0b90730ca1cab7be"),
+        "c17e013c17c57d54fdb00a96c37a1e176ea4114aa67b2b081354c3acd111c6d8"),
     "check_flat": (
         ["check", "--config", "flat", "--points", "10"],
-        "6e9e83d0f65dbeb99526db71a10e66539a58d39b69ce447f61e89ad9409fe071"),
+        "52e4f5b954947bd7ab80fa543fc656179bd832f455a0cb8c2e32f2530d6d2401"),
     "check_exp_time": (
         ["check", "--config", "exp_time", "--points", "10"],
         "cb93cd2834b3f1a83c5f9b10da7adf74bea037aab36a432720a75b86d29f8c39"),
     "check_generic_n1": (
         ["check", "--config", "generic_n1", "--points", "10"],
-        "69a460b078551bd1ec0b5ac4f8d792a3461d499be6e856fc1f94e4fe7d7ebdc2"),
+        "41e964347474f11581b91415728ca013153a1012d82f8570c1824f6eeac89059"),
     "check_generic_n3": (
         ["check", "--config", "generic_n3", "--points", "10"],
-        "c2962a784586bcd5e4a51fe2c22c912b8bb9fc793874267013c3ba9191d08e5f"),
+        "81064eb662a324cf043f328d785b44d20fb99578e997db2733c885601c9ecc2c"),
     "report_electrodynamics_l2": (
         ["report", "--config", "electrodynamics_l2", "--points", "3"],
         "64991aa58d78d594437f495311b03b32ca57d5bbeee934efb901cb7e0a940964"),
@@ -83,16 +91,35 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("name", GOLDEN)
-def test_output_bytes_match_the_golden_digest(name, tmp_path, capsys):
-    if np.__version__ != NUMPY_VERSION:
-        pytest.skip(f"digests recorded with numpy {NUMPY_VERSION}, "
-                    f"running {np.__version__}")
-    argv, digest = GOLDEN[name]
+def output_digest(name, tmp_path):
+    """sha256 of the bytes a case's argv writes to --out, with the generic
+    configs it names written to tmp_path."""
+    argv, _ = GOLDEN[name]
     for arg in CONFIGS.keys() & set(argv):
         (tmp_path / arg).write_text(CONFIGS[arg])
     argv = [str(tmp_path / arg) if arg in CONFIGS else arg for arg in argv]
     out = tmp_path / name
-    assert main(argv + ["--out", str(out)]) == 0
-    capsys.readouterr()
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + ["--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_output_bytes_match_the_golden_digest(name, tmp_path):
+    if np.__version__ != NUMPY_VERSION:
+        pytest.skip(f"digests recorded with numpy {NUMPY_VERSION}, "
+                    f"running {np.__version__}")
+    assert output_digest(name, tmp_path) == GOLDEN[name][1]
+
+
+if __name__ == "__main__":
+    # print every case's current digest, and the pinned one where they
+    # differ, so a recorded output change is re-pinned from one run
+    if np.__version__ != NUMPY_VERSION:
+        print(f"numpy {np.__version__}; the digests are pinned with "
+              f"{NUMPY_VERSION}", file=sys.stderr)
+    for name, (_, pinned) in GOLDEN.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            digest = output_digest(name, Path(tmp))
+        print(name, digest, *([] if digest == pinned
+                              else [f"(pinned {pinned})"]))
