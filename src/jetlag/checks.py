@@ -197,13 +197,8 @@ def _metricity_worst(sp, points, corrupt):
 def _h_metricity_worst(sp, points):
     # h11 depends on t alone, so the space and vertical derivatives are
     # identically zero; only the time direction carries a residual
-    idx = (1,) + (0,) * (2 * sp.n)
-    hdot = sp.h11.differentiate(idx)
-    res = []
-    for z in points:
-        geo = sp.geometry_at(z)
-        res.append(hdot.evaluate(z) - 2.0 * geo.H * geo.h11)
-    return worst_residual(res)
+    geos = map(sp.geometry_at, points)
+    return worst_residual(geo.hdot - 2.0 * geo.H * geo.h11 for geo in geos)
 
 
 def _el_spray_worst(sp, points):
@@ -278,21 +273,21 @@ def run_checks(sp: LagrangeSpace, points, *, tolerances=None,
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2 * sp.n + 1:
         raise ValueError("points must be (count, 2n+1)")
-    if not np.isfinite(tol_scale) or tol_scale <= 0:
-        raise ValueError("tol_scale must be positive")
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise ValueError(f"tol_scale must be finite and positive, "
+                         f"got {tol_scale!r}")
     tols = default_tolerances()
-    if tolerances:
-        unknown = set(tolerances) - set(tols)
-        if unknown:
-            raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
-        # an inf bound would pass any residual, and a NaN, zero or
-        # negative one would fail every residual
-        for key, bound in tolerances.items():
-            if not (math.isfinite(bound) and bound > 0):
-                raise ValueError(f"tolerance {key!r} must be finite and "
-                                 f"positive, got {bound!r}")
-        tols.update(tolerances)
-    tols = {k: v * tol_scale for k, v in tols.items()}
+    unknown = set(tolerances or ()) - set(tols)
+    if unknown:
+        raise ValueError(f"unknown tolerance keys: {sorted(unknown)}")
+    tols.update(tolerances or {})
+    # an inf bound would pass any residual, and a NaN, zero or negative one
+    # would fail every residual, whether given so or scaled into it
+    for key, bound in tols.items():
+        tols[key] = bound * tol_scale
+        if not (math.isfinite(tols[key]) and tols[key] > 0):
+            raise ValueError(f"tolerance {key!r} must be finite and positive, "
+                             f"got {bound!r} times tol_scale {tol_scale!r}")
 
     deps = _metric_dependence(sp, points)
     note = f"metric depends on {' and '.join(deps)}; reported only"

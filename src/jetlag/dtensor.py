@@ -168,9 +168,9 @@ def adapted_gradient(fn, z, nl) -> list:
     the dual point with the operations ``jetlag.dual`` lists (arithmetic,
     @, indexing, einsum, ...), never through ``float()`` or
     ``np.array([...])`` of entries; an array without the point's tangent
-    raises a TypeError naming the contract.  The corrections are plain
-    einsums, which round every entry by itself, so an array's bits do not
-    depend on the arrays beside it.
+    raises a TypeError naming the contract.  The corrections are the
+    products M @ d_y and N.T @ d_y, one per array, so an array's bits do
+    not depend on the arrays beside it.
     """
     n = (len(z) - 1) // 2
     point = Dual(z, np.eye(len(z)))
@@ -183,10 +183,8 @@ def adapted_gradient(fn, z, nl) -> list:
         g = a.tan
         d_y = g[n + 1:]
         flat = d_y.reshape(n, -1)
-        d_t = (g[0] - einsum("m,mk->k", nl.M, flat)
-               .reshape(a.shape))[np.newaxis]
-        d_x = (g[1:n + 1] - einsum("mi,mk->ik", nl.N, flat)
-               .reshape(g[1:n + 1].shape))
+        d_t = (g[0] - (nl.M @ flat).reshape(a.shape))[np.newaxis]
+        d_x = g[1:n + 1] - (nl.N.T @ flat).reshape(g[1:n + 1].shape)
         last = (*range(1, a.ndim + 1), 0)    # the derivative axis last
         pairs.append((a.val, [d.transpose(last) for d in (d_t, d_x, d_y)]))
     return pairs

@@ -15,10 +15,9 @@ h11, then the head up to L_yy).  Regularity is decided by the one inversion
 of g (see ``_regular_inverse``); every inverse of the package, float or
 dual, goes through ``jetlag.dual.inv``.  It builds the spray level, all a
 harmonic curve reads, whose blocks L_y, L_x and L_ty are views of the
-fused values.  The connection comes in two levels, as in the
-paper's Section 2, each built on its first read: the nonlinear
-connection level splits the third-order partials L_tyy, L_xyy and L_yyy
-out of the fused values the spray level keeps and builds dg/dy and N,
+fused values.  The connection comes in two levels, as in the paper's
+Section 2: the nonlinear connection level splits the third-order partials
+L_tyy, L_xyy and L_yyy out of the fused values and builds dg/dy and N,
 all that a gauge comparison reads; the Cartan level reads it and builds
 dg/dt, dg/dx, the adapted derivatives of g and the Cartan blocks (Gt, L,
 C).  N is semi-analytic (symbolic L-partials plus a numeric matrix
@@ -26,23 +25,23 @@ inverse), so N = dG/dy is cross-checked against finite differences of G as
 a genuine test.  Derivatives OF connection blocks (torsion, curvature) are
 exact too, by forward mode: ``dtensor.adapted_gradient`` runs the same
 code on a dual point (see ``jetlag.dual``), whose L-partials are Taylor
-values from the exact partials one order up, two when nested.  The dual
-geometry is cached like any other, so the connection jets and every
-covariant derivative at a point share it; their connection corrections
-come from ``dtensor.add_connection_terms``.  The cached geometry is the
-one per-point object: it holds its point and a weak reference to its space
-(whose cache holds it), and every level above the spray (the nonlinear and
-Cartan connection levels, then the connection jets, torsion and curvature)
-is a lazy slot of it, built on its first read, float or dual, and read
-back after that.  The public operations normalise their point once, in
-``geometry_at``, and read the rest off the geometry.  Each space's cache
-is an LRU of GEO_CACHE_SIZE geometries, enough for a sweep at the largest
-point count, so every suite of a ``check`` reads the sampled points back.
-A harmonic curve reads each stage point and sample once, through
-``LagrangeSpace._read_once``, which leaves the cache as it found it: a
-curve keeps no geometry.  A spray or connection that overflows the floats
-at a finite point raises NonRegularError where it is read: each connection
-level checks its own blocks.
+values from the exact partials one order up, two when nested.  Every
+two-operand contraction of the connection and curvature levels is a
+matrix product on views (@, .T, reshape, swapaxes), so a dual point runs
+the float product with its jet axes as batch axes, one numpy call per
+jet level.  The dual geometry is cached like any other, so the connection
+jets and every covariant derivative at a point share it; their connection
+corrections come from ``dtensor.add_connection_terms``.  The cached
+geometry (``_Geo``) is the one per-point object, and every level above
+the spray is a lazy slot of it.  The public operations normalise their
+point once, in ``geometry_at``, and read the rest off the geometry.  Each
+space's cache is an LRU of GEO_CACHE_SIZE geometries, enough for a sweep
+at the largest point count, so every suite of a ``check`` reads the
+sampled points back.  A harmonic curve reads each stage point and sample
+once, through ``LagrangeSpace._read_once``, which leaves the cache as it
+found it: a curve keeps no geometry.  A spray or connection that
+overflows the floats at a finite point raises NonRegularError where it is
+read: each connection level checks its own blocks.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.dual import as_array, base, einsum, inv
+from jetlag.dual import as_array, base, inv
 from jetlag.expr import (Const, EvalDomainError, ScalarField, Var, _point_array,
                          add, evaluate_fields, mul, power)
 from jetlag.dtensor import (
@@ -221,14 +220,15 @@ class _Geo:
         dg_y = 0.5 * h11 * Lyyy              # dg_y[i, j, k] = dg_ij/dy^k
 
         # N^i_j = dG^i/dy^j, semi-analytic: differentiate the closed form of G
-        dginv_y = -einsum("im,mlk,lj->ijk", g_inv, dg_y, g_inv)
         # dB_k/dy^j: the y^m factor contributes L_{x^j y^k}, the -L_{x^k}
         # term contributes -L_{x^k y^j}; note the index order flip
-        dB_y = (einsum("mkj,m->kj", Lxyy, y) + self.Lxy.T - self.Lxy
-                + Ltyy + self.Lyy * H
-                + 2.0 * h_inv * H * (einsum("klj,l->kj", dg_y, y) + self.g))
-        N = 0.25 * h11 * (einsum("ikj,k->ij", dginv_y, self.B)
-                          + g_inv @ dB_y)
+        dB_y = ((y @ Lxyy.reshape(len(y), -1)).reshape(self.g.shape)
+                + self.Lxy.T - self.Lxy + Ltyy + self.Lyy * H
+                + 2.0 * h_inv * H * (dg_y @ y + self.g))
+        # each entry of dg_y reads the fused slot of its index set, so dg_y
+        # is symmetric (dg_y @ y above contracts its middle axis) and the
+        # g^-1 of G adds -g^im dg_ml/dy^j g^lk B_k = -(g^-1 dg_y @ g^-1 B)^i_j
+        N = 0.25 * h11 * (g_inv @ (dB_y - dg_y @ (g_inv @ self.B)))
         _finite((self.M, N), self.z)
         self.Ltyy, self.Lxyy, self.Lyyy, self.dg_y, self.N = (
             Ltyy, Lxyy, Lyyy, dg_y, N)
@@ -240,9 +240,8 @@ class _Geo:
 
         # metric linear connection blocks from the adapted derivatives of g,
         # derivative axis last: delta g_ij / delta t, delta g_ij / delta x^k
-        del_t_g = dg_t - einsum("ijm,m->ij", dg_y, self.M)
-        del_x_g = (dg_x.transpose((1, 2, 0))
-                   - einsum("ijm,mk->ijk", dg_y, N))
+        del_t_g = dg_t - dg_y @ self.M
+        del_x_g = dg_x.transpose((1, 2, 0)) - dg_y @ N
         Gt = 0.5 * g_inv @ del_t_g
         Lblock = _christoffel(g_inv, del_x_g)
         Cblock = _christoffel(g_inv, dg_y)
@@ -280,31 +279,31 @@ class _Geo:
 
         R_i1k = (jets.Gt.del_x
                  - jets.L.del_t
-                 + einsum("mi,lmk->lik", Gt, L)
-                 - einsum("mik,lm->lik", L, Gt)
-                 + einsum("lim,mk->lik", C, tors.R_1j))
+                 + Gt.T @ L
+                 - (Gt @ L.reshape(len(L), -1)).reshape(L.shape)
+                 + C @ tors.R_1j)
 
         dL_del_x = jets.L.del_x                   # [l, i, j, k]
+        LL = (L.reshape(len(L), -1).T @ L).reshape(dL_del_x.shape)
         R_ijk = (dL_del_x
                  - np.transpose(dL_del_x, (0, 1, 3, 2))
-                 + einsum("mij,lmk->lijk", L, L)
-                 - einsum("mik,lmj->lijk", L, L)
-                 + einsum("lim,mjk->lijk", C, tors.R_ij))
+                 + LL - np.transpose(LL, (0, 1, 3, 2))   # L^m_ij L^l_mk
+                 + _lead_contract(C, tors.R_ij))
 
         P_i1k = (jets.Gt.d_y
                  - _cov_C(cart, jets, "time")
-                 + einsum("lim,mk->lik", C, tors.P_1))
+                 + C @ tors.P_1)
 
         covC_x = _cov_C(cart, jets, "space")       # [l, i, k, j]
         P_ijk = (jets.L.d_y
                  - np.transpose(covC_x, (0, 1, 3, 2))
-                 + einsum("lim,mjk->lijk", C, tors.P_i))
+                 + _lead_contract(C, tors.P_i))
 
         dC_y = jets.C.d_y
+        CC = (C.reshape(len(C), -1).T @ C).reshape(dC_y.shape)
         S_ijk = (dC_y
                  - np.transpose(dC_y, (0, 1, 3, 2))
-                 + einsum("mij,lmk->lijk", C, C)
-                 - einsum("mik,lmj->lijk", C, C))
+                 + CC - np.transpose(CC, (0, 1, 3, 2)))
 
         self.curvature = CurvatureTable(R_i1k=R_i1k, R_ijk=R_ijk,
                                         P_i1k=P_i1k, P_ijk=P_ijk,
@@ -570,7 +569,13 @@ def _christoffel(g_inv: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Christoffel symbols 1/2 g^im (A_jmk + A_kmj - A_jkm) of the metric
     derivatives A[j, m, k] = d g_jm / d u^k."""
     sym = A + A.transpose((2, 1, 0)) - A.transpose((0, 2, 1))
-    return 0.5 * einsum("im,jmk->ijk", g_inv, sym)
+    return 0.5 * np.swapaxes(g_inv @ sym, 0, 1)
+
+
+def _lead_contract(K: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """K's last axis contracted with X's first, as one product."""
+    return (K.reshape(-1, len(X)) @ X.reshape(len(X), -1)).reshape(
+        K.shape[:-1] + X.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -633,16 +638,16 @@ def bianchi_residuals(sp: LagrangeSpace, point) -> dict:
     # spatial covariant derivative of the time-mixed torsion block -Gt
     T1_cov = add_connection_terms(-jets.Gt.del_x, tors.T_1j, _T1_SLOTS,
                                   cart, "space")
-    term = cur.R_i1k + T1_cov + einsum("lkm,mj->ljk", C, tors.R_1j)
+    term = cur.R_i1k + T1_cov + np.transpose(C @ tors.R_1j, (0, 2, 1))
     b1 = term - np.transpose(term, (0, 2, 1))
 
-    t2 = cur.R_ijk - einsum("lkm,mij->lijk", C, tors.R_ij)
+    t2 = cur.R_ijk - np.transpose(_lead_contract(C, tors.R_ij), (0, 2, 3, 1))
     b2 = (t2 + np.transpose(t2, (0, 2, 3, 1))
           + np.transpose(t2, (0, 3, 1, 2)))
 
     covC_x = _cov_C(cart, jets, "space")        # [l, i, k, j]
     t3 = (cur.P_ijk + np.transpose(covC_x, (0, 1, 3, 2))
-          + einsum("lkm,mjp->ljkp", C, tors.P_i))
+          + np.transpose(_lead_contract(C, tors.P_i), (0, 2, 1, 3)))
     b3 = t3 - np.transpose(t3, (0, 2, 1, 3))
     return {"b1": b1, "b2": b2, "b3": b3}
 

@@ -10,9 +10,10 @@ data straight from user-level metric component fields, and the Berwald
 connection from the metric pair (h11, g).  ``jet_partials`` tabulates
 every mixed partial of a field at a point.  The slot-rule oracles take
 the package's own connection jets and write out only the connection
-corrections, one einsum per slot.  ``covariant_derivative`` takes one
-covariant derivative of one field of one kind, with the field's value
-from a float call; the field-identity oracles are built on it, where the
+corrections, one einsum per slot; their other terms are the engine's
+matrix products.  ``covariant_derivative`` takes one covariant
+derivative of one field of one kind, with the field's value from a float
+call; the field-identity oracles are built on it, where the
 package differentiates all of an identity's fields at one dual point and
 reads their values off it.  The RK4 loop on two arrays is the curve
 integrator's bit-for-bit oracle, and ``transform_curve`` pushes a sampled
@@ -294,16 +295,22 @@ def cov_space_T1(cart, T1, dT1_del_x):
             - np.einsum("mjk,lm->ljk", L, T1))
 
 
+def lead_product(K, X):
+    """K^l_im X^m_jk as [l, i, j, k], the engine's one product of K's last
+    axis with X's first."""
+    n = len(K)
+    return (K.reshape(n * n, n) @ X.reshape(n, n * n)).reshape(n, n, n, n)
+
+
 def curvature_P_oracle(sp, z):
     """(P_i1k, P_ijk) of geometry.curvature with the C terms written out."""
     geo, jets = sp.geometry_at(z), sp.connection_jets(z)
     cart, tors = geo.cartan, torsion(sp, z)
     C = cart.C
-    P_i1k = (jets.Gt.d_y - cov_time_C(cart, jets.C.del_t)
-             + np.einsum("lim,mk->lik", C, tors.P_1))
+    P_i1k = jets.Gt.d_y - cov_time_C(cart, jets.C.del_t) + C @ tors.P_1
     P_ijk = (jets.L.d_y
              - np.transpose(cov_space_C(cart, jets.C.del_x), (0, 1, 3, 2))
-             + np.einsum("lim,mjk->lijk", C, tors.P_i))
+             + lead_product(C, tors.P_i))
     return P_i1k, P_ijk
 
 
@@ -313,10 +320,10 @@ def bianchi_b1_b3_oracle(sp, z):
     cart, tors, cur = geo.cartan, torsion(sp, z), curvature(sp, z)
     C = cart.C
     term = (cur.R_i1k + cov_space_T1(cart, tors.T_1j, -jets.Gt.del_x)
-            + np.einsum("lkm,mj->ljk", C, tors.R_1j))
+            + np.transpose(C @ tors.R_1j, (0, 2, 1)))
     t3 = (cur.P_ijk + np.transpose(cov_space_C(cart, jets.C.del_x),
                                    (0, 1, 3, 2))
-          + np.einsum("lkm,mjp->ljkp", C, tors.P_i))
+          + np.transpose(lead_product(C, tors.P_i), (0, 2, 1, 3)))
     return (term - np.transpose(term, (0, 2, 1)),
             t3 - np.transpose(t3, (0, 2, 1, 3)))
 
@@ -325,14 +332,14 @@ def metricity_oracle(geo):
     """Spatial, vertical and time covariant derivatives of g, derivative
     axis last, from the exact partials of g."""
     g, cart = geo.g, geo.cartan
-    del_x_g = geo.dg_x - np.einsum("ijm,mk->kij", geo.dg_y, geo.N)
+    del_x_g = geo.dg_x - np.transpose(geo.dg_y @ geo.N, (2, 0, 1))
     cov_s = (del_x_g
              - np.einsum("mik,mj->kij", cart.L, g)
              - np.einsum("mjk,im->kij", cart.L, g))
     cov_v = (geo.dg_y
              - np.einsum("mik,mj->ijk", cart.C, g)
              - np.einsum("mjk,im->ijk", cart.C, g))
-    del_t_g = geo.dg_t - np.einsum("ijm,m->ij", geo.dg_y, geo.M)
+    del_t_g = geo.dg_t - geo.dg_y @ geo.M
     cov_t = (del_t_g
              - np.einsum("mi,mj->ij", cart.Gt, g)
              - np.einsum("im,mj->ij", g, cart.Gt))

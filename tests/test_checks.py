@@ -244,12 +244,31 @@ class TestTolerances:
         with pytest.raises(ValueError, match="'gauge'"):
             run_checks(sp, pts, tolerances={"gauge": bound})
 
-    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
     def test_bad_scale_rejected(self, scale):
         sp = space("flat")
         pts = sample_points(sp, ranges("flat"), 3, seed=0)
-        with pytest.raises(ValueError, match="tol_scale"):
+        with pytest.raises(ValueError,
+                           match="tol_scale must be finite and positive"):
             run_checks(sp, pts, tol_scale=scale)
+
+    @pytest.mark.parametrize("tolerances,scale,key", [
+        ({"gauge": 1e300}, 1e10, "gauge"),     # inf: would pass any residual
+        ({"gauge": 1e-300}, 1e-30, "gauge"),   # 0: would fail every residual
+        (None, 1e-320, "metricity"),           # a default bound scaled to 0
+    ])
+    def test_scaled_bound_must_stay_finite_and_positive(self, tolerances,
+                                                        scale, key):
+        sp = space("flat")
+        pts = sample_points(sp, ranges("flat"), 3, seed=0)
+        with pytest.raises(ValueError, match=f"tolerance '{key}' must be"):
+            run_checks(sp, pts, tolerances=tolerances, tol_scale=scale)
+
+    def test_bound_near_the_float_limits_is_kept(self):
+        sp = space("flat")
+        pts = sample_points(sp, ranges("flat"), 3, seed=0)
+        rows = run_checks(sp, pts, tolerances={"gauge": 1e300}, tol_scale=1.0)
+        assert {r.name: r.tol for r in rows}["gauge"] == 1e300
 
     def test_scale_multiplies_everything(self):
         sp = space("flat")

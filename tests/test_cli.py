@@ -406,6 +406,16 @@ class TestCheck:
         assert code == 1
         assert "worst offender" in capsys.readouterr().out
 
+    def test_tol_scale_that_overflows_a_bound_exits_two(self, tmp_path,
+                                                        capsys):
+        # 1e300 * 1e10 is inf, a bound that would pass any residual
+        path = write_cfg(tmp_path, MINIMAL + "\n[tolerances]\ngauge = 1e300\n")
+        assert main(["check", "--config", path, "--points", "5",
+                     "--tol-scale", "1e10"]) == 2
+        captured = capsys.readouterr()
+        assert "'gauge' must be finite and positive" in captured.err
+        assert "ok   gauge" not in captured.out
+
     def test_bad_point_count(self, capsys):
         code = main(["check", "--config", "flat", "--points", "0"])
         assert code == 2
@@ -462,19 +472,19 @@ t = 0.1 0.9
     @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
     def test_compile_work_is_pinned(self, monkeypatch, capsys, name):
         # every builtin is n = 2, so a check compiles the same root
-        # partials whatever L is: 6 fused functions over 250 roots, one per
+        # partials whatever L is: 5 fused functions over 249 roots, one per
         # field group: the space's one group (h11, hdot and the L-partials),
         # then the new partials its depth-1 and depth-2 Taylor plans add,
         # order by order (each partial compiled once), its chart-moved
-        # twin's group at float points, the chart's tau, tau' and tau'', and
-        # the hdot that the h-metricity suite reads alone
+        # twin's group at float points, and the chart's tau, tau' and
+        # tau''.  The h-metricity suite reads hdot off the geometry
         roots = []
         compile_fn = expr.compile_node
         monkeypatch.setattr(expr, "compile_node", lambda nodes, n:
                             roots.append(len(nodes)) or compile_fn(nodes, n))
         assert main(["check", "--config", name]) == 0
         capsys.readouterr()
-        assert (len(roots), sum(roots)) == (6, 250)
+        assert (len(roots), sum(roots)) == (5, 249)
 
     @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
     def test_connection_work_is_pinned(self, monkeypatch, capsys, name):

@@ -251,12 +251,15 @@ def test_the_dual_inverse_is_the_level_rule(depth):
 
 
 def test_dual_work_counts_are_pinned(monkeypatch):
-    # Dual objects made, a deterministic count of the layer's work (the
-    # timings on a shared machine are not): one connection-jets build and
-    # one conservation point of electrodynamics_l2 at its range midpoint,
-    # each on a fresh space whose float geometry is already built
-    made = []
-    wrap, init = dual._wrap, Dual.__init__
+    # Dual objects made and numpy einsum kernel calls, deterministic counts
+    # of the layer's work (the timings on a shared machine are not): one
+    # connection-jets build and one conservation point of electrodynamics_l2
+    # at its range midpoint, each on a fresh space whose float geometry is
+    # already built.  The connection and curvature levels contract by @,
+    # one product per jet level, so the jets make no einsum call; those
+    # left at a conservation point are the slot rule's and the traces'
+    made, kernel = [], []
+    wrap, init, c_einsum = dual._wrap, Dual.__init__, dual._c_einsum
 
     def counted_wrap(stack, level):
         made.append(level)
@@ -266,20 +269,26 @@ def test_dual_work_counts_are_pinned(monkeypatch):
         made.append(None)
         init(self, val, tan)
 
+    def counted_einsum(*args):
+        kernel.append(None)
+        return c_einsum(*args)
+
     monkeypatch.setattr(dual, "_wrap", counted_wrap)
     monkeypatch.setattr(expr, "_wrap", counted_wrap)
     monkeypatch.setattr(Dual, "__init__", counted_init)
+    monkeypatch.setattr(dual, "_c_einsum", counted_einsum)
 
     def fresh():
         cfg = cli.load_config("electrodynamics_l2")
         z = cfg.ranges.mean(axis=1)
         cfg.space.geometry_at(z).cartan
         made.clear()
+        kernel.clear()
         return cfg.space, z
 
     sp, z = fresh()
     sp.connection_jets(z)
-    assert len(made) == 88
+    assert (len(made), len(kernel)) == (91, 0)
     sp, z = fresh()
     fields.conservation_residuals(sp, z)
-    assert len(made) == 429
+    assert (len(made), len(kernel)) == (369, 76)

@@ -7,6 +7,9 @@ from helpers import (
     bianchi_b1_b3_oracle,
     conservation_oracle,
     count_calls,
+    cov_space_C,
+    cov_space_T1,
+    cov_time_C,
     curvature_P_oracle,
     deflection_identities_oracle,
     dual_levels,
@@ -465,6 +468,127 @@ class TestSlotRuleOracle:
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+
+
+def _jet_blocks(sp):
+    """The point function of the connection jets: (Gt, L, C, N)."""
+    def blocks(p):
+        geo = sp.geometry_at(p)
+        return geo.cartan.Gt, geo.cartan.L, geo.cartan.C, geo.N
+    return blocks
+
+
+def _einsum_definitions(sp, q) -> dict:
+    """The contractions of the connection, curvature and Bianchi levels and
+    of adapted_gradient's corrections at the point q (float or dual), from
+    their einsum definitions; each level reads the engine's own inputs."""
+    n = sp.n
+    geo = sp.geometry_at(q)
+    y, g_inv, dg_y = q[1 + n:], geo.g_inv, geo.dg_y
+    dginv_y = -np.einsum("im,mlk,lj->ijk", g_inv, dg_y, g_inv)
+    dB_y = (np.einsum("mkj,m->kj", geo.Lxyy, y) + geo.Lxy.T - geo.Lxy
+            + geo.Ltyy + geo.Lyy * geo.H
+            + 2.0 * geo.h_inv * geo.H * (np.einsum("klj,l->kj", dg_y, y)
+                                         + geo.g))
+    out = {"N": 0.25 * geo.h11 * (np.einsum("ikj,k->ij", dginv_y, geo.B)
+                                  + g_inv @ dB_y)}
+
+    def christoffel(A):
+        sym = A + A.transpose((2, 1, 0)) - A.transpose((0, 2, 1))
+        return 0.5 * np.einsum("im,jmk->ijk", g_inv, sym)
+
+    del_t_g = geo.dg_t - np.einsum("ijm,m->ij", dg_y, geo.M)
+    del_x_g = (geo.dg_x.transpose((1, 2, 0))
+               - np.einsum("ijm,mk->ijk", dg_y, geo.N))
+    out.update(Gt=0.5 * g_inv @ del_t_g, L=christoffel(del_x_g),
+               C=christoffel(dg_y))
+
+    jets, cart, tors, cur = geo.jets, geo.cartan, geo.torsion, geo.curvature
+    Gt, L, C = cart.Gt, cart.L, cart.C
+    dL, dC = jets.L.del_x, jets.C.d_y
+    covC_x = np.transpose(cov_space_C(cart, jets.C.del_x), (0, 1, 3, 2))
+    out.update(
+        R_i1k=(jets.Gt.del_x - jets.L.del_t
+               + np.einsum("mi,lmk->lik", Gt, L)
+               - np.einsum("mik,lm->lik", L, Gt)
+               + np.einsum("lim,mk->lik", C, tors.R_1j)),
+        R_ijk=(dL - np.transpose(dL, (0, 1, 3, 2))
+               + np.einsum("mij,lmk->lijk", L, L)
+               - np.einsum("mik,lmj->lijk", L, L)
+               + np.einsum("lim,mjk->lijk", C, tors.R_ij)),
+        P_i1k=(jets.Gt.d_y - cov_time_C(cart, jets.C.del_t)
+               + np.einsum("lim,mk->lik", C, tors.P_1)),
+        P_ijk=(jets.L.d_y - covC_x
+               + np.einsum("lim,mjk->lijk", C, tors.P_i)),
+        S_ijk=(dC - np.transpose(dC, (0, 1, 3, 2))
+               + np.einsum("mij,lmk->lijk", C, C)
+               - np.einsum("mik,lmj->lijk", C, C)))
+
+    term = (cur.R_i1k + cov_space_T1(cart, tors.T_1j, -jets.Gt.del_x)
+            + np.einsum("lkm,mj->ljk", C, tors.R_1j))
+    t2 = cur.R_ijk - np.einsum("lkm,mij->lijk", C, tors.R_ij)
+    t3 = cur.P_ijk + covC_x + np.einsum("lkm,mjp->ljkp", C, tors.P_i)
+    out.update(b1=term - np.transpose(term, (0, 2, 1)),
+               b2=(t2 + np.transpose(t2, (0, 2, 3, 1))
+                   + np.transpose(t2, (0, 3, 1, 2))),
+               b3=t3 - np.transpose(t3, (0, 2, 1, 3)))
+
+    # the corrections of the adapted derivatives of the blocks the jets read
+    for name, a in zip("Gt L C N".split(), _jet_blocks(sp)(
+            Dual(q, np.eye(len(q))))):
+        d_y = a.tan[n + 1:]
+        flat = d_y.reshape(n, -1)
+        out[f"{name}/time"] = (np.einsum("m,mk->k", geo.M, flat)
+                               .reshape(a.shape))
+        out[f"{name}/space"] = (np.einsum("mi,mk->ik", geo.N, flat)
+                                .reshape(d_y.shape))
+    return out
+
+
+def _engine_values(sp, q) -> dict:
+    """The same arrays from the package; a correction is the plain partial
+    less the adapted derivative adapted_gradient returns."""
+    n = sp.n
+    geo = sp.geometry_at(q)
+    cur = geo.curvature
+    out = {"N": geo.N, "Gt": geo.cartan.Gt, "L": geo.cartan.L,
+           "C": geo.cartan.C, "R_i1k": cur.R_i1k, "R_ijk": cur.R_ijk,
+           "P_i1k": cur.P_i1k, "P_ijk": cur.P_ijk, "S_ijk": cur.S_ijk,
+           **bianchi_residuals(sp, q)}
+    blocks = _jet_blocks(sp)
+    pairs = adapted_gradient(blocks, q, geo)
+    for name, a, (_, (d_t, d_x, _)) in zip(
+            "Gt L C N".split(), blocks(Dual(q, np.eye(len(q)))), pairs):
+        g = a.tan
+        out[f"{name}/time"] = g[0] - d_t[..., 0]
+        out[f"{name}/space"] = (g[1:n + 1]
+                                - np.transpose(d_x, (a.ndim, *range(a.ndim))))
+    return out
+
+
+class TestProductsMatchEinsumDefinitions:
+    """Each contraction the engine writes as a matrix product against its
+    einsum definition, at a float point and, value and tangent, at a
+    depth-1 dual point.  Checked where the vertical block C is nonzero and
+    at n = 2 and 3: every builtin has C = 0 and n = 2, where a dropped
+    transpose can hide."""
+
+    @pytest.mark.parametrize("build,z", [(quartic_space, GEN_Z),
+                                         (gen3_space, GEN3_Z)])
+    @pytest.mark.parametrize("dual", [False, True], ids=["float", "dual"])
+    def test_within_rounding_of_the_einsums(self, build, z, dual):
+        sp = build()
+        assert np.max(np.abs(sp.geometry_at(z).cartan.C)) > 1e-3
+        q = Dual(z, np.eye(len(z))) if dual else z
+        got, want = _engine_values(sp, q), _einsum_definitions(sp, q)
+        assert got.keys() == want.keys()
+        for key in want:
+            a, b = got[key], want[key]
+            parts = [(a.val, b.val), (a.tan, b.tan)] if dual else [(a, b)]
+            for x, w in parts:
+                assert x.shape == w.shape, key
+                scale = max(1.0, float(np.max(np.abs(w))))
+                assert np.max(np.abs(x - w)) <= 1e-13 * scale, key
 
 
 class TestOneStencilOracle:

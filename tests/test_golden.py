@@ -62,10 +62,10 @@ GOLDEN = {
         "17a1166d3806d61231bffeb141d824572cf4eb0d9ef8ffa86bc426cec2f80b4f"),
     "check_nonautonomous_l3": (
         ["check", "--config", "nonautonomous_l3"],
-        "0cc95347385a06a89f2419304b6c1912ce35400b832931357c234fa8c74ca96d"),
+        "084cec118a42320f7e17fa1433a20bdc6c4f9537484f80c16af921198e9f518d"),
     "check_sphere_l1": (
         ["check", "--config", "sphere_l1", "--points", "10"],
-        "c17e013c17c57d54fdb00a96c37a1e176ea4114aa67b2b081354c3acd111c6d8"),
+        "c3e478d3734afa5fa9c6fa574714b8b34f49c733fbd81be04592732d329ed453"),
     "check_flat": (
         ["check", "--config", "flat", "--points", "10"],
         "52e4f5b954947bd7ab80fa543fc656179bd832f455a0cb8c2e32f2530d6d2401"),
@@ -74,10 +74,10 @@ GOLDEN = {
         "cb93cd2834b3f1a83c5f9b10da7adf74bea037aab36a432720a75b86d29f8c39"),
     "check_generic_n1": (
         ["check", "--config", "generic_n1", "--points", "10"],
-        "41e964347474f11581b91415728ca013153a1012d82f8570c1824f6eeac89059"),
+        "30396b84a7089c9c1562a7c836c4c4091794a5754abad08a9721b41a54b998e5"),
     "check_generic_n3": (
         ["check", "--config", "generic_n3", "--points", "10"],
-        "81064eb662a324cf043f328d785b44d20fb99578e997db2733c885601c9ecc2c"),
+        "3d0754f226dd9828f706e283f803245e80734dba09e0a849629a5c5c6af7e6f5"),
     "report_electrodynamics_l2": (
         ["report", "--config", "electrodynamics_l2", "--points", "3"],
         "64991aa58d78d594437f495311b03b32ca57d5bbeee934efb901cb7e0a940964"),
