@@ -32,7 +32,8 @@ import numpy as np
 
 from jetlag.dual import (CONTRACT, Dual, as_array, base, depth, einsum, inv,
                          scalar)
-from jetlag.expr import JetPoint, ScalarField, _point_array, evaluate_fields
+from jetlag.expr import (FieldGroup, JetPoint, ScalarField, _point_array,
+                         evaluate_fields)
 
 __all__ = [
     "SlotKind",
@@ -235,7 +236,7 @@ class ChartMap:
     is tau^-1 written in the same DSL (as a function of its single time
     argument); it is only needed to re-express a Lagrange space in the new
     chart, never for forward transformation of values.  The laws read
-    tau, tau' and tau'' through ``t_jet``, one fused evaluation.
+    tau, tau' and tau'' through ``t_jet``, one call of the map's own group.
     """
 
     t_map: ScalarField
@@ -263,8 +264,8 @@ class ChartMap:
         # tau' leads the group, so that its domain error is the one raised
         dt = (1,) + (0,) * (2 * self.t_map.n)
         tprime = self.t_map.differentiate(dt)
-        object.__setattr__(self, "_t_fields", (tprime, self.t_map,
-                                               tprime.differentiate(dt)))
+        object.__setattr__(self, "_t_group", FieldGroup(
+            (tprime, self.t_map, tprime.differentiate(dt))))
 
     @property
     def n(self) -> int:
@@ -275,7 +276,7 @@ class ChartMap:
         where tau' is zero or not finite."""
         z = np.zeros(2 * self.t_map.n + 1)
         z[0] = t
-        tp, tau, ts = evaluate_fields(self._t_fields, z)
+        tp, tau, ts = evaluate_fields(self._t_group, z)
         if tp == 0.0 or not math.isfinite(tp):
             raise ChartError(f"dt~/dt = {tp} at t = {t}")
         return tau, tp, ts

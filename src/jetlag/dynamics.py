@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expr import evaluate_fields
 from .geometry import LagrangeSpace, NonRegularError
 
 __all__ = [
@@ -181,8 +182,8 @@ def action(sp: LagrangeSpace, curve: Curve) -> float:
     vals = np.empty(m)
     # every sample point (t, x, y) as a row of one array
     for k, z in enumerate(np.column_stack((curve.t, curve.x, curve.y))):
-        h11 = sp.h11.evaluate(z)
-        vals[k] = sp.L.evaluate(z) * math.sqrt(abs(h11))
+        h11, L = evaluate_fields(sp._action, z)
+        vals[k] = L * math.sqrt(abs(h11))
     dt = np.diff(curve.t)
     uniform = np.allclose(dt, dt[0], rtol=1e-9, atol=0.0)
     if uniform and m >= 3 and m % 2 == 1:

@@ -3,11 +3,13 @@
 A deliberately small expression language: the variables are the jet
 coordinates of a curve (one time variable, n positions, n velocities),
 the functions are a fixed whitelist, and differentiation is exact and
-cached: a derivative table differentiates each shared subtree once per
-variable, and the Taylor plans of its dual points compile each partial
-once.  Nothing here knows about tensors; the rest of the package
-builds on ScalarField evaluation (evaluate_fields takes any fields of
-one n in one compiled call) and ScalarField.differentiate.
+cached: a derivative table keeps the ASTs of one root's partials and
+differentiates each shared subtree once per variable.  Compiled code
+belongs to a FieldGroup, held by whoever holds its fields (a space, a
+chart map, a field evaluated alone): its fused function, and the Taylor
+plans of its dual points, which compile each partial once.  Nothing here
+knows about tensors; the rest of the package builds on evaluate_fields
+(a group's values in one compiled call) and ScalarField.differentiate.
 Every value comes from one evaluator, the function compile_node emits,
 and a domain error is named from the line of that function that raised.
 
@@ -36,6 +38,7 @@ __all__ = [
     "EvalDomainError",
     "DerivativeOrderError",
     "parse",
+    "FieldGroup",
     "evaluate_fields",
     "FUNCTIONS",
     "DEFAULT_MAX_ORDER",
@@ -482,53 +485,44 @@ def _fmt_const(v: float) -> str:
     return repr(v)
 
 
-def to_source(node: Node, n: int) -> str:
-    """Render a node back into parseable DSL text."""
-
-    def go(nd: Node, parent_prec: int) -> str:
-        if isinstance(nd, Const):
-            s = _fmt_const(nd.value)
-            if nd.value < 0 and parent_prec > _PREC_ADD:
-                return f"({s})"
-            return s
-        if isinstance(nd, Var):
-            return _var_name(nd.index, n)
-        if isinstance(nd, Neg):
-            body = go(nd.arg, _PREC_NEG)
-            s = f"-{body}"
-            return f"({s})" if parent_prec > _PREC_ADD else s
-        if isinstance(nd, Add):
-            parts = [go(nd.terms[0], _PREC_ADD)]
-            for tm in nd.terms[1:]:
-                if isinstance(tm, Neg):
-                    parts.append(f" - {go(tm.arg, _PREC_MUL)}")
-                elif isinstance(tm, Const) and tm.value < 0:
-                    parts.append(f" - {_fmt_const(-tm.value)}")
-                else:
-                    parts.append(f" + {go(tm, _PREC_ADD)}")
-            s = "".join(parts)
-            return f"({s})" if parent_prec > _PREC_ADD else s
-        if isinstance(nd, Mul):
-            s = "*".join(go(f, _PREC_MUL + 1) for f in nd.factors)
-            return f"({s})" if parent_prec > _PREC_MUL else s
-        if isinstance(nd, Div):
-            s = f"{go(nd.num, _PREC_MUL + 1)}/{go(nd.den, _PREC_MUL + 1)}"
-            return f"({s})" if parent_prec > _PREC_MUL else s
-        if isinstance(nd, Pow):
-            base = go(nd.base, _PREC_ATOM)
-            e = nd.exponent
-            expo = _fmt_const(e) if e >= 0 else f"({_fmt_const(e)})"
-            s = f"{base}^{expo}"
-            return f"({s})" if parent_prec > _PREC_POW else s
-        if isinstance(nd, Call):
-            return f"{nd.func}({go(nd.arg, _PREC_ADD)})"
-        raise AssertionError(type(nd))
-
-    return go(node, _PREC_ADD)
+def to_source(node: Node, n: int, prec: int = _PREC_ADD) -> str:
+    """Render a node back into parseable DSL text, as an operand of an
+    operator of precedence prec."""
+    if isinstance(node, Const):
+        s = _fmt_const(node.value)
+        return f"({s})" if node.value < 0 and prec > _PREC_ADD else s
+    if isinstance(node, Var):
+        return _var_name(node.index, n)
+    if isinstance(node, Neg):
+        s = f"-{to_source(node.arg, n, _PREC_NEG)}"
+        return f"({s})" if prec > _PREC_ADD else s
+    if isinstance(node, Add):
+        parts = [to_source(node.terms[0], n)]
+        for tm in node.terms[1:]:
+            if isinstance(tm, Neg):
+                parts.append(f" - {to_source(tm.arg, n, _PREC_MUL)}")
+            elif isinstance(tm, Const) and tm.value < 0:
+                parts.append(f" - {_fmt_const(-tm.value)}")
+            else:
+                parts.append(f" + {to_source(tm, n)}")
+        s = "".join(parts)
+        return f"({s})" if prec > _PREC_ADD else s
+    if isinstance(node, (Mul, Div)):
+        s = ("*" if isinstance(node, Mul) else "/").join(
+            to_source(k, n, _PREC_MUL + 1) for k in node.children())
+        return f"({s})" if prec > _PREC_MUL else s
+    if isinstance(node, Pow):
+        e = node.exponent
+        expo = _fmt_const(e) if e >= 0 else f"({_fmt_const(e)})"
+        s = f"{to_source(node.base, n, _PREC_ATOM)}^{expo}"
+        return f"({s})" if prec > _PREC_POW else s
+    if isinstance(node, Call):
+        return f"{node.func}({to_source(node.arg, n)})"
+    raise AssertionError(type(node))
 
 
 # ---------------------------------------------------------------------------
-# evaluation: one compiled function per table of partials
+# evaluation: one compiled function per field group
 # ---------------------------------------------------------------------------
 
 
@@ -617,6 +611,8 @@ def compile_node(nodes, n: int):
     except (SyntaxError, RecursionError, MemoryError):
         # the emitter recurses once per level of nesting
         raise ExprError("expression nested too deeply to compile") from None
+    finally:
+        ref = None      # ref holds itself through its cell, and every node
     scope: dict = {}
     eval(code, _EVAL_GLOBALS, scope)
     fn = scope["f"]
@@ -625,47 +621,34 @@ def compile_node(nodes, n: int):
 
 
 # ---------------------------------------------------------------------------
-# derivative tables and scalar fields
+# derivative tables, field groups and scalar fields
 # ---------------------------------------------------------------------------
 
 
 class _DerivTable:
-    """Shared per-root cache of derivative ASTs and compiled evaluators.
-
-    Derivatives are always built in a canonical order (highest variable
-    index peeled off first), so any request order converges onto the same
-    cached AST objects; mixed partials are identical by construction.  A
-    subtree shared by several partials is differentiated once per variable.
+    """Shared per-root cache of derivative ASTs, holding no field (fields
+    compare by table and offset) and nothing compiled.  Derivatives are
+    always built in a canonical order (highest variable index peeled off
+    first), so any request order converges onto the same cached AST
+    objects; mixed partials are identical by construction.  A subtree
+    shared by several partials is differentiated once per variable.
     """
 
-    def __init__(self, root: "ScalarField", ast: Node, n: int):
+    def __init__(self, ast: Node, n: int):
         self.n = n
         zero = (0,) * (2 * n + 1)
         self._asts: dict[tuple[int, ...], Node] = {zero: ast}
         self._memos = [{} for _ in zero]    # per variable, see Node.diff
-        self._plans: dict = {}
-        self._fields = {zero: root}     # offset -> the one field at it
-        self._groups: dict = {}         # tuple of fields -> [fields, fn]
 
     def field(self, offset: tuple[int, ...]) -> "ScalarField":
-        """The one field at an offset: a tuple of fields is a group's key."""
-        f = self._fields.get(offset)
-        if f is None:
-            f = self._fields[offset] = object.__new__(ScalarField)
-            f._table, f._offset = self, offset
+        """The field at an offset: a new object, equal to any other there."""
+        total = sum(offset)
+        if total > DEFAULT_MAX_ORDER:
+            raise DerivativeOrderError(
+                f"total derivative order {total} exceeds cap {DEFAULT_MAX_ORDER}")
+        f = object.__new__(ScalarField)
+        f._table, f._offset, f._group = self, offset, None
         return f
-
-    def group(self, fields: tuple) -> list:
-        """[fields, fused function] of fields of one n, kept by this table
-        (``evaluate_fields`` uses the last field's: a space's group ends
-        with L-partials, so an h11 that spaces share keeps none): the one
-        owner of compiled code, compiled on its first evaluation."""
-        group = self._groups.get(fields)
-        if group is None:
-            if any(f.n != self.n for f in fields):
-                raise ValueError("evaluate_fields needs fields of one n")
-            group = self._groups[fields] = [fields, None]
-        return group
 
     def ast_for(self, idx: tuple[int, ...]) -> Node:
         node = self._asts.get(idx)
@@ -680,73 +663,77 @@ class _DerivTable:
             raise ExprError("expression nested too deeply to differentiate") from None
         return self._asts.setdefault(idx, node)
 
-    def values(self, group: list, z: list) -> tuple:
-        """The values of a group's fields at the float coordinates z (a
-        list), compiling its function on first use: the only place a
-        compiled function is called.  A domain error raises EvalDomainError
-        naming the node of the line that failed: the first failing
-        subexpression of the first failing field, the one that field
-        evaluated alone names."""
-        fn = group[1]
+
+class FieldGroup:
+    """Fields of one n evaluated together, and the one owner of their
+    compiled code: the fused function (compiled on first use) and the
+    chain of Taylor plans of its dual points.  Whoever holds the fields
+    holds the group: a space, a chart map, a field evaluated alone.  The
+    chain holds the groups of higher partials, never the group itself.
+    """
+
+    def __init__(self, fields):
+        self.fields = tuple(fields)
+        ns = {f.n for f in self.fields}
+        if len(ns) != 1:
+            raise ValueError("a field group needs one or more fields of one n")
+        (self.n,) = ns
+        self._fn, self._higher, self._orders = None, [], []     # see taylor_plan
+
+    def values(self, z: list) -> tuple:
+        """The fields' values at the float coordinates z (a list): the only
+        place a compiled function is called.  A domain error raises
+        EvalDomainError naming the node of the line that failed: the first
+        failing subexpression of the first failing field, the one that
+        field evaluated alone names."""
+        fn = self._fn
         if fn is None:
-            fn = group[1] = compile_node([f.ast for f in group[0]], self.n)
+            fn = self._fn = compile_node([f.ast for f in self.fields], self.n)
         n = self.n
         try:
             return fn(z[0], z[1:n + 1], z[n + 1:])
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise _domain_error(fn, exc, n) from None
 
-    def taylor_plan(self, fields: tuple, order: int):
-        """How to take the Taylor polynomials of fields of one n to this
-        order: (a chain of groups, the fields' own and then per order r the
-        partials of order r no earlier group holds, which deeper plans
-        share; and per order r the coefficient indices [field, monomial]
-        into the groups' values read in order, the 1/alpha! weights, and
-        each monomial of order r as one of order r - 1 times a variable)."""
-        groups, orders = self._plans.get(fields) or self._plans.setdefault(
-            fields, ([self.group(fields)], []))
-        if len(orders) >= order:
-            return groups[:order + 1], orders[:order]
-        # field -> a place of it in the groups' values, read in order
-        slots = {f: i for i, f in enumerate(f for g in groups for f in g[0])}
-        axes = range(2 * self.n + 1)
-        for r in range(len(orders) + 1, order + 1):
-            total = r + max(sum(f._offset) for f in fields)
-            if total > DEFAULT_MAX_ORDER:
-                raise DerivativeOrderError(
-                    f"total derivative order {total} exceeds cap {DEFAULT_MAX_ORDER}")
-            prev = {m: i for i, m in enumerate(
-                itertools.combinations_with_replacement(axes, r - 1))}
-            monos = list(itertools.combinations_with_replacement(axes, r))
-            steps = [tuple(map(m.count, axes)) for m in monos]
-            parts = [[f._table.field(tuple(map(operator.add, f._offset, step)))
-                      for step in steps] for f in fields]
-            new = dict.fromkeys(p for row in parts for p in row if p not in slots)
-            slots.update(zip(new, itertools.count(sum(len(g[0]) for g in groups))))
-            groups.append(self.group(tuple(new)))
-            orders.append((np.array([[slots[p] for p in row] for row in parts]),
-                           np.array([1.0 / math.prod(map(math.factorial, s))
-                                     for s in steps]),
-                           np.array([prev[m[:-1]] for m in monos]),
-                           np.array([m[-1] for m in monos])))
-        return groups[:order + 1], orders[:order]
-
-
-def _validate_multi_index(idx, n: int) -> tuple[int, ...]:
-    idx = tuple(int(o) for o in idx)
-    if len(idx) != 2 * n + 1:
-        raise ValueError(f"multi-index must have {2 * n + 1} entries, got {len(idx)}")
-    if any(o < 0 for o in idx):
-        raise ValueError("multi-index orders must be nonnegative")
-    return idx
+    def taylor_plan(self, order: int):
+        """How to take the fields' Taylor polynomials to this order: (per
+        order r the group of the partials of order r no earlier group
+        holds, which deeper plans share; and per order r the coefficient
+        indices [field, monomial] into the values of this group and then
+        those groups, read in order, the 1/alpha! weights, and each
+        monomial of order r as one of order r - 1 times a variable)."""
+        higher, orders = self._higher, self._orders
+        if len(orders) < order:
+            # field -> a place of it in the groups' values, read in order
+            ahead = [self.fields, *(g.fields for g in higher)]
+            slots = {f: i for i, f in enumerate(itertools.chain(*ahead))}
+            count = itertools.count(sum(map(len, ahead)))
+            axes = range(2 * self.n + 1)
+            for r in range(len(orders) + 1, order + 1):
+                prev = {m: i for i, m in enumerate(
+                    itertools.combinations_with_replacement(axes, r - 1))}
+                monos = list(itertools.combinations_with_replacement(axes, r))
+                steps = [tuple(map(m.count, axes)) for m in monos]
+                parts = [[f._table.field(tuple(map(operator.add, f._offset, step)))
+                          for step in steps] for f in self.fields]
+                new = dict.fromkeys(p for row in parts for p in row if p not in slots)
+                slots.update(zip(new, count))
+                higher.append(FieldGroup(new))
+                orders.append((np.array([[slots[p] for p in row] for row in parts]),
+                               np.array([1.0 / math.prod(map(math.factorial, s))
+                                         for s in steps]),
+                               np.array([prev[m[:-1]] for m in monos]),
+                               np.array([m[-1] for m in monos])))
+        return higher[:order], orders[:order]
 
 
 class ScalarField:
     """A scalar function of a jet point with exact cached derivatives.
 
-    Fields returned by :meth:`differentiate` share the root's cache, so a
-    given mixed partial is represented by one field object and one AST no
-    matter how it was reached.
+    Fields returned by :meth:`differentiate` share the root's table, so a
+    given mixed partial is one AST however it was reached, and its fields
+    compare equal.  A field evaluated alone holds its own one-field group,
+    so a held field compiles once.
     """
 
     def __init__(self, ast: Node, n: int):
@@ -760,8 +747,16 @@ class ScalarField:
                 f"expression references variable index {top}, "
                 f"but n={n} allows at most {2 * n}"
             )
-        self._table = _DerivTable(self, ast, n)
+        self._table = _DerivTable(ast, n)
         self._offset = (0,) * (2 * n + 1)
+        self._group = None
+
+    def __eq__(self, other):
+        return (isinstance(other, ScalarField) and self._table is other._table
+                and self._offset == other._offset)
+
+    def __hash__(self):
+        return hash((id(self._table), self._offset))
 
     @property
     def n(self) -> int:
@@ -772,18 +767,20 @@ class ScalarField:
         return self._table.ast_for(self._offset)
 
     def evaluate(self, point) -> float:
-        return evaluate_fields((self,), point)[0]
+        if self._group is None:     # of an equal field: self would be a cycle
+            self._group = FieldGroup((self._table.field(self._offset),))
+        return evaluate_fields(self._group, point)[0]
 
     __call__ = evaluate
 
     def differentiate(self, idx) -> "ScalarField":
-        idx = _validate_multi_index(idx, self.n)
-        total = sum(idx) + sum(self._offset)
-        if total > DEFAULT_MAX_ORDER:
-            raise DerivativeOrderError(
-                f"total derivative order {total} exceeds cap {DEFAULT_MAX_ORDER}"
-            )
-        return self._table.field(tuple(a + b for a, b in zip(self._offset, idx)))
+        idx = tuple(int(o) for o in idx)
+        if len(idx) != 2 * self.n + 1:
+            raise ValueError(f"multi-index must have {2 * self.n + 1} entries, "
+                             f"got {len(idx)}")
+        if any(o < 0 for o in idx):
+            raise ValueError("multi-index orders must be nonnegative")
+        return self._table.field(tuple(map(operator.add, self._offset, idx)))
 
     def to_source(self) -> str:
         return to_source(self.ast, self.n)
@@ -795,39 +792,33 @@ class ScalarField:
         return f"ScalarField({self.to_source()!r}, n={self.n})"
 
 
-def evaluate_fields(fields, point) -> tuple:
-    """Values of fields of one n at one point, in order, from one call of
-    their group's fused function (see _DerivTable.values).
+def evaluate_fields(group: FieldGroup, point) -> tuple:
+    """Values of a group's fields at one point, in order, from one call of
+    its fused function (see FieldGroup.values).
 
     At a dual point of depth d (see jetlag.dual) the values come back as
-    one Dual of shape (len(fields),): each field's Taylor polynomial to
-    order d about the base point, from the exact partials up to d orders
+    one Dual of shape (len(group.fields),): each field's Taylor polynomial
+    to order d about the base point, from the exact partials up to d orders
     above the field's own, evaluated on the point's perturbation.  That is
     exact, since a perturbation of depth d vanishes at power d + 1.
     """
-    fields = tuple(fields)
-    if not fields:
-        return ()
-    table = fields[-1]._table
-    # the group of a tuple met before, without a call: this is the hot path
-    group = table._groups.get(fields) or table.group(fields)
-    n = table.n
+    n = group.n
     if not (type(point) is np.ndarray and point.dtype is _FLOAT
             and point.shape == (2 * n + 1,)):
         point = _point_array(point, n)
         if isinstance(point, Dual):
-            return _taylor_values(table, group[0], point)
+            return _taylor_values(group, point)
     # plain Python floats, whatever the point type: float arithmetic
     # raises on a domain error where numpy scalars return inf or nan
-    return table.values(group, point.tolist())
+    return group.values(point.tolist())
 
 
-def _taylor_values(table: _DerivTable, fields: tuple, point: Dual) -> Dual:
+def _taylor_values(group: FieldGroup, point: Dual) -> Dual:
     level = point.depth
-    groups, orders = table.taylor_plan(fields, level)
+    higher, orders = group.taylor_plan(level)
     z = base(point)
     partials = np.fromiter(itertools.chain.from_iterable(
-        table.values(g, z.tolist()) for g in groups), float)
+        g.values(z.tolist()) for g in (group, *higher)), float)
     # the perturbation point - z: the point's stack with a zero value part
     v = (0,) * level
     delta = point.copy()
@@ -839,7 +830,7 @@ def _taylor_values(table: _DerivTable, fields: tuple, point: Dual) -> Dual:
         term = ((partials[idx] * weight) @ mono.stack[..., None])[..., 0]
         if out is None:
             out = term
-            out[v] += partials[:len(fields)]
+            out[v] += partials[:len(group.fields)]
         else:
             out += term
     return _wrap(out, level)

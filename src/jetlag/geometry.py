@@ -9,10 +9,11 @@ curvature tables of that connection.
 Derivative strategy: every L-partial the geometry reads (L_y, L_x, L_ty,
 L_xy, L_yy, L_tyy, L_xyy, L_yyy) is exact and symbolic.  ``geometry_at``
 evaluates h11, its t-derivative and the distinct L-partials in one fused
-``expr.evaluate_fields`` call, so every domain and regularity error raises
-there, in the order of the fields read alone (the raising path re-reads
-h11, then the head up to L_yy).  Regularity is decided by the one inversion
-of g (see ``_regular_inverse``); every inverse of the package, float or
+``expr.evaluate_fields`` call on the space's group, which owns the
+compiled code, so every domain and regularity error raises there, in the
+order of the fields read alone (the raising path re-reads h11, then the
+head group up to L_yy).  Regularity is decided by the one inversion of g
+(see ``_regular_inverse``); every inverse of the package, float or
 dual, goes through ``jetlag.dual.inv``.  It builds the spray level, all a
 harmonic curve reads, whose blocks L_y, L_x and L_ty are views of the
 fused values.  The connection comes in two levels, as in the paper's
@@ -55,8 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from jetlag.dual import as_array, base, inv
-from jetlag.expr import (Const, EvalDomainError, ScalarField, Var, _point_array,
-                         add, evaluate_fields, mul, power)
+from jetlag.expr import (Const, EvalDomainError, FieldGroup, ScalarField, Var,
+                         _point_array, add, evaluate_fields, mul, power)
 from jetlag.dtensor import (
     CartanCoefficients,
     ChartMap,
@@ -374,6 +375,11 @@ class LagrangeSpace:
         self._third_idx = blocks[5:]
         self._fields = (h11, h11.differentiate(_unit_index(n, 0)),
                         *map(L.differentiate, slots))
+        # the groups whose compiled code the space owns (the head only
+        # compiles when a read raises; dynamics.action reads h11 and L)
+        self._group = FieldGroup(self._fields)
+        self._head = FieldGroup(self._fields[:blocks[0].max() + 1])
+        self._action = FieldGroup((h11, L))
         self._geo_cache: collections.OrderedDict = collections.OrderedDict()
         # what each geometry holds of its space (see _Geo), made once
         self._handle = (weakref.ref(self), L, h11)
@@ -435,13 +441,12 @@ class LagrangeSpace:
         zb = base(z)
         y = z[1 + self.n:]
         try:
-            fused = evaluate_fields(self._fields, z)
+            fused = evaluate_fields(self._group, z)
         except EvalDomainError:
             # the error of the fields read alone, in order: a singular h11,
             # a pole of the head (hdot, Lyy), a degenerate g, any other pole
             _regular_h11(self.h11.evaluate(zb), zb[0], zb)
-            head = self._fields[:self._lyy_idx.max() + 1]
-            self._metric(evaluate_fields(head, z), zb)
+            self._metric(evaluate_fields(self._head, z), zb)
             raise
         values, h11, Lyy, g, g_inv = self._metric(fused, zb)
         hdot = fused[1]

@@ -18,11 +18,14 @@ package differentiates all of an identity's fields at one dual point and
 reads their values off it.  The RK4 loop on two arrays is the curve
 integrator's bit-for-bit oracle, and ``transform_curve`` pushes a sampled
 curve through a chart map sample by sample.  ``jet_point`` turns a
-coordinate array into the equivalent JetPoint.
+coordinate array into the equivalent JetPoint, and ``collector_off``
+runs a body with the cyclic collector off and reports what cycles keep.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import math
 import random
@@ -34,8 +37,8 @@ from jetlag.dtensor import (CartanCoefficients, SlotKind, adapted_gradient,
                             add_connection_terms, transform_point)
 from jetlag.dual import Dual, as_array, depth
 from jetlag.dynamics import Curve, harmonic_rhs
-from jetlag.expr import (Const, JetPoint, Node, Var, _point_array, add, call,
-                         div, evaluate_fields, mul, neg, power)
+from jetlag.expr import (Const, FieldGroup, JetPoint, Node, Var, _point_array,
+                         add, call, div, evaluate_fields, mul, neg, power)
 from jetlag.geometry import (LagrangeSpace, NonRegularError, _christoffel,
                              _Geo, _regular_inverse, _unit_index,
                              canonical_nonlinear_connection,
@@ -46,6 +49,36 @@ def jet_point(z, n: int) -> JetPoint:
     """The JetPoint with the (2n+1,) coordinates z."""
     z = np.asarray(z, dtype=float)
     return JetPoint(z[0], tuple(z[1:n + 1]), tuple(z[n + 1:]))
+
+
+@contextlib.contextmanager
+def collector_off():
+    """Run the body with the cyclic collector off, so that only reference
+    counting frees what it drops.  Yields a function that returns every
+    object a reference cycle keeps (a full collection under
+    DEBUG_SAVEALL) and empties gc.garbage.  On exit, failed or not, the
+    collector and its debug flags are as they were and gc.garbage is
+    empty, so no later test runs with the collector off."""
+    enabled, flags = gc.isenabled(), gc.get_debug()
+
+    def cyclic_garbage() -> list:
+        gc.set_debug(flags | gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            return list(gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+
+    gc.collect()        # what earlier code left is not the body's
+    gc.disable()
+    try:
+        yield cyclic_garbage
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 def count_calls(monkeypatch, fn, *owners):
@@ -169,7 +202,7 @@ def jet_partials(f, point, max_order: int) -> dict:
     indices = [idx for idx in itertools.product(range(max_order + 1),
                                                 repeat=2 * f.n + 1)
                if sum(idx) <= max_order]
-    values = evaluate_fields([f.differentiate(idx) for idx in indices], point)
+    values = evaluate_fields(FieldGroup(map(f.differentiate, indices)), point)
     return dict(zip(indices, values))
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import connection_levels
+from helpers import collector_off, connection_levels
 from jetlag import cli, expr, geometry
 from jetlag.checks import random_affine_chart, sample_points
 from jetlag.dtensor import transform_point
@@ -626,6 +626,50 @@ class TestReport:
               "--out", str(b)])
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+def _package_objects(objects) -> Counter:
+    """The objects of a jetlag type, counted by type name."""
+    return Counter(type(o).__qualname__ for o in objects
+                   if type(o).__module__.startswith("jetlag"))
+
+
+class TestNoCyclicGarbage:
+    """A command frees what it built by reference counting alone: no
+    jetlag object is left for the cyclic collector, whether the command
+    passes or fails on a regularity or a domain error."""
+
+    @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
+    def test_commands_on_a_builtin(self, name, tmp_path, capsys):
+        z = load_config(name).midpoint()
+        n = (len(z) - 1) // 2
+        curve = ["--x0", *map(str, z[1:n + 1]), "--y0", *map(str, z[n + 1:]),
+                 "--t0", str(z[0]), "--t1", str(z[0] + 0.1), "--step", "0.01",
+                 "--out", str(tmp_path / "c.csv")]
+        for verb, *rest in (["check"], ["report", "--points", "5"],
+                            ["inspect"], ["curve", *curve]):
+            with collector_off() as cyclic_garbage:
+                assert main([verb, "--config", name, *rest]) == 0
+                left = _package_objects(cyclic_garbage())
+            assert left == Counter(), verb
+        capsys.readouterr()
+
+    def test_failing_commands(self, tmp_path, capsys):
+        pole = write_cfg(tmp_path, MINIMAL.replace("n = 1", "n = 2")
+                         .replace('"y1^2"', '"y1^2 + y2^2 + 1/x1"')
+                         .replace("y1 = -1.0 1.0",
+                                  "x2 = -1.0 1.0\ny1 = -1.0 1.0\n"
+                                  "y2 = -1.0 1.0"))
+        for argv, message in (
+                (["--config", "flat", "--point", "0", "0", "0", "1e308", "0"],
+                 "non-finite"),
+                (["--config", pole, "--point", "0", "0", "0", "1", "1"],
+                 "division by zero")):
+            with collector_off() as cyclic_garbage:
+                assert main(["inspect", *argv]) == 3
+                left = _package_objects(cyclic_garbage())
+            assert message in capsys.readouterr().err
+            assert left == Counter(), argv
 
 
 class TestEntryPoint:

@@ -20,7 +20,7 @@ from jetlag.dynamics import (
     harmonic_rhs,
     integrate_harmonic,
 )
-from jetlag.expr import parse
+from jetlag.expr import EvalDomainError, parse
 from jetlag.geometry import LagrangeSpace, NonRegularError, transformed_space
 
 N = 2
@@ -288,16 +288,32 @@ class TestStateVector:
         el_residual(sp, c)
         assert list(sp._geo_cache.items()) == before
 
-    def test_group_lookup_is_bounded_by_distinct_groups(self):
+    def test_group_lookup_is_bounded_by_distinct_groups(self, monkeypatch):
+        # a field evaluated alone holds its own group, so a held field
+        # compiles once however often it is read, and its derivative
+        # table, which keeps ASTs and diff memos only, keeps nothing per call
+        compiles = count_calls(monkeypatch, expr.compile_node, expr)
         L = parse("sin(x1)*y1^2 + t*x2*y2^3", N)
-        indices = [(0, 0, 0, 1, 0), (0, 1, 0, 1, 0), (0, 0, 0, 0, 2),
-                   (1, 0, 1, 0, 1)]
+        fields = [L.differentiate(idx) for idx in
+                  [(0, 0, 0, 1, 0), (0, 1, 0, 1, 0), (0, 0, 0, 0, 2),
+                   (1, 0, 1, 0, 1)]]
         z = np.array([0.2, 0.7, -0.3, 1.1, 0.4])
+
+        def table_state():
+            t = L._table
+            return sorted(vars(t)), len(t._asts), [len(m) for m in t._memos]
+
+        for f in fields:
+            f.evaluate(z)
+        before = table_state()
         for k in range(1000):
-            L.differentiate(indices[k % len(indices)]).evaluate(z)
-        # differentiate returns the one field at each offset, so fresh
-        # calls meet the groups already built
-        assert len(L._table._groups) == len(indices)
+            fields[k % len(fields)].evaluate(z)
+        assert len(compiles) == len(fields)
+        assert table_state() == before
+        assert before[0] == ["_asts", "_memos", "n"]
+        # the group holds a field equal to its owner, never the owner
+        assert fields[0]._group.fields == (fields[0],)
+        assert fields[0]._group.fields[0] is not fields[0]
 
 
 class TestCurveType:
@@ -349,6 +365,21 @@ class TestAction:
         w = np.ones(len(c))
         w[1:-1:2], w[2:-1:2] = 4.0, 2.0
         assert action(sp, c) == float((c.t[1] - c.t[0]) / 3.0 * (w @ vals))
+
+    def test_one_compiled_call_per_sample(self, monkeypatch):
+        # h11 and L come from the space's one (h11, L) group, h11 first, so
+        # a sample where both leave their domain names h11, as before
+        sp = sphere_space()
+        c = integrate_harmonic(sp, TILT_X0, TILT_Y0, 0.0, 0.5, 1e-2)
+        calls = count_calls(monkeypatch, expr.FieldGroup.values,
+                            expr.FieldGroup)
+        action(sp, c)
+        assert len(calls) == len(c)
+        sp = LagrangeSpace(1, parse("y1^2 + 1/x1", 1), parse("sqrt(t)", 1))
+        t = np.array([-1.0, -0.5, 0.0])
+        c = Curve(t=t, x=np.zeros((3, 1)), y=np.ones((3, 1)), step=0.5)
+        with pytest.raises(EvalDomainError, match="'sqrt\\(t\\)'"):
+            action(sp, c)
 
     def test_straight_line_unit(self):
         c = integrate_harmonic(flat_space(), [0.0, 0.0], [1.0, 0.0],

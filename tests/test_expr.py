@@ -24,6 +24,7 @@ from jetlag.expr import (
     Div,
     EvalDomainError,
     ExprError,
+    FieldGroup,
     JetPoint,
     Mul,
     Neg,
@@ -413,7 +414,7 @@ class TestDualPoints:
         for fields in ((f,), (parse("y1^6", n=1), f)):
             with pytest.raises(DerivativeOrderError,
                                match="^total derivative order 6 exceeds cap 5$"):
-                expr.evaluate_fields(fields, point)
+                expr.evaluate_fields(FieldGroup(fields), point)
 
     def test_tables_compile_on_the_first_dual_read(self, monkeypatch):
         from jetlag.geometry import LagrangeSpace, curvature
@@ -434,7 +435,7 @@ class TestDualPoints:
 
 
 class TestFieldGroups:
-    """A field group is any tuple of fields of one n, in one compiled call."""
+    """A FieldGroup holds any fields of one n, read in one compiled call."""
 
     def test_mixed_fields_keep_their_own_bits(self):
         # partials of L with h11 and its derivative, as a space reads them
@@ -443,21 +444,23 @@ class TestFieldGroups:
         fields = (L.differentiate((0, 0, 0, 2, 0)), h11,
                   h11.differentiate((1, 0, 0, 0, 0)), L,
                   L.differentiate((1, 0, 1, 0, 1)))
+        group = FieldGroup(fields)
         q = TestDualPoints.Z
-        fused = expr.evaluate_fields(fields, q)
+        fused = expr.evaluate_fields(group, q)
         assert [v.hex() for v in fused] == [f.evaluate(q).hex()
                                             for f in fields]
         for depth in (1, 2):
             q = Dual(q, np.eye(5))
-            fused = expr.evaluate_fields(fields, q)
+            fused = expr.evaluate_fields(group, q)
             for k, f in enumerate(fields):
                 assert fused[k].depth == depth
                 assert fused[k].tobytes() == f.evaluate(q).tobytes(), f
 
     def test_fields_of_different_n_are_refused(self):
         fields = (parse("y1^2", n=1), parse("y1^2", n=2))
-        with pytest.raises(ValueError, match="fields of one n"):
-            expr.evaluate_fields(fields, [0.0, 1.0, 1.0])
+        for bad in (fields, ()):
+            with pytest.raises(ValueError, match="fields of one n"):
+                FieldGroup(bad)
 
 
 class TestTaylorPlans:
@@ -475,10 +478,10 @@ class TestTaylorPlans:
 
     @staticmethod
     def partials(sp) -> list:
-        groups = []
+        higher = []
         for depth in (1, 2):
-            groups, _ = sp.L._table.taylor_plan(sp._fields, depth)
-        return [f for g in groups for f in g[0]]
+            higher, _ = sp._group.taylor_plan(depth)
+        return [f for g in (sp._group, *higher) for f in g.fields]
 
     def test_each_partial_is_derived_once(self, monkeypatch):
         # one diff memo per table and variable: 786 _diff calls, where a
@@ -489,13 +492,14 @@ class TestTaylorPlans:
         asts = [f.ast for f in fields]
         assert len(calls) == 786
         assert len(set(fields)) == len(fields)
-        # a second request meets the same plan and builds nothing
-        assert self.partials(sp) == fields
+        # a second request meets the same plan and builds nothing (equal
+        # fields are not enough: the very objects come back)
+        assert list(map(id, self.partials(sp))) == list(map(id, fields))
         assert [f.ast for f in fields] == asts and len(calls) == 786
         # each tree is the one a fresh memo per diff call derives along the
         # same canonical path, the lowest variable first
         for f in fields:
-            node = f._table.field((0,) * len(f._offset)).ast
+            node = f._table.ast_for((0,) * len(f._offset))
             for var, order in enumerate(f._offset):
                 for _ in range(order):
                     node = node.diff(var)
@@ -505,20 +509,19 @@ class TestTaylorPlans:
     def test_a_higher_segment_names_the_error_of_one_group(self, depth, x1):
         # 1/x1 and its partials up to depth - 1 are finite at x1, and the
         # next one divides by x1^(2 depth), which underflows to 0
-        fields = (parse("sin(x1)*y1", 1), parse("1/x1 + y1^2", 1))
+        group = FieldGroup((parse("sin(x1)*y1", 1), parse("1/x1 + y1^2", 1)))
         z = point = np.array([0.0, x1, 0.5])
         for _ in range(depth):      # every lower segment is in its domain
-            expr.evaluate_fields(fields, point)
+            expr.evaluate_fields(group, point)
             lower, point = point, Dual(point, np.eye(3))
         with pytest.raises(EvalDomainError) as got:
-            expr.evaluate_fields(fields, point)
-        expr.evaluate_fields(fields, lower)     # which reads no higher one
-        table = fields[-1]._table
-        groups, _ = table.taylor_plan(fields, depth)
-        assert len(groups) == depth + 1
-        one = [tuple(f for g in groups for f in g[0]), None]
+            expr.evaluate_fields(group, point)
+        expr.evaluate_fields(group, lower)      # which reads no higher one
+        higher, _ = group.taylor_plan(depth)
+        assert len(higher) == depth
+        one = FieldGroup(f for g in (group, *higher) for f in g.fields)
         with pytest.raises(EvalDomainError) as want:
-            table.values(one, z.tolist())
+            one.values(z.tolist())
         assert str(got.value) == str(want.value)
         assert "division by zero" in str(got.value)
 

@@ -13,7 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jetlag.cli import ConfigError, load_config
-from jetlag.expr import EvalDomainError, ExprError, evaluate_fields, parse
+from jetlag.expr import (EvalDomainError, ExprError, FieldGroup,
+                         evaluate_fields, parse)
 
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
 
@@ -92,7 +93,7 @@ def test_evaluation_returns_floats_or_raises_domain_error(source, z):
             assert type(value) is float
             values.append(value.hex())
     try:
-        fused = evaluate_fields(partials, z)
+        fused = evaluate_fields(FieldGroup(partials), z)
     except EvalDomainError as exc:
         # the text of the first partial that fails alone
         assert failed and str(exc) == failed[0]

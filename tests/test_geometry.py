@@ -6,7 +6,6 @@ code differentiates exactly by forward mode, so agreement is evidence rather
 than tautology.
 """
 
-import gc
 import weakref
 
 import numpy as np
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import (
     berwald_connection,
     christoffel_oracle,
+    collector_off,
     connection_levels,
     count_calls,
     covariant_derivative,
@@ -43,6 +43,7 @@ from jetlag.expr import (
     Const,
     Div,
     EvalDomainError,
+    FieldGroup,
     JetPoint,
     evaluate_fields,
     parse,
@@ -915,14 +916,14 @@ class TestPartialTable:
                                     sample_points(cfg.space, cfg.ranges,
                                                   2, seed=6)])):
             for z in points:
-                fused = evaluate_fields(sp._fields, z)
+                fused = evaluate_fields(sp._group, z)
                 alone = [f.evaluate(z) for f in sp._fields]
                 assert [v.hex() for v in fused] == [v.hex() for v in alone]
             # at a dual point each value is a Taylor value of its own field
             q = expr._point_array(points[0], sp.n)
             for depth in (1, 2):
                 q = Dual(q, np.eye(2 * sp.n + 1))
-                fused = evaluate_fields(sp._fields, q)
+                fused = evaluate_fields(sp._group, q)
                 for k, f in enumerate(sp._fields):
                     assert fused[k].depth == depth
                     assert fused[k].tobytes() == f.evaluate(q).tobytes(), f
@@ -982,33 +983,45 @@ class TestPartialTable:
             sp.geometry_at(Dual(z, np.eye(3)) if dual else z)
         assert "'1/(2*sqrt(t))'" in str(err.value)
 
-    def test_transformed_table_compiles_each_subexpression_once(self):
+    def test_transformed_table_compiles_each_subexpression_once(
+            self, monkeypatch):
         # the chart-transformed nonautonomous_l3 partials hold about 4.4k
         # tree nodes; fused into the one group of the space, with h11 and
-        # its derivative, its function has under two hundred locals
+        # its derivative, its function has under two hundred locals, and
+        # a float read compiles no other group
         cfg = load_config("nonautonomous_l3")
         chart = random_affine_chart(cfg.space, seed=3)
         moved = transformed_space(cfg.space, chart)
-        moved.geometry_at(transform_point(chart, cfg.midpoint()))
-        assert moved.h11._table._groups == {}
-        sizes = [fn.__code__.co_nlocals
-                 for _, fn in moved.L._table._groups.values()]
-        assert len(sizes) == 1
-        assert max(sizes) < 200
+        z = transform_point(chart, cfg.midpoint())
+        compiled = []
+        compile_fn = expr.compile_node
+        monkeypatch.setattr(expr, "compile_node", lambda *a: compiled.append(
+            fn := compile_fn(*a)) or fn)
+        moved.geometry_at(z)
+        assert compiled == [moved._group._fn]
+        assert compiled[0].__code__.co_nlocals < 200
 
     def test_spaces_that_share_h11_keep_no_group_of_each_other(self):
-        # the group of a space lives with its L, so a dropped space's
-        # compiled group goes with its L and not with the h11 it shared
-        h11 = parse("1 + t^2", N)
-        tables = []
-        for k in range(3):
-            L = parse(f"y1^2 + y2^2 + {k + 1}*x1*y1", N)
-            LagrangeSpace(N, L, h11).geometry_at(SPHERE_Z)
-            tables.append(weakref.ref(L._table))
-            del L
-        gc.collect()
-        assert h11._table._groups == {}
-        assert [t() for t in tables] == [None] * 3
+        # each space owns its groups, so with the collector off a dropped
+        # space's compiled code and its own field's table go with it at
+        # once, and the field 20 spaces shared, h11 or L, keeps no group
+        h11, L = parse("1 + t^2", N), parse("y1^2 + y2^2 + x1*y1", N)
+        with collector_off():
+            for shared, pair in (
+                    (h11, lambda k: (parse(f"y1^2 + y2^2 + {k}*x1*y1", N),
+                                     h11)),
+                    (L, lambda k: (L, parse(f"{k} + t^2", N)))):
+                refs = []
+                for k in range(1, 21):
+                    sp = LagrangeSpace(N, *pair(k))
+                    sp.geometry_at(SPHERE_Z)
+                    sp.geometry_at(Dual(SPHERE_Z, np.eye(5)))
+                    own = sp.L if shared is h11 else sp.h11
+                    refs += map(weakref.ref, (sp._group, sp._group._fn,
+                                              own._table))
+                    del sp, own
+                assert [r() for r in refs] == [None] * 60
+                assert shared._group is None
 
 
 # ---------------------------------------------------------------------------
@@ -1241,16 +1254,13 @@ class TestCaching:
         # geometry kept after it still builds its jets, bit for bit
         cfg = load_config("sphere_l1")
         z = cfg.midpoint()
-        gc.disable()
-        try:
+        with collector_off():
             sp = load_config("sphere_l1").space
             sp.geometry_at(z).curvature      # float and dual geometries
             kept = sp.geometry_at(z + 0.01)
             ref = weakref.ref(sp)
             del sp
             assert ref() is None
-        finally:
-            gc.enable()
         want = cfg.space.geometry_at(z + 0.01).curvature
         assert _table_bytes(kept.curvature) == _table_bytes(want)
 
