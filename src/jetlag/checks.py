@@ -25,7 +25,7 @@ from .dtensor import (
     transform_temporal_spray,
 )
 from .dual import einsum
-from .dynamics import el_acceleration, harmonic_rhs
+from .dynamics import el_acceleration
 from .expr import EvalDomainError
 from .fields import (
     conservation_residuals,
@@ -202,8 +202,11 @@ def _h_metricity_worst(sp, points):
 
 
 def _el_spray_worst(sp, points):
-    return worst_residual(el_acceleration(sp, z) - harmonic_rhs(sp, z)
-                          for z in points)
+    # the spray route's acceleration -2 Gspat - 2 Htemp, read off the cached
+    # geometry, against the extremal equation solved for it
+    return worst_residual(
+        el_acceleration(sp, geo.z) - (-2.0 * geo.Gspat - 2.0 * geo.Htemp)
+        for geo in map(sp.geometry_at, points))
 
 
 def _antisymmetry_worst(sp, points):

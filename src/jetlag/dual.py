@@ -71,22 +71,32 @@ else:
                   "over": "ignore", "divide": "ignore", "under": "ignore"}
 
 try:
-    # np.errstate(**_INV_STATE) made once: numpy's error-state object, set
-    # and reset around each float inverse, since building an errstate per
-    # call costs half as much as the kernel on a block of a few entries
+    # _error_state(**kwargs) is the function that enters
+    # np.errstate(**kwargs) and returns what _exit_state takes to leave it:
+    # numpy's error-state object, made once and set and reset around each
+    # use, since building an np.errstate per call costs half as much as
+    # the inverse kernel on a block of a few entries
     from numpy._core._ufunc_config import _extobj_contextvar, _make_extobj
 except ImportError:     # another numpy layout: an np.errstate per call
-    def _enter_inv_state():
-        state = np.errstate(**_INV_STATE)
-        state.__enter__()
-        return state
+    def _error_state(**kwargs):
+        def enter():
+            state = np.errstate(**kwargs)
+            state.__enter__()
+            return state
+        return enter
 
-    def _exit_inv_state(state):
+    def _exit_state(state):
         state.__exit__(None, None, None)
 else:
-    _enter_inv_state = functools.partial(_extobj_contextvar.set,
-                                         _make_extobj(**_INV_STATE))
-    _exit_inv_state = _extobj_contextvar.reset
+    def _error_state(**kwargs):
+        return functools.partial(_extobj_contextvar.set,
+                                 _make_extobj(**kwargs))
+
+    _exit_state = _extobj_contextvar.reset
+
+_enter_inv_state = _error_state(**_INV_STATE)
+# for arithmetic whose caller checks its result for overflow itself
+_enter_quiet_state = _error_state(over="ignore", invalid="ignore")
 
 __all__ = ["Dual", "CONTRACT", "depth", "base", "as_array", "scalar",
            "einsum", "inv"]
@@ -578,7 +588,7 @@ def inv(a, scale=None):
                 a = scale * a
             inverse = _inv_kernel(a)
         finally:
-            _exit_inv_state(state)
+            _exit_state(state)
     return inverse if scale is None else (a, inverse)
 
 

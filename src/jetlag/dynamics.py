@@ -5,10 +5,12 @@ since h^11 never vanishes on a regular space the integrated form is simply
 d2x/dt2 = -2 Gspat - 2 Htemp.  A fixed-step classical Runge-Kutta scheme
 keeps convergence studies reproducible.
 
-The integrator and ``el_residual`` read each point's geometry once, through
-``geometry_at``, and leave the space's geometry cache as they found it (see
-``LagrangeSpace._read_once``): no later read meets those points, so the
-cache keeps none of them, and a curve costs its samples alone.
+Since g = (h11/2) L_yy, that acceleration is -(h11/2) g^-1 b, where
+L_yy x'' + b = 0 is the extremal equation of the action (see
+``LagrangeSpace.harmonic_acceleration``).  The integrator reads it at each
+stage point, and ``el_residual`` reads L_yy and b at each sample, from one
+fused call on the space's extremal group: no geometry is built or cached,
+so a curve costs its samples alone.
 """
 
 import math
@@ -30,10 +32,10 @@ __all__ = [
 ]
 
 # step-count cap of integrate_harmonic: every sample is kept in memory, at
-# 8 (2n + 1) bytes a step (4 MB at the cap for n = 2; the geometry cache
-# keeps none of a step's four stage points), and at 0.12-0.16 ms per step
-# (n = 2 builtins, best of five 1,000-step runs on a 2-core x86-64 VM) the
-# cap is under a minute of work
+# 8 (2n + 1) bytes a step (4 MB at the cap for n = 2; a step's four stage
+# points build no geometry), and at 0.05-0.06 ms per step (n = 2 builtins,
+# best of five 1,000-step runs on a 2-core x86-64 VM) the cap is under ten
+# seconds of work
 MAX_STEPS = 100_000
 
 
@@ -90,8 +92,7 @@ class Curve:
 
 def harmonic_rhs(sp: LagrangeSpace, point) -> np.ndarray:
     """Acceleration d2x/dt2 of the curve equation at a jet point."""
-    geo = sp.geometry_at(point)
-    return -2.0 * geo.Gspat - 2.0 * geo.Htemp
+    return sp.harmonic_acceleration(point)
 
 
 def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
@@ -139,7 +140,7 @@ def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
                                   point=tuple(z))
         k[stage, :n] = stage_s[n:]
         try:
-            k[stage, n:] = sp._read_once(harmonic_rhs, z)
+            k[stage, n:] = harmonic_rhs(sp, z)
         except NonRegularError as err:
             raise NonRegularError(
                 f"{err} (reached at t = {t:.6g} along the curve)",
@@ -231,7 +232,7 @@ def el_residual(sp: LagrangeSpace, curve: Curve) -> np.ndarray:
         # nonuniform 3-point second derivative
         xdd = 2.0 * (dt0 * curve.x[k + 1] - (dt0 + dt1) * curve.x[k]
                      + dt1 * curve.x[k - 1]) / (dt0 * dt1 * (dt0 + dt1))
-        geo = sp._read_once(LagrangeSpace.geometry_at, curve.point(k))
-        out[k - 1] = geo.Lyy @ xdd + _el_source(geo, curve.y[k])
+        _, _, Lyy, _, b = sp._extremal(curve.point(k))
+        out[k - 1] = Lyy @ xdd + b
     return out
 

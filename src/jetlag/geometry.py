@@ -14,16 +14,16 @@ compiled code, so every domain and regularity error raises there, in the
 order of the fields read alone (the raising path re-reads h11, then the
 head group up to L_yy).  Regularity is decided by the one inversion of g
 (see ``_regular_inverse``); every inverse of the package, float or
-dual, goes through ``jetlag.dual.inv``.  It builds the spray level, all a
-harmonic curve reads, whose blocks L_y, L_x and L_ty are views of the
-fused values.  The connection comes in two levels, as in the paper's
-Section 2: the nonlinear connection level splits the third-order partials
-L_tyy, L_xyy and L_yyy out of the fused values and builds dg/dy and N,
-all that a gauge comparison reads; the Cartan level reads it and builds
-dg/dt, dg/dx, the adapted derivatives of g and the Cartan blocks (Gt, L,
-C).  N is semi-analytic (symbolic L-partials plus a numeric matrix
-inverse), so N = dG/dy is cross-checked against finite differences of G as
-a genuine test.  Derivatives OF connection blocks (torsion, curvature) are
+dual, goes through ``jetlag.dual.inv``.  It builds the spray level, whose
+blocks L_y, L_x and L_ty are views of the fused values.  The connection
+comes in two levels, as in the paper's Section 2: the nonlinear
+connection level splits the third-order partials L_tyy, L_xyy and L_yyy
+out of the fused values and builds dg/dy and N, all that a gauge
+comparison reads; the Cartan level reads it and builds dg/dt, dg/dx, the
+adapted derivatives of g and the Cartan blocks (Gt, L, C).  N is
+semi-analytic (symbolic L-partials plus a numeric matrix inverse), so
+N = dG/dy is cross-checked against finite differences of G as a genuine
+test.  Derivatives OF connection blocks (torsion, curvature) are
 exact too, by forward mode: ``dtensor.adapted_gradient`` runs the same
 code on a dual point (see ``jetlag.dual``), whose L-partials are Taylor
 values from the exact partials one order up, two when nested.  Every
@@ -38,16 +38,19 @@ the spray is a lazy slot of it.  The public operations normalise their
 point once, in ``geometry_at``, and read the rest off the geometry.  Each
 space's cache is an LRU of GEO_CACHE_SIZE geometries, enough for a sweep
 at the largest point count, so every suite of a ``check`` reads the
-sampled points back.  A harmonic curve reads each stage point and sample
-once, through ``LagrangeSpace._read_once``, which leaves the cache as it
-found it: a curve keeps no geometry.  A spray or connection that
-overflows the floats at a finite point raises NonRegularError where it is
-read: each connection level checks its own blocks.
+sampled points back.  A harmonic curve builds no geometry: each stage
+point and sample is one fused call on the space's extremal group (h11,
+L_yy and the acceleration-free part b of the Euler-Lagrange equation,
+see ``LagrangeSpace.harmonic_acceleration``), which decides regularity
+and raises as ``geometry_at`` does.  A spray, connection or acceleration
+that overflows the floats at a finite point raises NonRegularError where
+it is read: each connection level checks its own blocks.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import weakref
@@ -55,9 +58,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.dual import as_array, base, inv
+from jetlag.dual import (_enter_quiet_state, _exit_state, as_array, base,
+                         inv)
 from jetlag.expr import (Const, EvalDomainError, FieldGroup, ScalarField, Var,
-                         _point_array, add, evaluate_fields, mul, power)
+                         _point_array, add, evaluate_fields, mul, neg, power)
 from jetlag.dtensor import (
     CartanCoefficients,
     ChartMap,
@@ -376,7 +380,8 @@ class LagrangeSpace:
         self._fields = (h11, h11.differentiate(_unit_index(n, 0)),
                         *map(L.differentiate, slots))
         # the groups whose compiled code the space owns (the head only
-        # compiles when a read raises; dynamics.action reads h11 and L)
+        # compiles when a read raises; dynamics.action reads h11 and L; a
+        # curve's first read builds _el_group)
         self._group = FieldGroup(self._fields)
         self._head = FieldGroup(self._fields[:blocks[0].max() + 1])
         self._action = FieldGroup((h11, L))
@@ -415,25 +420,54 @@ class LagrangeSpace:
         z = _point_array(point, self.n)
         return _cached(self._geo_cache, z, self._compute_geo)
 
-    def _read_once(self, read, point):
-        """read(self, point) for a point that is read once, as a curve's
-        stage points and samples are, with the cache left as the read
-        found it: the geometry the read added is dropped and the entry its
-        insertion evicted is put back.  A point cached before stays cached
-        (and the read moves it to the LRU end, as any hit does)."""
-        cache = self._geo_cache
-        key = _point_array(point, self.n).tobytes()
-        if key in cache:
-            return read(self, point)
-        victim = (next(iter(cache.items()))
-                  if len(cache) >= GEO_CACHE_SIZE else None)
+    def harmonic_acceleration(self, point):
+        """d2x/dt2 = -(h11/2) g^-1 b of a harmonic curve at a point, float
+        or dual, from one fused call on the extremal group and no
+        geometry.  g = (h11/2) L_yy turns the spray route's -2 Gspat -
+        2 Htemp into this form, its two H terms cancelling symbolically;
+        an acceleration that leaves the floats raises NonRegularError."""
+        z, h11, _, g_inv, b = self._extremal(point)
+        state = _enter_quiet_state()
         try:
-            return read(self, point)
+            acc = (-0.5 * h11) * (g_inv @ b)
         finally:
-            cache.pop(key, None)
-            if victim is not None:
-                cache.setdefault(*victim)
-                cache.move_to_end(victim[0], last=False)
+            _exit_state(state)
+        if not all(map(math.isfinite, base(acc).tolist())):
+            raise _non_finite("harmonic acceleration", z)
+        return acc
+
+    def _extremal(self, point) -> tuple:
+        """(z, h11, L_yy, g^-1, b) at a point, where L_yy x'' + b = 0 is the
+        extremal equation of the action: one fused call on ``_el_group``,
+        regular where ``geometry_at`` finds the point regular and raising
+        its error where it raises."""
+        z = _point_array(point, self.n)
+        zb = base(z)
+        try:
+            fused = evaluate_fields(self._el_group, z)
+        except EvalDomainError:
+            self._compute_geo(z)
+            raise
+        values, h11, Lyy, _, g_inv = self._metric(fused, zb)
+        return z, h11, Lyy, g_inv, values[len(self._head.fields):]
+
+    @functools.cached_property
+    def _el_group(self) -> FieldGroup:
+        """The head (h11, its t-derivative, L_yy) and the acceleration-free
+        part of the extremal equation,
+        b_k = L_{x^m y^k} y^m - L_{x^k} + L_{t y^k} + (hdot / 2 h11) L_{y^k},
+        written over the partials' ASTs so that the compiled code shares
+        their subexpressions; built and compiled on a curve's first read."""
+        n, fields = self.n, self._fields
+        h11, hdot = fields[0].ast, fields[1].ast
+        ly, lx, lty = (fields[s] for s in self._spray_runs)
+        H = mul(Const(0.5), hdot, power(h11, -1))
+        b = [add(*(mul(fields[self._lxy_idx[m, k]].ast, Var(1 + n + m))
+                   for m in range(n)),
+                 neg(lx[k].ast), lty[k].ast, mul(H, ly[k].ast))
+             for k in range(n)]
+        return FieldGroup((*self._head.fields,
+                           *(ScalarField(node, n) for node in b)))
 
     def _compute_geo(self, z) -> _Geo:
         """The spray level at z, a float point or a dual one; the checks
@@ -507,8 +541,8 @@ def _cached(cache: collections.OrderedDict, z, compute):
     leaf of a dual point).  It keeps every geometry read through
     ``geometry_at``, up to GEO_CACHE_SIZE, with its lazy levels as they
     get built: about 2.5 KB for a float spray level at n = 2, more once a
-    connection level is read.  The points a curve reads once go through
-    ``LagrangeSpace._read_once``, which keeps none of them."""
+    connection level is read.  A curve's points never reach it (see
+    ``LagrangeSpace.harmonic_acceleration``)."""
     key = z.tobytes()
     hit = cache.get(key)
     if hit is not None:

@@ -6,11 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (christoffel_oracle, count_calls, great_circle,
-                     rk4_two_arrays, transform_curve)
+from helpers import (christoffel_oracle, count_calls, fd_gradient,
+                     great_circle, rk4_two_arrays, transform_curve)
 from jetlag import dynamics, expr, geometry
+from jetlag.checks import random_affine_chart, run_checks, sample_points
 from jetlag.cli import BUILTIN_CONFIGS, load_config
-from jetlag.dtensor import ChartMap
+from jetlag.dtensor import ChartMap, transform_point
+from jetlag.dual import Dual
 from jetlag.dynamics import (
     MAX_STEPS,
     Curve,
@@ -97,6 +99,94 @@ class TestHarmonicRhs:
         sp = exp_time_space()
         for z in random_points(3):
             assert np.allclose(harmonic_rhs(sp, z), z[N + 1:], atol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_huge_velocity_on_flat_is_still_a_straight_line(self):
+        # L_y = 2e308 leaves the floats, but b = 0 reads no L_y when H = 0
+        z = np.array([0.0, 0.0, 0.0, 1e308, 0.0])
+        assert harmonic_rhs(flat_space(), z).tolist() == [0.0, 0.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_acceleration_that_overflows_raises(self):
+        # g = 1e-300 I and b = (-1e10, 0): g^-1 b leaves the floats, with
+        # no numpy warning on the way
+        sp = LagrangeSpace(N, parse("1e-300*(y1^2 + y2^2) + 1e10*x1", N),
+                           one())
+        z = np.array([0.0, 0.0, 0.0, 1.0, 0.0])
+        with pytest.raises(NonRegularError, match=r"^non-finite harmonic "
+                           r"acceleration at point \(0.0, 0.0, 0.0, 1.0, "
+                           r"0.0\)$"):
+            harmonic_rhs(sp, z)
+        with pytest.raises(NonRegularError, match=r"\(reached at t = 0 "):
+            integrate_harmonic(sp, [0.0, 0.0], [1.0, 0.0], 0.0, 1.0, 0.5)
+
+
+class TestExtremalGroup:
+    """harmonic_rhs reads -(h11/2) g^-1 b off one fused call on the space's
+    extremal group (h11, L_yy, b), with no geometry; the spray route
+    -2 Gspat - 2 Htemp of the geometry is its oracle."""
+
+    @staticmethod
+    def space_and_points(name):
+        """A builtin space and 100 of its sampled points; "moved" is
+        electrodynamics_l2 in a random affine chart, with its points."""
+        cfg = load_config("electrodynamics_l2" if name == "moved" else name)
+        points = sample_points(cfg.space, cfg.ranges, 100, seed=cfg.seed)
+        if name != "moved":
+            return cfg.space, points
+        chart = random_affine_chart(cfg.space, cfg.seed)
+        return (transformed_space(cfg.space, chart),
+                [transform_point(chart, z) for z in points])
+
+    @pytest.mark.parametrize("name", [*BUILTIN_CONFIGS, "moved"])
+    def test_the_spray_route_agrees(self, name):
+        # the two routes differ in their H terms, which cancel symbolically
+        # in b and in floating point in the spray, so a wrong H shows here
+        sp, points = self.space_and_points(name)
+        for z in points:
+            geo = sp.geometry_at(z)
+            spray = -2.0 * geo.Gspat - 2.0 * geo.Htemp
+            gap = np.max(np.abs(harmonic_rhs(sp, z) - spray))
+            assert gap <= 1e-13 * max(1.0, np.max(np.abs(spray))), z
+
+    @pytest.mark.parametrize("name", ["sphere_l1", "electrodynamics_l2",
+                                      "nonautonomous_l3"])
+    def test_a_dual_point_carries_the_derivative(self, name):
+        sp, points = self.space_and_points(name)
+        for z in points[:3]:
+            out = harmonic_rhs(sp, Dual(z, np.eye(len(z))))
+            assert out.val.tobytes() == harmonic_rhs(sp, z).tobytes()
+            fd = fd_gradient(lambda q: harmonic_rhs(sp, q), z)
+            assert np.max(np.abs(out.tan - fd)) <= 1e-9
+
+    @pytest.mark.parametrize("L, h11, z", [
+        ("y1^2 + y2^2", "1 - t", [1.0, 0.2, 0.3, 0.5, 0.4]),
+        ("y1^3 + y2^3", "1", [0.0, 0.5, 0.5, 0.0, 0.0]),
+        ("log(x1)*y1 + y1^2 + y2^2", "1", [0.0, 0.0, 0.3, 0.5, 0.4]),
+    ], ids=["h11 = 0", "degenerate g", "log pole"])
+    def test_errors_are_those_of_geometry_at(self, L, h11, z):
+        sp = LagrangeSpace(N, parse(L, N), parse(h11, N))
+        with pytest.raises(Exception) as want:
+            sp.geometry_at(z)
+        with pytest.raises(Exception) as got:
+            harmonic_rhs(sp, z)
+        assert isinstance(want.value, (NonRegularError, EvalDomainError))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_the_group_is_built_on_a_curve_s_first_read(self, monkeypatch):
+        # neither a space's set-up nor a check builds the extremal group;
+        # a curve compiles it once
+        compiles = count_calls(monkeypatch, expr.compile_node, expr)
+        cfg = load_config("electrodynamics_l2")
+        sp = cfg.space
+        run_checks(sp, sample_points(sp, cfg.ranges, 10, seed=cfg.seed))
+        assert "_el_group" not in vars(sp)
+        before = len(compiles)
+        for _ in range(2):
+            c = integrate_harmonic(sp, [1.2, 0.1], [0.3, 0.8], 0.0, 0.5, 0.1)
+            el_residual(sp, c)
+        assert len(compiles) == before + 1
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +309,7 @@ class TestIntegrate:
 class TestStateVector:
     """integrate_harmonic runs RK4 on one state vector (x, y), written into
     one reused point buffer; the samples are those of the loop on two
-    arrays, bit for bit, and each stage costs one spray level."""
+    arrays, bit for bit, and each stage costs one fused call."""
 
     @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
     @pytest.mark.parametrize("step, steps", [(1.0 / 32, 16), (0.07, 8)])
@@ -239,7 +329,8 @@ class TestStateVector:
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
-    def test_one_cold_step_costs_four_spray_levels(self, monkeypatch):
+    def test_one_cold_step_costs_four_fused_calls_and_no_geometry(
+            self, monkeypatch):
         geo = count_calls(monkeypatch, LagrangeSpace.geometry_at,
                           LagrangeSpace)
         evals = count_calls(monkeypatch, expr.evaluate_fields, expr,
@@ -249,15 +340,15 @@ class TestStateVector:
         sp = load_config("sphere_l1").space
         c = integrate_harmonic(sp, [1.2, 0.1], [0.3, 0.8], 0.0, 0.1, 0.1)
         assert len(c) == 2
-        # one geometry per stage, one fused evaluation per geometry (h11,
-        # its derivative and the L-partials), no connection level
-        assert (len(geo), len(evals), len(christoffel)) == (4, 4, 0)
+        # one fused evaluation of the extremal group per stage (h11, L_yy
+        # and b), no geometry and no connection level
+        assert (len(geo), len(evals), len(christoffel)) == (0, 4, 0)
 
     def test_a_curve_and_its_residual_keep_no_geometry(self):
-        # each stage point and sample is read once, so the cache is left as
-        # the curve found it: a point cached before stays (here the first
-        # stage point, a hit), and the traced peak is little more than the
-        # samples, where 4,001 stage geometries would take 9.9 MB
+        # the stage points and samples are read without a geometry, so the
+        # cache is left as the curve found it: a point cached before stays
+        # (here the first stage point), and the traced peak is little more
+        # than the samples, where 4,001 stage geometries would take 9.9 MB
         cfg = load_config("electrodynamics_l2")
         sp, z = cfg.space, cfg.midpoint()
         kept = sp.geometry_at(z)
@@ -276,8 +367,7 @@ class TestStateVector:
         assert peak < 1_000_000
 
     def test_a_curve_through_a_full_cache_evicts_nothing(self, monkeypatch):
-        # each stage point's insertion evicts the oldest entry, and the
-        # read puts it back in its place
+        # no stage point or sample is inserted, so nothing is evicted
         monkeypatch.setattr(geometry, "GEO_CACHE_SIZE", 3)
         cfg = load_config("sphere_l1")
         sp, z = cfg.space, cfg.midpoint()
