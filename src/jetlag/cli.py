@@ -19,6 +19,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -392,8 +393,26 @@ def _summary(results) -> dict:
                      "points": r.points, "note": r.note} for r in results}
 
 
+_SCALAR = json.JSONEncoder()     # one value, no indent: the C encoder
+
+
+def _json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for str keys, without
+    the reference cycle that the indenting encoder's nested functions
+    leave on every call."""
+    if not (isinstance(value, (dict, list, tuple)) and value):
+        return _SCALAR.encode(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = (f"{_SCALAR.encode(k)}: {_json(v, inner)}"
+                 for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    items = (_json(v, inner) for v in value)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _dump(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json(payload) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -551,8 +570,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: argparse's parsers, actions and formatters
+    reference each other, so a parser per call is left to the collector."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if getattr(args, "command", None) == "curve" and args.out is None:
         parser.error("curve requires --out for the CSV")

@@ -89,7 +89,8 @@ class NonlinearConnectionValue:
         N = as_array(self.N)
         if M.ndim != 1 or N.shape != (M.shape[0], M.shape[0]):
             raise ValueError(f"inconsistent shapes M{M.shape}, N{N.shape}")
-        if not (np.isfinite(base(M)).all() and np.isfinite(base(N)).all()):
+        if not all(map(math.isfinite,
+                       base(M).tolist() + base(N).ravel().tolist())):
             raise ValueError("connection coefficients must be finite")
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "N", N)
@@ -266,6 +267,7 @@ class ChartMap:
         tprime = self.t_map.differentiate(dt)
         object.__setattr__(self, "_t_group", FieldGroup(
             (tprime, self.t_map, tprime.differentiate(dt))))
+        object.__setattr__(self, "_t_last", (math.nan, None))
 
     @property
     def n(self) -> int:
@@ -273,12 +275,18 @@ class ChartMap:
 
     def t_jet(self, t: float) -> tuple:
         """(tau, tau', tau'') at t, from one fused evaluation; ChartError
-        where tau' is zero or not finite."""
+        where tau' is zero or not finite.  The last result is kept, so the
+        laws at one point evaluate once; t = +-0 is evaluated afresh, since
+        tau may tell the two zeros apart."""
+        last, jet = self._t_last
+        if t == last != 0.0:
+            return jet
         z = np.zeros(2 * self.t_map.n + 1)
         z[0] = t
         tp, tau, ts = evaluate_fields(self._t_group, z)
         if tp == 0.0 or not math.isfinite(tp):
             raise ChartError(f"dt~/dt = {tp} at t = {t}")
+        object.__setattr__(self, "_t_last", (t, (tau, tp, ts)))
         return tau, tp, ts
 
 
@@ -288,7 +296,7 @@ def transform_point(chart: ChartMap, point) -> JetPoint:
     tau, tp, _ = chart.t_jet(float(z[0]))
     x_new = chart.A @ z[1:n + 1] + chart.c
     y_new = (chart.A @ z[n + 1:]) / tp
-    return JetPoint(tau, tuple(x_new), tuple(y_new))
+    return JetPoint(tau, x_new.tolist(), y_new.tolist())
 
 
 def transform_temporal_spray(H: np.ndarray, chart: ChartMap, point) -> np.ndarray:

@@ -81,33 +81,42 @@ class DerivativeOrderError(ExprError):
 
 @dataclass(frozen=True)
 class JetPoint:
-    """A point (t, x^i, y^i) of the 1-jet space of curves in n dimensions."""
+    """A point (t, x^i, y^i) of the 1-jet space of curves in n dimensions.
+    Its coordinates are validated and laid out once, in a read-only
+    (2n+1,) array that the package's point functions read in place."""
 
     t: float
     x: tuple[float, ...]
     y: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "y", tuple(float(v) for v in self.y))
-        object.__setattr__(self, "t", float(self.t))
-        if len(self.x) != len(self.y):
-            raise ValueError(f"x has {len(self.x)} entries but y has {len(self.y)}")
-        for v in (self.t, *self.x, *self.y):
-            if not math.isfinite(v):
-                raise ValueError("jet point coordinates must be finite")
+        x = tuple(map(float, self.x))
+        y = tuple(map(float, self.y))
+        t = float(self.t)
+        if len(x) != len(y):
+            raise ValueError(f"x has {len(x)} entries but y has {len(y)}")
+        coords = (t, *x, *y)
+        if not all(map(math.isfinite, coords)):
+            raise ValueError("jet point coordinates must be finite")
+        z = np.array(coords)
+        z.setflags(write=False)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_z", z)
 
     @property
     def n(self) -> int:
         return len(self.x)
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.t, *self.x, *self.y], dtype=float)
+        """A fresh, writable copy of the coordinate array."""
+        return self._z.copy()
 
 
 def _point_array(point, n: int) -> np.ndarray:
-    """The (2n+1,) coordinate array of a JetPoint or array-like point; a
-    dual point passes through."""
+    """The (2n+1,) coordinate array of a JetPoint (its own read-only
+    array) or array-like point; a dual point passes through."""
     if isinstance(point, Dual):
         if point.shape != (2 * n + 1,):
             raise ValueError(f"expected {2 * n + 1} coordinates, "
@@ -116,7 +125,7 @@ def _point_array(point, n: int) -> np.ndarray:
     if isinstance(point, JetPoint):
         if point.n != n:
             raise ValueError(f"point has n={point.n}, expected n={n}")
-        return point.as_array()
+        return point._z
     z = np.asarray(point, dtype=float)
     if z.shape != (2 * n + 1,):
         raise ValueError(f"expected {2 * n + 1} coordinates, got shape {z.shape}")

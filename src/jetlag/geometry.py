@@ -117,7 +117,7 @@ class SprayValue:
         G = as_array(self.Gspat)
         if H.shape != G.shape or H.ndim != 1:
             raise ValueError(f"inconsistent spray shapes {H.shape}, {G.shape}")
-        if not (np.isfinite(base(H)).all() and np.isfinite(base(G)).all()):
+        if not all(map(math.isfinite, base(H).tolist() + base(G).tolist())):
             raise ValueError("spray coefficients must be finite")
         object.__setattr__(self, "Htemp", H)
         object.__setattr__(self, "Gspat", G)

@@ -634,10 +634,20 @@ def _package_objects(objects) -> Counter:
                    if type(o).__module__.startswith("jetlag"))
 
 
+def _leaves(argv, code: int) -> tuple:
+    """(jetlag objects, all objects by type) that one ``main(argv)`` call,
+    returning code, leaves for the cyclic collector."""
+    with collector_off() as cyclic_garbage:
+        assert main(argv) == code
+        left = cyclic_garbage()
+    return _package_objects(left), Counter(type(o).__qualname__ for o in left)
+
+
 class TestNoCyclicGarbage:
     """A command frees what it built by reference counting alone: no
     jetlag object is left for the cyclic collector, whether the command
-    passes or fails on a regularity or a domain error."""
+    passes or fails on a regularity or a domain error.  Once the process
+    has its parser, a second call of a verb leaves no object of any type."""
 
     @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
     def test_commands_on_a_builtin(self, name, tmp_path, capsys):
@@ -648,10 +658,11 @@ class TestNoCyclicGarbage:
                  "--out", str(tmp_path / "c.csv")]
         for verb, *rest in (["check"], ["report", "--points", "5"],
                             ["inspect"], ["curve", *curve]):
-            with collector_off() as cyclic_garbage:
-                assert main([verb, "--config", name, *rest]) == 0
-                left = _package_objects(cyclic_garbage())
-            assert left == Counter(), verb
+            argv = [verb, "--config", name, *rest]
+            jetlag_left, _ = _leaves(argv, 0)
+            assert jetlag_left == Counter(), verb
+            _, left_again = _leaves(argv, 0)
+            assert left_again == Counter(), verb
         capsys.readouterr()
 
     def test_failing_commands(self, tmp_path, capsys):
@@ -665,11 +676,21 @@ class TestNoCyclicGarbage:
                  "non-finite"),
                 (["--config", pole, "--point", "0", "0", "0", "1", "1"],
                  "division by zero")):
-            with collector_off() as cyclic_garbage:
-                assert main(["inspect", *argv]) == 3
-                left = _package_objects(cyclic_garbage())
+            jetlag_left, _ = _leaves(["inspect", *argv], 3)
+            assert jetlag_left == Counter(), argv
+            _, left_again = _leaves(["inspect", *argv], 3)
+            assert left_again == Counter(), argv
             assert message in capsys.readouterr().err
-            assert left == Counter(), argv
+
+    def test_the_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_json_text_is_the_standard_encoders(self):
+        payload = {"b": [1.5, float("nan"), -float("inf"), None, True, "é\n"],
+                   "a": {"z": [[], {}], "y": -0.0, "x": (1, 2)}, "c": {}}
+        assert cli._json(payload) == json.dumps(payload, indent=2,
+                                                sort_keys=True)
 
 
 class TestEntryPoint:
