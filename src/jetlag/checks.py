@@ -25,7 +25,7 @@ from .dtensor import (
     transform_temporal_spray,
 )
 from .dual import einsum
-from .dynamics import el_acceleration
+from .dynamics import harmonic_rhs
 from .expr import EvalDomainError
 from .fields import (
     conservation_residuals,
@@ -203,9 +203,10 @@ def _h_metricity_worst(sp, points):
 
 def _el_spray_worst(sp, points):
     # the spray route's acceleration -2 Gspat - 2 Htemp, read off the cached
-    # geometry, against the extremal equation solved for it
+    # geometry, against the curves' own, from the extremal group, whose b
+    # cancels the H terms symbolically: the two share no H
     return worst_residual(
-        el_acceleration(sp, geo.z) - (-2.0 * geo.Gspat - 2.0 * geo.Htemp)
+        harmonic_rhs(sp, geo.z) - (-2.0 * geo.Gspat - 2.0 * geo.Htemp)
         for geo in map(sp.geometry_at, points))
 
 

@@ -19,26 +19,26 @@ Each operation works on the stacks: a sum, a scaling, indexing,
 ``reshape``, ``transpose`` and ``copy`` are one numpy call each; a product
 (``*``, ``/``, ``@``, ``linalg.inv``) applies its rule level by level, each
 jet axis of an outer level acting as a batch axis of the inner ones.  The
-operands of an operation with the highest depth are differentiated; a
-plain array is a constant, and a shallower Dual is a constant at the
-outer levels it lacks (its derivatives there are zero).  Every value part
-comes from the operation that computes it without the Dual, elementwise or
-as one matrix of a batched matmul, so it has the same bits; an ``einsum``
-takes its value part and each operand's tangent term in separate calls,
-since an einsum with an extra axis may sum in another order.  The
-package's own einsums, float or dual, go through :func:`einsum`, and its
-inverses through :func:`inv`.
+Dual operands of an operation are differentiated and have one depth, and
+a plain array is a constant.  Every value part comes from the operation
+that computes it without the Dual, elementwise or as one matrix of a
+batched matmul, so it has the same bits; an ``einsum`` takes its value
+part and each operand's tangent term in separate calls, since an einsum
+with an extra axis may sum in another order.  The package's own einsums,
+float or dual, go through :func:`einsum`, and its inverses through
+:func:`inv`.
 
 The dual-transparency contract: a function differentiated this way must
 build its arrays from the point it is given using only arithmetic
 (+, -, *, /, @), indexing, ``reshape``, ``transpose``, ``copy`` and
 ``.T``, and the numpy functions ``einsum``, ``transpose``, ``swapaxes``
-and ``linalg.inv``.  ``float()``, ``np.array([...])`` of
-entries and ``math`` functions would drop the tangent, so they raise a
-TypeError that names this contract, as ``**`` and any other numpy
-function do; a ufunc (``np.sin``) raises numpy's own TypeError.  Only
-``np.asarray(dual, dtype=...)`` converts, to the innermost value, for
-callers that want the base point.
+and ``linalg.inv``, on Duals of one depth.  ``float()``, ``np.array([...])``
+of entries and ``math`` functions would drop the tangent, so they raise
+a TypeError that names this contract, as ``**``, any other numpy
+function and Duals of two depths in one operation do; a ufunc
+(``np.sin``) raises numpy's own TypeError.  Only ``np.asarray(dual,
+dtype=...)`` converts, to the innermost value, for callers that want the
+base point.
 """
 
 from __future__ import annotations
@@ -150,19 +150,6 @@ def _wrap(stack, level: int) -> "Dual":
     return x
 
 
-def _promote(x, level: int, jets: tuple) -> np.ndarray:
-    """The stack of x, a Dual or a plain value, at this level: the outer
-    jet axes it lacks (of extents jets) hold it as their value part and
-    zeros as its derivatives."""
-    d = depth(x)
-    a = x.stack if d else np.asarray(x, dtype=float)
-    if d == level:
-        return a
-    out = np.zeros(jets[:level - d] + a.shape)
-    out[(0,) * (level - d)] = a
-    return out
-
-
 def _lift(stack, level: int, nd: int):
     """stack with singleton value axes after its jet axes, so that it
     broadcasts against a value of nd axes."""
@@ -178,18 +165,17 @@ def _ndim(c) -> int:
     return 0 if type(c) is float else np.ndim(c)
 
 
-def _common(x, y):
-    """x and y with a shallower Dual promoted to the other's depth, and
-    that depth."""
-    dx, dy = depth(x), depth(y)
-    if dx and dy and dx != dy:
-        level = max(dx, dy)
-        jets = (x if dx > dy else y).stack.shape[:level]
-        if dx < dy:
-            x = _wrap(_promote(x, level, jets), level)
-        else:
-            y = _wrap(_promote(y, level, jets), level)
-    return x, y, max(dx, dy)
+def _common(*operands) -> int:
+    """The one depth of the Dual operands, or the contract's TypeError
+    when they have two."""
+    level = 0
+    for op in operands:
+        if type(op) is Dual:
+            if level and op.depth != level:
+                raise TypeError(f"Duals of depths {level} and {op.depth} "
+                                f"in one operation: {CONTRACT}")
+            level = op.depth
+    return level
 
 
 def _align(x, y):
@@ -274,9 +260,7 @@ def _inverse(a, level: int, top: int):
 
 def _add(x, y, sign: float = 1.0):
     if type(x) is not Dual or type(y) is not Dual or x.depth != y.depth:
-        x, y, level = _common(x, y)
-        if type(x) is not Dual or type(y) is not Dual:
-            return _add_constant(x, y, sign, level)
+        return _add_constant(x, y, sign, _common(x, y))
     xs, ys = x.stack, y.stack
     if xs.ndim != ys.ndim:
         xs, ys = _align(x, y)
@@ -308,16 +292,14 @@ def _mul(x, y):
         return _wrap(x * y.stack, y.depth)
     if type(y) is float:
         return _wrap(x.stack * y, x.depth)
-    x, y, level = _common(x, y)
+    level = _common(x, y)
     if type(x) is not Dual:
         return _wrap(x * _lift(y.stack, level, _ndim(x)), level)
-    if type(y) is not Dual:
-        return _wrap(_lift(x.stack, level, _ndim(y)) * y, level)
-    return _mul(x, y)
+    return _wrap(_lift(x.stack, level, _ndim(y)) * y, level)
 
 
 def _div(x, y):
-    x, y, level = _common(x, y)
+    level = _common(x, y)
     if type(y) is not Dual:
         return _wrap(_lift(x.stack, level, _ndim(y)) / y, level)
     if type(x) is not Dual:
@@ -328,7 +310,7 @@ def _div(x, y):
 
 
 def _matmul(x, y):
-    x, y, level = _common(x, y)
+    level = _common(x, y)
     xs = x.stack if type(x) is Dual else x
     ys = y.stack if type(y) is Dual else y
     nx = _ndim(x) if xs is x else x.ndim
@@ -532,11 +514,7 @@ def _tangent_subscripts(subscripts: str) -> tuple:
 def _einsum(subscripts, *operands):
     """The value part and each operand's tangent term as separate einsums:
     an einsum with an extra axis may sum in another order."""
-    level = max(depth(op) for op in operands)
-    if level > 1:
-        jets = next(op.stack.shape for op in operands if depth(op) == level)
-        operands = [_wrap(_promote(op, level, jets), level)
-                    if type(op) is Dual else op for op in operands]
+    level = _common(*operands)
     # a nested operand's parts are Duals, one level shallower
     einsum = _einsum if level > 1 else _c_einsum
     vals = [_part(op.stack, level, False) if type(op) is Dual else op

@@ -6,11 +6,12 @@ d2x/dt2 = -2 Gspat - 2 Htemp.  A fixed-step classical Runge-Kutta scheme
 keeps convergence studies reproducible.
 
 Since g = (h11/2) L_yy, that acceleration is -(h11/2) g^-1 b, where
-L_yy x'' + b = 0 is the extremal equation of the action (see
-``LagrangeSpace.harmonic_acceleration``).  The integrator reads it at each
-stage point, and ``el_residual`` reads L_yy and b at each sample, from one
-fused call on the space's extremal group: no geometry is built or cached,
-so a curve costs its samples alone.
+L_yy x'' + b = 0 is the extremal equation of the action.  ``harmonic_rhs``
+is the package's one extremal acceleration: the integrator reads it at
+each stage point, and ``check``'s el-spray suite compares it with the
+spray's -2 Gspat - 2 Htemp.  It and ``el_residual``, which reads L_yy and
+b at each sample, make one fused call on the space's extremal group: no
+geometry is built or cached, so a curve costs its samples alone.
 """
 
 import math
@@ -19,15 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dual import _enter_quiet_state, _exit_state, base
 from .expr import evaluate_fields
-from .geometry import LagrangeSpace, NonRegularError
+from .geometry import LagrangeSpace, NonRegularError, _non_finite
 
 __all__ = [
     "Curve",
     "harmonic_rhs",
     "integrate_harmonic",
     "action",
-    "el_acceleration",
     "el_residual",
 ]
 
@@ -91,8 +92,21 @@ class Curve:
 
 
 def harmonic_rhs(sp: LagrangeSpace, point) -> np.ndarray:
-    """Acceleration d2x/dt2 of the curve equation at a jet point."""
-    return sp.harmonic_acceleration(point)
+    """Acceleration d2x/dt2 = -(h11/2) g^-1 b of the curve equation at a
+    jet point, float or dual, from one fused call on the space's extremal
+    group and no geometry.  g = (h11/2) L_yy turns the spray route's
+    -2 Gspat - 2 Htemp into this form, its two H terms cancelling
+    symbolically; an acceleration that leaves the floats raises
+    NonRegularError."""
+    z, h11, _, g_inv, b = sp._extremal(point)
+    state = _enter_quiet_state()
+    try:
+        acc = (-0.5 * h11) * (g_inv @ b)
+    finally:
+        _exit_state(state)
+    if not all(map(math.isfinite, base(acc).tolist())):
+        raise _non_finite("harmonic acceleration", z)
+    return acc
 
 
 def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
@@ -102,6 +116,8 @@ def integrate_harmonic(sp: LagrangeSpace, x0, y0, t0: float, t1: float,
     y0 = np.asarray(y0, dtype=float)
     if x0.shape != (sp.n,) or y0.shape != (sp.n,):
         raise ValueError(f"initial data must have shape ({sp.n},)")
+    if not (np.isfinite(x0).all() and np.isfinite(y0).all()):
+        raise ValueError("x0 and y0 must be finite")
     if not (step > 0.0 and math.isfinite(step)):
         raise ValueError("step must be positive and finite")
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -195,24 +211,6 @@ def action(sp: LagrangeSpace, curve: Curve) -> float:
     warnings.warn("falling back to trapezoid quadrature "
                   "(need an odd count of uniformly spaced samples)")
     return float(np.sum(0.5 * dt * (vals[:-1] + vals[1:])))
-
-
-def el_acceleration(sp: LagrangeSpace, point) -> np.ndarray:
-    """Acceleration solved algebraically from the extremal equation.
-
-    The stationarity condition of the action is
-    d/dt (dL/dy^k sqrt|h11|) = dL/dx^k sqrt|h11|; expanding the total
-    time derivative and solving the linear system in d2x/dt2 gives an
-    expression assembled purely from Lagrangian partials, with none of
-    the metric contractions the spray route uses.
-    """
-    geo = sp.geometry_at(point)
-    return -np.linalg.solve(geo.Lyy, _el_source(geo, geo.z[1 + sp.n:]))
-
-
-def _el_source(geo, y) -> np.ndarray:
-    """The acceleration-free part b of the extremal equation Lyy x'' + b = 0."""
-    return geo.Lty + geo.Lxy.T @ y - geo.Lx + geo.H * geo.Ly
 
 
 def el_residual(sp: LagrangeSpace, curve: Curve) -> np.ndarray:

@@ -14,8 +14,8 @@ compiled code, so every domain and regularity error raises there, in the
 order of the fields read alone (the raising path re-reads h11, then the
 head group up to L_yy).  Regularity is decided by the one inversion of g
 (see ``_regular_inverse``); every inverse of the package, float or
-dual, goes through ``jetlag.dual.inv``.  It builds the spray level, whose
-blocks L_y, L_x and L_ty are views of the fused values.  The connection
+dual, goes through ``jetlag.dual.inv``.  It builds the spray level from
+L_y, L_x and L_ty, views of the fused values.  The connection
 comes in two levels, as in the paper's Section 2: the nonlinear
 connection level splits the third-order partials L_tyy, L_xyy and L_yyy
 out of the fused values and builds dg/dy and N, all that a gauge
@@ -41,8 +41,9 @@ at the largest point count, so every suite of a ``check`` reads the
 sampled points back.  A harmonic curve builds no geometry: each stage
 point and sample is one fused call on the space's extremal group (h11,
 L_yy and the acceleration-free part b of the Euler-Lagrange equation,
-see ``LagrangeSpace.harmonic_acceleration``), which decides regularity
-and raises as ``geometry_at`` does.  A spray, connection or acceleration
+see ``dynamics.harmonic_rhs``), which decides regularity and raises as
+``geometry_at`` does; ``check``'s el-spray suite compares that
+acceleration with the spray's.  A spray, connection or acceleration
 that overflows the floats at a finite point raises NonRegularError where
 it is read: each connection level checks its own blocks.
 """
@@ -58,8 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from jetlag.dual import (_enter_quiet_state, _exit_state, as_array, base,
-                         inv)
+from jetlag.dual import as_array, base, inv
 from jetlag.expr import (Const, EvalDomainError, FieldGroup, ScalarField, Var,
                          _point_array, add, evaluate_fields, mul, neg, power)
 from jetlag.dtensor import (
@@ -208,8 +208,8 @@ class _Geo:
     """
 
     __slots__ = ("space", "z", "h11", "h_inv", "H", "g", "g_inv", "Htemp",
-                 "Gspat", "M", "hdot", "B", "Ly", "Lx", "Lty", "Lxy", "Lyy",
-                 "values", "third_idx", *_LAZY)
+                 "Gspat", "M", "hdot", "B", "Lxy", "Lyy", "values",
+                 "third_idx", *_LAZY)
 
     def __getattr__(self, name):
         build = _LAZY.get(name)
@@ -380,8 +380,9 @@ class LagrangeSpace:
         self._fields = (h11, h11.differentiate(_unit_index(n, 0)),
                         *map(L.differentiate, slots))
         # the groups whose compiled code the space owns (the head only
-        # compiles when a read raises; dynamics.action reads h11 and L; a
-        # curve's first read builds _el_group)
+        # compiles when a read raises; dynamics.action reads h11 and L; the
+        # first read of a curve or of check's el-spray suite builds
+        # _el_group)
         self._group = FieldGroup(self._fields)
         self._head = FieldGroup(self._fields[:blocks[0].max() + 1])
         self._action = FieldGroup((h11, L))
@@ -420,22 +421,6 @@ class LagrangeSpace:
         z = _point_array(point, self.n)
         return _cached(self._geo_cache, z, self._compute_geo)
 
-    def harmonic_acceleration(self, point):
-        """d2x/dt2 = -(h11/2) g^-1 b of a harmonic curve at a point, float
-        or dual, from one fused call on the extremal group and no
-        geometry.  g = (h11/2) L_yy turns the spray route's -2 Gspat -
-        2 Htemp into this form, its two H terms cancelling symbolically;
-        an acceleration that leaves the floats raises NonRegularError."""
-        z, h11, _, g_inv, b = self._extremal(point)
-        state = _enter_quiet_state()
-        try:
-            acc = (-0.5 * h11) * (g_inv @ b)
-        finally:
-            _exit_state(state)
-        if not all(map(math.isfinite, base(acc).tolist())):
-            raise _non_finite("harmonic acceleration", z)
-        return acc
-
     def _extremal(self, point) -> tuple:
         """(z, h11, L_yy, g^-1, b) at a point, where L_yy x'' + b = 0 is the
         extremal equation of the action: one fused call on ``_el_group``,
@@ -457,7 +442,8 @@ class LagrangeSpace:
         part of the extremal equation,
         b_k = L_{x^m y^k} y^m - L_{x^k} + L_{t y^k} + (hdot / 2 h11) L_{y^k},
         written over the partials' ASTs so that the compiled code shares
-        their subexpressions; built and compiled on a curve's first read."""
+        their subexpressions; built and compiled on its first read, by a
+        curve or by ``check``'s el-spray suite."""
         n, fields = self.n, self._fields
         h11, hdot = fields[0].ast, fields[1].ast
         ly, lx, lty = (fields[s] for s in self._spray_runs)
@@ -502,9 +488,8 @@ class LagrangeSpace:
         geo.Htemp = -0.5 * H * y
         geo.Gspat = 0.25 * h11 * (g_inv @ B)
         geo.M = -H * y
-        # raw Lagrangian partials, kept for the Euler-Lagrange assembly
-        # (an algebraic route independent of the g-contracted spray)
-        geo.Ly, geo.Lx, geo.Lty, geo.Lxy, geo.Lyy = Ly, Lx, Lty, Lxy, Lyy
+        # the connection levels read L_xy and L_yy
+        geo.Lxy, geo.Lyy = Lxy, Lyy
         # _nonlinear reads L_tyy, L_xyy and L_yyy off the fused values
         geo.values, geo.third_idx = values, self._third_idx
         return geo
@@ -542,7 +527,7 @@ def _cached(cache: collections.OrderedDict, z, compute):
     ``geometry_at``, up to GEO_CACHE_SIZE, with its lazy levels as they
     get built: about 2.5 KB for a float spray level at n = 2, more once a
     connection level is read.  A curve's points never reach it (see
-    ``LagrangeSpace.harmonic_acceleration``)."""
+    ``dynamics.harmonic_rhs``)."""
     key = z.tobytes()
     hit = cache.get(key)
     if hit is not None:

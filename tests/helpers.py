@@ -18,17 +18,22 @@ package differentiates all of an identity's fields at one dual point and
 reads their values off it.  The RK4 loop on two arrays is the curve
 integrator's bit-for-bit oracle, and ``transform_curve`` pushes a sampled
 curve through a chart map sample by sample.  ``jet_point`` turns a
-coordinate array into the equivalent JetPoint, and ``collector_off``
-runs a body with the cyclic collector off and reports what cycles keep.
+coordinate array into the equivalent JetPoint, ``collector_off`` runs a
+body with the cyclic collector off and reports what cycles keep, and
+``source_mutant`` swaps in a one-term change to a package function.
 """
 
 from __future__ import annotations
 
+import __future__
 import contextlib
 import gc
+import inspect
 import itertools
 import math
 import random
+import sys
+import textwrap
 
 import numpy as np
 
@@ -79,6 +84,28 @@ def collector_off():
         gc.garbage.clear()
         if enabled:
             gc.enable()
+
+
+def source_mutant(monkeypatch, fn, old: str, new: str):
+    """Monkeypatch a mutant of fn over it, on the class or module that
+    holds it: fn's source with old, which must occur exactly once, replaced
+    by new, executed in fn's module namespace under the module's own
+    ``from __future__ import annotations``.  Returns the mutant."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    count = source.count(old)
+    assert count == 1, f"{old!r} occurs {count} times in {fn.__qualname__}"
+    code = compile(source.replace(old, new), inspect.getsourcefile(fn),
+                   "exec", dont_inherit=True,
+                   flags=fn.__code__.co_flags
+                   & __future__.annotations.compiler_flag)
+    namespace: dict = {}
+    exec(code, fn.__globals__, namespace)
+    owner = sys.modules[fn.__module__]
+    for name in fn.__qualname__.split(".")[:-1]:
+        owner = getattr(owner, name)
+    mutant = namespace[fn.__name__]
+    monkeypatch.setattr(owner, fn.__name__, mutant)
+    return mutant
 
 
 def count_calls(monkeypatch, fn, *owners):

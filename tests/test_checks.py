@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import source_mutant
 from jetlag import checks
 from jetlag.checks import (
     CheckResult,
@@ -291,6 +292,33 @@ class TestCorruptionHook:
         for r in res:
             assert r.passed == (r.name != "metricity")
         assert worst_offender(res).name == "metricity"
+
+
+class TestHMutant:
+    """The H mutant halves H = hdot / (2 h11) in the geometry.  The spray
+    route reads that H; the curves' route does not, since its b cancels
+    the H terms symbolically, so el-spray sees the two disagree wherever
+    h11 moves with t."""
+
+    MUTANT = ("H = 0.5 * h_inv * hdot", "H = 0.25 * h_inv * hdot")
+
+    @pytest.mark.parametrize("name", ["electrodynamics_l2",
+                                      "nonautonomous_l3", "exp_time"])
+    def test_el_spray_fails_under_it(self, monkeypatch, name):
+        source_mutant(monkeypatch, LagrangeSpace._compute_geo, *self.MUTANT)
+        cfg = load_config(name)
+        pts = sample_points(cfg.space, cfg.ranges, 20, seed=cfg.seed)
+        res = {r.name: r for r in run_checks(cfg.space, pts,
+                                             tolerances=cfg.tolerances)}
+        assert not res["el-spray"].passed
+        assert res["el-spray"].worst > 0.1
+
+    def test_the_old_text_must_occur_once(self, monkeypatch):
+        real = LagrangeSpace._compute_geo
+        for old, count in (("H = 0.5 * hdot", 0), ("h_inv * ", 2)):
+            with pytest.raises(AssertionError, match=f"occurs {count} times"):
+                source_mutant(monkeypatch, real, old, "")
+        assert LagrangeSpace._compute_geo is real
 
 
 class TestWorstOffender:

@@ -472,10 +472,11 @@ t = 0.1 0.9
     @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
     def test_compile_work_is_pinned(self, monkeypatch, capsys, name):
         # every builtin is n = 2, so a check compiles the same root
-        # partials whatever L is: 5 fused functions over 249 roots, one per
+        # partials whatever L is: 6 fused functions over 256 roots, one per
         # field group: the space's one group (h11, hdot and the L-partials),
-        # then the new partials its depth-1 and depth-2 Taylor plans add,
-        # order by order (each partial compiled once), its chart-moved
+        # its extremal group for the el-spray suite (the 5 head fields and
+        # b), then the new partials its depth-1 and depth-2 Taylor plans
+        # add, order by order (each partial compiled once), its chart-moved
         # twin's group at float points, and the chart's tau, tau' and
         # tau''.  The h-metricity suite reads hdot off the geometry
         roots = []
@@ -484,7 +485,7 @@ t = 0.1 0.9
                             roots.append(len(nodes)) or compile_fn(nodes, n))
         assert main(["check", "--config", name]) == 0
         capsys.readouterr()
-        assert (len(roots), sum(roots)) == (5, 249)
+        assert (len(roots), sum(roots)) == (6, 256)
 
     @pytest.mark.parametrize("name", BUILTIN_CONFIGS)
     def test_connection_work_is_pinned(self, monkeypatch, capsys, name):
@@ -560,6 +561,19 @@ class TestCurve:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert needle in capsys.readouterr().err
+
+    @pytest.mark.parametrize("start", [
+        ["--x0", "nan", "0", "--y0", "1", "0"],
+        ["--x0", "0", "0", "--y0", "1", "inf"],
+    ], ids=["x0-nan", "y0-inf"])
+    def test_non_finite_initial_data_is_usage_error(self, tmp_path, capsys,
+                                                    start):
+        out = tmp_path / "x.csv"
+        code = main(["curve", "--config", "flat", *start, "--t1", "1.0",
+                     "--step", "0.1", "--out", str(out)])
+        assert code == 2
+        assert "error: x0 and y0 must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_step_count_over_cap_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

@@ -17,13 +17,14 @@ from jetlag.dynamics import (
     MAX_STEPS,
     Curve,
     action,
-    el_acceleration,
     el_residual,
     harmonic_rhs,
     integrate_harmonic,
 )
 from jetlag.expr import EvalDomainError, parse
-from jetlag.geometry import LagrangeSpace, NonRegularError, transformed_space
+from jetlag.geometry import (LagrangeSpace, NonRegularError,
+                             canonical_nonlinear_connection, canonical_spray,
+                             transformed_space)
 
 N = 2
 RNG = np.random.default_rng(41120355)
@@ -174,19 +175,46 @@ class TestExtremalGroup:
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
 
-    def test_the_group_is_built_on_a_curve_s_first_read(self, monkeypatch):
-        # neither a space's set-up nor a check builds the extremal group;
-        # a curve compiles it once
-        compiles = count_calls(monkeypatch, expr.compile_node, expr)
+    def test_the_group_is_built_on_its_first_read(self, monkeypatch):
+        # neither a space's set-up nor a chart comparison builds the
+        # extremal group; a check compiles it once, for its el-spray
+        # suite, and curves read it after that with no compile.  On a
+        # fresh space the first curve compiles it once
+        compiled = []
+        compile_fn = expr.compile_node
+        monkeypatch.setattr(expr, "compile_node", lambda nodes, n:
+                            compiled.append(nodes) or compile_fn(nodes, n))
+
+        def el_compiles(sp):
+            roots = [id(f.ast) for f in sp._el_group.fields]
+            return sum(list(map(id, nodes)) == roots for nodes in compiled)
+
+        def curves(sp):
+            for _ in range(2):
+                c = integrate_harmonic(sp, [1.2, 0.1], [0.3, 0.8], 0.0, 0.5,
+                                       0.1)
+                el_residual(sp, c)
+
         cfg = load_config("electrodynamics_l2")
         sp = cfg.space
-        run_checks(sp, sample_points(sp, cfg.ranges, 10, seed=cfg.seed))
-        assert "_el_group" not in vars(sp)
-        before = len(compiles)
-        for _ in range(2):
-            c = integrate_harmonic(sp, [1.2, 0.1], [0.3, 0.8], 0.0, 0.5, 0.1)
-            el_residual(sp, c)
-        assert len(compiles) == before + 1
+        points = sample_points(sp, cfg.ranges, 10, seed=cfg.seed)
+        chart = random_affine_chart(sp, cfg.seed)
+        moved = transformed_space(sp, chart)
+        for z in points:
+            for space, q in ((sp, z), (moved, transform_point(chart, z))):
+                canonical_spray(space, q)
+                canonical_nonlinear_connection(space, q)
+        assert "_el_group" not in vars(sp) and "_el_group" not in vars(moved)
+        run_checks(sp, points)
+        assert el_compiles(sp) == 1
+        before = len(compiled)
+        curves(sp)
+        assert len(compiled) == before
+
+        sp = load_config("electrodynamics_l2").space
+        before = len(compiled)
+        curves(sp)
+        assert len(compiled) == before + 1 and el_compiles(sp) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -525,12 +553,14 @@ class TestExtremalEquations:
     @pytest.mark.parametrize("build", [flat_space, sphere_space,
                                        exp_time_space, quartic_space])
     def test_algebraic_equivalence_with_spray(self, build):
-        # the acceleration solved from the stationarity condition must
-        # coincide with the spray right-hand side everywhere
+        # the curves' acceleration, solved from the stationarity condition,
+        # must coincide with the spray route -2 Gspat - 2 Htemp everywhere;
+        # quartic_space's C is not zero
         sp = build()
         for z in random_points(25):
-            gap = np.abs(el_acceleration(sp, z) - harmonic_rhs(sp, z))
-            assert np.max(gap) < 1e-9
+            geo = sp.geometry_at(z)
+            spray = -2.0 * geo.Gspat - 2.0 * geo.Htemp
+            assert np.max(np.abs(harmonic_rhs(sp, z) - spray)) < 1e-9
 
     def test_flat_line_residual(self):
         c = integrate_harmonic(flat_space(), [0.0, 0.0], [1.0, 0.0],

@@ -38,7 +38,7 @@ from jetlag import cli, dual, expr, geometry
 from jetlag.checks import random_affine_chart, sample_points
 from jetlag.cli import BUILTIN_CONFIGS, load_config
 from jetlag.dual import Dual
-from jetlag.dynamics import el_acceleration, el_residual, integrate_harmonic
+from jetlag.dynamics import el_residual, harmonic_rhs, integrate_harmonic
 from jetlag.expr import (
     Const,
     Div,
@@ -888,10 +888,11 @@ class TestPartialTable:
         y = lambda i: 1 + n + i
         # L_xy is not symmetric here, so a transposed wiring shows
         assert np.max(np.abs(geo.Lxy - geo.Lxy.T)) > 0.05
+        Ly, Lx, Lty = (geo.values[run] for run in sp._spray_runs)
         for i in range(n):
-            assert geo.Ly[i] == partial(y(i))
-            assert geo.Lx[i] == partial(x(i))
-            assert geo.Lty[i] == partial(0, y(i))
+            assert Ly[i] == partial(y(i))
+            assert Lx[i] == partial(x(i))
+            assert Lty[i] == partial(0, y(i))
             for j in range(n):
                 assert geo.Lxy[i, j] == partial(x(i), y(j))
                 assert geo.Lyy[i, j] == partial(y(i), y(j))
@@ -1049,7 +1050,7 @@ class TestConnectionLevel:
         z = np.array([0.3, 1.2, 0.4, 0.5, -0.7])
         canonical_spray(sp, z)
         sp.geometry_at(z + 0.01)
-        el_acceleration(sp, z + 0.02)
+        harmonic_rhs(sp, z + 0.02)
         el_residual(sp, curve)
         assert christoffel == built == []
 

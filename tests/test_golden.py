@@ -62,10 +62,10 @@ GOLDEN = {
         "17a1166d3806d61231bffeb141d824572cf4eb0d9ef8ffa86bc426cec2f80b4f"),
     "check_nonautonomous_l3": (
         ["check", "--config", "nonautonomous_l3"],
-        "084cec118a42320f7e17fa1433a20bdc6c4f9537484f80c16af921198e9f518d"),
+        "bf470c7ddfe865571506499a30dcb4aa2043f4a546124bc121c13a32bd4a6fe0"),
     "check_sphere_l1": (
         ["check", "--config", "sphere_l1", "--points", "10"],
-        "c3e478d3734afa5fa9c6fa574714b8b34f49c733fbd81be04592732d329ed453"),
+        "a4d02c41ed266c06f0259063f49e661370071d67cb01b3889053629d3a568a4b"),
     "check_flat": (
         ["check", "--config", "flat", "--points", "10"],
         "52e4f5b954947bd7ab80fa543fc656179bd832f455a0cb8c2e32f2530d6d2401"),
@@ -74,16 +74,16 @@ GOLDEN = {
         "cb93cd2834b3f1a83c5f9b10da7adf74bea037aab36a432720a75b86d29f8c39"),
     "check_generic_n1": (
         ["check", "--config", "generic_n1", "--points", "10"],
-        "30396b84a7089c9c1562a7c836c4c4091794a5754abad08a9721b41a54b998e5"),
+        "55b79ae74c0efa807bd78f0367a2e6342b8f384d51328cc4bd6e090932be2aa0"),
     "check_generic_n3": (
         ["check", "--config", "generic_n3", "--points", "10"],
-        "3d0754f226dd9828f706e283f803245e80734dba09e0a849629a5c5c6af7e6f5"),
+        "d0339300ef15f809a7c6018ef700e008b558579ec6b6d39972398a426bafde06"),
     "report_electrodynamics_l2": (
         ["report", "--config", "electrodynamics_l2", "--points", "3"],
-        "64991aa58d78d594437f495311b03b32ca57d5bbeee934efb901cb7e0a940964"),
+        "07688105c963f7f0275f6d7aecc2e1446bca0cab20d87bdbbbf7b654d54956ba"),
     "report_nonautonomous_l3": (
         ["report", "--config", "nonautonomous_l3", "--points", "3"],
-        "9e362fbc10cf09ccde1ccf02e11bcf06e03fff0efdc48ae90e7bf53590049adf"),
+        "56e69da80eb8d90d738f8b2f18a0fd34351c72f71700eddcd8bf137ae79b6ff0"),
     "curve_sphere_l1": (
         ["curve", "--config", "sphere_l1", "--x0", "1.5707963", "0.0",
          "--y0", "0.0", "1.0", "--t1", "1.0", "--step", "0.001"],
